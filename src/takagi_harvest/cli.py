@@ -33,7 +33,7 @@ from .geometry import (
     gaussian_switching,
 )
 from .harvesting import DetectorSpec, HarvestScenario, harvest, run_dual_check
-from .quadrature import NumericalHardError, QuadratureConfig
+from .quadrature import NumericalHardError, QuadratureConfig, validate_epsilon_sequence
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -281,6 +281,15 @@ def _build_quadrature(cp, loc):
         kwargs["extrapolation"] = cp.get(sec, "extrapolation")
     if cp.has_option(sec, "method"):
         kwargs["method"] = cp.get(sec, "method")
+    if "epsilon_sequence" in kwargs:
+        try:
+            validate_epsilon_sequence(
+                kwargs["epsilon_sequence"], kwargs.get("extrapolation", cfg.extrapolation)
+            )
+        except ValueError as exc:
+            raise ConfigError(
+                f"[{sec}] key 'epsilon_sequence' ({loc.where(sec, 'epsilon_sequence')}): {exc}"
+            ) from None
     return replace(cfg, **kwargs)
 
 

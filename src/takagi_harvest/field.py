@@ -29,6 +29,7 @@ __all__ = [
     "wightman_frw",
     "wightman_flat_sep",
     "wightman_frw_sep",
+    "wightman_frw_at_clock",
     "WightmanKernel",
     "mode_integrand_static",
 ]
@@ -72,8 +73,19 @@ def wightman_frw_sep(t, t2, sep, m: ConformalTakagiMap, epsilon):
     """Conformal-vacuum kernel for comoving points, conformal times t and t2."""
     if m.n_spatial != 3:
         raise ValueError("conformal-vacuum kernel implemented for n_spatial = 3")
-    w = wightman_flat_sep(np.asarray(t, dtype=float) - np.asarray(t2, dtype=float), sep, epsilon)
-    return w / (m.conformal_factor(t) * m.conformal_factor(t2))
+    t = np.asarray(t, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    return wightman_frw_at_clock(t, m.conformal_factor(t), t2, m.conformal_factor(t2), sep, epsilon)
+
+
+def wightman_frw_at_clock(t, C, t2, C2, sep, epsilon):
+    """Conformal-vacuum kernel W_flat(t - t2) / (C C2) from both legs' clock values.
+
+    t, t2 are conformal times (arrays) and C, C2 the conformal factor there;
+    n_spatial = 3.  Equals wightman_frw_sep value for value; kernels that
+    already hold the clock at their nodes call this one.
+    """
+    return wightman_flat_sep(t - t2, sep, epsilon) / (C * C2)
 
 
 def wightman_frw(p, p2, m: ConformalTakagiMap, epsilon, time_kind: str = "conformal") -> complex:

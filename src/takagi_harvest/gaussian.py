@@ -33,6 +33,7 @@ __all__ = [
     "BogoliubovPair",
     "vacuum_bogoliubov",
     "transported_mode",
+    "transported_mode_at_clock",
     "mode_ode_residual",
     "run_identity_suite",
     "SUITE_THRESHOLDS",
@@ -172,7 +173,15 @@ def transported_mode(m: ConformalTakagiMap, tau):
     u(0) = 1, u'(0) = i omega, and u solves u'' + Omega^2 u = 0 exactly.
     """
     lam = m.lambda_of_tau(tau)
-    C = m.conformal_factor(lam)
+    return transported_mode_at_clock(m, lam, m.conformal_factor(lam))
+
+
+def transported_mode_at_clock(m: ConformalTakagiMap, lam, C):
+    """Transported mode from the clock values lam = lambda(tau), C = C(lam).
+
+    Equals transported_mode(m, tau) value for value; kernels that already
+    hold the clock at their nodes call this one.
+    """
     return np.sqrt(C) * np.exp(1j * m.omega * np.asarray(lam))
 
 

@@ -37,6 +37,9 @@ __all__ = [
 
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
 
+# kinds built by the factories below, whose params determine the window
+_FACTORY_KINDS = ("gaussian", "cos_squared", "tabulated", "transformed")
+
 
 def _prepare(x):
     arr = np.asarray(x, dtype=float)
@@ -186,6 +189,51 @@ class SwitchingFunction:
             out = np.where(inside, vals, 0.0)
         return _finish(out, scalar)
 
+    def at_clock(self, tau, lam, C):
+        """Transported window at dual times tau from the clock values there.
+
+        lam = lambda(tau) and C = C(lam) must come from this window's own map;
+        the result equals self(tau) value for value.  Kernels that already
+        hold the clock at their nodes call this instead of self(tau), so the
+        clock map is not evaluated a second time.
+        """
+        if self.kind != "transformed":
+            raise ValueError(f"at_clock needs a transported window, got kind {self.kind!r}")
+        tau = np.asarray(tau, dtype=float)
+        a, b = self.support
+        vals = _transported(self.params["base"], self.params["map"], lam, C)
+        return np.where((tau >= a) & (tau <= b), vals, 0.0)
+
+    def same_as(self, other) -> bool:
+        """True when other is this window by value.
+
+        Kind, support, timescale and parameters must be equal, recursively for
+        the base window of a transported one; the parameters of the factory
+        kinds fix the window completely.  A window of any other kind equals
+        only one with the same evaluator.
+        """
+        if other is self:
+            return True
+        if not isinstance(other, SwitchingFunction):
+            return False
+        if (self.kind, self.support, self.timescale) != (other.kind, other.support, other.timescale):
+            return False
+        if self.kind not in _FACTORY_KINDS and self._eval is not other._eval:
+            return False
+        if self.params.keys() != other.params.keys():
+            return False
+        for key, mine in self.params.items():
+            theirs = other.params[key]
+            if isinstance(mine, SwitchingFunction):
+                same = mine.same_as(theirs)
+            elif isinstance(mine, np.ndarray):
+                same = np.array_equal(mine, theirs)
+            else:
+                same = bool(mine == theirs)
+            if not same:
+                return False
+        return True
+
     def fourier(self, s):
         """Closed-form Fourier transform F(s) = integral chi(t) exp(i s t) dt.
 
@@ -305,6 +353,12 @@ def tabulated_switching(times, values) -> SwitchingFunction:
     )
 
 
+def _transported(chi: SwitchingFunction, m: ConformalTakagiMap, lam, C):
+    # the transported window chi(lambda) C^((n_spatial - 4)/2), from the clock
+    # values lam = lambda(tau) and C = C(lam) at the nodes
+    return chi(lam) * C ** (0.5 * (m.n_spatial - 4))
+
+
 def transform_switching(m: ConformalTakagiMap, chi: SwitchingFunction) -> SwitchingFunction:
     """Transport a flat-side window chi(lambda) to the dual clock.
 
@@ -322,11 +376,10 @@ def transform_switching(m: ConformalTakagiMap, chi: SwitchingFunction) -> Switch
             )
     ta = m.tau_of_lambda(a)
     tb = m.tau_of_lambda(b)
-    expo = 0.5 * (m.n_spatial - 4)
 
     def _eval(tau):
         lam = m.lambda_of_tau(tau)
-        return chi(lam) * m.conformal_factor(lam) ** expo
+        return _transported(chi, m, lam, m.conformal_factor(lam))
 
     return SwitchingFunction(
         kind="transformed",

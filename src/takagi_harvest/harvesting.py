@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .field import WightmanKernel, wightman_flat_sep, wightman_frw_sep
-from .gaussian import BogoliubovPair, transported_mode, vacuum_bogoliubov
+from .field import WightmanKernel, wightman_flat_sep, wightman_frw_at_clock
+from .gaussian import BogoliubovPair, transported_mode_at_clock, vacuum_bogoliubov
 from .geometry import (
     ConformalTakagiMap,
     StaticTrajectory,
@@ -46,6 +46,7 @@ from .quadrature import (
     extrapolate_epsilon,
     fourier_oracle_L,
     integrate_square,
+    validate_epsilon_sequence,
 )
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "DualCheckReport",
     "PERTURBATIVE_WARN_THRESHOLD",
     "duality_backbone_residual",
+    "regulator_sequence",
     "compute_L",
     "compute_M",
     "compute_N",
@@ -191,12 +193,37 @@ class HarvestScenario:
             return WightmanKernel(frame="minkowski")
         return WightmanKernel(frame="frw", map=self.map)
 
-    def epsilon_sequence(self) -> tuple:
-        """Regulator sequence: configured one, else 1e-2 x the shortest timescale."""
-        if self.quadrature.epsilon_sequence is not None:
-            return self.quadrature.epsilon_sequence
-        ts = min(d.switching.timescale for d in self.detectors)
-        return default_epsilon_sequence(ts)
+
+def regulator_sequence(scenario: HarvestScenario, epsilons=None, levels: int = 6) -> tuple:
+    """The regulator sequence of a run, resolved and validated before any quadrature.
+
+    Explicit epsilons come first, then the configured sequence, then
+    default_epsilon_sequence of the shortest switching timescale with the
+    given number of levels (6 for harvest and the compute_* routines, 4 for
+    run_dual_check).  Explicit sequences get the checks that QuadratureConfig
+    applies to configured ones.
+    """
+    if epsilons is not None:
+        return validate_epsilon_sequence(epsilons, scenario.quadrature.extrapolation)
+    if scenario.quadrature.epsilon_sequence is not None:
+        return scenario.quadrature.epsilon_sequence
+    ts = min(d.switching.timescale for d in scenario.detectors)
+    return default_epsilon_sequence(ts, levels)
+
+
+def _mirrors(det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
+    """True when B differs from A only in label and position.
+
+    Then every single-detector element of B (L_BB, N_B) is A's, bit for bit,
+    and both time orderings of the M integrand are one product.
+    """
+    return (
+        det_a.model == det_b.model
+        and det_a.frequency == det_b.frequency
+        and det_a.coupling == det_b.coupling
+        and det_a.interaction_scale == det_b.interaction_scale
+        and det_a.switching.same_as(det_b.switching)
+    )
 
 
 @dataclass(frozen=True)
@@ -268,21 +295,51 @@ def duality_backbone_residual(m: ConformalTakagiMap, chi: SwitchingFunction, lam
     return float(np.max(np.abs(lhs - chi(lam))))
 
 
-def _mode_fn(scenario: HarvestScenario, det: DetectorSpec):
-    """Mode function multiplying the switching in every element."""
-    if scenario.initial_state == "ground":
-        w = det.frequency
+def _clock(scenario: HarvestScenario):
+    """The clock at one leg's nodes, or None on the flat side.
 
+    On the dual side a leg's point set t becomes (t, lambda(t), C(lambda(t))),
+    evaluated once per kernel call; the window, the mode and the Wightman
+    kernel all read lambda and C from it.
+    """
+    if scenario.frame == "minkowski":
+        return None
+    m = scenario.map
+
+    def clock(t):
+        lam = m.lambda_of_tau(t)
+        return t, lam, m.conformal_factor(lam)
+
+    return clock
+
+
+def _legs(scenario: HarvestScenario, det: DetectorSpec):
+    """(window, mode) of one detector, as functions of what _clock gives a leg.
+
+    The mode multiplies the switching in every element: e^{i omega t} for
+    ground states, the transported mode for the squeezed dual state.
+    """
+    chi = det.switching
+    w = det.frequency
+    if scenario.frame == "minkowski":
         def mode(t):
             return np.exp(1j * w * t)
 
-        return mode
+        return chi, mode
     m = scenario.map
-
-    def mode(t):
-        return transported_mode(m, t)
-
-    return mode
+    if chi.kind == "transformed" and chi.params["map"] == m:
+        def window(p):
+            return chi.at_clock(*p)
+    else:
+        def window(p):
+            return chi(p[0])
+    if scenario.initial_state == "ground":
+        def mode(p):
+            return np.exp(1j * w * p[0])
+    else:
+        def mode(p):
+            return transported_mode_at_clock(m, p[1], p[2])
+    return window, mode
 
 
 def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
@@ -315,27 +372,27 @@ def _finish_sweep(scenario: HarvestScenario, per_eps) -> IntegralResult:
 def _wightman_factory(scenario: HarvestScenario, sep: float, eps: float):
     """W(first leg, second leg) on the scenario background, vectorized.
 
-    Returns a function of (t_first, t_second) in detector proper time; for the
-    cosmological frame the conformal-time regulator is used, which is the
-    regulator under which the duality is an exact per-epsilon identity.
+    Takes the two legs as _clock gives them: proper times on the flat side,
+    clock tuples on the cosmological one, where the conformal-time regulator
+    is used, the regulator under which the duality is an exact per-epsilon
+    identity.
     """
     if scenario.frame == "minkowski":
         def wight(t1, t2):
             return wightman_flat_sep(t1 - t2, sep, eps)
 
         return wight
-    m = scenario.map
 
-    def wight(t1, t2):
-        return wightman_frw_sep(m.lambda_of_tau(t1), m.lambda_of_tau(t2), sep, m, eps)
+    def wight(p1, p2):
+        return wightman_frw_at_clock(p1[1], p1[2], p2[1], p2[2], sep, eps)
 
     return wight
 
 
 def _l_kernel_factory(scenario, det_a, det_b, sep):
-    chi_a, chi_b = det_a.switching, det_b.switching
-    mode_a = _mode_fn(scenario, det_a)
-    mode_b = _mode_fn(scenario, det_b)
+    chi_a, mode_a = _legs(scenario, det_a)
+    chi_b, mode_b = _legs(scenario, det_b)
+    clock = _clock(scenario)
 
     def make(eps):
         wight = _wightman_factory(scenario, sep, eps)
@@ -343,6 +400,8 @@ def _l_kernel_factory(scenario, det_a, det_b, sep):
         def kern(u, w):
             t = 0.5 * (w + u)
             tp = 0.5 * (w - u)
+            if clock is not None:
+                t, tp = clock(t), clock(tp)
             # Jacobian of (t, t') -> (u, w) is 1/2; W legs: (primed, unprimed)
             return 0.5 * chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp)) * wight(tp, t)
 
@@ -382,7 +441,7 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenari
         return fourier_oracle_L(det_a, det_b, sep, scenario.quadrature)
     make = _l_kernel_factory(scenario, det_a, det_b, sep)
     rect = _rect_square(det_a.switching.support, det_b.switching.support)
-    eps_seq = tuple(epsilons) if epsilons is not None else scenario.epsilon_sequence()
+    eps_seq = regulator_sequence(scenario, epsilons)
     res = _finish_sweep(scenario, _per_epsilon(scenario, make, rect, eps_seq))
     pref = ca * cb
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
@@ -391,9 +450,10 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenari
 def _m_kernel_factory(scenario):
     det_a, det_b = scenario.detectors
     sep = separation(det_a.trajectory, det_b.trajectory)
-    chi_a, chi_b = det_a.switching, det_b.switching
-    mode_a = _mode_fn(scenario, det_a)
-    mode_b = _mode_fn(scenario, det_b)
+    chi_a, mode_a = _legs(scenario, det_a)
+    chi_b, mode_b = _legs(scenario, det_b)
+    mirrored = _mirrors(det_a, det_b)
+    clock = _clock(scenario)
 
     def make(eps):
         wight = _wightman_factory(scenario, sep, eps)
@@ -401,11 +461,14 @@ def _m_kernel_factory(scenario):
         def kern(u, w):
             t = 0.5 * (w + u)
             tp = 0.5 * (w - u)
+            if clock is not None:
+                t, tp = clock(t), clock(tp)
             # u >= 0 so t is the later leg; both orderings share one W value
             # because the detectors are static (equal separation, equal dt)
             pair = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
-            pair = pair + chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp)
-            return 0.5 * wight(t, tp) * pair
+            # a mirrored B has A's legs, so the (A <-> B) term is this product
+            swapped = pair if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp)
+            return 0.5 * wight(t, tp) * (pair + swapped)
 
         return kern
 
@@ -424,15 +487,15 @@ def compute_M(scenario: HarvestScenario, epsilons=None) -> IntegralResult:
     if ca == 0.0 or cb == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
     rect = _rect_ordered(det_a.switching.support, det_b.switching.support)
-    eps_seq = tuple(epsilons) if epsilons is not None else scenario.epsilon_sequence()
+    eps_seq = regulator_sequence(scenario, epsilons)
     res = _finish_sweep(scenario, _per_epsilon(scenario, _m_kernel_factory(scenario), rect, eps_seq))
     pref = -ca * cb
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
 
 
 def _n_kernel_factory(scenario, det):
-    chi = det.switching
-    mode = _mode_fn(scenario, det)
+    chi, mode = _legs(scenario, det)
+    clock = _clock(scenario)
 
     def make(eps):
         wight = _wightman_factory(scenario, 0.0, eps)
@@ -440,6 +503,8 @@ def _n_kernel_factory(scenario, det):
         def kern(u, w):
             t = 0.5 * (w + u)
             tp = 0.5 * (w - u)
+            if clock is not None:
+                t, tp = clock(t), clock(tp)
             return 0.5 * wight(t, tp) * chi(t) * mode(t) * chi(tp) * mode(tp)
 
         return kern
@@ -461,24 +526,30 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario, epsilons=None) -> In
     if c == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
     rect = _rect_ordered(det.switching.support, det.switching.support)
-    eps_seq = tuple(epsilons) if epsilons is not None else scenario.epsilon_sequence()
+    eps_seq = regulator_sequence(scenario, epsilons)
     res = _finish_sweep(scenario, _per_epsilon(scenario, _n_kernel_factory(scenario, det), rect, eps_seq))
     pref = -math.sqrt(2.0) * c * c
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
 
 
 def compute_elements(scenario: HarvestScenario, epsilons=None) -> MatrixElements:
-    """All elements needed for the scenario's density matrix."""
+    """All elements needed for the scenario's density matrix.
+
+    When B mirrors A (see _mirrors), L_BB and N_B are A's results, which is
+    bitwise what computing them again would give.
+    """
     det_a, det_b = scenario.detectors
-    want_n = det_a.model == "oscillator"
-    return MatrixElements(
-        L_AA=compute_L(det_a, det_a, scenario, epsilons),
-        L_BB=compute_L(det_b, det_b, scenario, epsilons),
-        M=compute_M(scenario, epsilons),
-        L_AB=compute_L(det_a, det_b, scenario, epsilons),
-        N_A=compute_N(det_a, scenario, epsilons) if want_n else None,
-        N_B=compute_N(det_b, scenario, epsilons) if want_n else None,
-    )
+    eps_seq = regulator_sequence(scenario, epsilons)
+    mirrored = _mirrors(det_a, det_b)
+    L_AA = compute_L(det_a, det_a, scenario, eps_seq)
+    L_BB = L_AA if mirrored else compute_L(det_b, det_b, scenario, eps_seq)
+    M = compute_M(scenario, eps_seq)
+    L_AB = compute_L(det_a, det_b, scenario, eps_seq)
+    N_A = N_B = None
+    if det_a.model == "oscillator":
+        N_A = compute_N(det_a, scenario, eps_seq)
+        N_B = N_A if mirrored else compute_N(det_b, scenario, eps_seq)
+    return MatrixElements(L_AA=L_AA, L_BB=L_BB, M=M, L_AB=L_AB, N_A=N_A, N_B=N_B)
 
 
 def _warn_perturbative(elements: MatrixElements):
@@ -571,11 +642,11 @@ def negativity_pt_exact(rho: np.ndarray) -> float:
 
 def harvest(scenario: HarvestScenario, epsilons=None) -> HarvestReport:
     """Full pipeline: elements, density matrix, E1 and negativity."""
-    elements = compute_elements(scenario, epsilons)
+    eps_seq = regulator_sequence(scenario, epsilons)
+    elements = compute_elements(scenario, eps_seq)
     model = scenario.detectors[0].model
     rho = assemble_rho(elements, model)
     e1, neg = negativity_leading(elements)
-    eps_seq = tuple(epsilons) if epsilons is not None else scenario.epsilon_sequence()
     return HarvestReport(
         elements=elements,
         rho=rho,
@@ -645,22 +716,19 @@ def run_dual_check(scenario: HarvestScenario, Omega: float, epsilons=None) -> Du
     Both sides share one regulator sequence (the conformal-time regulator is
     the one under which the pictures agree epsilon by epsilon), four levels by
     default; the curved-ridge cosmological quadrature is the expensive side.
-    Residuals are relative, on L_AA, L_BB, |M| and the negativity.
+    Residuals are relative, on L_AA, L_BB, |M| and the negativity.  A
+    mirrored pair (B differs from A only in label and position) reuses L_AA
+    as L_BB on each side.
     """
-    if epsilons is not None:
-        eps_seq = tuple(float(e) for e in epsilons)
-    elif scenario.quadrature.epsilon_sequence is not None:
-        eps_seq = scenario.quadrature.epsilon_sequence
-    else:
-        ts = min(d.switching.timescale for d in scenario.detectors)
-        eps_seq = default_epsilon_sequence(ts, levels=4)
+    eps_seq = regulator_sequence(scenario, epsilons, levels=4)
     dual = dualize(scenario, Omega)
 
     def elements_for(sc):
         a, b = sc.detectors
+        L_AA = compute_L(a, a, sc, eps_seq)
         return MatrixElements(
-            L_AA=compute_L(a, a, sc, eps_seq),
-            L_BB=compute_L(b, b, sc, eps_seq),
+            L_AA=L_AA,
+            L_BB=L_AA if _mirrors(a, b) else compute_L(b, b, sc, eps_seq),
             M=compute_M(sc, eps_seq),
         )
 

@@ -35,6 +35,7 @@ __all__ = [
     "adaptive_1d",
     "extrapolate_epsilon",
     "default_epsilon_sequence",
+    "validate_epsilon_sequence",
     "fourier_oracle_L",
 ]
 
@@ -85,7 +86,9 @@ class QuadratureConfig:
 
     epsilon_sequence is decreasing (eps0 / 2^k); None means "derive from the
     switching timescales" (see default_epsilon_sequence).  extrapolation is
-    "richardson" or "none" (report the finest-regulator value).  method picks
+    "richardson" or "none" (report the finest-regulator value); a sequence
+    that Richardson extrapolation will run on must halve at every step, and
+    is rejected here otherwise (see validate_epsilon_sequence).  method picks
     the evaluation route for response elements: "direct" double quadrature or
     the "fourier" mode-sum oracle where available.
     """
@@ -107,12 +110,31 @@ class QuadratureConfig:
         if self.method not in ("direct", "fourier"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.epsilon_sequence is not None:
-            eps = tuple(float(e) for e in self.epsilon_sequence)
-            if len(eps) == 0 or any(e <= 0.0 for e in eps):
-                raise ValueError("epsilon_sequence must be positive")
-            if any(b >= a for a, b in zip(eps, eps[1:])):
-                raise ValueError("epsilon_sequence must be strictly decreasing")
+            eps = validate_epsilon_sequence(self.epsilon_sequence, self.extrapolation)
             object.__setattr__(self, "epsilon_sequence", eps)
+
+
+def _halving(eps) -> bool:
+    return all(abs(e1 / e2 - 2.0) <= 1e-9 for e1, e2 in zip(eps, eps[1:]))
+
+
+def validate_epsilon_sequence(epsilons, extrapolation: str = "richardson") -> tuple:
+    """The regulator sequence as a tuple of floats, checked before any quadrature.
+
+    It must be nonempty, positive and strictly decreasing; when it has more
+    than one level and extrapolation is "richardson", each level must halve
+    the previous one, which is what extrapolate_epsilon assumes.
+    """
+    eps = tuple(float(e) for e in epsilons)
+    if len(eps) == 0 or any(not e > 0.0 for e in eps):
+        raise ValueError("epsilon_sequence must be positive")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilon_sequence must be strictly decreasing")
+    if extrapolation == "richardson" and not _halving(eps):
+        raise ValueError(
+            "epsilon_sequence must halve at every step for richardson extrapolation"
+        )
+    return eps
 
 
 def default_epsilon_sequence(timescale: float, levels: int = 6) -> tuple:
@@ -125,13 +147,19 @@ def default_epsilon_sequence(timescale: float, levels: int = 6) -> tuple:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value and accounting of one integral evaluation."""
+    """Value and accounting of one integral evaluation.
+
+    budget_exhausted is set when an adaptive quadrature stopped at
+    max_subdivisions with its error still above the tolerance; an
+    extrapolated result carries it when any of its regulator levels did.
+    """
 
     value: complex
     err_estimate: float
     epsilon_used: float | None = None
     extrapolated: bool = False
     note: str = ""
+    budget_exhausted: bool = False
 
 
 def _eval_cell(f, u0, u1, v0, v1):
@@ -215,7 +243,8 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
     leaves = [(c, ik_, eu_, ev_) for (_, _, c, ik_, eu_, ev_) in heap] + frozen
     val = complex(math.fsum(l[1].real for l in leaves), math.fsum(l[1].imag for l in leaves))
     err = math.fsum(l[2] + l[3] for l in leaves)
-    return IntegralResult(value=val, err_estimate=err)
+    exhausted = splits >= cfg.max_subdivisions and err > max(cfg.abs_tol, cfg.rel_tol * abs(val))
+    return IntegralResult(value=val, err_estimate=err, budget_exhausted=exhausted)
 
 
 def integrate_ordered(f, rect, cfg: QuadratureConfig) -> IntegralResult:
@@ -247,7 +276,9 @@ def integrate_ordered(f, rect, cfg: QuadratureConfig) -> IntegralResult:
         math.fsum(p.value.real for p in pieces), math.fsum(p.value.imag for p in pieces)
     )
     err = math.fsum(p.err_estimate for p in pieces)
-    return IntegralResult(value=val, err_estimate=err)
+    return IntegralResult(
+        value=val, err_estimate=err, budget_exhausted=any(p.budget_exhausted for p in pieces)
+    )
 
 
 def adaptive_1d(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -294,7 +325,8 @@ def adaptive_1d(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
     leaves = [(h[2], h[3], h[4]) for h in heap] + frozen
     val = complex(math.fsum(l[1].real for l in leaves), math.fsum(l[1].imag for l in leaves))
     err = math.fsum(l[2] for l in leaves)
-    return IntegralResult(value=val, err_estimate=err)
+    exhausted = splits >= cfg.max_subdivisions and err > max(cfg.abs_tol, cfg.rel_tol * abs(val))
+    return IntegralResult(value=val, err_estimate=err, budget_exhausted=exhausted)
 
 
 # Richardson table coefficients amplify the per-level quadrature noise by at
@@ -324,15 +356,17 @@ def extrapolate_epsilon(results) -> IntegralResult:
     vals = [complex(r.value) for r in results]
     if len(vals) == 1:
         return replace(results[0], note="single-epsilon")
-    for e1, e2 in zip(eps, eps[1:]):
-        if abs(e1 / e2 - 2.0) > 1e-9:
-            raise ValueError("extrapolation assumes epsilon halving")
+    if not _halving(eps):
+        raise ValueError("extrapolation assumes epsilon halving")
+    exhausted = any(r.budget_exhausted for r in results)
 
     diffs = [v2 - v1 for v1, v2 in zip(vals, vals[1:])]
     mags = [abs(d) for d in diffs]
     finest = vals[-1]
     if all(m == 0.0 for m in mags):
-        return IntegralResult(finest, quad_err, eps[-1], True, note="converged-flat")
+        return IntegralResult(
+            finest, quad_err, eps[-1], True, note="converged-flat", budget_exhausted=exhausted
+        )
     floor = 4.0 * quad_err  # differences at the quadrature-noise level are uninformative
     informative = [m for m in mags if m > floor]
     if len(informative) >= 2:
@@ -344,6 +378,7 @@ def extrapolate_epsilon(results) -> IntegralResult:
                 eps[-1],
                 True,
                 note="fallback-nonmonotone",
+                budget_exhausted=exhausted,
             )
         ratios = [m2 / m1 for m1, m2 in zip(mags, mags[1:]) if m1 > floor and m2 > floor]
         if ratios and any(not (0.25 <= r <= 0.75) for r in ratios):
@@ -353,6 +388,7 @@ def extrapolate_epsilon(results) -> IntegralResult:
                 eps[-1],
                 True,
                 note="fallback-ratio",
+                budget_exhausted=exhausted,
             )
 
     depth = min(len(vals) - 1, 3)
@@ -368,7 +404,7 @@ def extrapolate_epsilon(results) -> IntegralResult:
         table = [None] * m + new
     value = table[-1]
     err = last_change + _RICHARDSON_NOISE_AMP * quad_err
-    return IntegralResult(value, err, eps[-1], True, note="richardson")
+    return IntegralResult(value, err, eps[-1], True, note="richardson", budget_exhausted=exhausted)
 
 
 def _fourier_cutoff(chi, floor: float) -> float:
@@ -439,4 +475,5 @@ def fourier_oracle_L(det_a, det_b, L: float, cfg: QuadratureConfig) -> IntegralR
         value=pref * base.value,
         err_estimate=abs(pref) * (base.err_estimate + tail),
         note="fourier-oracle",
+        budget_exhausted=base.budget_exhausted,
     )

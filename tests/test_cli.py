@@ -84,6 +84,22 @@ def test_bad_value_exit_config(tmp_path, capsys):
     assert "expected a number" in capsys.readouterr().err
 
 
+def test_non_halving_epsilon_sequence_rejected_at_config_time(tmp_path, capsys, monkeypatch):
+    # richardson extrapolation assumes halving; the config must be refused
+    # with the key's line before any quadrature runs
+    from takagi_harvest import harvesting
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran on a rejected config")
+
+    monkeypatch.setattr(harvesting, "integrate_square", no_quadrature)
+    bad = GAUSS_REF + "\n[quadrature]\nepsilon_sequence = 0.01, 0.004\n"
+    rc = main(["harvest", "--config", _write(tmp_path, bad)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "epsilon_sequence" in err and "line 25" in err and "halve" in err
+
+
 def test_threads_must_be_positive(capsys):
     assert main(["check-takagi", "--threads", "0"]) == EXIT_CONFIG
     capsys.readouterr()

@@ -210,6 +210,28 @@ def test_cos_squared_fourier_envelope_at_zero_is_quiet():
         assert np.array_equal(chi.fourier_envelope(np.array([0.0, 1.0])), [0.5, 0.5])
 
 
+def test_same_as_compares_windows_by_value():
+    g = gaussian_switching(1.0)
+    assert g.same_as(gaussian_switching(1.0))
+    assert not g.same_as(gaussian_switching(1.5))
+    assert not g.same_as(gaussian_switching(1.0, center=0.5))
+    assert not g.same_as(cos_squared_switching(-8.0, 8.0))
+    tab = tabulated_switching([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+    assert tab.same_as(tabulated_switching([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
+    assert not tab.same_as(tabulated_switching([0.0, 1.0, 2.0], [0.0, 0.5, 0.0]))
+    m = ConformalTakagiMap(1.0, 2.0)
+    dual = transform_switching(m, g)
+    assert dual.same_as(transform_switching(ConformalTakagiMap(1.0, 2.0), gaussian_switching(1.0)))
+    assert not dual.same_as(transform_switching(m, gaussian_switching(1.5)))
+    assert not dual.same_as(transform_switching(ConformalTakagiMap(1.0, 3.0), g))
+    assert not dual.same_as(g)
+
+
+def test_at_clock_needs_a_transported_window():
+    with pytest.raises(ValueError, match="transported"):
+        gaussian_switching(1.0).at_clock(0.0, 0.0, 1.0)
+
+
 def test_cos_squared_support_and_zero_outside():
     chi = cos_squared_switching(1.0, 3.5)
     assert chi(2.25) == 1.0

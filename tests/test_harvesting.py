@@ -32,7 +32,12 @@ from takagi_harvest import (
     run_dual_check,
     vacuum_bogoliubov,
 )
-from takagi_harvest.quadrature import IntegralResult, QuadratureConfig
+from takagi_harvest import harvesting
+from takagi_harvest.field import wightman_frw_at_clock, wightman_frw_sep
+from takagi_harvest.gaussian import transported_mode, transported_mode_at_clock
+from takagi_harvest.geometry import transform_switching
+from takagi_harvest.harvesting import compute_elements, regulator_sequence
+from takagi_harvest.quadrature import XK, IntegralResult, QuadratureConfig, default_epsilon_sequence
 
 C0 = 0.0078125  # 2^-7: power-of-two coupling makes quadratic scaling exact
 
@@ -378,3 +383,176 @@ def test_dual_check_nontrivial_pair():
     assert rep.resid_max <= 1e-3
     assert set(rep.residuals) == {"L_AA", "L_BB", "abs_M", "negativity"}
     assert rep.bogoliubov == vacuum_bogoliubov(1.0, 2.0)
+
+
+# --- regulator sequence ---------------------------------------------------------
+
+
+def test_regulator_sequence_policy(monkeypatch):
+    sc = _scenario()
+    assert regulator_sequence(sc) == default_epsilon_sequence(1.0)
+    assert regulator_sequence(sc, levels=4) == default_epsilon_sequence(1.0, levels=4)
+    assert regulator_sequence(sc, [0.02, 0.01]) == (0.02, 0.01)
+    configured = _scenario(quad=QuadratureConfig(epsilon_sequence=(0.04, 0.02)))
+    assert regulator_sequence(configured, levels=4) == (0.04, 0.02)
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran on a rejected sequence")
+
+    monkeypatch.setattr(harvesting, "integrate_square", no_quadrature)
+    da = sc.detectors[0]
+    with pytest.raises(ValueError, match="halve"):
+        compute_L(da, da, sc, epsilons=(0.01, 0.004))
+    with pytest.raises(ValueError, match="halve"):
+        harvest(sc, epsilons=(0.01, 0.004))
+
+
+# --- each leg evaluated once -----------------------------------------------------
+
+# one regulator level and a handful of cells: enough to exercise every kernel
+SMALL = QuadratureConfig(max_subdivisions=6, extrapolation="none")
+EPS1 = (0.01,)
+
+
+def _gk_grid(rect):
+    u0, u1, w0, w1 = rect
+    u = u0 + 0.5 * (u1 - u0) * (XK[:, None] + 1.0)
+    w = w0 + 0.5 * (w1 - w0) * (XK[None, :] + 1.0)
+    return u, w
+
+
+def test_dual_kernels_evaluate_the_clock_once_per_leg(monkeypatch):
+    dual = dualize(_scenario(quad=SMALL), 2.0)
+    da = dual.detectors[0]
+    calls = dict.fromkeys(("kernel", "lambda_of_tau", "conformal_factor"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("lambda_of_tau", "conformal_factor"):
+        monkeypatch.setattr(ConformalTakagiMap, name, counted(name, getattr(ConformalTakagiMap, name)))
+    integrate = harvesting.integrate_square
+    monkeypatch.setattr(
+        harvesting, "integrate_square",
+        lambda f, rect, cfg: integrate(counted("kernel", f), rect, cfg),
+    )
+    runs = (
+        lambda: compute_L(da, da, dual, EPS1),
+        lambda: compute_M(dual, EPS1),
+        lambda: compute_N(da, dual, EPS1),
+    )
+    for run in runs:
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls["kernel"] > 1
+        assert calls["lambda_of_tau"] == 2 * calls["kernel"]
+        assert calls["conformal_factor"] == 2 * calls["kernel"]
+
+
+def test_shared_clock_legs_equal_the_public_wrappers():
+    m = ConformalTakagiMap(1.0, 2.0)
+    chi = transform_switching(m, GAUSS)
+    a, b = chi.support
+    u, w = _gk_grid(harvesting._rect_square(chi.support, chi.support))
+    t, tp = 0.5 * (w + u), 0.5 * (w - u)
+    outside = (t < a) | (t > b)
+    assert np.any(outside) and not np.all(outside)
+    lam, lam_p = m.lambda_of_tau(t), m.lambda_of_tau(tp)
+    C, C_p = m.conformal_factor(lam), m.conformal_factor(lam_p)
+    assert np.array_equal(chi.at_clock(t, lam, C), chi(t))
+    assert np.all(chi.at_clock(t, lam, C)[outside] == 0.0)
+    assert np.array_equal(transported_mode_at_clock(m, lam, C), transported_mode(m, t))
+    assert np.array_equal(
+        wightman_frw_at_clock(lam, C, lam_p, C_p, 5.0, 0.01),
+        wightman_frw_sep(lam, lam_p, 5.0, m, 0.01),
+    )
+
+
+def test_dual_kernels_equal_the_formulas_of_the_public_legs():
+    # each kernel, written with the public per-point wrappers, node by node
+    dual = dualize(_scenario(), 2.0)
+    m, (da, db), eps = dual.map, dual.detectors, 0.01
+    chi = da.switching
+    lam = m.lambda_of_tau
+
+    def mode(x):
+        return transported_mode(m, x)
+
+    u, w = _gk_grid(harvesting._rect_square(chi.support, chi.support))
+    t, tp = 0.5 * (w + u), 0.5 * (w - u)
+    L = harvesting._l_kernel_factory(dual, da, da, 0.0)(eps)(u, w)
+    expect_L = (0.5 * chi(t) * mode(t) * chi(tp) * np.conj(mode(tp))
+                * wightman_frw_sep(lam(tp), lam(t), 0.0, m, eps))
+    assert np.array_equal(L, expect_L)
+
+    u, w = _gk_grid(harvesting._rect_ordered(chi.support, chi.support))
+    t, tp = 0.5 * (w + u), 0.5 * (w - u)
+    pair = chi(t) * mode(t) * db.switching(tp) * mode(tp)
+    swapped = db.switching(t) * mode(t) * chi(tp) * mode(tp)
+    M = harvesting._m_kernel_factory(dual)(eps)(u, w)
+    assert np.array_equal(M, 0.5 * wightman_frw_sep(lam(t), lam(tp), 5.0, m, eps) * (pair + swapped))
+    N = harvesting._n_kernel_factory(dual, da)(eps)(u, w)
+    expect_N = (0.5 * wightman_frw_sep(lam(t), lam(tp), 0.0, m, eps)
+                * chi(t) * mode(t) * chi(tp) * mode(tp))
+    assert np.array_equal(N, expect_N)
+
+
+def _count_compute_L(monkeypatch):
+    calls = []
+    compute = harvesting.compute_L
+
+    def counted(det_a, det_b, scenario, epsilons=None):
+        calls.append((det_a.label, det_b.label))
+        return compute(det_a, det_b, scenario, epsilons)
+
+    monkeypatch.setattr(harvesting, "compute_L", counted)
+    return calls
+
+
+def test_mirrored_pair_reuses_L_AA_and_N_A(monkeypatch):
+    sc = _scenario(quad=SMALL)
+    db = sc.detectors[1]
+    general_L = compute_L(db, db, sc, EPS1)
+    general_N = compute_N(db, sc, EPS1)
+    calls = _count_compute_L(monkeypatch)
+    el = compute_elements(sc, EPS1)
+    assert calls == [("A", "A"), ("A", "B")]
+    # the general path gives the same results, bit for bit
+    assert el.L_BB == el.L_AA == general_L
+    assert el.N_B == el.N_A == general_N
+
+
+def test_dual_check_reuses_L_AA_on_both_sides(monkeypatch):
+    sc = _scenario(quad=SMALL)
+    dual = dualize(sc, 2.0)
+    flat_b, dual_b = sc.detectors[1], dual.detectors[1]
+    general = (compute_L(flat_b, flat_b, sc, EPS1), compute_L(dual_b, dual_b, dual, EPS1))
+    calls = _count_compute_L(monkeypatch)
+    rep = run_dual_check(sc, 2.0, epsilons=EPS1)
+    assert calls == [("A", "A"), ("A", "A")]
+    assert rep.flat.L_BB == rep.flat.L_AA == general[0]
+    assert rep.frw.L_BB == rep.frw.L_AA == general[1]
+
+
+@pytest.mark.parametrize("change", [
+    {"switching": gaussian_switching(1.25)},
+    {"frequency": 1.5},
+    {"coupling": 0.02},
+    {"interaction_scale": 2.0},
+    {"switching": cos_squared_switching(-4.0, 4.0)},
+])
+def test_pair_that_does_not_mirror_takes_the_general_path(monkeypatch, change):
+    da, db = _scenario().detectors
+    sc = HarvestScenario(detectors=(da, replace(db, **change)), quadrature=SMALL)
+    calls = _count_compute_L(monkeypatch)
+    el = compute_elements(sc, EPS1)
+    assert calls == [("A", "A"), ("B", "B"), ("A", "B")]
+    assert el.L_BB.value != el.L_AA.value
+    assert el.N_B.value != el.N_A.value
+    # both time orderings enter M, so it is symmetric in the labels
+    swapped = HarvestScenario(detectors=sc.detectors[::-1], quadrature=SMALL)
+    assert compute_M(swapped, EPS1).value == el.M.value

@@ -30,6 +30,7 @@ from takagi_harvest.quadrature import (
     fourier_oracle_L,
     integrate_ordered,
     integrate_square,
+    validate_epsilon_sequence,
 )
 
 CFG = QuadratureConfig()
@@ -129,6 +130,27 @@ def test_subdivision_budget_reports_honest_error():
     assert res.err_estimate > cfg.rel_tol * abs(res.value)
 
 
+def test_subdivision_budget_exhaustion_is_flagged():
+    starved = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=4)
+    res = integrate_square(lambda u, v: 1.0 / ((u - v) ** 2 + 1e-4), (0, 1, 0, 1), starved)
+    assert res.budget_exhausted
+    smooth = integrate_square(lambda u, v: np.exp(u + v) + 0j, (0, 1, 0, 1), CFG)
+    assert smooth.err_estimate <= CFG.rel_tol * abs(smooth.value)
+    assert not smooth.budget_exhausted
+    assert adaptive_1d(lambda x: 1.0 / (x * x + 1e-6), -1.0, 1.0, starved).budget_exhausted
+    assert not adaptive_1d(np.exp, 0.0, 1.0, CFG).budget_exhausted
+
+
+def test_extrapolation_carries_budget_exhaustion_of_any_level():
+    eps = [1e-2 / 2**k for k in range(3)]
+    levels = [_res(0.7 + 0.3 * e, e) for e in eps]
+    assert not extrapolate_epsilon(levels).budget_exhausted
+    levels[1] = IntegralResult(levels[1].value, 1e-16, eps[1], budget_exhausted=True)
+    out = extrapolate_epsilon(levels)
+    assert out.note == "richardson"
+    assert out.budget_exhausted
+
+
 def test_nonfinite_integrand_raises():
     def bad(u, v):
         return np.where(u > 0.5, np.nan, 1.0) + 0.0 * v
@@ -154,6 +176,16 @@ def test_config_validation():
         QuadratureConfig(extrapolation="pade")
     with pytest.raises(ValueError):
         QuadratureConfig(method="montecarlo")
+
+
+def test_richardson_config_needs_halving_sequence():
+    with pytest.raises(ValueError, match="halve"):
+        QuadratureConfig(epsilon_sequence=(0.01, 0.004))
+    # only the finest level is used without extrapolation
+    cfg = QuadratureConfig(epsilon_sequence=(0.01, 0.004), extrapolation="none")
+    assert cfg.epsilon_sequence == (0.01, 0.004)
+    assert validate_epsilon_sequence([0.02, 0.01, 0.005]) == (0.02, 0.01, 0.005)
+    assert validate_epsilon_sequence([0.5]) == (0.5,)
 
 
 def test_default_epsilon_sequence_halves():
