@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -355,12 +356,17 @@ def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
 
 
 def _per_epsilon(scenario: HarvestScenario, make_kernel, rect, epsilons):
-    cfg = scenario.quadrature
-    out = []
-    for eps in epsilons:
-        res = integrate_square(make_kernel(eps), rect, cfg)
-        out.append(replace(res, epsilon_used=eps))
-    return out
+    """The element's integral at each regulator level, all from one adaptive mesh.
+
+    make_kernel takes the levels and returns a kernel that stacks them on its
+    first axis.  Without extrapolation only the finest level is integrated,
+    because it is the only one reported.
+    """
+    if scenario.quadrature.extrapolation == "none":
+        epsilons = epsilons[-1:]
+    res = integrate_square(make_kernel(epsilons), rect, scenario.quadrature)
+    levels = res.levels or (res,) * len(epsilons)  # an empty domain has no levels
+    return [replace(r, epsilon_used=eps) for r, eps in zip(levels, epsilons)]
 
 
 def _finish_sweep(scenario: HarvestScenario, per_eps) -> IntegralResult:
@@ -369,14 +375,16 @@ def _finish_sweep(scenario: HarvestScenario, per_eps) -> IntegralResult:
     return extrapolate_epsilon(per_eps)
 
 
-def _wightman_factory(scenario: HarvestScenario, sep: float, eps: float):
-    """W(first leg, second leg) on the scenario background, vectorized.
+def _wightman_factory(scenario: HarvestScenario, sep: float, epsilons):
+    """W(first leg, second leg) on the scenario background at every regulator level.
 
-    Takes the two legs as _clock gives them: proper times on the flat side,
-    clock tuples on the cosmological one, where the conformal-time regulator
-    is used, the regulator under which the duality is an exact per-epsilon
-    identity.
+    Takes the two legs as _clock gives them on a 2D node grid: proper times
+    on the flat side, clock tuples on the cosmological one, where the
+    conformal-time regulator is used, the regulator under which the duality
+    is an exact per-epsilon identity.  Returns one grid per level, stacked
+    on the first axis.
     """
+    eps = np.asarray(epsilons, dtype=float)[:, None, None]
     if scenario.frame == "minkowski":
         def wight(t1, t2):
             return wightman_flat_sep(t1 - t2, sep, eps)
@@ -389,25 +397,21 @@ def _wightman_factory(scenario: HarvestScenario, sep: float, eps: float):
     return wight
 
 
-def _l_kernel_factory(scenario, det_a, det_b, sep):
+def _l_kernel_factory(scenario, det_a, det_b, sep, epsilons):
     chi_a, mode_a = _legs(scenario, det_a)
     chi_b, mode_b = _legs(scenario, det_b)
     clock = _clock(scenario)
+    wight = _wightman_factory(scenario, sep, epsilons)
 
-    def make(eps):
-        wight = _wightman_factory(scenario, sep, eps)
+    def kern(u, w):
+        t = 0.5 * (w + u)
+        tp = 0.5 * (w - u)
+        if clock is not None:
+            t, tp = clock(t), clock(tp)
+        # Jacobian of (t, t') -> (u, w) is 1/2; W legs: (primed, unprimed)
+        return 0.5 * chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp)) * wight(tp, t)
 
-        def kern(u, w):
-            t = 0.5 * (w + u)
-            tp = 0.5 * (w - u)
-            if clock is not None:
-                t, tp = clock(t), clock(tp)
-            # Jacobian of (t, t') -> (u, w) is 1/2; W legs: (primed, unprimed)
-            return 0.5 * chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp)) * wight(tp, t)
-
-        return kern
-
-    return make
+    return kern
 
 
 def _rect_square(sup_a, sup_b):
@@ -439,7 +443,7 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenari
         if scenario.frame != "minkowski" or scenario.initial_state != "ground":
             raise ValueError("fourier route needs a static flat ground-state scenario")
         return fourier_oracle_L(det_a, det_b, sep, scenario.quadrature)
-    make = _l_kernel_factory(scenario, det_a, det_b, sep)
+    make = partial(_l_kernel_factory, scenario, det_a, det_b, sep)
     rect = _rect_square(det_a.switching.support, det_b.switching.support)
     eps_seq = regulator_sequence(scenario, epsilons)
     res = _finish_sweep(scenario, _per_epsilon(scenario, make, rect, eps_seq))
@@ -447,32 +451,28 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenari
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
 
 
-def _m_kernel_factory(scenario):
+def _m_kernel_factory(scenario, epsilons):
     det_a, det_b = scenario.detectors
     sep = separation(det_a.trajectory, det_b.trajectory)
     chi_a, mode_a = _legs(scenario, det_a)
     chi_b, mode_b = _legs(scenario, det_b)
     mirrored = _mirrors(det_a, det_b)
     clock = _clock(scenario)
+    wight = _wightman_factory(scenario, sep, epsilons)
 
-    def make(eps):
-        wight = _wightman_factory(scenario, sep, eps)
+    def kern(u, w):
+        t = 0.5 * (w + u)
+        tp = 0.5 * (w - u)
+        if clock is not None:
+            t, tp = clock(t), clock(tp)
+        # u >= 0 so t is the later leg; both orderings share one W value
+        # because the detectors are static (equal separation, equal dt)
+        pair = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
+        # a mirrored B has A's legs, so the (A <-> B) term is this product
+        swapped = pair if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp)
+        return 0.5 * wight(t, tp) * (pair + swapped)
 
-        def kern(u, w):
-            t = 0.5 * (w + u)
-            tp = 0.5 * (w - u)
-            if clock is not None:
-                t, tp = clock(t), clock(tp)
-            # u >= 0 so t is the later leg; both orderings share one W value
-            # because the detectors are static (equal separation, equal dt)
-            pair = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
-            # a mirrored B has A's legs, so the (A <-> B) term is this product
-            swapped = pair if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp)
-            return 0.5 * wight(t, tp) * (pair + swapped)
-
-        return kern
-
-    return make
+    return kern
 
 
 def compute_M(scenario: HarvestScenario, epsilons=None) -> IntegralResult:
@@ -488,28 +488,26 @@ def compute_M(scenario: HarvestScenario, epsilons=None) -> IntegralResult:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
     rect = _rect_ordered(det_a.switching.support, det_b.switching.support)
     eps_seq = regulator_sequence(scenario, epsilons)
-    res = _finish_sweep(scenario, _per_epsilon(scenario, _m_kernel_factory(scenario), rect, eps_seq))
+    make = partial(_m_kernel_factory, scenario)
+    res = _finish_sweep(scenario, _per_epsilon(scenario, make, rect, eps_seq))
     pref = -ca * cb
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
 
 
-def _n_kernel_factory(scenario, det):
+def _n_kernel_factory(scenario, det, epsilons):
     chi, mode = _legs(scenario, det)
     clock = _clock(scenario)
+    wight = _wightman_factory(scenario, 0.0, epsilons)
 
-    def make(eps):
-        wight = _wightman_factory(scenario, 0.0, eps)
+    def kern(u, w):
+        t = 0.5 * (w + u)
+        tp = 0.5 * (w - u)
+        if clock is not None:
+            t, tp = clock(t), clock(tp)
+        # the legs are multiplied once, then by the stack of regulator levels
+        return 0.5 * wight(t, tp) * (chi(t) * mode(t) * chi(tp) * mode(tp))
 
-        def kern(u, w):
-            t = 0.5 * (w + u)
-            tp = 0.5 * (w - u)
-            if clock is not None:
-                t, tp = clock(t), clock(tp)
-            return 0.5 * wight(t, tp) * chi(t) * mode(t) * chi(tp) * mode(tp)
-
-        return kern
-
-    return make
+    return kern
 
 
 def compute_N(det: DetectorSpec, scenario: HarvestScenario, epsilons=None) -> IntegralResult:
@@ -527,7 +525,8 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario, epsilons=None) -> In
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
     rect = _rect_ordered(det.switching.support, det.switching.support)
     eps_seq = regulator_sequence(scenario, epsilons)
-    res = _finish_sweep(scenario, _per_epsilon(scenario, _n_kernel_factory(scenario, det), rect, eps_seq))
+    make = partial(_n_kernel_factory, scenario, det)
+    res = _finish_sweep(scenario, _per_epsilon(scenario, make, rect, eps_seq))
     pref = -math.sqrt(2.0) * c * c
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
 

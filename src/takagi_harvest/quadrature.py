@@ -1,13 +1,12 @@
 """Deterministic adaptive quadrature for regulated detector-response integrals.
 
-Three layers:
+Two layers:
 
 * a tensor Gauss-Kronrod 7/15 cubature over rectangles with per-axis error
   indicators and anisotropic bisection, so near-singular ridges that are
   axis-aligned (the regulated Wightman kernel in difference coordinates) are
-  resolved in O(log 1/eps) refinement levels;
-* time-ordered (triangular) domains built exactly from a rectangle piece plus
-  a Duffy-type substitution, never from an indicator function;
+  resolved in O(log 1/eps) refinement levels; a kernel may stack several
+  components (the levels of a regulator sweep), which share one mesh;
 * regulator handling: a decreasing epsilon sequence, Richardson extrapolation
   to eps -> 0 with an empirical validation of the linear-error model, and a
   radial mode-sum oracle with a rigorous tail bound for static flat scenarios.
@@ -31,7 +30,6 @@ __all__ = [
     "QuadratureConfig",
     "IntegralResult",
     "integrate_square",
-    "integrate_ordered",
     "adaptive_1d",
     "extrapolate_epsilon",
     "default_epsilon_sequence",
@@ -79,6 +77,14 @@ WK = np.concatenate([_WK_HALF[:0:-1], _WK_HALF])           # kronrod weights
 G_IDX = np.arange(1, 15, 2)                                # gauss subset
 WG = np.concatenate([_WG_HALF[3:0:-1], _WG_HALF])          # 7 gauss weights
 
+# the three tensor rules of a cell, as columns over its 15 x 15 nodes in
+# row-major (u, v) order: Kronrod x Kronrod, Gauss in u, Gauss in v
+_WG15 = np.zeros(15)
+_WG15[G_IDX] = WG
+_CELL_RULES = np.stack(
+    [np.outer(WK, WK), np.outer(_WG15, WK), np.outer(WK, _WG15)], axis=-1
+).reshape(225, 3).astype(complex)
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -91,6 +97,10 @@ class QuadratureConfig:
     is rejected here otherwise (see validate_epsilon_sequence).  method picks
     the evaluation route for response elements: "direct" double quadrature or
     the "fourier" mode-sum oracle where available.
+
+    max_subdivisions bounds the splits of one integrate_square call; the
+    harvesting elements integrate their whole regulator sweep in one call,
+    so it bounds the splits of one element's sweep, not of each level.
     """
 
     rel_tol: float = 1e-6
@@ -152,6 +162,8 @@ class IntegralResult:
     budget_exhausted is set when an adaptive quadrature stopped at
     max_subdivisions with its error still above the tolerance; an
     extrapolated result carries it when any of its regulator levels did.
+    levels holds every component result of a stacked integrate_square
+    call, the last of which is the result itself; it is empty otherwise.
     """
 
     value: complex
@@ -160,35 +172,84 @@ class IntegralResult:
     extrapolated: bool = False
     note: str = ""
     budget_exhausted: bool = False
+    levels: tuple = ()
 
 
 def _eval_cell(f, u0, u1, v0, v1):
+    """Kronrod values and per-axis Gauss defects of every component on one cell.
+
+    f returns a (15, 15) grid, taken as one component, or a (K, 15, 15)
+    stack of K components; the three results are arrays of shape (K,).
+    """
     hu = 0.5 * (u1 - u0)
     hv = 0.5 * (v1 - v0)
     uu = u0 + hu * (XK + 1.0)
     vv = v0 + hv * (XK + 1.0)
-    F = np.asarray(f(uu[:, None], vv[None, :]), dtype=complex)
-    if F.shape != (15, 15):
-        raise ValueError("kernel must broadcast over (15,1) x (1,15) grids")
-    if not np.all(np.isfinite(F.real)) or not np.all(np.isfinite(F.imag)):
+    F = np.ascontiguousarray(f(uu[:, None], vv[None, :]), dtype=complex)
+    if F.shape == (15, 15):
+        F = F[None]
+    elif F.ndim != 3 or F.shape[1:] != (15, 15):
+        raise ValueError(
+            "kernel must broadcast over (15,1) x (1,15) grids, optionally stacked as (K, 15, 15)"
+        )
+    F = F.reshape(len(F), 225)
+    if not np.isfinite(F.view(float)).all():  # real view: both parts, half the cost
         raise NumericalHardError("kernel returned non-finite values")
-    scale = hu * hv
-    ik = (WK @ F @ WK) * scale
-    igu = ((WG @ F[G_IDX, :]) @ WK) * scale
-    igv = (WK @ (F[:, G_IDX] @ WG)) * scale
-    return ik, abs(ik - igu), abs(ik - igv)
+    rules = (F @ _CELL_RULES) * (hu * hv)
+    ik = rules[:, 0]
+    return ik, np.abs(ik - rules[:, 1]), np.abs(ik - rules[:, 2])
+
+
+class _Cells:
+    """The leaf cells of one adaptive run, one row each, in growing arrays.
+
+    Row i holds cell i's rectangle, its K Kronrod values, its K errors
+    (the sum of both axis defects) and the axis defects of its worst
+    component, which pick the split axis.  A split cell's row goes to its
+    first child, so the rows are always the leaves.
+    """
+
+    def __init__(self, k: int):
+        self.n = 0
+        self.rect = np.empty((64, 4))
+        self.val = np.empty((64, k), dtype=complex)
+        self.err = np.empty((64, k))
+        self.worst = np.empty((64, 2))
+
+    def put(self, i, rect, ik, eu, ev):
+        """Store a cell in row i (i == n appends); returns its heap priority."""
+        if i == len(self.rect):
+            for name in ("rect", "val", "err", "worst"):
+                a = getattr(self, name)
+                setattr(self, name, np.concatenate([a, np.empty_like(a)]))
+        err = eu + ev
+        k = int(np.argmax(err))
+        self.rect[i] = rect
+        self.val[i] = ik
+        self.err[i] = err
+        self.worst[i] = eu[k], ev[k]
+        self.n = max(self.n, i + 1)
+        return float(err[k])
 
 
 def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
-    """Adaptive cubature of a complex kernel f(u, v) over a rectangle.
+    """Adaptive cubature of a complex kernel f(u, v), or of K kernels at once.
 
     rect = (u0, u1, v0, v1).  f must accept numpy arrays that broadcast to a
-    common shape and return values of that shape.  Bisection is anisotropic:
-    each cell is split along the axis whose embedded Gauss/Kronrod defect is
-    larger, which keeps ridge refinement one-dimensional.  The reported
-    err_estimate is the summed cell defect; when the tolerance could not be
-    met within max_subdivisions it stays above tolerance rather than being
-    silently clipped.
+    common shape and return values of that shape, or a stack of K such grids
+    on a leading axis; all K components are integrated on one shared mesh
+    (the shared-subdivision scheme of DCUHRE, Berntsen, Espelid and Genz,
+    ACM TOMS 17, 1991).  Bisection is anisotropic: the cell with the largest
+    error of any component is split along the axis whose embedded
+    Gauss/Kronrod defect of that component is larger, which keeps ridge
+    refinement one-dimensional.  Refinement stops once every component
+    meets max(abs_tol, rel_tol * |value|), or after max_subdivisions splits.
+    Each component's err_estimate is its summed cell defect; where the
+    tolerance could not be met it stays above tolerance rather than being
+    silently clipped, and budget_exhausted is set.
+
+    The result is the last component, with all K component results in
+    levels.
     """
     u0, u1, v0, v1 = (float(x) for x in rect)
     if not (u1 >= u0 and v1 >= v0):
@@ -199,20 +260,19 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
     min_dv = 1e-13 * (v1 - v0)
 
     ik, eu, ev = _eval_cell(f, u0, u1, v0, v1)
-    counter = 0
-    heap = [(-(eu + ev), counter, (u0, u1, v0, v1), ik, eu, ev)]
-    frozen = []
-    total = ik
+    cells = _Cells(len(ik))
+    heap = [(-cells.put(0, (u0, u1, v0, v1), ik, eu, ev), 0)]
+    total = ik.copy()
     err_total = eu + ev
     splits = 0
     while heap and splits < cfg.max_subdivisions:
-        if err_total <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if (err_total <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))).all():
             break
-        neg_err, _, cell, cik, ceu, cev = heapq.heappop(heap)
-        if -neg_err == 0.0:
-            frozen.append((cell, cik, ceu, cev))
+        neg_err, i = heapq.heappop(heap)
+        if -neg_err == 0.0:  # frozen: stays a leaf, never split again
             continue
-        cu0, cu1, cv0, cv1 = cell
+        cu0, cu1, cv0, cv1 = cells.rect[i].tolist()
+        ceu, cev = cells.worst[i].tolist()
         split_u = ceu >= cev
         if split_u and (cu1 - cu0) < min_du:
             split_u = False
@@ -220,7 +280,6 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
             if (cu1 - cu0) >= min_du and ceu > 0.0:
                 split_u = True
             else:
-                frozen.append((cell, cik, ceu, cev))
                 continue
         if split_u:
             mid = 0.5 * (cu0 + cu1)
@@ -228,57 +287,26 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
         else:
             mid = 0.5 * (cv0 + cv1)
             kids = ((cu0, cu1, cv0, mid), (cu0, cu1, mid, cv1))
-        total -= cik
-        err_total -= ceu + cev
-        for kid in kids:
-            kik, keu, kev = _eval_cell(f, *kid)
-            counter += 1
-            heapq.heappush(heap, (-(keu + kev), counter, kid, kik, keu, kev))
-            total += kik
-            err_total += keu + kev
+        total -= cells.val[i]
+        err_total -= cells.err[i]
+        for row, kid in zip((i, cells.n), kids):
+            prio = cells.put(row, kid, *_eval_cell(f, *kid))
+            heapq.heappush(heap, (-prio, row))
+            total += cells.val[row]
+            err_total += cells.err[row]
         splits += 1
 
-    # final reduction with exactly-rounded sums, so the result does not depend
-    # on the residual heap permutation
-    leaves = [(c, ik_, eu_, ev_) for (_, _, c, ik_, eu_, ev_) in heap] + frozen
-    val = complex(math.fsum(l[1].real for l in leaves), math.fsum(l[1].imag for l in leaves))
-    err = math.fsum(l[2] + l[3] for l in leaves)
-    exhausted = splits >= cfg.max_subdivisions and err > max(cfg.abs_tol, cfg.rel_tol * abs(val))
-    return IntegralResult(value=val, err_estimate=err, budget_exhausted=exhausted)
-
-
-def integrate_ordered(f, rect, cfg: QuadratureConfig) -> IntegralResult:
-    """Integral of f(u, v) over the time-ordered part v <= u of a rectangle.
-
-    The region is decomposed exactly: a sub-rectangle where the whole v-range
-    is below u, plus a triangle mapped to a square by the substitution
-    v = v0 + (u - v0) r with Jacobian (u - v0).  No indicator functions, so
-    the integrand stays as smooth as f itself.
-    """
-    u0, u1, v0, v1 = (float(x) for x in rect)
-    if not (u1 >= u0 and v1 >= v0):
-        raise ValueError(f"degenerate rectangle {rect}")
-    pieces = []
-    ra = max(u0, v1)
-    if ra < u1:
-        pieces.append(integrate_square(f, (ra, u1, v0, v1), cfg))
-    ta = max(u0, v0)
-    tb = min(u1, v1)
-    if ta < tb:
-        def duffy(u, r):
-            jac = u - v0
-            return jac * f(u, v0 + jac * r)
-
-        pieces.append(integrate_square(duffy, (ta, tb, 0.0, 1.0), cfg))
-    if not pieces:
-        return IntegralResult(value=0.0 + 0.0j, err_estimate=0.0, note="empty-domain")
-    val = complex(
-        math.fsum(p.value.real for p in pieces), math.fsum(p.value.imag for p in pieces)
-    )
-    err = math.fsum(p.err_estimate for p in pieces)
-    return IntegralResult(
-        value=val, err_estimate=err, budget_exhausted=any(p.budget_exhausted for p in pieces)
-    )
+    # final reduction over the leaves with exactly-rounded sums, so the
+    # result does not depend on the order of the rows
+    levels = []
+    for v, e in zip(cells.val[: cells.n].T, cells.err[: cells.n].T):
+        val = complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
+        err = math.fsum(e.tolist())
+        exhausted = splits >= cfg.max_subdivisions and err > max(
+            cfg.abs_tol, cfg.rel_tol * abs(val)
+        )
+        levels.append(IntegralResult(value=val, err_estimate=err, budget_exhausted=exhausted))
+    return replace(levels[-1], levels=tuple(levels))
 
 
 def adaptive_1d(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:

@@ -98,6 +98,9 @@ def test_non_halving_epsilon_sequence_rejected_at_config_time(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
     assert "epsilon_sequence" in err and "line 25" in err and "halve" in err
+    # the patched name is the one the pipeline calls: a valid config reaches it
+    with pytest.raises(AssertionError, match="quadrature ran"):
+        main(["harvest", "--config", _write(tmp_path, GAUSS_REF, "good.ini")])
 
 
 def test_threads_must_be_positive(capsys):

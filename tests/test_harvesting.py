@@ -405,6 +405,40 @@ def test_regulator_sequence_policy(monkeypatch):
         compute_L(da, da, sc, epsilons=(0.01, 0.004))
     with pytest.raises(ValueError, match="halve"):
         harvest(sc, epsilons=(0.01, 0.004))
+    # the patched name is the one the elements call: a valid sequence reaches it
+    with pytest.raises(AssertionError, match="quadrature ran"):
+        compute_L(da, da, sc, epsilons=(0.02, 0.01))
+
+
+def test_extrapolation_none_integrates_only_the_finest_level(monkeypatch):
+    sc = _scenario(quad=QuadratureConfig(max_subdivisions=6, extrapolation="none"))
+    da = sc.detectors[0]
+    eps6 = default_epsilon_sequence(1.0)
+    runs = {
+        "L": lambda eps: compute_L(da, da, sc, eps),
+        "M": lambda eps: compute_M(sc, eps),
+        "N": lambda eps: compute_N(da, sc, eps),
+    }
+    finest = {name: run(eps6[-1:]) for name, run in runs.items()}
+    shapes = []
+    integrate = harvesting.integrate_square
+
+    def spy(f, rect, cfg):
+        def kern(u, w):
+            out = f(u, w)
+            shapes.append(out.shape)
+            return out
+
+        return integrate(kern, rect, cfg)
+
+    monkeypatch.setattr(harvesting, "integrate_square", spy)
+    for name, run in runs.items():
+        shapes.clear()
+        res = run(eps6)
+        assert shapes and set(shapes) == {(1, 15, 15)}
+        assert res.note == "finest-epsilon"
+        assert res.epsilon_used == eps6[-1]
+        assert res == finest[name]
 
 
 # --- each leg evaluated once -----------------------------------------------------
@@ -474,8 +508,10 @@ def test_shared_clock_legs_equal_the_public_wrappers():
 
 def test_dual_kernels_equal_the_formulas_of_the_public_legs():
     # each kernel, written with the public per-point wrappers, node by node
+    # and regulator level by level
     dual = dualize(_scenario(), 2.0)
-    m, (da, db), eps = dual.map, dual.detectors, 0.01
+    m, (da, db) = dual.map, dual.detectors
+    eps_seq = (0.02, 0.01, 0.005)
     chi = da.switching
     lam = m.lambda_of_tau
 
@@ -484,21 +520,26 @@ def test_dual_kernels_equal_the_formulas_of_the_public_legs():
 
     u, w = _gk_grid(harvesting._rect_square(chi.support, chi.support))
     t, tp = 0.5 * (w + u), 0.5 * (w - u)
-    L = harvesting._l_kernel_factory(dual, da, da, 0.0)(eps)(u, w)
-    expect_L = (0.5 * chi(t) * mode(t) * chi(tp) * np.conj(mode(tp))
-                * wightman_frw_sep(lam(tp), lam(t), 0.0, m, eps))
-    assert np.array_equal(L, expect_L)
+    L = harvesting._l_kernel_factory(dual, da, da, 0.0, eps_seq)(u, w)
+    assert L.shape == (len(eps_seq), 15, 15)
+    for level, eps in zip(L, eps_seq):
+        expect_L = (0.5 * chi(t) * mode(t) * chi(tp) * np.conj(mode(tp))
+                    * wightman_frw_sep(lam(tp), lam(t), 0.0, m, eps))
+        assert np.array_equal(level, expect_L)
 
     u, w = _gk_grid(harvesting._rect_ordered(chi.support, chi.support))
     t, tp = 0.5 * (w + u), 0.5 * (w - u)
     pair = chi(t) * mode(t) * db.switching(tp) * mode(tp)
     swapped = db.switching(t) * mode(t) * chi(tp) * mode(tp)
-    M = harvesting._m_kernel_factory(dual)(eps)(u, w)
-    assert np.array_equal(M, 0.5 * wightman_frw_sep(lam(t), lam(tp), 5.0, m, eps) * (pair + swapped))
-    N = harvesting._n_kernel_factory(dual, da)(eps)(u, w)
-    expect_N = (0.5 * wightman_frw_sep(lam(t), lam(tp), 0.0, m, eps)
-                * chi(t) * mode(t) * chi(tp) * mode(tp))
-    assert np.array_equal(N, expect_N)
+    M = harvesting._m_kernel_factory(dual, eps_seq)(u, w)
+    N = harvesting._n_kernel_factory(dual, da, eps_seq)(u, w)
+    assert M.shape == N.shape == (len(eps_seq), 15, 15)
+    for level_M, level_N, eps in zip(M, N, eps_seq):
+        expect_M = 0.5 * wightman_frw_sep(lam(t), lam(tp), 5.0, m, eps) * (pair + swapped)
+        assert np.array_equal(level_M, expect_M)
+        expect_N = (0.5 * wightman_frw_sep(lam(t), lam(tp), 0.0, m, eps)
+                    * (chi(t) * mode(t) * chi(tp) * mode(tp)))
+        assert np.array_equal(level_N, expect_N)
 
 
 def _count_compute_L(monkeypatch):

@@ -6,6 +6,7 @@ embedded 7-point Gauss rule, 22 for the 15-point Kronrod extension).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,11 +25,11 @@ from takagi_harvest.quadrature import (
     WG,
     WK,
     XK,
+    _eval_cell,
     adaptive_1d,
     default_epsilon_sequence,
     extrapolate_epsilon,
     fourier_oracle_L,
-    integrate_ordered,
     integrate_square,
     validate_epsilon_sequence,
 )
@@ -62,7 +63,7 @@ def test_gauss_polynomial_exactness(k):
     assert got == pytest.approx(2.0 / (k + 1), rel=1e-13)
 
 
-# --- square and ordered cubature ---------------------------------------------
+# --- square cubature ---------------------------------------------------------
 
 
 def test_square_separable_exponential():
@@ -86,32 +87,95 @@ def test_square_diagonal_ridge_closed_form():
     assert abs(res.value.imag) <= 1e-12
 
 
-def test_ordered_constant_triangle():
-    res = integrate_ordered(lambda u, v: np.ones_like(u + v), (0, 1, 0, 1), CFG)
-    assert res.value == pytest.approx(0.5, rel=1e-13)
+# --- stacked components on one shared mesh -----------------------------------
 
 
-def test_ordered_uv_product():
-    res = integrate_ordered(lambda u, v: u * v, (0, 1, 0, 1), CFG)
-    assert res.value == pytest.approx(0.125, rel=1e-13)
+def _ridge(a):
+    return lambda u, v: 1.0 / ((u - v) ** 2 + a * a)
 
 
-def test_ordered_clipped_rectangles():
-    # v-range partially below the triangle: area = 1.375 for f = 1
-    res = integrate_ordered(lambda u, v: np.ones_like(u + v), (0, 1, -1, 0.5), CFG)
-    assert res.value == pytest.approx(1.375, rel=1e-13)
-    # v-range entirely above u: empty region
-    res = integrate_ordered(lambda u, v: np.ones_like(u + v), (0, 1, 2, 3), CFG)
-    assert res.value == 0.0
+def _counted(f):
+    calls = [0]
+
+    def kern(u, v):
+        calls[0] += 1
+        return f(u, v)
+
+    return kern, calls
 
 
-def test_ordered_plus_swapped_equals_square():
-    f = lambda u, v: np.exp(-((u - v) ** 2)) * np.cos(u + v)
-    fswap = lambda u, v: f(v, u)
-    rect = (0, 1, 0, 1)
-    total = integrate_square(f, rect, CFG).value
-    parts = integrate_ordered(f, rect, CFG).value + integrate_ordered(fswap, rect, CFG).value
-    assert parts == pytest.approx(total, rel=1e-12)
+def test_cell_rule_defects_follow_their_axis():
+    # one cell's Kronrod value and Gauss defects against the separable
+    # rules written out; a kernel that varies along u only has no v defect
+    F = np.exp(5.0 * XK[:, None]) * (1.0 + 0.0 * XK[None, :]) + 1j * XK[:, None] ** 2
+    ik, eu, ev = _eval_cell(lambda u, v: F, -1.0, 1.0, -1.0, 1.0)
+    kron = WK @ F @ WK
+    assert abs(ik[0] - kron) <= 1e-14 * abs(kron)
+    assert abs(eu[0] - abs(kron - WG @ F[G_IDX] @ WK)) <= 1e-14 * abs(kron)
+    assert eu[0] > 1e-8 and ev[0] <= 1e-14 * abs(kron)
+
+
+def test_identical_components_are_bitwise_equal():
+    f = _ridge(0.05)
+    single = integrate_square(f, (0, 1, 0, 1), CFG)
+    stacked = integrate_square(
+        lambda u, v: np.broadcast_to(f(u, v), (4, 15, 15)), (0, 1, 0, 1), CFG
+    )
+    assert len(single.levels) == 1 and len(stacked.levels) == 4
+    assert all(lev == stacked.levels[0] for lev in stacked.levels)
+    assert stacked == replace(stacked.levels[-1], levels=stacked.levels)
+    assert abs(stacked.value - single.value) <= 1e-14 * abs(single.value)
+
+
+def test_ridge_sweep_on_one_mesh():
+    # a halving regulator sweep of the ridge 1/((u-v)^2 + a^2)
+    widths = [0.05 / 2**k for k in range(6)]
+    shared, shared_calls = _counted(
+        lambda u, v: np.stack([_ridge(a)(u, v) for a in widths])
+    )
+    res = integrate_square(shared, (0, 1, 0, 1), CFG)
+    assert len(res.levels) == len(widths)
+    assert res.levels[-1] == replace(res, levels=())
+    separate_calls = 0
+    for a, lev in zip(widths, res.levels):
+        kern, calls = _counted(_ridge(a))
+        alone = integrate_square(kern, (0, 1, 0, 1), CFG)
+        separate_calls += calls[0]
+        assert not lev.budget_exhausted
+        assert lev.err_estimate <= max(CFG.abs_tol, CFG.rel_tol * abs(lev.value))
+        assert abs(lev.value - alone.value) <= 10 * CFG.rel_tol * abs(alone.value)
+        expected = (2 / a) * math.atan(1 / a) - math.log((1 + a * a) / (a * a))
+        assert lev.value.real == pytest.approx(expected, rel=10 * CFG.rel_tol)
+    assert shared_calls[0] < separate_calls
+
+
+def test_stacked_budget_is_flagged_per_component():
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-300, max_subdivisions=3)
+    kern, calls = _counted(
+        lambda u, v: np.stack([np.exp(u + v) + 0j, _ridge(1e-2)(u, v) + 0j])
+    )
+    res = integrate_square(kern, (0, 1, 0, 1), cfg)
+    assert calls[0] == 1 + 2 * cfg.max_subdivisions
+    above = [lev.err_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(lev.value)) for lev in res.levels]
+    assert above == [False, True]
+    assert [lev.budget_exhausted for lev in res.levels] == above
+    assert res.budget_exhausted
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+def test_nonfinite_component_raises(bad):
+    def kern(u, v):
+        ones = np.ones_like(u + v) + 0j
+        return np.stack([ones, np.where(u > 0.5, bad, ones), ones])
+
+    with pytest.raises(NumericalHardError):
+        integrate_square(kern, (0, 1, 0, 1), CFG)
+
+
+@pytest.mark.parametrize("shape", [(15,), (2, 15, 14), (15, 15, 2), (2, 2, 15, 15)])
+def test_kernel_of_wrong_shape_rejected(shape):
+    with pytest.raises(ValueError, match="kernel must broadcast"):
+        integrate_square(lambda u, v: np.ones(shape), (0, 1, 0, 1), CFG)
 
 
 def test_adaptive_1d_oscillatory():
@@ -161,7 +225,7 @@ def test_nonfinite_integrand_raises():
 
 def test_degenerate_rect_rejected():
     with pytest.raises(ValueError):
-        integrate_ordered(lambda u, v: u, (1, 0, 0, 1), CFG)
+        integrate_square(lambda u, v: u, (1, 0, 0, 1), CFG)
 
 
 # --- config and epsilon handling ----------------------------------------------
