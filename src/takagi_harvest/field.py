@@ -18,19 +18,15 @@ detector response integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ConformalTakagiMap, SwitchingFunction
 
 __all__ = [
-    "wightman_flat",
-    "wightman_frw",
     "wightman_flat_sep",
     "wightman_frw_sep",
     "wightman_frw_at_clock",
-    "WightmanKernel",
     "mode_integrand_static",
 ]
 
@@ -56,22 +52,6 @@ def wightman_flat_sep(dt, sep, epsilon):
     return _PREF / (sep * sep - z * z)
 
 
-def _split_point(p):
-    t = float(p[0])
-    x = np.asarray(p[1], dtype=float).reshape(-1)
-    return t, x
-
-
-def wightman_flat(p, p2, epsilon) -> complex:
-    """W(p, p2) for points p = (t, x) with x a spatial vector."""
-    t, x = _split_point(p)
-    t2, x2 = _split_point(p2)
-    if x.shape != x2.shape:
-        raise ValueError("points must have matching spatial dimension")
-    sep = float(np.linalg.norm(x - x2))
-    return complex(wightman_flat_sep(t - t2, sep, epsilon))
-
-
 def wightman_frw_sep(t, t2, sep, m: ConformalTakagiMap, epsilon):
     """Conformal-vacuum kernel for comoving points, conformal times t and t2."""
     if m.n_spatial != 3:
@@ -90,50 +70,6 @@ def wightman_frw_at_clock(t, C, t2, C2, sep, epsilon):
     as in wightman_flat_sep.
     """
     return wightman_flat_sep(t - t2, sep, epsilon) / (C * C2)
-
-
-def wightman_frw(p, p2, m: ConformalTakagiMap, epsilon, time_kind: str = "conformal") -> complex:
-    """Wbar(p, p2) on the dual cosmology.
-
-    time_kind selects how the time components of p, p2 are interpreted:
-    "conformal" uses them directly, "cosmological" converts T -> t through the
-    clock map first.
-    """
-    if time_kind not in ("conformal", "cosmological"):
-        raise ValueError(f"time_kind must be conformal or cosmological, got {time_kind!r}")
-    t, x = _split_point(p)
-    t2, x2 = _split_point(p2)
-    if x.shape != x2.shape:
-        raise ValueError("points must have matching spatial dimension")
-    if time_kind == "cosmological":
-        t = m.lambda_of_tau(t)
-        t2 = m.lambda_of_tau(t2)
-    sep = float(np.linalg.norm(x - x2))
-    return complex(wightman_frw_sep(t, t2, sep, m, epsilon))
-
-
-@dataclass(frozen=True)
-class WightmanKernel:
-    """Configured two-point kernel: frame plus regulator (and map for frw)."""
-
-    frame: str = "minkowski"
-    epsilon: float = 1e-4
-    map: ConformalTakagiMap | None = None
-
-    def __post_init__(self):
-        if self.frame not in ("minkowski", "frw"):
-            raise ValueError(f"frame must be minkowski or frw, got {self.frame!r}")
-        _check_epsilon(self.epsilon)
-        if self.frame == "frw" and self.map is None:
-            raise ValueError("frw kernel needs its ConformalTakagiMap")
-        if self.frame == "minkowski" and self.map is not None:
-            raise ValueError("minkowski kernel takes no map")
-
-    def __call__(self, p, p2, epsilon: float | None = None) -> complex:
-        eps = self.epsilon if epsilon is None else epsilon
-        if self.frame == "minkowski":
-            return wightman_flat(p, p2, eps)
-        return wightman_frw(p, p2, self.map, eps)
 
 
 def mode_integrand_static(k, chi_a: SwitchingFunction, chi_b: SwitchingFunction,

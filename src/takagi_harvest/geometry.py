@@ -31,7 +31,6 @@ __all__ = [
     "tabulated_switching",
     "transform_switching",
     "proper_distance",
-    "FrwSpacetime",
     "StaticTrajectory",
 ]
 
@@ -398,38 +397,6 @@ def proper_distance(m: ConformalTakagiMap, L: float, T):
 
 
 @dataclass(frozen=True)
-class FrwSpacetime:
-    """Spatially flat cosmology conformal to Minkowski with factor C(t).
-
-    Static comoving observers age by cosmological time T; the conformal chart
-    (t, x) coincides numerically with the flat chart of the dual description,
-    and T(t) is the same clock map as tau(lambda).
-    """
-
-    map: ConformalTakagiMap
-
-    def scale_factor(self, T):
-        return self.map.scale_factor(T)
-
-    def conformal_time(self, T):
-        """Conformal time t at cosmological time T (inverts dT = a(T) dt)."""
-        return self.map.lambda_of_tau(T)
-
-    def cosmological_time(self, t):
-        return self.map.tau_of_lambda(t)
-
-    def conformal_factor(self, t):
-        return self.map.conformal_factor(t)
-
-    def proper_distance(self, L, T):
-        return proper_distance(self.map, L, T)
-
-    def period(self) -> float:
-        """Period of a(T) in cosmological time (inf for Omega = 0)."""
-        return math.inf if self.map.Omega == 0.0 else math.pi / self.map.Omega
-
-
-@dataclass(frozen=True)
 class StaticTrajectory:
     """Detector at rest at fixed (comoving) spatial position.
 
@@ -446,15 +413,6 @@ class StaticTrajectory:
         if len(self.position) == 0:
             raise ValueError("position must have at least one component")
         object.__setattr__(self, "position", tuple(float(p) for p in self.position))
-
-    def gamma(self, spacetime: FrwSpacetime | None, T):
-        """Coordinate-time rate dt/dT along the worldline (1 in flat frame)."""
-        if self.frame == "minkowski":
-            T, scalar = _prepare(T)
-            return _finish(np.ones_like(T), scalar)
-        if spacetime is None:
-            raise ValueError("frw trajectory needs its spacetime")
-        return 1.0 / spacetime.scale_factor(T)
 
 
 def separation(traj_a: StaticTrajectory, traj_b: StaticTrajectory) -> float:

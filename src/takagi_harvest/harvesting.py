@@ -7,7 +7,10 @@ recomputed on the conformally related cosmology with transformed switchings
 and the transported (squeezed-state) mode function, and the two answers are
 compared element by element.
 
-Conventions (matching the module docstrings of geometry/field):
+Conventions (matching the module docstrings of geometry/field).  Every
+element is one second-order integrand, two detector legs (window times mode)
+joined by the Wightman function; the three differ only in which legs they
+join, whether the domain is time-ordered, and their prefactor:
 
     L_ab = c_a c_b s_a s_b * I[ chi_a(l) m_a(l) chi_b(l') conj(m_b(l'))
                                  W((l', x_b), (l, x_a)) ]          (full square)
@@ -27,11 +30,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
-from .field import WightmanKernel, wightman_flat_sep, wightman_frw_at_clock
+from .field import wightman_flat_sep, wightman_frw_at_clock
 from .gaussian import BogoliubovPair, transported_mode_at_clock, vacuum_bogoliubov
 from .geometry import (
     ConformalTakagiMap,
@@ -186,13 +188,6 @@ class HarvestScenario:
             for d in self.detectors:
                 if d.frequency == 0.0:
                     raise ValueError("ground-state detectors need frequency > 0")
-
-    @property
-    def field_kernel(self) -> WightmanKernel:
-        """Wightman kernel configuration implied by the frame (vacuum state)."""
-        if self.frame == "minkowski":
-            return WightmanKernel(frame="minkowski")
-        return WightmanKernel(frame="frw", map=self.map)
 
 
 def regulator_sequence(scenario: HarvestScenario, epsilons=None, levels: int = 6) -> tuple:
@@ -355,74 +350,90 @@ def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
     return det.coupling * (det.scale / math.sqrt(2.0 * scenario.map.omega))
 
 
-def _per_epsilon(scenario: HarvestScenario, make_kernel, rect, epsilons):
-    """The element's integral at each regulator level, all from one adaptive mesh.
+def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons):
+    """The integrand of one element in rotated coordinates, one grid per regulator level.
 
-    make_kernel takes the levels and returns a kernel that stacks them on its
-    first axis.  Without extrapolation only the finest level is integrated,
-    because it is the only one reported.
+    A's leg (window times mode) sits at t = (w + u)/2 and B's at
+    t' = (w - u)/2; the 1/2 is the Jacobian of (t, t') -> (u, w).  The legs
+    are joined by the Wightman function on the scenario background, with the
+    conformal-time regulator on the dual side (the regulator under which the
+    duality is an exact per-epsilon identity), at every level of epsilons,
+    stacked on the first axis.  Unordered (L): B's mode enters conjugated and
+    W runs from t' to t.  Ordered (M, N): W runs from t to t', and swapped
+    adds the (A <-> B) product, which is the same product when B mirrors A.
     """
-    if scenario.quadrature.extrapolation == "none":
-        epsilons = epsilons[-1:]
-    res = integrate_square(make_kernel(epsilons), rect, scenario.quadrature)
-    levels = res.levels or (res,) * len(epsilons)  # an empty domain has no levels
-    return [replace(r, epsilon_used=eps) for r, eps in zip(levels, epsilons)]
-
-
-def _finish_sweep(scenario: HarvestScenario, per_eps) -> IntegralResult:
-    if scenario.quadrature.extrapolation == "none" or len(per_eps) == 1:
-        return replace(per_eps[-1], note="finest-epsilon")
-    return extrapolate_epsilon(per_eps)
-
-
-def _wightman_factory(scenario: HarvestScenario, sep: float, epsilons):
-    """W(first leg, second leg) on the scenario background at every regulator level.
-
-    Takes the two legs as _clock gives them on a 2D node grid: proper times
-    on the flat side, clock tuples on the cosmological one, where the
-    conformal-time regulator is used, the regulator under which the duality
-    is an exact per-epsilon identity.  Returns one grid per level, stacked
-    on the first axis.
-    """
-    eps = np.asarray(epsilons, dtype=float)[:, None, None]
-    if scenario.frame == "minkowski":
-        def wight(t1, t2):
-            return wightman_flat_sep(t1 - t2, sep, eps)
-
-        return wight
-
-    def wight(p1, p2):
-        return wightman_frw_at_clock(p1[1], p1[2], p2[1], p2[2], sep, eps)
-
-    return wight
-
-
-def _l_kernel_factory(scenario, det_a, det_b, sep, epsilons):
     chi_a, mode_a = _legs(scenario, det_a)
     chi_b, mode_b = _legs(scenario, det_b)
+    mirrored = swapped and _mirrors(det_a, det_b)
     clock = _clock(scenario)
-    wight = _wightman_factory(scenario, sep, epsilons)
+    sep = separation(det_a.trajectory, det_b.trajectory)
+    eps = np.asarray(epsilons, dtype=float)[:, None, None]
+
+    def wight(p1, p2):
+        if clock is None:
+            return wightman_flat_sep(p1 - p2, sep, eps)
+        return wightman_frw_at_clock(p1[1], p1[2], p2[1], p2[2], sep, eps)
 
     def kern(u, w):
         t = 0.5 * (w + u)
         tp = 0.5 * (w - u)
         if clock is not None:
             t, tp = clock(t), clock(tp)
-        # Jacobian of (t, t') -> (u, w) is 1/2; W legs: (primed, unprimed)
-        return 0.5 * chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp)) * wight(tp, t)
+        # each product keeps its left-to-right order: a complex multiply
+        # rounds differently when its factors are reordered
+        if not ordered:
+            return 0.5 * chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp)) * wight(tp, t)
+        # the legs are multiplied once, then by the stack of regulator levels
+        legs = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
+        if swapped:
+            legs = legs + (legs if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp))
+        return 0.5 * wight(t, tp) * legs
 
     return kern
 
 
-def _rect_square(sup_a, sup_b):
+def _rect(sup_a, sup_b, ordered: bool):
+    """Rotated rectangle (u0, u1, w0, w1), u = t - t', w = t + t', of two supports.
+
+    Unordered, it holds t in A's support and t' in B's.  Ordered, it is the
+    u >= 0 part of the rectangles of both orderings (t in A's support and t'
+    in B's, or the reverse), so the time ordering t' < t is an exact edge and
+    the (A <-> B) term keeps its domain when the windows sit asymmetrically
+    in time.
+    """
     a0, a1 = sup_a
     b0, b1 = sup_b
-    return (a0 - b1, a1 - b0, a0 + b0, a1 + b1)
+    if not ordered:
+        return (a0 - b1, a1 - b0, a0 + b0, a1 + b1)
+    return (max(0.0, a0 - b1, b0 - a1), max(a1 - b0, b1 - a0), a0 + b0, a1 + b1)
 
 
-def _rect_ordered(sup_a, sup_b):
-    u0, u1, w0, w1 = _rect_square(sup_a, sup_b)
-    return (max(0.0, u0), u1, w0, w1)
+def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
+             epsilons) -> IntegralResult:
+    """pref * c_a s_a * c_b s_b times the integral of _kernel over _rect.
+
+    All regulator levels are integrated on one adaptive mesh and then
+    extrapolated; without extrapolation only the finest level is integrated,
+    because it is the only one reported.
+    """
+    ca = _coupling_eff(scenario, det_a)
+    cb = _coupling_eff(scenario, det_b)
+    if ca == 0.0 or cb == 0.0:
+        return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
+    eps_seq = regulator_sequence(scenario, epsilons)
+    if scenario.quadrature.extrapolation == "none":
+        eps_seq = eps_seq[-1:]
+    kern = _kernel(scenario, det_a, det_b, ordered, swapped, eps_seq)
+    rect = _rect(det_a.switching.support, det_b.switching.support, ordered)
+    res = integrate_square(kern, rect, scenario.quadrature)
+    levels = res.levels or (res,) * len(eps_seq)  # an empty domain has no levels
+    levels = [replace(r, epsilon_used=eps) for r, eps in zip(levels, eps_seq)]
+    if len(levels) == 1:
+        res = replace(levels[0], note="finest-epsilon")
+    else:
+        res = extrapolate_epsilon(levels)
+    pref = pref * ca * cb
+    return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
 
 
 def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenario,
@@ -434,45 +445,13 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenari
     regulated quadrature plus extrapolation, or the closed-form "fourier" mode
     sum (static flat ground-state scenarios only).
     """
-    ca = _coupling_eff(scenario, det_a)
-    cb = _coupling_eff(scenario, det_b)
-    if ca == 0.0 or cb == 0.0:
-        return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
+    if scenario.quadrature.method != "fourier":
+        return _element(scenario, det_a, det_b, ordered=False, swapped=False, pref=1.0,
+                        epsilons=epsilons)
+    if scenario.frame != "minkowski" or scenario.initial_state != "ground":
+        raise ValueError("fourier route needs a static flat ground-state scenario")
     sep = separation(det_a.trajectory, det_b.trajectory)
-    if scenario.quadrature.method == "fourier":
-        if scenario.frame != "minkowski" or scenario.initial_state != "ground":
-            raise ValueError("fourier route needs a static flat ground-state scenario")
-        return fourier_oracle_L(det_a, det_b, sep, scenario.quadrature)
-    make = partial(_l_kernel_factory, scenario, det_a, det_b, sep)
-    rect = _rect_square(det_a.switching.support, det_b.switching.support)
-    eps_seq = regulator_sequence(scenario, epsilons)
-    res = _finish_sweep(scenario, _per_epsilon(scenario, make, rect, eps_seq))
-    pref = ca * cb
-    return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
-
-
-def _m_kernel_factory(scenario, epsilons):
-    det_a, det_b = scenario.detectors
-    sep = separation(det_a.trajectory, det_b.trajectory)
-    chi_a, mode_a = _legs(scenario, det_a)
-    chi_b, mode_b = _legs(scenario, det_b)
-    mirrored = _mirrors(det_a, det_b)
-    clock = _clock(scenario)
-    wight = _wightman_factory(scenario, sep, epsilons)
-
-    def kern(u, w):
-        t = 0.5 * (w + u)
-        tp = 0.5 * (w - u)
-        if clock is not None:
-            t, tp = clock(t), clock(tp)
-        # u >= 0 so t is the later leg; both orderings share one W value
-        # because the detectors are static (equal separation, equal dt)
-        pair = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
-        # a mirrored B has A's legs, so the (A <-> B) term is this product
-        swapped = pair if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp)
-        return 0.5 * wight(t, tp) * (pair + swapped)
-
-    return kern
+    return fourier_oracle_L(det_a, det_b, sep, scenario.quadrature)
 
 
 def compute_M(scenario: HarvestScenario, epsilons=None) -> IntegralResult:
@@ -482,32 +461,8 @@ def compute_M(scenario: HarvestScenario, epsilons=None) -> IntegralResult:
     so no indicator function enters the integrand.
     """
     det_a, det_b = scenario.detectors
-    ca = _coupling_eff(scenario, det_a)
-    cb = _coupling_eff(scenario, det_b)
-    if ca == 0.0 or cb == 0.0:
-        return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
-    rect = _rect_ordered(det_a.switching.support, det_b.switching.support)
-    eps_seq = regulator_sequence(scenario, epsilons)
-    make = partial(_m_kernel_factory, scenario)
-    res = _finish_sweep(scenario, _per_epsilon(scenario, make, rect, eps_seq))
-    pref = -ca * cb
-    return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
-
-
-def _n_kernel_factory(scenario, det, epsilons):
-    chi, mode = _legs(scenario, det)
-    clock = _clock(scenario)
-    wight = _wightman_factory(scenario, 0.0, epsilons)
-
-    def kern(u, w):
-        t = 0.5 * (w + u)
-        tp = 0.5 * (w - u)
-        if clock is not None:
-            t, tp = clock(t), clock(tp)
-        # the legs are multiplied once, then by the stack of regulator levels
-        return 0.5 * wight(t, tp) * (chi(t) * mode(t) * chi(tp) * mode(tp))
-
-    return kern
+    return _element(scenario, det_a, det_b, ordered=True, swapped=True, pref=-1.0,
+                    epsilons=epsilons)
 
 
 def compute_N(det: DetectorSpec, scenario: HarvestScenario, epsilons=None) -> IntegralResult:
@@ -520,15 +475,8 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario, epsilons=None) -> In
     """
     if det.model != "oscillator":
         raise ValueError("the second excited state exists only for oscillator detectors")
-    c = _coupling_eff(scenario, det)
-    if c == 0.0:
-        return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
-    rect = _rect_ordered(det.switching.support, det.switching.support)
-    eps_seq = regulator_sequence(scenario, epsilons)
-    make = partial(_n_kernel_factory, scenario, det)
-    res = _finish_sweep(scenario, _per_epsilon(scenario, make, rect, eps_seq))
-    pref = -math.sqrt(2.0) * c * c
-    return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
+    return _element(scenario, det, det, ordered=True, swapped=False, pref=-math.sqrt(2.0),
+                    epsilons=epsilons)
 
 
 def compute_elements(scenario: HarvestScenario, epsilons=None) -> MatrixElements:

@@ -7,11 +7,8 @@ import pytest
 
 from takagi_harvest import (
     ConformalTakagiMap,
-    WightmanKernel,
     gaussian_switching,
-    wightman_flat,
     wightman_flat_sep,
-    wightman_frw,
     wightman_frw_sep,
 )
 from takagi_harvest.field import mode_integrand_static
@@ -44,12 +41,6 @@ def test_flat_epsilon_validation():
         wightman_flat_sep(0.1, 1.0, -1e-3)
 
 
-def test_flat_pointwise_matches_sep_form():
-    p = (0.4, (0.0, 0.0, 0.0))
-    p2 = (-0.1, (3.0, 4.0, 0.0))
-    assert wightman_flat(p, p2, 1e-3) == wightman_flat_sep(0.5, 5.0, 1e-3)
-
-
 @pytest.mark.parametrize("omega,Omega", [(1.0, 2.0), (1.0, 0.5), (2.0, 3.0)])
 def test_frw_conformal_weight(omega, Omega):
     # Wbar(t, t2) * C(t) C(t2) == W_flat(t - t2) in conformal coordinates
@@ -65,40 +56,6 @@ def test_frw_requires_three_spatial_dimensions():
     m = ConformalTakagiMap(1.0, 2.0, n_spatial=2)
     with pytest.raises(ValueError):
         wightman_frw_sep(0.1, 0.0, 1.0, m, 1e-3)
-
-
-def test_frw_cosmological_time_kind():
-    # cosmological-time arguments are pulled back through the clock map
-    m = ConformalTakagiMap(1.0, 2.0)
-    t, t2 = 0.3, -0.2
-    T, T2 = m.tau_of_lambda(t), m.tau_of_lambda(t2)
-    a = wightman_frw((T, (0.0, 0.0, 0.0)), (T2, (1.0, 0.0, 0.0)), m, 1e-3, time_kind="cosmological")
-    b = wightman_frw((t, (0.0, 0.0, 0.0)), (t2, (1.0, 0.0, 0.0)), m, 1e-3, time_kind="conformal")
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_kernel_minkowski():
-    k = WightmanKernel(epsilon=1e-3)
-    p = (0.4, (0.0, 0.0, 0.0))
-    p2 = (-0.1, (3.0, 4.0, 0.0))
-    assert k(p, p2) == wightman_flat(p, p2, 1e-3)
-    # per-call epsilon override
-    assert k(p, p2, epsilon=1e-2) == wightman_flat(p, p2, 1e-2)
-
-
-def test_kernel_frw_requires_map():
-    with pytest.raises(ValueError):
-        WightmanKernel(frame="frw")
-    m = ConformalTakagiMap(1.0, 2.0)
-    k = WightmanKernel(frame="frw", map=m, epsilon=1e-3)
-    p = (0.3, (0.0, 0.0, 0.0))
-    p2 = (-0.2, (1.0, 0.0, 0.0))
-    assert k(p, p2) == wightman_frw(p, p2, m, 1e-3)
-
-
-def test_kernel_rejects_unknown_frame():
-    with pytest.raises(ValueError):
-        WightmanKernel(frame="euclidean")
 
 
 def test_mode_integrand_static_value():

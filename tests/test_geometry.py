@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from takagi_harvest import (
     ConformalTakagiMap,
-    FrwSpacetime,
     StaticTrajectory,
     cos_squared_switching,
     gaussian_switching,
@@ -292,24 +291,6 @@ def test_proper_distance_scale():
     assert np.array_equal(d, 5.0 * m.scale_factor(T))
     with pytest.raises(ValueError):
         proper_distance(m, -1.0, 0.0)
-
-
-def test_frw_spacetime_clocks():
-    m = ConformalTakagiMap(1.0, 2.0)
-    st_ = FrwSpacetime(m)
-    assert st_.period() == pytest.approx(math.pi / 2)
-    t = 0.37
-    assert st_.conformal_time(st_.cosmological_time(t)) == pytest.approx(t, abs=1e-13)
-    assert FrwSpacetime(ConformalTakagiMap(1.0, 0.0)).period() == math.inf
-
-
-def test_static_trajectory_gamma():
-    m = ConformalTakagiMap(1.0, 2.0)
-    frw = FrwSpacetime(m)
-    mink = StaticTrajectory((0.0, 0.0, 0.0))
-    assert mink.gamma(None, 1.7) == 1.0
-    com = StaticTrajectory((0.0, 0.0, 0.0), frame="frw")
-    assert com.gamma(frw, 0.4) == pytest.approx(1.0 / m.scale_factor(0.4), rel=1e-14)
 
 
 def test_separation_euclidean():

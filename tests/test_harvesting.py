@@ -33,7 +33,7 @@ from takagi_harvest import (
     vacuum_bogoliubov,
 )
 from takagi_harvest import harvesting
-from takagi_harvest.field import wightman_frw_at_clock, wightman_frw_sep
+from takagi_harvest.field import wightman_flat_sep, wightman_frw_at_clock, wightman_frw_sep
 from takagi_harvest.gaussian import transported_mode, transported_mode_at_clock
 from takagi_harvest.geometry import transform_switching
 from takagi_harvest.harvesting import compute_elements, regulator_sequence
@@ -125,6 +125,66 @@ def test_M_nonzero_while_spacelike():
     # the cross term survives (this is what makes harvesting possible)
     res = compute_M(_scenario(), epsilons=(0.01, 0.005))
     assert abs(res.value) > 1e-7
+
+
+# cos^2 windows that are not centred on a common time: A's support starts
+# before B's, so the (A <-> B) ordering of M has its own domain; in the last
+# pair A's window ends before B's starts
+ASYMMETRIC_WINDOWS = [
+    ((-1.0, 0.0), (0.0, 1.0)),
+    ((-1.0, 0.5), (-0.5, 1.0)),
+    ((0.0, 1.0), (2.0, 3.0)),
+]
+
+
+def _window_pair(windows, L):
+    (a0, a1), (b0, b1) = windows
+    da = _detector("A", (0.0, 0.0, 0.0), "qubit", 0.01, 2.0, cos_squared_switching(a0, a1))
+    db = _detector("B", (L, 0.0, 0.0), "qubit", 0.01, 2.0, cos_squared_switching(b0, b1))
+    return HarvestScenario(detectors=(da, db))
+
+
+def _spacelike_M(windows, L, freq=2.0, c=0.01, n=200):
+    """M of a qubit pair with cos^2 windows by a tensor Gauss-Legendre sum.
+
+    Every pair of events must be spacelike (L above the longest time
+    difference of the two windows): the Wightman function is then real,
+    symmetric and nonsingular, the time ordering drops out, and
+
+        M = -(c^2 / 4 pi^2) int int chi_A(t) chi_B(t') e^{i freq (t + t')} / (L^2 - (t - t')^2).
+
+    Shares no code with the regulated rotated-coordinate quadrature.
+    """
+    (a0, a1), (b0, b1) = windows
+    assert L > max(b1 - a0, a1 - b0), "the product form needs every pair of events spacelike"
+    x, wts = np.polynomial.legendre.leggauss(n)
+
+    def leg(t0, t1):
+        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+        t = mid + half * x
+        return t, half * wts * np.cos(np.pi * (t - mid) / (t1 - t0)) ** 2 * np.exp(1j * freq * t)
+
+    (ta, fa), (tb, fb) = leg(a0, a1), leg(b0, b1)
+    kernel = 1.0 / (L * L - np.subtract.outer(ta, tb) ** 2)
+    return complex(-(c * c) / (4.0 * math.pi**2) * (fa @ kernel @ fb))
+
+
+@pytest.mark.parametrize("windows", ASYMMETRIC_WINDOWS)
+def test_M_keeps_both_orderings_for_asymmetric_windows(windows):
+    # near the light cone: both orderings contribute, whichever label is A
+    sc = _window_pair(windows, 0.5)
+    swapped = HarvestScenario(detectors=sc.detectors[::-1])
+    res = compute_M(sc)
+    assert res.value != 0.0
+    assert compute_M(swapped).value == res.value
+    # spacelike: the independent product integral
+    (a0, a1), (b0, b1) = windows
+    longest = max(b1 - a0, a1 - b0)
+    for L in (longest + 0.5, longest + 1.5):
+        oracle = _spacelike_M(windows, L)
+        assert abs(_spacelike_M(windows, L, n=400) - oracle) <= 1e-9 * abs(oracle)
+        got = compute_M(_window_pair(windows, L)).value
+        assert abs(got - oracle) <= 1e-3 * abs(oracle), (L, got, oracle)
 
 
 def test_N_requires_oscillator():
@@ -491,7 +551,7 @@ def test_shared_clock_legs_equal_the_public_wrappers():
     m = ConformalTakagiMap(1.0, 2.0)
     chi = transform_switching(m, GAUSS)
     a, b = chi.support
-    u, w = _gk_grid(harvesting._rect_square(chi.support, chi.support))
+    u, w = _gk_grid(harvesting._rect(chi.support, chi.support, False))
     t, tp = 0.5 * (w + u), 0.5 * (w - u)
     outside = (t < a) | (t > b)
     assert np.any(outside) and not np.all(outside)
@@ -507,39 +567,56 @@ def test_shared_clock_legs_equal_the_public_wrappers():
 
 
 def test_dual_kernels_equal_the_formulas_of_the_public_legs():
-    # each kernel, written with the public per-point wrappers, node by node
-    # and regulator level by level
-    dual = dualize(_scenario(), 2.0)
-    m, (da, db) = dual.map, dual.detectors
+    # the one kernel factory, for L, M and N on both sides, written with the
+    # public per-point legs, node by node and regulator level by level
+    flat = _scenario()
+    dual = dualize(flat, 2.0)
     eps_seq = (0.02, 0.01, 0.005)
-    chi = da.switching
-    lam = m.lambda_of_tau
 
-    def mode(x):
-        return transported_mode(m, x)
+    def public_legs(sc):
+        if sc.frame == "minkowski":
+            def mode(x):
+                return np.exp(1j * sc.detectors[0].frequency * x)
 
-    u, w = _gk_grid(harvesting._rect_square(chi.support, chi.support))
-    t, tp = 0.5 * (w + u), 0.5 * (w - u)
-    L = harvesting._l_kernel_factory(dual, da, da, 0.0, eps_seq)(u, w)
-    assert L.shape == (len(eps_seq), 15, 15)
-    for level, eps in zip(L, eps_seq):
-        expect_L = (0.5 * chi(t) * mode(t) * chi(tp) * np.conj(mode(tp))
-                    * wightman_frw_sep(lam(tp), lam(t), 0.0, m, eps))
-        assert np.array_equal(level, expect_L)
+            def wight(x, y, sep, eps):
+                return wightman_flat_sep(x - y, sep, eps)
+        else:
+            m = sc.map
 
-    u, w = _gk_grid(harvesting._rect_ordered(chi.support, chi.support))
-    t, tp = 0.5 * (w + u), 0.5 * (w - u)
-    pair = chi(t) * mode(t) * db.switching(tp) * mode(tp)
-    swapped = db.switching(t) * mode(t) * chi(tp) * mode(tp)
-    M = harvesting._m_kernel_factory(dual, eps_seq)(u, w)
-    N = harvesting._n_kernel_factory(dual, da, eps_seq)(u, w)
-    assert M.shape == N.shape == (len(eps_seq), 15, 15)
-    for level_M, level_N, eps in zip(M, N, eps_seq):
-        expect_M = 0.5 * wightman_frw_sep(lam(t), lam(tp), 5.0, m, eps) * (pair + swapped)
-        assert np.array_equal(level_M, expect_M)
-        expect_N = (0.5 * wightman_frw_sep(lam(t), lam(tp), 0.0, m, eps)
-                    * (chi(t) * mode(t) * chi(tp) * mode(tp)))
-        assert np.array_equal(level_N, expect_N)
+            def mode(x):
+                return transported_mode(m, x)
+
+            def wight(x, y, sep, eps):
+                return wightman_frw_sep(m.lambda_of_tau(x), m.lambda_of_tau(y), sep, m, eps)
+
+        return mode, wight
+
+    for sc in (flat, dual):
+        da, db = sc.detectors
+        chi, chi_b = da.switching, db.switching
+        mode, wight = public_legs(sc)
+
+        u, w = _gk_grid(harvesting._rect(chi.support, chi.support, False))
+        t, tp = 0.5 * (w + u), 0.5 * (w - u)
+        L = harvesting._kernel(sc, da, da, False, False, eps_seq)(u, w)
+        assert L.shape == (len(eps_seq), 15, 15)
+        for level, eps in zip(L, eps_seq):
+            expect_L = (0.5 * chi(t) * mode(t) * chi(tp) * np.conj(mode(tp))
+                        * wight(tp, t, 0.0, eps))
+            assert np.array_equal(level, expect_L)
+
+        u, w = _gk_grid(harvesting._rect(chi.support, chi_b.support, True))
+        t, tp = 0.5 * (w + u), 0.5 * (w - u)
+        pair = chi(t) * mode(t) * chi_b(tp) * mode(tp)
+        swapped = chi_b(t) * mode(t) * chi(tp) * mode(tp)
+        M = harvesting._kernel(sc, da, db, True, True, eps_seq)(u, w)
+        N = harvesting._kernel(sc, da, da, True, False, eps_seq)(u, w)
+        assert M.shape == N.shape == (len(eps_seq), 15, 15)
+        for level_M, level_N, eps in zip(M, N, eps_seq):
+            expect_M = 0.5 * wight(t, tp, 5.0, eps) * (pair + swapped)
+            assert np.array_equal(level_M, expect_M)
+            expect_N = 0.5 * wight(t, tp, 0.0, eps) * (chi(t) * mode(t) * chi(tp) * mode(tp))
+            assert np.array_equal(level_N, expect_N)
 
 
 def _count_compute_L(monkeypatch):
