@@ -18,9 +18,11 @@ import argparse
 import configparser
 import hashlib
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .geometry import (
     gaussian_switching,
 )
 from .harvesting import DetectorSpec, HarvestScenario, harvest, run_dual_check
-from .quadrature import NumericalHardError, QuadratureConfig, validate_epsilon_sequence
+from .quadrature import NumericalHardError, QuadratureConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,37 +45,120 @@ EXIT_NUMERICAL = 3
 SPEC_VERSION = 1
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Configuration file rejected by the schema."""
 
 
-# Allowed keys per section.  Unknown sections or keys are hard errors so a
-# typo never silently falls back to a default.
-_SECTION_KEYS = {
-    "spacetime": {"frame", "omega", "Omega", "n_spatial"},
-    "field": {"initial_state"},
-    "quadrature": {
-        "rel_tol",
-        "abs_tol",
-        "max_subdivisions",
-        "epsilon_sequence",
-        "extrapolation",
-        "method",
-    },
-    "output": {"path"},
-    "scan": {"omega"},
-    "dualize": {"Omega_list"},
-    "check": {"omegas", "Omegas", "n_lambda", "corrupt_sign"},
-    "tables": {"omega", "Omega_list", "t_min", "t_max", "points"},
-}
-_DETECTOR_KEYS = {"model", "frequency", "coupling", "position", "interaction_scale"}
-_SWITCHING_KEYS = {"kind", "sigma", "center", "t0", "t1"}
+def _real(raw):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
-_SECTIONS_BY_COMMAND = {
-    "check-takagi": {"check", "output"},
-    "harvest": {"spacetime", "detectors", "field", "quadrature", "output", "scan"},
-    "dualize": {"spacetime", "detectors", "field", "quadrature", "output", "dualize"},
-    "geometry-tables": {"tables", "output"},
+
+def _count(raw):
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
+def _reals(size=None, positive=False):
+    def parse(raw):
+        values = tuple(_real(s) for s in (part.strip() for part in raw.split(",")) if s)
+        if size is not None and len(values) != size:
+            raise ValueError(f"expected {size} comma-separated numbers, got {raw!r}")
+        if positive and not (values and min(values) > 0.0):
+            raise ValueError(f"expected one or more numbers > 0, got {raw!r}")
+        return values
+
+    return parse
+
+
+def _choice(*options):
+    def parse(raw):
+        if raw not in options:
+            raise ValueError(f"expected {' or '.join(options)}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+def _boolean(raw):
+    low = raw.strip().lower()
+    if low not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return low == "true"
+
+
+class _Key(NamedTuple):
+    """How one config key is read: parser, whether required, default, and
+    when it is allowed: always (None) or only while another key of its
+    section has a value, given as (key, value)."""
+
+    parse: Callable
+    required: bool = False
+    default: object = None
+    when: tuple | None = None
+
+
+_SCENARIO = ("harvest", "dualize")
+
+# section group -> (commands that read it, its keys).  Unknown sections or
+# keys are hard errors so a typo never silently falls back to a default.  A
+# conditional key comes after the key its condition reads.
+_SCHEMA = {
+    "spacetime": (_SCENARIO, {
+        "frame": _Key(_choice("minkowski", "frw"), default="minkowski"),
+        "omega": _Key(_real, required=True, when=("frame", "frw")),
+        "Omega": _Key(_real, required=True, when=("frame", "frw")),
+        "n_spatial": _Key(_count, default=3, when=("frame", "frw")),
+    }),
+    "field": (_SCENARIO, {"initial_state": _Key(_choice("ground"), default="ground")}),
+    "quadrature": (_SCENARIO, {
+        "rel_tol": _Key(_real, default=QuadratureConfig.rel_tol),
+        "abs_tol": _Key(_real, default=QuadratureConfig.abs_tol),
+        "max_subdivisions": _Key(_count, default=QuadratureConfig.max_subdivisions),
+        "epsilon_sequence": _Key(_reals()),
+        "extrapolation": _Key(_choice("richardson", "none"), default="richardson"),
+        "method": _Key(_choice("direct", "fourier"), default="direct"),
+    }),
+    "detectors.<label>": (_SCENARIO, {
+        "model": _Key(_choice("oscillator", "qubit"), required=True),
+        "frequency": _Key(_real, required=True),
+        "coupling": _Key(_real, required=True),
+        "position": _Key(_reals(size=3), required=True),
+        "interaction_scale": _Key(_real),
+    }),
+    "detectors.<label>.switching": (_SCENARIO, {
+        "kind": _Key(_choice("gaussian", "cos_squared"), required=True),
+        "sigma": _Key(_real, required=True, when=("kind", "gaussian")),
+        "center": _Key(_real, default=0.0, when=("kind", "gaussian")),
+        "t0": _Key(_real, required=True, when=("kind", "cos_squared")),
+        "t1": _Key(_real, required=True, when=("kind", "cos_squared")),
+    }),
+    "scan": (("harvest",), {"omega": _Key(_reals(), required=True)}),
+    "dualize": (("dualize",), {"Omega_list": _Key(_reals(), required=True)}),
+    "check": (("check-takagi",), {
+        "omegas": _Key(_reals(positive=True), default=(0.5, 1.0, 2.0)),
+        "Omegas": _Key(_reals(positive=True), default=(0.5, 1.0, 2.0)),
+        "n_lambda": _Key(_count, default=50),
+        "corrupt_sign": _Key(_boolean, default=False),
+    }),
+    "tables": (("geometry-tables",), {
+        "omega": _Key(_real, default=1.0),
+        "Omega_list": _Key(_reals(), default=(0.5, 1.0, 2.0)),
+        "t_min": _Key(_real, default=-5.0),
+        "t_max": _Key(_real, default=5.0),
+        "points": _Key(_count, default=501),
+    }),
+    "output": (("check-takagi", "harvest", "dualize", "geometry-tables"), {"path": _Key(str)}),
 }
 
 
@@ -86,29 +171,68 @@ class _Locator:
         current = None
         for i, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith(("#", ";")):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
+            header = re.match(r"\[(.+)\]", line)  # configparser's section pattern
+            if header:
+                current = header.group(1)
                 self.sections.setdefault(current, i)
-            elif "=" in line and current is not None:
-                key = line.split("=", 1)[0].strip()
+            elif current is not None and re.search("[=:]", line):
+                key = re.split("[=:]", line, maxsplit=1)[0].strip()
                 self.keys.setdefault((current, key), i)
 
-    def where(self, section: str, key: str | None = None) -> str:
-        if key is None:
-            n = self.sections.get(section)
+    def error(self, section: str, key: str | None, message: str) -> ConfigError:
+        """message located at key of section, or at the section if key is None."""
+        n = self.sections.get(section) if key is None else self.keys.get((section, key))
+        label = f"[{section}]" if key is None else f"[{section}] key {key!r}"
+        return ConfigError(f"{label} ({f'line {n}' if n else 'line unknown'}): {message}")
+
+
+def _group(section: str) -> str:
+    """The _SCHEMA group of a section: [detectors.A] is a [detectors.<label>]."""
+    return re.sub(r"^detectors\.[^.]*", "detectors.<label>", section)
+
+
+def _read(section: str, raw: dict, loc: _Locator) -> dict:
+    """The values of one section, checked against its _SCHEMA group.
+
+    raw maps the section's keys to their text ({} for an absent section).
+    Absent keys take their defaults; a key whose condition does not hold is
+    left out.
+    """
+    keys = _SCHEMA[_group(section)][1]
+    for key in raw:
+        if key not in keys:
+            raise loc.error(section, key, f"unknown key; expected one of {sorted(keys)}")
+    values = {}
+    for key, spec in keys.items():
+        if spec.when is not None and values[spec.when[0]] != spec.when[1]:
+            if key in raw:
+                cond, need = spec.when
+                raise loc.error(
+                    section, key,
+                    f"not a {values[cond]} parameter; only used when {cond} = {need}",
+                )
+            continue
+        if key in raw:
+            try:
+                values[key] = spec.parse(raw[key])
+            except ValueError as exc:
+                raise loc.error(section, key, str(exc)) from None
+        elif spec.required:
+            raise loc.error(section, None, f"missing required key {key!r}")
         else:
-            n = self.keys.get((section, key))
-        return f"line {n}" if n else "line unknown"
+            values[key] = spec.default
+    return values
 
 
 def _load_config(path: str | None, command: str):
-    """Parse and schema-check an INI config; returns (parser, locator, sha)."""
+    """Parse and read an INI config; returns (sections, locator, sha).
+
+    sections maps every section of the file to its _read values.
+    """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keys are case sensitive (omega vs Omega)
     if path is None:
-        return cp, _Locator(""), hashlib.sha256(b"").hexdigest()
+        return {}, _Locator(""), hashlib.sha256(b"").hexdigest()
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -120,228 +244,71 @@ def _load_config(path: str | None, command: str):
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
     loc = _Locator(text)
-    _check_schema(cp, loc, command)
-    return cp, loc, hashlib.sha256(raw).hexdigest()
-
-
-def _check_schema(cp, loc, command):
-    allowed_groups = _SECTIONS_BY_COMMAND[command]
+    sections = {}
     for section in cp.sections():
-        group = section.split(".", 1)[0]
-        if group not in allowed_groups:
-            raise ConfigError(
-                f"[{section}] ({loc.where(section)}): section not used by {command}"
-            )
-        if group == "detectors":
-            parts = section.split(".")
-            if len(parts) == 2:
-                keys = _DETECTOR_KEYS
-            elif len(parts) == 3 and parts[2] == "switching":
-                keys = _SWITCHING_KEYS
-            else:
-                raise ConfigError(
-                    f"[{section}] ({loc.where(section)}): expected "
-                    "[detectors.<label>] or [detectors.<label>.switching]"
-                )
-        else:
-            keys = _SECTION_KEYS[group]
-        for key in cp.options(section):
-            if key not in keys:
-                raise ConfigError(
-                    f"[{section}] key {key!r} ({loc.where(section, key)}): "
-                    f"unknown key; expected one of {sorted(keys)}"
-                )
+        group = _group(section)
+        if group not in _SCHEMA or command not in _SCHEMA[group][0]:
+            used = ", ".join(f"[{g}]" for g, (cmds, _) in _SCHEMA.items() if command in cmds)
+            raise loc.error(section, None, f"section not used by {command}; expected {used}")
+        sections[section] = _read(section, dict(cp.items(section)), loc)
+    return sections, loc, hashlib.sha256(raw).hexdigest()
 
 
-def _get(cp, section, key, loc, required=False, default=None):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    if required:
-        raise ConfigError(
-            f"[{section}] ({loc.where(section)}): missing required key {key!r}"
-        )
-    return default
+def _section(sections, name, loc):
+    """The values of section name, defaults if the file has none."""
+    return sections[name] if name in sections else _read(name, {}, loc)
 
 
-def _parse_float(raw, section, key, loc):
+def _construct(loc, section, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as a config error.
+
+    The error points at the key its message starts with, if the section has
+    that key, and otherwise at the section.
+    """
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] key {key!r} ({loc.where(section, key)}): "
-            f"expected a number, got {raw!r}"
-        ) from None
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        key = str(exc).split(" ", 1)[0]
+        raise loc.error(section, key if (section, key) in loc.keys else None, str(exc)) from None
 
 
-def _parse_int(raw, section, key, loc):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] key {key!r} ({loc.where(section, key)}): "
-            f"expected an integer, got {raw!r}"
-        ) from None
+_SWITCHINGS = {"gaussian": gaussian_switching, "cos_squared": cos_squared_switching}
 
 
-def _parse_bool(raw, section, key, loc):
-    low = raw.strip().lower()
-    if low in ("true", "false"):
-        return low == "true"
-    raise ConfigError(
-        f"[{section}] key {key!r} ({loc.where(section, key)}): "
-        f"expected true or false, got {raw!r}"
-    )
-
-
-def _parse_float_list(raw, section, key, loc):
-    items = [s for s in (part.strip() for part in raw.split(",")) if s]
-    return tuple(_parse_float(s, section, key, loc) for s in items)
-
-
-def _build_switching(cp, section, loc):
-    kind = _get(cp, section, "kind", loc, required=True)
-    if kind == "gaussian":
-        sigma = _parse_float(_get(cp, section, "sigma", loc, required=True), section, "sigma", loc)
-        center = _parse_float(_get(cp, section, "center", loc, default="0"), section, "center", loc)
-        for key in ("t0", "t1"):
-            if cp.has_option(section, key):
-                raise ConfigError(
-                    f"[{section}] key {key!r} ({loc.where(section, key)}): "
-                    "not a gaussian parameter"
-                )
-        return gaussian_switching(sigma, center=center)
-    if kind == "cos_squared":
-        t0 = _parse_float(_get(cp, section, "t0", loc, required=True), section, "t0", loc)
-        t1 = _parse_float(_get(cp, section, "t1", loc, required=True), section, "t1", loc)
-        for key in ("sigma", "center"):
-            if cp.has_option(section, key):
-                raise ConfigError(
-                    f"[{section}] key {key!r} ({loc.where(section, key)}): "
-                    "not a cos_squared parameter"
-                )
-        return cos_squared_switching(t0, t1)
-    raise ConfigError(
-        f"[{section}] key 'kind' ({loc.where(section, 'kind')}): "
-        f"unknown switching kind {kind!r}; expected gaussian or cos_squared"
-    )
-
-
-def _build_detector(cp, label, frame, loc):
+def _build_detector(sections, label, frame, loc):
     sec = f"detectors.{label}"
-    model = _get(cp, sec, "model", loc, required=True)
-    frequency = _parse_float(_get(cp, sec, "frequency", loc, required=True), sec, "frequency", loc)
-    coupling = _parse_float(_get(cp, sec, "coupling", loc, required=True), sec, "coupling", loc)
-    pos_raw = _get(cp, sec, "position", loc, required=True)
-    pos = _parse_float_list(pos_raw, sec, "position", loc)
-    if len(pos) != 3:
-        raise ConfigError(
-            f"[{sec}] key 'position' ({loc.where(sec, 'position')}): "
-            f"expected three comma-separated coordinates, got {pos_raw!r}"
-        )
-    scale_raw = _get(cp, sec, "interaction_scale", loc)
-    scale = None if scale_raw is None else _parse_float(scale_raw, sec, "interaction_scale", loc)
     sw_sec = f"{sec}.switching"
-    if not cp.has_section(sw_sec):
+    if sw_sec not in sections:
         raise ConfigError(f"missing section [{sw_sec}] for detector {label!r}")
-    switching = _build_switching(cp, sw_sec, loc)
-    return DetectorSpec(
-        label=label,
-        model=model,
-        frequency=frequency,
-        coupling=coupling,
-        trajectory=StaticTrajectory(pos, frame=frame),
-        switching=switching,
-        interaction_scale=scale,
+    params = dict(sections[sw_sec])
+    make = _SWITCHINGS[params.pop("kind")]
+    spec = dict(sections[sec])
+    trajectory = StaticTrajectory(spec.pop("position"), frame=frame)
+    switching = _construct(loc, sw_sec, make, **params)
+    return _construct(
+        loc, sec, DetectorSpec, label=label, trajectory=trajectory, switching=switching, **spec
     )
 
 
-def _build_quadrature(cp, loc):
-    cfg = QuadratureConfig()
-    if not cp.has_section("quadrature"):
-        return cfg
-    sec = "quadrature"
-    kwargs = {}
-    if cp.has_option(sec, "rel_tol"):
-        kwargs["rel_tol"] = _parse_float(cp.get(sec, "rel_tol"), sec, "rel_tol", loc)
-    if cp.has_option(sec, "abs_tol"):
-        kwargs["abs_tol"] = _parse_float(cp.get(sec, "abs_tol"), sec, "abs_tol", loc)
-    if cp.has_option(sec, "max_subdivisions"):
-        kwargs["max_subdivisions"] = _parse_int(
-            cp.get(sec, "max_subdivisions"), sec, "max_subdivisions", loc
-        )
-    if cp.has_option(sec, "epsilon_sequence"):
-        eps = _parse_float_list(cp.get(sec, "epsilon_sequence"), sec, "epsilon_sequence", loc)
-        if not eps:
-            raise ConfigError(
-                f"[{sec}] key 'epsilon_sequence' ({loc.where(sec, 'epsilon_sequence')}): "
-                "expected at least one value"
-            )
-        kwargs["epsilon_sequence"] = eps
-    if cp.has_option(sec, "extrapolation"):
-        kwargs["extrapolation"] = cp.get(sec, "extrapolation")
-    if cp.has_option(sec, "method"):
-        kwargs["method"] = cp.get(sec, "method")
-    if "epsilon_sequence" in kwargs:
-        try:
-            validate_epsilon_sequence(
-                kwargs["epsilon_sequence"], kwargs.get("extrapolation", cfg.extrapolation)
-            )
-        except ValueError as exc:
-            raise ConfigError(
-                f"[{sec}] key 'epsilon_sequence' ({loc.where(sec, 'epsilon_sequence')}): {exc}"
-            ) from None
-    return replace(cfg, **kwargs)
-
-
-def _build_scenario(cp, loc):
-    frame = _get(cp, "spacetime", "frame", loc, default="minkowski")
-    if frame not in ("minkowski", "frw"):
-        raise ConfigError(
-            f"[spacetime] key 'frame' ({loc.where('spacetime', 'frame')}): "
-            f"expected minkowski or frw, got {frame!r}"
-        )
-    takagi_map = None
-    if frame == "frw":
-        omega = _parse_float(
-            _get(cp, "spacetime", "omega", loc, required=True), "spacetime", "omega", loc
-        )
-        Omega = _parse_float(
-            _get(cp, "spacetime", "Omega", loc, required=True), "spacetime", "Omega", loc
-        )
-        n_spatial = _parse_int(
-            _get(cp, "spacetime", "n_spatial", loc, default="3"), "spacetime", "n_spatial", loc
-        )
-        takagi_map = ConformalTakagiMap(omega, Omega, n_spatial=n_spatial)
-    else:
-        for key in ("omega", "Omega"):
-            if cp.has_option("spacetime", key):
-                raise ConfigError(
-                    f"[spacetime] key {key!r} ({loc.where('spacetime', key)}): "
-                    "only used when frame = frw"
-                )
-    initial_state = _get(cp, "field", "initial_state", loc, default="ground")
-    if initial_state != "ground":
-        raise ConfigError(
-            f"[field] key 'initial_state' ({loc.where('field', 'initial_state')}): "
-            f"configs accept 'ground' only; {initial_state!r} is constructed "
-            "internally by dualize"
-        )
+def _build_scenario(sections, loc):
+    clock = dict(_section(sections, "spacetime", loc))
+    frame = clock.pop("frame")
+    takagi_map = _construct(loc, "spacetime", ConformalTakagiMap, **clock) if frame == "frw" else None
     labels = sorted(
-        sec.split(".", 1)[1]
-        for sec in cp.sections()
-        if sec.startswith("detectors.") and sec.count(".") == 1
+        sec.split(".", 1)[1] for sec in sections if _group(sec) == "detectors.<label>"
     )
     if len(labels) != 2:
         raise ConfigError(
             f"expected exactly two [detectors.<label>] sections, found {len(labels)}"
         )
-    detectors = tuple(_build_detector(cp, lab, frame, loc) for lab in labels)
     return HarvestScenario(
-        detectors=detectors,
+        detectors=tuple(_build_detector(sections, lab, frame, loc) for lab in labels),
         frame=frame,
         map=takagi_map,
-        initial_state=initial_state,
-        quadrature=_build_quadrature(cp, loc),
+        initial_state=_section(sections, "field", loc)["initial_state"],
+        quadrature=_construct(
+            loc, "quadrature", QuadratureConfig, **_section(sections, "quadrature", loc)
+        ),
     )
 
 
@@ -405,10 +372,23 @@ def _report_header(command: str, config_sha: str) -> dict:
     }
 
 
-def _out_path(args, cp, loc):
+def _out_path(args, sections, loc):
     if args.out is not None:
         return args.out
-    return _get(cp, "output", "path", loc)
+    return _section(sections, "output", loc)["path"]
+
+
+def _sweep(row, scenario, points, columns, report, out, threads) -> int:
+    """row(scenario, p) for each point p, in input order, emitted as CSV, or
+    as the rows of report if out ends in .json."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda p: row(scenario, p), points))
+    if out is not None and out.endswith(".json"):
+        report["rows"] = [dict(zip(columns, r)) for r in rows]
+        _emit(_json_dump(report) + "\n", out)
+    else:
+        _emit(_csv(columns, rows), out)
+    return EXIT_OK
 
 
 def _element_record(res):
@@ -426,21 +406,11 @@ def _element_record(res):
 # subcommands
 
 
-def cmd_check_takagi(cp, loc, config_sha, args) -> int:
-    sec = "check"
-    omegas = (0.5, 1.0, 2.0)
-    Omegas = (0.5, 1.0, 2.0)
-    n_lambda = 50
-    corrupt = args.corrupt_sign
-    if cp.has_section(sec):
-        if cp.has_option(sec, "omegas"):
-            omegas = _parse_float_list(cp.get(sec, "omegas"), sec, "omegas", loc)
-        if cp.has_option(sec, "Omegas"):
-            Omegas = _parse_float_list(cp.get(sec, "Omegas"), sec, "Omegas", loc)
-        if cp.has_option(sec, "n_lambda"):
-            n_lambda = _parse_int(cp.get(sec, "n_lambda"), sec, "n_lambda", loc)
-        if cp.has_option(sec, "corrupt_sign"):
-            corrupt = corrupt or _parse_bool(cp.get(sec, "corrupt_sign"), sec, "corrupt_sign", loc)
+def cmd_check_takagi(sections, loc, config_sha, args) -> int:
+    """run the symplectic clock-map identity suite"""
+    check = _section(sections, "check", loc)
+    omegas, Omegas, n_lambda = check["omegas"], check["Omegas"], check["n_lambda"]
+    corrupt = args.corrupt_sign or check["corrupt_sign"]
     residuals = run_identity_suite(
         omegas=omegas, Omegas=Omegas, n_lambda=n_lambda, corrupt_sign=corrupt
     )
@@ -454,7 +424,7 @@ def cmd_check_takagi(cp, loc, config_sha, args) -> int:
         lines.append(f"{name:16s} {resid:.3e}  (threshold {thr:.1e})  {'PASS' if ok else 'FAIL'}")
         identities[name] = {"residual": float(resid), "threshold": float(thr), "pass": ok}
     print("\n".join(lines))
-    out = _out_path(args, cp, loc)
+    out = _out_path(args, sections, loc)
     if out is not None:
         report = _report_header("check-takagi", config_sha)
         report["grid"] = {
@@ -492,23 +462,14 @@ def _scan_row(scenario, omega):
     )
 
 
-def cmd_harvest(cp, loc, config_sha, args) -> int:
-    scenario = _build_scenario(cp, loc)
-    out = _out_path(args, cp, loc)
-    if cp.has_section("scan"):
-        omegas = _parse_float_list(
-            _get(cp, "scan", "omega", loc, required=True), "scan", "omega", loc
-        )
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda w: _scan_row(scenario, w), omegas))
-        if out is not None and out.endswith(".json"):
-            report = _report_header("harvest", config_sha)
-            report["scan_parameter"] = "frequency"
-            report["rows"] = [dict(zip(_SCAN_COLUMNS, row)) for row in rows]
-            _emit(_json_dump(report) + "\n", out)
-        else:
-            _emit(_csv(_SCAN_COLUMNS, rows), out)
-        return EXIT_OK
+def cmd_harvest(sections, loc, config_sha, args) -> int:
+    """evaluate one harvesting scenario or a frequency scan"""
+    scenario = _build_scenario(sections, loc)
+    out = _out_path(args, sections, loc)
+    if "scan" in sections:
+        report = {**_report_header("harvest", config_sha), "scan_parameter": "frequency"}
+        return _sweep(_scan_row, scenario, sections["scan"]["omega"], _SCAN_COLUMNS, report,
+                      out, args.threads)
     rep = harvest(scenario)
     el = rep.elements
     report = _report_header("harvest", config_sha)
@@ -568,44 +529,23 @@ def _dualize_row(scenario, Omega):
     )
 
 
-def cmd_dualize(cp, loc, config_sha, args) -> int:
-    scenario = _build_scenario(cp, loc)
-    Omegas = _parse_float_list(
-        _get(cp, "dualize", "Omega_list", loc, required=True), "dualize", "Omega_list", loc
-    )
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(pool.map(lambda W: _dualize_row(scenario, W), Omegas))
-    out = _out_path(args, cp, loc)
-    if out is not None and out.endswith(".json"):
-        report = _report_header("dualize", config_sha)
-        report["rows"] = [dict(zip(_DUALIZE_COLUMNS, row)) for row in rows]
-        _emit(_json_dump(report) + "\n", out)
-    else:
-        _emit(_csv(_DUALIZE_COLUMNS, rows), out)
-    return EXIT_OK
+def cmd_dualize(sections, loc, config_sha, args) -> int:
+    """pair a flat scenario with its cosmological duals"""
+    scenario = _build_scenario(sections, loc)
+    Omegas = _section(sections, "dualize", loc)["Omega_list"]
+    return _sweep(_dualize_row, scenario, Omegas, _DUALIZE_COLUMNS,
+                  _report_header("dualize", config_sha), _out_path(args, sections, loc),
+                  args.threads)
 
 
-def cmd_geometry_tables(cp, loc, config_sha, args) -> int:
-    sec = "tables"
-    omega = 1.0
-    Omegas = (0.5, 1.0, 2.0)
-    t_min, t_max = -5.0, 5.0
-    points = 501
-    if cp.has_section(sec):
-        if cp.has_option(sec, "omega"):
-            omega = _parse_float(cp.get(sec, "omega"), sec, "omega", loc)
-        if cp.has_option(sec, "Omega_list"):
-            Omegas = _parse_float_list(cp.get(sec, "Omega_list"), sec, "Omega_list", loc)
-        if cp.has_option(sec, "t_min"):
-            t_min = _parse_float(cp.get(sec, "t_min"), sec, "t_min", loc)
-        if cp.has_option(sec, "t_max"):
-            t_max = _parse_float(cp.get(sec, "t_max"), sec, "t_max", loc)
-        if cp.has_option(sec, "points"):
-            points = _parse_int(cp.get(sec, "points"), sec, "points", loc)
-    grid = np.linspace(t_min, t_max, points)
+def cmd_geometry_tables(sections, loc, config_sha, args) -> int:
+    """dump dense clock-map and scale factor grids"""
+    tables = _section(sections, "tables", loc)
+    omega = tables["omega"]
+    grid = np.linspace(tables["t_min"], tables["t_max"], tables["points"])
     rows = []
-    for Om in Omegas:
-        m = ConformalTakagiMap(omega, Om)
+    for Om in tables["Omega_list"]:
+        m = _construct(loc, "tables", ConformalTakagiMap, omega, Om)
         a = m.scale_factor(grid)
         for x, v in zip(grid, a):
             rows.append(("proper_distance_over_L", omega, Om, float(x), float(v)))
@@ -613,7 +553,7 @@ def cmd_geometry_tables(cp, loc, config_sha, args) -> int:
             tau = m.tau_of_lambda(grid)
             for x, v in zip(grid, tau):
                 rows.append(("tau_of_lambda", omega, Om, float(x), float(v)))
-    _emit(_csv(("quantity", "omega", "Omega", "x", "value"), rows), _out_path(args, cp, loc))
+    _emit(_csv(("quantity", "omega", "Omega", "x", "value"), rows), _out_path(args, sections, loc))
     return EXIT_OK
 
 
@@ -627,23 +567,14 @@ _COMMANDS = {
     "geometry-tables": cmd_geometry_tables,
 }
 
-_NEEDS_CONFIG = {"harvest", "dualize"}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="takagi-harvest",
         description="Detector-pair entanglement harvesting via the conformal clock map.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    helps = {
-        "check-takagi": "run the symplectic clock-map identity suite",
-        "harvest": "evaluate one harvesting scenario or a frequency scan",
-        "dualize": "pair a flat scenario with its cosmological duals",
-        "geometry-tables": "dump dense clock-map and scale factor grids",
-    }
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.__doc__)
         sp.add_argument("--config", default=None, help="INI scenario configuration")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
@@ -664,16 +595,13 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("config error: --threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    if args.config is None and args.command in _NEEDS_CONFIG:
+    if args.config is None and args.command in _SCENARIO:
         print(f"config error: {args.command} requires --config", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        cp, loc, sha = _load_config(args.config, args.command)
-        return _COMMANDS[args.command](cp, loc, sha, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+        sections, loc, sha = _load_config(args.config, args.command)
+        return _COMMANDS[args.command](sections, loc, sha, args)
+    except ValueError as exc:  # ConfigError, or a constructor rejecting a value
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalHardError as exc:

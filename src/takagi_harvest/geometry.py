@@ -11,15 +11,14 @@ derivative dtau/dlambda equals the conformal factor evaluated on the
 trajectory, and the scale factor of the dual cosmology is the same algebraic
 expression with the roles of omega and Omega exchanged.  This module carries
 the map, switching-function transport between the two pictures, and the
-kinematics of the dual cosmology (scale factor, proper distances, conformal
-versus cosmological time).
+kinematics of the dual cosmology (scale factor, conformal versus
+cosmological time).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,16 +27,11 @@ __all__ = [
     "SwitchingFunction",
     "gaussian_switching",
     "cos_squared_switching",
-    "tabulated_switching",
     "transform_switching",
-    "proper_distance",
     "StaticTrajectory",
 ]
 
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
-
-# kinds built by the factories below, whose params determine the window
-_FACTORY_KINDS = ("gaussian", "cos_squared", "tabulated", "transformed")
 
 
 def _prepare(x):
@@ -156,37 +150,49 @@ class ConformalTakagiMap:
         return ConformalTakagiMap(self.Omega, self.omega, self.n_spatial)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SwitchingFunction:
     """Window function chi with compact support and a characteristic timescale.
 
-    kind is one of gaussian / cos_squared / tabulated / transformed; evaluation
-    outside the support returns exactly zero.  timescale feeds the default
-    regulator sequence of the quadrature layer.
+    A window is plain data: kind is one of gaussian / cos_squared /
+    transformed, and params holds its (name, value) pairs (sigma and center;
+    t0 and t1; the base window and the map it is transported by).  Windows
+    are equal, hash and pickle by value.  Evaluation outside the support
+    returns exactly zero.  timescale feeds the default regulator sequence of
+    the quadrature layer.
     """
 
     kind: str
     support: tuple[float, float]
     timescale: float
-    params: dict = field(repr=False)
-    _eval: Callable = field(repr=False, compare=False)
+    params: tuple
 
     def __post_init__(self):
+        if self.kind not in ("gaussian", "cos_squared", "transformed"):
+            raise ValueError(f"unknown switching kind {self.kind!r}")
         a, b = self.support
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError(f"support must be a finite interval, got {self.support}")
         if not self.timescale > 0.0:
             raise ValueError("timescale must be positive")
 
+    def param(self, name: str):
+        """The parameter called name (see the class docstring)."""
+        return dict(self.params)[name]
+
     def __call__(self, t):
         t, scalar = _prepare(t)
+        p = dict(self.params)
+        if self.kind == "transformed":
+            lam = p["map"].lambda_of_tau(t)
+            return _finish(self.at_clock(t, lam, p["map"].conformal_factor(lam)), scalar)
+        if self.kind == "gaussian":
+            vals = np.exp(-0.5 * ((t - p["center"]) / p["sigma"]) ** 2)
+        else:
+            t0, t1 = p["t0"], p["t1"]
+            vals = np.cos(math.pi * (t - 0.5 * (t0 + t1)) / (t1 - t0)) ** 2
         a, b = self.support
-        inside = (t >= a) & (t <= b)
-        out = np.zeros_like(t)
-        if np.any(inside):
-            vals = np.asarray(self._eval(np.where(inside, t, a)), dtype=float)
-            out = np.where(inside, vals, 0.0)
-        return _finish(out, scalar)
+        return _finish(np.where((t >= a) & (t <= b), vals, 0.0), scalar)
 
     def at_clock(self, tau, lam, C):
         """Transported window at dual times tau from the clock values there.
@@ -200,38 +206,8 @@ class SwitchingFunction:
             raise ValueError(f"at_clock needs a transported window, got kind {self.kind!r}")
         tau = np.asarray(tau, dtype=float)
         a, b = self.support
-        vals = _transported(self.params["base"], self.params["map"], lam, C)
+        vals = self.param("base")(lam) * C ** (0.5 * (self.param("map").n_spatial - 4))
         return np.where((tau >= a) & (tau <= b), vals, 0.0)
-
-    def same_as(self, other) -> bool:
-        """True when other is this window by value.
-
-        Kind, support, timescale and parameters must be equal, recursively for
-        the base window of a transported one; the parameters of the factory
-        kinds fix the window completely.  A window of any other kind equals
-        only one with the same evaluator.
-        """
-        if other is self:
-            return True
-        if not isinstance(other, SwitchingFunction):
-            return False
-        if (self.kind, self.support, self.timescale) != (other.kind, other.support, other.timescale):
-            return False
-        if self.kind not in _FACTORY_KINDS and self._eval is not other._eval:
-            return False
-        if self.params.keys() != other.params.keys():
-            return False
-        for key, mine in self.params.items():
-            theirs = other.params[key]
-            if isinstance(mine, SwitchingFunction):
-                same = mine.same_as(theirs)
-            elif isinstance(mine, np.ndarray):
-                same = np.array_equal(mine, theirs)
-            else:
-                same = bool(mine == theirs)
-            if not same:
-                return False
-        return True
 
     def fourier(self, s):
         """Closed-form Fourier transform F(s) = integral chi(t) exp(i s t) dt.
@@ -241,11 +217,11 @@ class SwitchingFunction:
         """
         s, scalar = _prepare(s)
         if self.kind == "gaussian":
-            sig = self.params["sigma"]
-            c = self.params["center"]
+            sig = self.param("sigma")
+            c = self.param("center")
             out = sig * math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (sig * s) ** 2) * np.exp(1j * s * c)
         elif self.kind == "cos_squared":
-            t0, t1 = self.params["t0"], self.params["t1"]
+            t0, t1 = self.param("t0"), self.param("t1")
             width = t1 - t0
             mid = 0.5 * (t0 + t1)
             b = 2.0 * math.pi / width
@@ -274,10 +250,10 @@ class SwitchingFunction:
         s, scalar = _prepare(s)
         s = np.abs(s)
         if self.kind == "gaussian":
-            sig = self.params["sigma"]
+            sig = self.param("sigma")
             out = sig * math.sqrt(2.0 * math.pi) * np.exp(-0.5 * (sig * s) ** 2)
         elif self.kind == "cos_squared":
-            t0, t1 = self.params["t0"], self.params["t1"]
+            t0, t1 = self.param("t0"), self.param("t1")
             width = t1 - t0
             b = 2.0 * math.pi / width
             flat = 0.5 * width
@@ -297,16 +273,11 @@ def gaussian_switching(sigma: float, center: float = 0.0) -> SwitchingFunction:
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     half = GAUSSIAN_SUPPORT_SIGMAS * sigma
-
-    def _eval(t):
-        return np.exp(-0.5 * ((t - center) / sigma) ** 2)
-
     return SwitchingFunction(
         kind="gaussian",
         support=(center - half, center + half),
         timescale=sigma,
-        params={"sigma": sigma, "center": center},
-        _eval=_eval,
+        params=(("sigma", sigma), ("center", center)),
     )
 
 
@@ -314,48 +285,12 @@ def cos_squared_switching(t0: float, t1: float) -> SwitchingFunction:
     """Window cos^2(pi (t - mid)/(t1 - t0)) on [t0, t1], zero at both ends."""
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    mid = 0.5 * (t0 + t1)
-    width = t1 - t0
-
-    def _eval(t):
-        return np.cos(math.pi * (t - mid) / width) ** 2
-
     return SwitchingFunction(
         kind="cos_squared",
         support=(t0, t1),
-        timescale=0.5 * width,
-        params={"t0": t0, "t1": t1},
-        _eval=_eval,
+        timescale=0.5 * (t1 - t0),
+        params=(("t0", t0), ("t1", t1)),
     )
-
-
-def tabulated_switching(times, values) -> SwitchingFunction:
-    """Piecewise-linear window through (times, values) samples."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.size < 2 or times.shape != values.shape:
-        raise ValueError("need matching 1D arrays with at least two samples")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    if np.any(values < 0.0):
-        raise ValueError("switching values must be non-negative")
-
-    def _eval(t):
-        return np.interp(t, times, values)
-
-    return SwitchingFunction(
-        kind="tabulated",
-        support=(float(times[0]), float(times[-1])),
-        timescale=(float(times[-1]) - float(times[0])) / 16.0,
-        params={"times": times.copy(), "values": values.copy()},
-        _eval=_eval,
-    )
-
-
-def _transported(chi: SwitchingFunction, m: ConformalTakagiMap, lam, C):
-    # the transported window chi(lambda) C^((n_spatial - 4)/2), from the clock
-    # values lam = lambda(tau) and C = C(lam) at the nodes
-    return chi(lam) * C ** (0.5 * (m.n_spatial - 4))
 
 
 def transform_switching(m: ConformalTakagiMap, chi: SwitchingFunction) -> SwitchingFunction:
@@ -375,25 +310,12 @@ def transform_switching(m: ConformalTakagiMap, chi: SwitchingFunction) -> Switch
             )
     ta = m.tau_of_lambda(a)
     tb = m.tau_of_lambda(b)
-
-    def _eval(tau):
-        lam = m.lambda_of_tau(tau)
-        return _transported(chi, m, lam, m.conformal_factor(lam))
-
     return SwitchingFunction(
         kind="transformed",
         support=(ta, tb),
         timescale=(tb - ta) / 16.0,
-        params={"base": chi, "map": m},
-        _eval=_eval,
+        params=(("base", chi), ("map", m)),
     )
-
-
-def proper_distance(m: ConformalTakagiMap, L: float, T):
-    """Proper separation a(T) * L of comoving points at cosmological time T."""
-    if L < 0.0:
-        raise ValueError("comoving separation must be >= 0")
-    return m.scale_factor(T) * L
 
 
 @dataclass(frozen=True)

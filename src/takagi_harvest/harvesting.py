@@ -218,7 +218,7 @@ def _mirrors(det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
         and det_a.frequency == det_b.frequency
         and det_a.coupling == det_b.coupling
         and det_a.interaction_scale == det_b.interaction_scale
-        and det_a.switching.same_as(det_b.switching)
+        and det_a.switching == det_b.switching
     )
 
 
@@ -323,7 +323,7 @@ def _legs(scenario: HarvestScenario, det: DetectorSpec):
 
         return chi, mode
     m = scenario.map
-    if chi.kind == "transformed" and chi.params["map"] == m:
+    if chi.kind == "transformed" and chi.param("map") == m:
         def window(p):
             return chi.at_clock(*p)
     else:

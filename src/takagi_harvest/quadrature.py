@@ -111,8 +111,8 @@ class QuadratureConfig:
     method: str = "direct"
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol >= 0.0):
-            raise ValueError("need rel_tol > 0 and abs_tol >= 0")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
+            raise ValueError("need finite rel_tol > 0 and abs_tol >= 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if self.extrapolation not in ("richardson", "none"):
@@ -131,13 +131,13 @@ def _halving(eps) -> bool:
 def validate_epsilon_sequence(epsilons, extrapolation: str = "richardson") -> tuple:
     """The regulator sequence as a tuple of floats, checked before any quadrature.
 
-    It must be nonempty, positive and strictly decreasing; when it has more
-    than one level and extrapolation is "richardson", each level must halve
-    the previous one, which is what extrapolate_epsilon assumes.
+    It must be nonempty, positive, finite and strictly decreasing; when it has
+    more than one level and extrapolation is "richardson", each level must
+    halve the previous one, which is what extrapolate_epsilon assumes.
     """
     eps = tuple(float(e) for e in epsilons)
-    if len(eps) == 0 or any(not e > 0.0 for e in eps):
-        raise ValueError("epsilon_sequence must be positive")
+    if len(eps) == 0 or any(not 0.0 < e < math.inf for e in eps):
+        raise ValueError("epsilon_sequence must be nonempty, positive and finite")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon_sequence must be strictly decreasing")
     if extrapolation == "richardson" and not _halving(eps):
@@ -438,13 +438,13 @@ def extrapolate_epsilon(results) -> IntegralResult:
 def _fourier_cutoff(chi, floor: float) -> float:
     """Smallest s beyond which the transform envelope is below floor (and decreasing)."""
     if chi.kind == "gaussian":
-        sig = chi.params["sigma"]
+        sig = chi.param("sigma")
         peak = sig * math.sqrt(2.0 * math.pi)
         if floor >= peak:
             return 0.0
         return math.sqrt(2.0 * math.log(peak / floor)) / sig
     if chi.kind == "cos_squared":
-        width = chi.params["t1"] - chi.params["t0"]
+        width = chi.param("t1") - chi.param("t0")
         b = 2.0 * math.pi / width
         s = b * (2.0 * width / (3.0 * math.pi * max(floor, 1e-300))) ** (1.0 / 3.0)
         return max(s, 2.0 * b)

@@ -5,6 +5,8 @@ debuggers see straight through; file outputs go to tmp_path.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from takagi_harvest.cli import (
     SPEC_VERSION,
     _DUALIZE_COLUMNS,
     _SCAN_COLUMNS,
+    _SCHEMA,
     main,
 )
 
@@ -272,3 +275,72 @@ def test_geometry_tables_stdout_default(capsys):
     assert lines[0] == "quantity,omega,Omega,x,value"
     # defaults: 3 Omegas x 501 scale rows + 3 x 501 clock rows
     assert len(lines) == 1 + 3 * 501 * 2
+
+
+# --- range checks and error locations --------------------------------------------
+
+
+def _config_error(tmp_path, capsys, command, text):
+    rc = main([command, "--config", _write(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG, captured
+    return captured.err
+
+
+@pytest.mark.parametrize("line,text", [
+    (25, GAUSS_REF + "\n[quadrature]\nabs_tol = inf\n"),
+    (25, GAUSS_REF + "\n[quadrature]\nepsilon_sequence = inf\n"),
+    (18, GAUSS_REF.replace("position = 5, 0, 0", "position = 2, 0, nan")),
+])
+def test_non_finite_scenario_values_rejected_with_line(tmp_path, capsys, line, text):
+    err = _config_error(tmp_path, capsys, "harvest", text)
+    assert "finite" in err and f"line {line}" in err
+
+
+def test_non_finite_table_bound_rejected_with_line(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, "geometry-tables", "[tables]\nt_min = nan\n")
+    assert "t_min" in err and "line 2" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_lambda", "0"), ("omegas", ""), ("omegas", "0"), ("Omegas", "1.0, -2.0"),
+])
+def test_check_takagi_cannot_pass_vacuously(tmp_path, capsys, key, value):
+    # the negative control must fail or be refused, never pass on no samples
+    path = _write(tmp_path, f"[check]\n{key} = {value}\n")
+    rc = main(["check-takagi", "--corrupt-sign", "--config", path])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert key in err and "line 2" in err
+
+
+def test_tables_need_a_point(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, "geometry-tables", "[tables]\npoints = 0\n")
+    assert "points" in err and "line 2" in err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("t0 = -0.5", "t0: fast"),  # configparser also accepts key: value
+    ("[detectors.A.switching]", "[detectors.A.switching] ; window of A"),
+])
+def test_key_line_found_in_any_configparser_syntax(tmp_path, capsys, old, new):
+    bad = QUBIT_COS2.replace("t0 = -0.5", "t0 = fast", 1).replace(old, new, 1)
+    err = _config_error(tmp_path, capsys, "harvest", bad)
+    assert "'t0'" in err and "line 12" in err and "line unknown" not in err
+
+
+def test_constructor_error_reports_section_and_line(tmp_path, capsys):
+    bad = QUBIT_COS2.replace("t0 = -0.5\nt1 = 0.5", "t0 = 0.5\nt1 = -0.5", 1)
+    err = _config_error(tmp_path, capsys, "harvest", bad)
+    assert "[detectors.A.switching] (line 10)" in err and "need t1 > t0" in err
+
+
+# --- the README documents the schema ----------------------------------------------
+
+
+def test_readme_cli_section_lists_every_schema_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `\[([^\]]+)\]` \| `([^`]+)` \|", cli, re.MULTILINE))
+    schema = {(group, key) for group, (_, keys) in _SCHEMA.items() for key in keys}
+    assert documented == schema

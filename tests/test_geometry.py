@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 from takagi_harvest import (
     ConformalTakagiMap,
     StaticTrajectory,
+    SwitchingFunction,
     cos_squared_switching,
     gaussian_switching,
-    proper_distance,
     separation,
-    tabulated_switching,
     transform_switching,
 )
 
@@ -209,21 +208,24 @@ def test_cos_squared_fourier_envelope_at_zero_is_quiet():
         assert np.array_equal(chi.fourier_envelope(np.array([0.0, 1.0])), [0.5, 0.5])
 
 
-def test_same_as_compares_windows_by_value():
+def test_windows_compare_by_value():
     g = gaussian_switching(1.0)
-    assert g.same_as(gaussian_switching(1.0))
-    assert not g.same_as(gaussian_switching(1.5))
-    assert not g.same_as(gaussian_switching(1.0, center=0.5))
-    assert not g.same_as(cos_squared_switching(-8.0, 8.0))
-    tab = tabulated_switching([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-    assert tab.same_as(tabulated_switching([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
-    assert not tab.same_as(tabulated_switching([0.0, 1.0, 2.0], [0.0, 0.5, 0.0]))
+    assert g == gaussian_switching(1.0)
+    assert hash(g) == hash(gaussian_switching(1.0))
+    assert g != gaussian_switching(1.5)
+    assert g != gaussian_switching(1.0, center=0.5)
+    assert g != cos_squared_switching(-8.0, 8.0)
     m = ConformalTakagiMap(1.0, 2.0)
     dual = transform_switching(m, g)
-    assert dual.same_as(transform_switching(ConformalTakagiMap(1.0, 2.0), gaussian_switching(1.0)))
-    assert not dual.same_as(transform_switching(m, gaussian_switching(1.5)))
-    assert not dual.same_as(transform_switching(ConformalTakagiMap(1.0, 3.0), g))
-    assert not dual.same_as(g)
+    assert dual == transform_switching(ConformalTakagiMap(1.0, 2.0), gaussian_switching(1.0))
+    assert dual != transform_switching(m, gaussian_switching(1.5))
+    assert dual != transform_switching(ConformalTakagiMap(1.0, 3.0), g)
+    assert dual != g
+
+
+def test_window_kind_is_checked():
+    with pytest.raises(ValueError, match="kind"):
+        SwitchingFunction("tabulated", (0.0, 1.0), 1.0, ())
 
 
 def test_at_clock_needs_a_transported_window():
@@ -235,17 +237,6 @@ def test_cos_squared_support_and_zero_outside():
     chi = cos_squared_switching(1.0, 3.5)
     assert chi(2.25) == 1.0
     assert chi(0.99) == 0.0 and chi(3.51) == 0.0
-
-
-def test_tabulated_switching_validation():
-    grid = np.linspace(-1.0, 1.0, 11)
-    vals = np.cos(grid) ** 2
-    chi = tabulated_switching(grid, vals)
-    assert chi(0.0) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        tabulated_switching(grid[::-1], vals)  # must be increasing
-    with pytest.raises(ValueError):
-        tabulated_switching(grid, vals[:-1])
 
 
 # --- switching transport ---------------------------------------------------
@@ -282,15 +273,6 @@ def test_transport_power_law_window_check():
 
 
 # --- spacetime helpers -----------------------------------------------------
-
-
-def test_proper_distance_scale():
-    m = ConformalTakagiMap(1.0, 0.5)
-    T = np.linspace(-5.0, 5.0, 101)
-    d = proper_distance(m, 5.0, T)
-    assert np.array_equal(d, 5.0 * m.scale_factor(T))
-    with pytest.raises(ValueError):
-        proper_distance(m, -1.0, 0.0)
 
 
 def test_separation_euclidean():

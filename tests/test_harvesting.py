@@ -7,6 +7,7 @@ power-of-two couplings so exactness claims really are exact.
 """
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -674,3 +675,19 @@ def test_pair_that_does_not_mirror_takes_the_general_path(monkeypatch, change):
     # both time orderings enter M, so it is symmetric in the labels
     swapped = HarvestScenario(detectors=sc.detectors[::-1], quadrature=SMALL)
     assert compute_M(swapped, EPS1).value == el.M.value
+
+
+def test_scenarios_pickle_by_value():
+    # windows are plain data, so a scenario crosses a process boundary intact
+    flat = _scenario()
+    qubits = _scenario(model="qubit", chi=cos_squared_switching(-0.5, 0.5))
+    for sc in (flat, dualize(flat, 2.0), qubits):
+        back = pickle.loads(pickle.dumps(sc))
+        assert back == sc and hash(back) == hash(sc)
+    back = pickle.loads(pickle.dumps(flat))
+    ours, theirs = harvest(flat), harvest(back)
+    assert theirs.elements == ours.elements
+    assert np.array_equal(theirs.rho, ours.rho)
+    assert (theirs.E1, theirs.negativity, theirs.negativity_pt) == (
+        ours.E1, ours.negativity, ours.negativity_pt
+    )

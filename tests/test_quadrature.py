@@ -252,6 +252,18 @@ def test_richardson_config_needs_halving_sequence():
     assert validate_epsilon_sequence([0.5]) == (0.5,)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_values(bad):
+    # abs_tol = inf would accept a single cell per integral
+    for field in ("rel_tol", "abs_tol"):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureConfig(**{field: bad})
+    with pytest.raises(ValueError, match="finite"):
+        validate_epsilon_sequence([bad])
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureConfig(epsilon_sequence=(bad,), extrapolation="none")
+
+
 def test_default_epsilon_sequence_halves():
     eps = default_epsilon_sequence(2.0, levels=4)
     assert eps[0] == pytest.approx(0.02)
