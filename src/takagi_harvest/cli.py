@@ -34,7 +34,7 @@ from .geometry import (
     cos_squared_switching,
     gaussian_switching,
 )
-from .harvesting import DetectorSpec, HarvestScenario, harvest, run_dual_check
+from .harvesting import DetectorSpec, HarvestScenario, dualize, harvest, run_dual_check
 from .quadrature import NumericalHardError, QuadratureConfig
 
 EXIT_OK = 0
@@ -69,13 +69,15 @@ def _count(raw):
     return value
 
 
-def _reals(size=None, positive=False):
+def _reals(size=None, positive=False, nonnegative=False):
     def parse(raw):
         values = tuple(_real(s) for s in (part.strip() for part in raw.split(",")) if s)
         if size is not None and len(values) != size:
             raise ValueError(f"expected {size} comma-separated numbers, got {raw!r}")
         if positive and not (values and min(values) > 0.0):
             raise ValueError(f"expected one or more numbers > 0, got {raw!r}")
+        if nonnegative and any(v < 0.0 for v in values):
+            raise ValueError(f"expected numbers >= 0, got {raw!r}")
         return values
 
     return parse
@@ -144,7 +146,7 @@ _SCHEMA = {
         "t1": _Key(_real, required=True, when=("kind", "cos_squared")),
     }),
     "scan": (("harvest",), {"omega": _Key(_reals(), required=True)}),
-    "dualize": (("dualize",), {"Omega_list": _Key(_reals(), required=True)}),
+    "dualize": (("dualize",), {"Omega_list": _Key(_reals(nonnegative=True), required=True)}),
     "check": (("check-takagi",), {
         "omegas": _Key(_reals(positive=True), default=(0.5, 1.0, 2.0)),
         "Omegas": _Key(_reals(positive=True), default=(0.5, 1.0, 2.0)),
@@ -153,7 +155,7 @@ _SCHEMA = {
     }),
     "tables": (("geometry-tables",), {
         "omega": _Key(_real, default=1.0),
-        "Omega_list": _Key(_reals(), default=(0.5, 1.0, 2.0)),
+        "Omega_list": _Key(_reals(nonnegative=True), default=(0.5, 1.0, 2.0)),
         "t_min": _Key(_real, default=-5.0),
         "t_max": _Key(_real, default=5.0),
         "points": _Key(_count, default=501),
@@ -533,6 +535,21 @@ def cmd_dualize(sections, loc, config_sha, args) -> int:
     """pair a flat scenario with its cosmological duals"""
     scenario = _build_scenario(sections, loc)
     Omegas = _section(sections, "dualize", loc)["Omega_list"]
+    # what dualize refuses is refused here, before any row, at the key that causes it
+    a, b = scenario.detectors
+    if scenario.frame != "minkowski":
+        raise loc.error("spacetime", "frame", "dualize starts from a flat scenario")
+    if a.model != "oscillator":
+        raise loc.error(f"detectors.{a.label}", "model",
+                        "the duality is defined for oscillator detectors")
+    if a.frequency != b.frequency:
+        raise loc.error(f"detectors.{b.label}", "frequency",
+                        f"dualize needs equal detector frequencies; {a.label} has {a.frequency}")
+    for Omega in Omegas:
+        try:
+            dualize(scenario, Omega)
+        except ValueError as exc:
+            raise loc.error("dualize", "Omega_list", f"Omega = {Omega}: {exc}") from None
     return _sweep(_dualize_row, scenario, Omegas, _DUALIZE_COLUMNS,
                   _report_header("dualize", config_sha), _out_path(args, sections, loc),
                   args.threads)

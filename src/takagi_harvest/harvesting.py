@@ -23,6 +23,20 @@ with m the detector mode function (e^{i omega l} for ground states, the
 transported mode for the squeezed dual state) and s the interaction-scale
 normalization that makes oscillator elements coincide with qubit ones.
 All integrals run over proper time of each detector.
+
+Quadrature coordinates.  Every element is integrated over the rotated
+rectangle u = t - t', w = t + t', on one adaptive mesh for all regulator
+levels.  The Wightman factor peaks on the light cone of the two detectors.
+In flat spacetime that is the straight line u = +-L, an axis of the
+rectangle, and the mesh refines across it in u alone.  On the cosmological
+side it is the curve lambda(t) - lambda(t') = +-L of the clock map, so the
+separated elements there (M and L_AB) are integrated in (s, w) instead:
+u = phi_w(s) is piecewise linear in s, with knots that put the curve, taken
+in closed form from the clock map (_ridge), on fixed lines s = const.  Only
+the nodes move; the integrand at each node is still the cosmological
+formula at the dual times (tau, tau'), so the flat and cosmological values
+stay two independent routes to the same number, never a change of variables
+of one into the other.
 """
 
 from __future__ import annotations
@@ -408,13 +422,94 @@ def _rect(sup_a, sup_b, ordered: bool):
     return (max(0.0, a0 - b1, b0 - a1), max(a1 - b0, b1 - a0), a0 + b0, a1 + b1)
 
 
+def _ridge(m: ConformalTakagiMap, sep: float, w):
+    """u >= 0 of the light-cone ridge lambda(t) - lambda(t') = sep at t + t' = w.
+
+    Closed form, no clock-map calls.  With x = Omega u, r = omega/Omega and
+    theta = omega sep mod 2 pi, the tangent-subtraction formula for
+    tan(omega (lambda(t) - lambda(t'))) turns the ridge condition into
+
+        r cos(theta) sin(x) - (1 + r^2)/2 sin(theta) cos(x)
+            = (1 - r^2)/2 sin(theta) cos(Omega w),
+
+    one sinusoid R sin(x - phi) on the left.  lambda(t) - lambda(t') rises
+    monotonically from 0 in u and gains 2 pi/omega per 2 pi/Omega, so the
+    ridge is the root phi + arcsin(D/R) of the period that starts at
+    2 pi floor(omega sep / 2 pi).  At Omega = 0 the condition is the
+    quadratic omega u cos(omega sep) = sin(omega sep) (1 + omega^2 (w^2 - u^2)/4),
+    and there is no ridge (inf) once omega sep >= pi.
+    """
+    om, Om = m.omega, m.Omega
+    w = np.asarray(w, dtype=float)
+    if Om == 0.0:
+        x = om * sep
+        if x >= math.pi:
+            return np.full_like(w, math.inf)
+        s, c = math.sin(x), math.cos(x)
+        q = 0.5 * om * w
+        root = np.sqrt(1.0 + (s * q) ** 2)
+        # the two forms of the positive root, each free of cancellation on its side
+        if c >= 0.0:
+            return 2.0 * s * (1.0 + q * q) / (om * (c + root))
+        return 2.0 * (root - c) / (om * s)
+    turns, theta = divmod(om * sep, 2.0 * math.pi)
+    r = om / Om
+    a = r * math.cos(theta)
+    b = 0.5 * (1.0 + r * r) * math.sin(theta)
+    d = 0.5 * (1.0 - r * r) * math.sin(theta) * np.cos(Om * w)
+    phi = math.atan2(b, a) % (2.0 * math.pi)
+    return (2.0 * math.pi * turns + phi + np.arcsin(d / math.hypot(a, b))) / Om
+
+
+def _straighten(kern, m: ConformalTakagiMap, sep: float, rect, ordered: bool):
+    """kern in (s, w) coordinates in which each light-cone ridge is a line s = const.
+
+    u = phi_w(s) is piecewise linear in s on the unchanged range [u0, u1].
+    Its knots send fixed points s_k, multiples of 1/8 of the range, to the
+    ridges u = g(w) (and u = -g(w) when unordered) at the same w, clamped
+    into the range where a ridge leaves it; each s_k is the multiple nearest
+    the ridge at the middle of the w range.  The result is kern(phi_w(s), w)
+    times the slope of phi_w, so the rectangle and its edges are unchanged,
+    and the mesh refines across a ridge in s alone, as it does across the
+    straight ridges of the flat side.
+    """
+    u0, u1, w0, w1 = rect
+    signs = (1.0,) if ordered else (-1.0, 1.0)
+    grid = 8
+    step = (u1 - u0) / grid
+    g_mid = float(_ridge(m, sep, 0.5 * (w0 + w1)))
+    ks, j = [u0], 0
+    for i, sign in enumerate(signs):
+        near = round((min(max(sign * g_mid, u0), u1) - u0) / step)
+        j = min(max(near, j + 1), grid - len(signs) + i)  # distinct, interior
+        ks.append(u0 + j * step)
+    ks.append(u1)
+
+    def kern_sw(s, w):
+        g = _ridge(m, sep, w)
+        ku = [u0] + [np.clip(sign * g, u0, u1) for sign in signs] + [u1]
+        u = jac = 0.0
+        for i in range(len(ks) - 1):
+            slope = (ku[i + 1] - ku[i]) / (ks[i + 1] - ks[i])
+            piece = s >= ks[i]
+            u = np.where(piece, ku[i] + (s - ks[i]) * slope, u)
+            jac = np.where(piece, slope, jac)
+        return kern(u, w) * jac
+
+    return kern_sw
+
+
 def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
              epsilons) -> IntegralResult:
     """pref * c_a s_a * c_b s_b times the integral of _kernel over _rect.
 
     All regulator levels are integrated on one adaptive mesh and then
     extrapolated; without extrapolation only the finest level is integrated,
-    because it is the only one reported.
+    because it is the only one reported.  A cosmological element of two
+    separated detectors under a clock that is not the identity is integrated
+    in the straightened coordinates of _straighten, where its light cone is
+    a line of the mesh; every other element (the flat side, L_AA, L_BB, N,
+    and Omega == omega) keeps the plain (u, w) mesh.
     """
     ca = _coupling_eff(scenario, det_a)
     cb = _coupling_eff(scenario, det_b)
@@ -425,6 +520,9 @@ def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
         eps_seq = eps_seq[-1:]
     kern = _kernel(scenario, det_a, det_b, ordered, swapped, eps_seq)
     rect = _rect(det_a.switching.support, det_b.switching.support, ordered)
+    sep = separation(det_a.trajectory, det_b.trajectory)
+    if scenario.frame == "frw" and sep > 0.0 and not scenario.map.degenerate:
+        kern = _straighten(kern, scenario.map, sep, rect, ordered)
     res = integrate_square(kern, rect, scenario.quadrature)
     levels = res.levels or (res,) * len(eps_seq)  # an empty domain has no levels
     levels = [replace(r, epsilon_used=eps) for r, eps in zip(levels, eps_seq)]
@@ -662,10 +760,11 @@ def run_dual_check(scenario: HarvestScenario, Omega: float, epsilons=None) -> Du
 
     Both sides share one regulator sequence (the conformal-time regulator is
     the one under which the pictures agree epsilon by epsilon), four levels by
-    default; the curved-ridge cosmological quadrature is the expensive side.
-    Residuals are relative, on L_AA, L_BB, |M| and the negativity.  A
-    mirrored pair (B differs from A only in label and position) reuses L_AA
-    as L_BB on each side.
+    default.  Each side runs its own quadrature on its own mesh; the
+    cosmological M straightens its curved light cone first (see _element),
+    which keeps its cost close to the flat side's.  Residuals are relative,
+    on L_AA, L_BB, |M| and the negativity.  A mirrored pair (B differs from
+    A only in label and position) reuses L_AA as L_BB on each side.
     """
     eps_seq = regulator_sequence(scenario, epsilons, levels=4)
     dual = dualize(scenario, Omega)

@@ -335,6 +335,31 @@ def test_constructor_error_reports_section_and_line(tmp_path, capsys):
     assert "[detectors.A.switching] (line 10)" in err and "need t1 > t0" in err
 
 
+@pytest.mark.parametrize("text,where,why", [
+    (GAUSS_REF + "\n[dualize]\nOmega_list = 2, -1\n",
+     "[dualize] key 'Omega_list' (line 25)", ">= 0"),
+    (QUBIT_COS2 + "\n[dualize]\nOmega_list = 2\n",
+     "[detectors.A] key 'model' (line 5)", "oscillator"),
+    (GAUSS_REF.replace("frequency = 1.0\ncoupling = 0.01\nposition = 5",
+                       "frequency = 2.0\ncoupling = 0.01\nposition = 5")
+     + "\n[dualize]\nOmega_list = 2\n",
+     "[detectors.B] key 'frequency' (line 16)", "equal detector frequencies"),
+    (GAUSS_REF + "\n[dualize]\nOmega_list = 2, 0\n",
+     "[dualize] key 'Omega_list' (line 25)", "Omega = 0.0: Omega=0 transport"),
+    (GAUSS_REF.replace("frame = minkowski", "frame = frw\nomega = 1\nOmega = 2")
+     + "\n[dualize]\nOmega_list = 2\n",
+     "[spacetime] key 'frame' (line 2)", "flat scenario"),
+], ids=["negative-Omega", "qubit-pair", "unequal-frequencies", "Omega-0-wide-window", "frw-frame"])
+def test_dualize_refuses_at_the_key_at_fault(tmp_path, capsys, text, where, why):
+    err = _config_error(tmp_path, capsys, "dualize", text)
+    assert where in err and why in err
+
+
+def test_tables_negative_Omega_refused_at_its_key(tmp_path, capsys):
+    err = _config_error(tmp_path, capsys, "geometry-tables", "[tables]\nOmega_list = 1, -1\n")
+    assert "[tables] key 'Omega_list' (line 2)" in err and ">= 0" in err
+
+
 # --- the README documents the schema ----------------------------------------------
 
 

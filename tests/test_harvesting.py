@@ -39,6 +39,7 @@ from takagi_harvest.gaussian import transported_mode, transported_mode_at_clock
 from takagi_harvest.geometry import transform_switching
 from takagi_harvest.harvesting import compute_elements, regulator_sequence
 from takagi_harvest.quadrature import XK, IntegralResult, QuadratureConfig, default_epsilon_sequence
+from takagi_harvest.quadrature import integrate_square
 
 C0 = 0.0078125  # 2^-7: power-of-two coupling makes quadratic scaling exact
 
@@ -691,3 +692,168 @@ def test_scenarios_pickle_by_value():
     assert (theirs.E1, theirs.negativity, theirs.negativity_pt) == (
         ours.E1, ours.negativity, ours.negativity_pt
     )
+
+
+# --- the straightened light cone on the dual side --------------------------------
+
+# (Omega, flat window, separations): omega L below pi/2, between pi/2 and pi,
+# and above pi (L = 5).  At Omega = 0 the clock lambda(tau) = arctan(tau) is
+# bounded by pi/2, so no ridge exists once L >= pi.
+RIDGE_CASES = [
+    (0.0, gaussian_switching(0.15), (0.5, 2.0)),
+    (0.5, GAUSS, (0.5, 2.0, 5.0)),
+    (2.0, GAUSS, (0.5, 2.0, 5.0)),
+    (3.0, GAUSS, (0.5, 2.0, 5.0)),
+]
+
+
+@pytest.mark.parametrize("Omega,chi,seps", RIDGE_CASES)
+def test_ridge_closed_form_solves_the_clock_map(Omega, chi, seps):
+    m = ConformalTakagiMap(1.0, Omega)
+    dual = transform_switching(m, chi)
+    for ordered in (True, False):
+        _, _, w0, w1 = harvesting._rect(dual.support, dual.support, ordered)
+        w = np.linspace(w0, w1, 201)
+        for sep in seps:
+            g = harvesting._ridge(m, sep, w)
+            assert np.all(g > 0.0)
+            gap = m.lambda_of_tau(0.5 * (w + g)) - m.lambda_of_tau(0.5 * (w - g))
+            assert np.max(np.abs(gap - sep)) <= 1e-12 * sep, (sep, ordered)
+
+
+def test_power_law_dual_has_no_ridge_beyond_pi():
+    m = ConformalTakagiMap(1.0, 0.0)
+    w = np.linspace(-5.0, 5.0, 101)
+    assert np.all(harvesting._ridge(m, 5.0, w) == math.inf)
+    # lambda(t) - lambda(t') < pi for every pair of dual times
+    assert m.lambda_of_tau(1e12) - m.lambda_of_tau(-1e12) < math.pi
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_straightened_nodes_stay_in_the_rectangle(ordered):
+    # sigma = 0.35 at Omega = 2: the ridge of L = 5 leaves the u range for
+    # about half of the w range, so the clamp is exercised
+    m = ConformalTakagiMap(1.0, 2.0)
+    chi = transform_switching(m, gaussian_switching(0.35))
+    rect = harvesting._rect(chi.support, chi.support, ordered)
+    u0, u1, w0, w1 = rect
+    seen = {}
+
+    def record(u, w):
+        seen["u"] = np.broadcast_to(u, (len(s), len(w[0])))
+        return np.ones((1,) + seen["u"].shape, dtype=complex)
+
+    s = np.linspace(u0, u1, 4097)[:, None]
+    w = np.linspace(w0, w1, 101)[None, :]
+    jac = harvesting._straighten(record, m, 5.0, rect, ordered)(s, w)[0].real
+    u = seen["u"]
+    g = harvesting._ridge(m, 5.0, w[0])
+    assert np.any(g > u1) and np.any(g < u1)
+    assert np.all((u >= u0) & (u <= u1))
+    assert np.all(np.diff(u, axis=0) >= 0.0) and np.all(jac >= 0.0)
+    assert np.array_equal(u[0], np.full(len(w[0]), u0)) and np.allclose(u[-1], u1, rtol=1e-15)
+    # u is the integral of the slope: the trapezoid rule is exact on each linear piece
+    ds = s[1, 0] - s[0, 0]
+    assert np.allclose(u0 + np.sum(0.5 * (jac[1:] + jac[:-1]), axis=0) * ds, u[-1], rtol=1e-3)
+    # each ridge inside the range sits on one row of s, the same for every w
+    for sign in (1.0,) if ordered else (-1.0, 1.0):
+        ridge = np.clip(sign * g, u0, u1)
+        rows = np.argmin(np.abs(u - ridge), axis=0)
+        inside = (sign * g > u0) & (sign * g < u1)
+        assert len(set(rows[inside])) == 1
+
+
+def _mesh_of(monkeypatch, run):
+    """The regulator levels and kernel calls of the one integrate_square call of run."""
+    seen = []
+    integrate = harvesting.integrate_square
+
+    def spy(f, rect, cfg):
+        calls = [0]
+
+        def kern(u, w):
+            calls[0] += 1
+            return f(u, w)
+
+        res = integrate(kern, rect, cfg)
+        seen.append((res.levels, calls[0]))
+        return res
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harvesting, "integrate_square", spy)
+        run()
+    (levels, calls), = seen
+    return levels, calls
+
+
+def _plain_mesh(sc, da, db, ordered, swapped, eps):
+    """The same element on today's (u, w) mesh, from the kernel and rectangle directly."""
+    kern = harvesting._kernel(sc, da, db, ordered, swapped, eps)
+    rect = harvesting._rect(da.switching.support, db.switching.support, ordered)
+    return integrate_square(kern, rect, sc.quadrature).levels
+
+
+def _assert_levels_agree(levels, ref, rel_tol):
+    assert len(levels) == len(ref)
+    for got, want in zip(levels, ref):
+        assert abs(got.value - want.value) <= 10.0 * rel_tol * abs(want.value)
+
+
+def test_dual_M_straightened_matches_the_plain_mesh(monkeypatch):
+    # criterion 7's pair at Omega = 2, on run_dual_check's four levels
+    flat = _scenario()
+    dual = dualize(flat, 2.0)
+    da, db = dual.detectors
+    eps = regulator_sequence(flat, levels=4)
+    levels, calls = _mesh_of(monkeypatch, lambda: compute_M(dual, eps))
+    assert calls < 2000
+    _assert_levels_agree(levels, _plain_mesh(dual, da, db, True, True, eps),
+                         dual.quadrature.rel_tol)
+
+
+def test_frw_ground_state_L_AB_straightened_matches_the_plain_mesh(monkeypatch):
+    m = ConformalTakagiMap(1.0, 0.5)
+    chi = gaussian_switching(0.5)
+    da, db = (
+        DetectorSpec(label, "qubit", 1.0, 0.01, StaticTrajectory((x, 0.0, 0.0), frame="frw"), chi)
+        for label, x in (("A", 0.0), ("B", 1.0))
+    )
+    sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
+    eps = (0.01, 0.005, 0.0025)
+    levels, calls = _mesh_of(monkeypatch, lambda: compute_L(da, db, sc, eps))
+    ref = _plain_mesh(sc, da, db, False, False, eps)
+    _assert_levels_agree(levels, ref, sc.quadrature.rel_tol)
+    assert calls < 1000  # the plain mesh takes 4,409
+
+
+def test_elements_without_a_curved_ridge_keep_the_plain_kernel(monkeypatch):
+    # flat elements, same-detector elements (sep = 0) and the identity clock
+    # hand _kernel itself to the quadrature
+    flat = _scenario()
+    dual = dualize(flat, 2.0)
+    same = dualize(flat, 1.0)
+    cases = [
+        (flat, *flat.detectors, True, True, lambda: compute_M(flat, EPS1)),
+        (flat, *flat.detectors, False, False, lambda: compute_L(*flat.detectors, flat, EPS1)),
+        (dual, dual.detectors[0], dual.detectors[0], False, False,
+         lambda: compute_L(dual.detectors[0], dual.detectors[0], dual, EPS1)),
+        (dual, dual.detectors[0], dual.detectors[0], True, False,
+         lambda: compute_N(dual.detectors[0], dual, EPS1)),
+        (same, *same.detectors, True, True, lambda: compute_M(same, EPS1)),
+    ]
+    for sc, da, db, ordered, swapped, run in cases:
+        kernels = []
+        monkeypatch.setattr(harvesting, "integrate_square",
+                            lambda f, rect, cfg: kernels.append(f) or IntegralResult(0j, 0.0))
+        run()
+        monkeypatch.undo()
+        u, w = _gk_grid(harvesting._rect(da.switching.support, db.switching.support, ordered))
+        plain = harvesting._kernel(sc, da, db, ordered, swapped, EPS1)(u, w)
+        assert np.array_equal(kernels[0](u, w), plain)
+
+
+def test_power_law_dual_check():
+    # Omega = 0: the dual clock is arctan, the ridge a root of a quadratic
+    chi = gaussian_switching(0.15)
+    rep = run_dual_check(_scenario(L=0.5, chi=chi), 0.0)
+    assert rep.resid_max <= 1e-3
