@@ -375,33 +375,54 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons):
     stacked on the first axis.  Unordered (L): B's mode enters conjugated and
     W runs from t' to t.  Ordered (M, N): W runs from t to t', and swapped
     adds the (A <-> B) product, which is the same product when B mirrors A.
+
+    u and w are the (n, 15, 1) and (n, 1, 15) nodes of a stack of cells, and
+    the result has shape (K, n, 15, 15).  Where the clock is the identity
+    (the flat side and Omega == omega) W depends on u alone, and is taken on
+    the u axis: the time difference is then exact rather than rounded from
+    t - t', and W costs one division per u node and level, broadcast over w
+    by the legs in the last product.  Elsewhere W is taken at
+    lambda(t) - lambda(t').
     """
     chi_a, mode_a = _legs(scenario, det_a)
     chi_b, mode_b = _legs(scenario, det_b)
     mirrored = swapped and _mirrors(det_a, det_b)
     clock = _clock(scenario)
+    on_u = clock is None or scenario.map.degenerate
     sep = separation(det_a.trajectory, det_b.trajectory)
-    eps = np.asarray(epsilons, dtype=float)[:, None, None]
-
-    def wight(p1, p2):
-        if clock is None:
-            return wightman_flat_sep(p1 - p2, sep, eps)
-        return wightman_frw_at_clock(p1[1], p1[2], p2[1], p2[2], sep, eps)
+    eps = np.asarray(epsilons, dtype=float)[:, None, None, None]
 
     def kern(u, w):
         t = 0.5 * (w + u)
         tp = 0.5 * (w - u)
         if clock is not None:
             t, tp = clock(t), clock(tp)
+        if on_u:
+            # C = 1 on the identity clock, so W / (C C') is W itself
+            wight = wightman_flat_sep(u if ordered else -u, sep, eps)
+        elif ordered:
+            wight = wightman_frw_at_clock(t[1], t[2], tp[1], tp[2], sep, eps)
+        else:
+            wight = wightman_frw_at_clock(tp[1], tp[2], t[1], t[2], sep, eps)
         # each product keeps its left-to-right order: a complex multiply
         # rounds differently when its factors are reordered
         if not ordered:
-            return 0.5 * chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp)) * wight(tp, t)
-        # the legs are multiplied once, then by the stack of regulator levels
-        legs = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
-        if swapped:
-            legs = legs + (legs if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp))
-        return 0.5 * wight(t, tp) * legs
+            legs = chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp))
+        else:
+            legs = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
+            if swapped:
+                legs = legs + (legs if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp))
+        legs = 0.5 * legs
+        if not on_u:
+            wight *= legs
+            return wight
+        # W is constant along w; broadcast over the whole stack at once, the
+        # product would run through numpy's iterator buffers, so it is taken
+        # one regulator level at a time
+        out = np.empty(wight.shape[:1] + legs.shape, dtype=complex)
+        for level, w_level in zip(out, wight):
+            np.multiply(w_level, legs, out=level)
+        return out
 
     return kern
 
@@ -494,7 +515,9 @@ def _straighten(kern, m: ConformalTakagiMap, sep: float, rect, ordered: bool):
             piece = s >= ks[i]
             u = np.where(piece, ku[i] + (s - ks[i]) * slope, u)
             jac = np.where(piece, slope, jac)
-        return kern(u, w) * jac
+        out = kern(u, w)
+        out *= jac
+        return out
 
     return kern_sw
 

@@ -39,7 +39,7 @@ from takagi_harvest.gaussian import transported_mode, transported_mode_at_clock
 from takagi_harvest.geometry import transform_switching
 from takagi_harvest.harvesting import compute_elements, regulator_sequence
 from takagi_harvest.quadrature import XK, IntegralResult, QuadratureConfig, default_epsilon_sequence
-from takagi_harvest.quadrature import integrate_square
+from takagi_harvest.quadrature import _eval_cells, fourier_oracle_L, integrate_square
 
 C0 = 0.0078125  # 2^-7: power-of-two coupling makes quadratic scaling exact
 
@@ -497,10 +497,59 @@ def test_extrapolation_none_integrates_only_the_finest_level(monkeypatch):
     for name, run in runs.items():
         shapes.clear()
         res = run(eps6)
-        assert shapes and set(shapes) == {(1, 15, 15)}
+        # one regulator level on every stack of cells
+        assert shapes and {(k, *grid) for k, _, *grid in shapes} == {(1, 15, 15)}
         assert res.note == "finest-epsilon"
         assert res.epsilon_used == eps6[-1]
         assert res == finest[name]
+
+
+@pytest.mark.parametrize("freq,sigma", [(2.0, 1.6), (1.99, 1.48)])
+def test_diagonal_L_at_large_omega_sigma_converges_to_the_mode_sum(freq, sigma):
+    # the flat Wightman factor is taken at the exact time difference u; from
+    # t - t' it carried rounding of ulp(w), which at sep = 0 sat above
+    # rel_tol here and exhausted the default budget (80,001 cells)
+    db = _detector("B", (0.0, 0.0, 0.0), freq=freq, chi=gaussian_switching(sigma))
+    sc = HarvestScenario(detectors=(_detector("A", (5.0, 0.0, 0.0), freq=freq), db))
+    res = compute_L(db, db, sc)
+    oracle = fourier_oracle_L(db, db, 0.0, QuadratureConfig(rel_tol=1e-10))
+    assert not res.budget_exhausted
+    assert abs(res.value - oracle.value) <= 1e-6 * abs(oracle.value)
+    assert abs(res.value.imag) <= 1e-6 * abs(res.value.real)
+
+
+def test_element_reports_the_cells_of_its_mesh(monkeypatch):
+    # the extrapolated, rescaled element carries the cell count of its one mesh
+    seen = []
+    levels, calls = _mesh_of(monkeypatch, lambda: seen.append(compute_M(_scenario())))
+    (res,) = seen
+    assert res.note == "richardson"
+    assert res.cells == levels[0].cells > calls > 1
+
+
+def test_stacked_cells_of_element_kernels_equal_each_cell_alone():
+    # the flat L kernel and the straightened dual M kernel, on a stack of
+    # cells and on each cell alone, for three regulator levels
+    flat = _scenario()
+    dual = dualize(flat, 2.0)
+    eps = (0.02, 0.01, 0.005)
+    da = flat.detectors[0]
+    rect_L = harvesting._rect(da.switching.support, da.switching.support, False)
+    a, b = dual.detectors
+    rect_M = harvesting._rect(a.switching.support, b.switching.support, True)
+    cases = (
+        (harvesting._kernel(flat, da, da, False, False, eps), rect_L),
+        (harvesting._straighten(harvesting._kernel(dual, a, b, True, True, eps),
+                                dual.map, 5.0, rect_M, True), rect_M),
+    )
+    for kern, rect in cases:
+        u0, u1, w0, w1 = rect
+        rects = np.array(_halves(rect) + ((u0, u1, w0, 0.5 * (w0 + w1)),))
+        stacked = _eval_cells(kern, rects)
+        assert stacked[0].shape == (len(rects), len(eps))
+        for i, cell in enumerate(rects):
+            for got, want in zip(stacked, _eval_cells(kern, cell[None])):
+                assert np.array_equal(got[i], want[0])
 
 
 # --- each leg evaluated once -----------------------------------------------------
@@ -510,11 +559,19 @@ SMALL = QuadratureConfig(max_subdivisions=6, extrapolation="none")
 EPS1 = (0.01,)
 
 
-def _gk_grid(rect):
-    u0, u1, w0, w1 = rect
+def _gk_grid(*rects):
+    """The (n, 15, 1) and (n, 1, 15) nodes of a stack of n cells, as kernels get them."""
+    u0, u1, w0, w1 = np.array(rects, dtype=float).T[:, :, None, None]
     u = u0 + 0.5 * (u1 - u0) * (XK[:, None] + 1.0)
     w = w0 + 0.5 * (w1 - w0) * (XK[None, :] + 1.0)
     return u, w
+
+
+def _halves(rect):
+    """rect and its two halves in u, a stack of three cells."""
+    u0, u1, w0, w1 = rect
+    mid = 0.5 * (u0 + u1)
+    return rect, (u0, mid, w0, w1), (mid, u1, w0, w1)
 
 
 def test_dual_kernels_evaluate_the_clock_once_per_leg(monkeypatch):
@@ -570,7 +627,8 @@ def test_shared_clock_legs_equal_the_public_wrappers():
 
 def test_dual_kernels_equal_the_formulas_of_the_public_legs():
     # the one kernel factory, for L, M and N on both sides, written with the
-    # public per-point legs, node by node and regulator level by level
+    # public per-point legs, node by node and regulator level by level, on a
+    # stack of cells; the flat Wightman factor is taken at t - t' = u exactly
     flat = _scenario()
     dual = dualize(flat, 2.0)
     eps_seq = (0.02, 0.01, 0.005)
@@ -580,15 +638,15 @@ def test_dual_kernels_equal_the_formulas_of_the_public_legs():
             def mode(x):
                 return np.exp(1j * sc.detectors[0].frequency * x)
 
-            def wight(x, y, sep, eps):
-                return wightman_flat_sep(x - y, sep, eps)
+            def wight(dt, x, y, sep, eps):
+                return wightman_flat_sep(dt, sep, eps)
         else:
             m = sc.map
 
             def mode(x):
                 return transported_mode(m, x)
 
-            def wight(x, y, sep, eps):
+            def wight(dt, x, y, sep, eps):
                 return wightman_frw_sep(m.lambda_of_tau(x), m.lambda_of_tau(y), sep, m, eps)
 
         return mode, wight
@@ -598,26 +656,26 @@ def test_dual_kernels_equal_the_formulas_of_the_public_legs():
         chi, chi_b = da.switching, db.switching
         mode, wight = public_legs(sc)
 
-        u, w = _gk_grid(harvesting._rect(chi.support, chi.support, False))
+        u, w = _gk_grid(*_halves(harvesting._rect(chi.support, chi.support, False)))
         t, tp = 0.5 * (w + u), 0.5 * (w - u)
         L = harvesting._kernel(sc, da, da, False, False, eps_seq)(u, w)
-        assert L.shape == (len(eps_seq), 15, 15)
+        assert L.shape == (len(eps_seq), 3, 15, 15)
         for level, eps in zip(L, eps_seq):
-            expect_L = (0.5 * chi(t) * mode(t) * chi(tp) * np.conj(mode(tp))
-                        * wight(tp, t, 0.0, eps))
+            expect_L = (wight(-u, tp, t, 0.0, eps)
+                        * (0.5 * (chi(t) * mode(t) * chi(tp) * np.conj(mode(tp)))))
             assert np.array_equal(level, expect_L)
 
-        u, w = _gk_grid(harvesting._rect(chi.support, chi_b.support, True))
+        u, w = _gk_grid(*_halves(harvesting._rect(chi.support, chi_b.support, True)))
         t, tp = 0.5 * (w + u), 0.5 * (w - u)
         pair = chi(t) * mode(t) * chi_b(tp) * mode(tp)
         swapped = chi_b(t) * mode(t) * chi(tp) * mode(tp)
         M = harvesting._kernel(sc, da, db, True, True, eps_seq)(u, w)
         N = harvesting._kernel(sc, da, da, True, False, eps_seq)(u, w)
-        assert M.shape == N.shape == (len(eps_seq), 15, 15)
+        assert M.shape == N.shape == (len(eps_seq), 3, 15, 15)
         for level_M, level_N, eps in zip(M, N, eps_seq):
-            expect_M = 0.5 * wight(t, tp, 5.0, eps) * (pair + swapped)
+            expect_M = wight(u, t, tp, 5.0, eps) * (0.5 * (pair + swapped))
             assert np.array_equal(level_M, expect_M)
-            expect_N = 0.5 * wight(t, tp, 0.0, eps) * (chi(t) * mode(t) * chi(tp) * mode(tp))
+            expect_N = wight(u, t, tp, 0.0, eps) * (0.5 * (chi(t) * mode(t) * chi(tp) * mode(tp)))
             assert np.array_equal(level_N, expect_N)
 
 

@@ -25,7 +25,8 @@ from takagi_harvest.quadrature import (
     WG,
     WK,
     XK,
-    _eval_cell,
+    _BATCH,
+    _eval_cells,
     adaptive_1d,
     default_epsilon_sequence,
     extrapolate_epsilon,
@@ -108,18 +109,19 @@ def test_cell_rule_defects_follow_their_axis():
     # one cell's Kronrod value and Gauss defects against the separable
     # rules written out; a kernel that varies along u only has no v defect
     F = np.exp(5.0 * XK[:, None]) * (1.0 + 0.0 * XK[None, :]) + 1j * XK[:, None] ** 2
-    ik, eu, ev = _eval_cell(lambda u, v: F, -1.0, 1.0, -1.0, 1.0)
+    ik, eu, ev = _eval_cells(lambda u, v: F[None], np.array([[-1.0, 1.0, -1.0, 1.0]]))
+    assert ik.shape == eu.shape == ev.shape == (1, 1)
     kron = WK @ F @ WK
-    assert abs(ik[0] - kron) <= 1e-14 * abs(kron)
-    assert abs(eu[0] - abs(kron - WG @ F[G_IDX] @ WK)) <= 1e-14 * abs(kron)
-    assert eu[0] > 1e-8 and ev[0] <= 1e-14 * abs(kron)
+    assert abs(ik[0, 0] - kron) <= 1e-14 * abs(kron)
+    assert abs(eu[0, 0] - abs(kron - WG @ F[G_IDX] @ WK)) <= 1e-14 * abs(kron)
+    assert eu[0, 0] > 1e-8 and ev[0, 0] <= 1e-14 * abs(kron)
 
 
 def test_identical_components_are_bitwise_equal():
     f = _ridge(0.05)
     single = integrate_square(f, (0, 1, 0, 1), CFG)
     stacked = integrate_square(
-        lambda u, v: np.broadcast_to(f(u, v), (4, 15, 15)), (0, 1, 0, 1), CFG
+        lambda u, v: np.broadcast_to(f(u, v), (4,) + np.broadcast(u, v).shape), (0, 1, 0, 1), CFG
     )
     assert len(single.levels) == 1 and len(stacked.levels) == 4
     assert all(lev == stacked.levels[0] for lev in stacked.levels)
@@ -155,11 +157,48 @@ def test_stacked_budget_is_flagged_per_component():
         lambda u, v: np.stack([np.exp(u + v) + 0j, _ridge(1e-2)(u, v) + 0j])
     )
     res = integrate_square(kern, (0, 1, 0, 1), cfg)
-    assert calls[0] == 1 + 2 * cfg.max_subdivisions
+    assert res.cells == 1 + 2 * cfg.max_subdivisions
+    # the first cell, then generations of 1 and 2 splits: a generation
+    # splits at most the leaves there are
+    assert calls[0] == 3
     above = [lev.err_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(lev.value)) for lev in res.levels]
     assert above == [False, True]
     assert [lev.budget_exhausted for lev in res.levels] == above
     assert res.budget_exhausted
+
+
+def test_budget_starved_run_counts_its_cells():
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=37)
+    res = integrate_square(_ridge(1e-3), (0, 1, 0, 1), cfg)
+    assert res.budget_exhausted
+    assert res.cells == 1 + 2 * cfg.max_subdivisions
+    assert all(lev.cells == res.cells for lev in res.levels)
+    eps = [1e-2 / 2**k for k in range(3)]
+    levels = [replace(_res(0.7 + 0.3 * e, e), cells=c) for e, c in zip(eps, (9, 75, 9))]
+    assert extrapolate_epsilon(levels).cells == 75
+    assert extrapolate_epsilon(levels[:1]).cells == 9
+
+
+def test_generations_batch_the_kernel_calls():
+    # one kernel call per generation: the first cell, a ramp while there are
+    # fewer than _BATCH leaves to split, then _BATCH splits per call; a
+    # fallback to one cell per call would take 1 + splits calls
+    widths = [0.05 / 2**k for k in range(4)]
+    kern, calls = _counted(lambda u, v: np.stack([_ridge(a)(u, v) for a in widths]))
+    res = integrate_square(kern, (0, 1, 0, 1), CFG)
+    splits = (res.cells - 1) // 2
+    assert not res.budget_exhausted and splits > 20 * _BATCH
+    assert calls[0] <= 1 + math.ceil(math.log2(_BATCH)) + math.ceil(splits / _BATCH)
+
+
+def test_stacked_cells_equal_each_cell_alone():
+    rects = np.array([[0.0, 1.0, 0.0, 1.0], [0.25, 0.5, -1.0, 0.0], [-2.0, 3.0, 0.5, 0.625]])
+    kern = lambda u, v: np.stack([_ridge(a)(u, v) * np.exp(1j * u * v) for a in (0.1, 0.01)])
+    stacked = _eval_cells(kern, rects)
+    for i, rect in enumerate(rects):
+        alone = _eval_cells(kern, rect[None])
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got[i], want[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
@@ -172,7 +211,7 @@ def test_nonfinite_component_raises(bad):
         integrate_square(kern, (0, 1, 0, 1), CFG)
 
 
-@pytest.mark.parametrize("shape", [(15,), (2, 15, 14), (15, 15, 2), (2, 2, 15, 15)])
+@pytest.mark.parametrize("shape", [(15,), (2, 15, 14), (15, 15, 2), (1, 2, 1, 15, 15)])
 def test_kernel_of_wrong_shape_rejected(shape):
     with pytest.raises(ValueError, match="kernel must broadcast"):
         integrate_square(lambda u, v: np.ones(shape), (0, 1, 0, 1), CFG)
