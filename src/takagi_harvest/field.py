@@ -69,9 +69,7 @@ def wightman_frw_at_clock(t, C, t2, C2, sep, epsilon):
     already hold the clock at their nodes call this one.  epsilon broadcasts
     as in wightman_flat_sep.
     """
-    w = wightman_flat_sep(t - t2, sep, epsilon)
-    w /= C * C2
-    return w
+    return wightman_flat_sep(t - t2, sep, epsilon) / (C * C2)
 
 
 def mode_integrand_static(k, chi_a: SwitchingFunction, chi_b: SwitchingFunction,

@@ -376,13 +376,11 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons):
     W runs from t' to t.  Ordered (M, N): W runs from t to t', and swapped
     adds the (A <-> B) product, which is the same product when B mirrors A.
 
-    u and w are the (n, 15, 1) and (n, 1, 15) nodes of a stack of cells, and
-    the result has shape (K, n, 15, 15).  Where the clock is the identity
-    (the flat side and Omega == omega) W depends on u alone, and is taken on
-    the u axis: the time difference is then exact rather than rounded from
-    t - t', and W costs one division per u node and level, broadcast over w
-    by the legs in the last product.  Elsewhere W is taken at
-    lambda(t) - lambda(t').
+    Where the clock is the identity (the flat side and Omega == omega) W
+    depends on u = t - t' alone, and is taken on the (15, 1) u axis: the
+    time difference is then exact rather than rounded from t - t', and W
+    costs one division per u node and level, broadcast over w by the legs
+    in the last product.  Elsewhere W is taken at lambda(t) - lambda(t').
     """
     chi_a, mode_a = _legs(scenario, det_a)
     chi_b, mode_b = _legs(scenario, det_b)
@@ -390,7 +388,7 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons):
     clock = _clock(scenario)
     on_u = clock is None or scenario.map.degenerate
     sep = separation(det_a.trajectory, det_b.trajectory)
-    eps = np.asarray(epsilons, dtype=float)[:, None, None, None]
+    eps = np.asarray(epsilons, dtype=float)[:, None, None]
 
     def kern(u, w):
         t = 0.5 * (w + u)
@@ -412,17 +410,7 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons):
             legs = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
             if swapped:
                 legs = legs + (legs if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp))
-        legs = 0.5 * legs
-        if not on_u:
-            wight *= legs
-            return wight
-        # W is constant along w; broadcast over the whole stack at once, the
-        # product would run through numpy's iterator buffers, so it is taken
-        # one regulator level at a time
-        out = np.empty(wight.shape[:1] + legs.shape, dtype=complex)
-        for level, w_level in zip(out, wight):
-            np.multiply(w_level, legs, out=level)
-        return out
+        return wight * (0.5 * legs)
 
     return kern
 
@@ -515,9 +503,7 @@ def _straighten(kern, m: ConformalTakagiMap, sep: float, rect, ordered: bool):
             piece = s >= ks[i]
             u = np.where(piece, ku[i] + (s - ks[i]) * slope, u)
             jac = np.where(piece, slope, jac)
-        out = kern(u, w)
-        out *= jac
-        return out
+        return kern(u, w) * jac
 
     return kern_sw
 

@@ -100,10 +100,8 @@ class QuadratureConfig:
 
     max_subdivisions bounds the splits of one integrate_square call; the
     harvesting elements integrate their whole regulator sweep in one call,
-    so it bounds the splits of one element's sweep, not of each level.
-    integrate_square refines by generation, several splits per kernel call,
-    and cuts its last generation to the splits that are left, so a run
-    evaluates at most 1 + 2 * max_subdivisions cells.
+    so it bounds the splits of one element's sweep, not of each level; a
+    run evaluates at most 1 + 2 * max_subdivisions cells.
     """
 
     rel_tol: float = 1e-6
@@ -183,35 +181,29 @@ class IntegralResult:
     levels: tuple = ()
 
 
-def _eval_cells(f, rects):
-    """Kronrod values and per-axis Gauss defects of every component on a stack of cells.
+def _eval_cell(f, u0, u1, v0, v1):
+    """Kronrod values and per-axis Gauss defects of every component on one cell.
 
-    rects is an (n, 4) array of (u0, u1, v0, v1) rows.  f gets the nodes of
-    all n cells in one call, u of shape (n, 15, 1) and v of shape (n, 1, 15),
-    and returns an (n, 15, 15) stack, taken as one component, or a
-    (K, n, 15, 15) stack of K components; the three results are arrays of
-    shape (n, K), one row per cell.
+    f returns a (15, 15) grid, taken as one component, or a (K, 15, 15)
+    stack of K components; the three results are arrays of shape (K,).
     """
-    n = len(rects)
-    u0, u1, v0, v1 = rects.T
     hu = 0.5 * (u1 - u0)
     hv = 0.5 * (v1 - v0)
-    uu = u0[:, None] + hu[:, None] * (XK + 1.0)
-    vv = v0[:, None] + hv[:, None] * (XK + 1.0)
-    F = np.ascontiguousarray(f(uu[:, :, None], vv[:, None, :]), dtype=complex)
-    if F.shape == (n, 15, 15):
+    uu = u0 + hu * (XK + 1.0)
+    vv = v0 + hv * (XK + 1.0)
+    F = np.ascontiguousarray(f(uu[:, None], vv[None, :]), dtype=complex)
+    if F.shape == (15, 15):
         F = F[None]
-    elif F.ndim != 4 or F.shape[1:] != (n, 15, 15):
+    elif F.ndim != 3 or F.shape[1:] != (15, 15):
         raise ValueError(
-            "kernel must broadcast over (n, 15, 1) x (n, 1, 15) grids, "
-            "optionally stacked as (K, n, 15, 15)"
+            "kernel must broadcast over (15,1) x (1,15) grids, optionally stacked as (K, 15, 15)"
         )
+    F = F.reshape(len(F), 225)
     if not np.isfinite(F.view(float)).all():  # real view: both parts, half the cost
         raise NumericalHardError("kernel returned non-finite values")
-    # one matmul for every cell and component: rows are (component, cell)
-    rules = (F.reshape(-1, 225) @ _CELL_RULES).reshape(len(F), n, 3) * (hu * hv)[:, None]
-    ik = rules[..., 0]
-    return ik.T, np.abs(ik - rules[..., 1]).T, np.abs(ik - rules[..., 2]).T
+    rules = (F @ _CELL_RULES) * (hu * hv)
+    ik = rules[:, 0]
+    return ik, np.abs(ik - rules[:, 1]), np.abs(ik - rules[:, 2])
 
 
 class _Cells:
@@ -230,52 +222,37 @@ class _Cells:
         self.err = np.empty((64, k))
         self.worst = np.empty((64, 2))
 
-    def put(self, rows, rects, ik, eu, ev):
-        """Store cells in rows (rows >= n append); returns their heap priorities."""
-        n = max(self.n, int(rows.max()) + 1)
-        while n > len(self.rect):
+    def put(self, i, rect, ik, eu, ev):
+        """Store a cell in row i (i == n appends); returns its heap priority."""
+        if i == len(self.rect):
             for name in ("rect", "val", "err", "worst"):
                 a = getattr(self, name)
                 setattr(self, name, np.concatenate([a, np.empty_like(a)]))
         err = eu + ev
-        cell = np.arange(len(rows))
-        k = np.argmax(err, axis=1)
-        self.rect[rows] = rects
-        self.val[rows] = ik
-        self.err[rows] = err
-        self.worst[rows] = np.stack([eu[cell, k], ev[cell, k]], axis=1)
-        self.n = n
-        return err[cell, k].tolist()
-
-
-# cells split per generation of integrate_square; all 2 * _BATCH children of
-# a generation are evaluated in one kernel call
-_BATCH = 8
+        k = int(np.argmax(err))
+        self.rect[i] = rect
+        self.val[i] = ik
+        self.err[i] = err
+        self.worst[i] = eu[k], ev[k]
+        self.n = max(self.n, i + 1)
+        return float(err[k])
 
 
 def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
     """Adaptive cubature of a complex kernel f(u, v), or of K kernels at once.
 
-    rect = (u0, u1, v0, v1).  f is called on the nodes of a stack of n
-    cells, u of shape (n, 15, 1) and v of shape (n, 1, 15), and returns
-    an (n, 15, 15) stack, or K such stacks on a leading axis; all K
-    components are integrated on one shared mesh (the shared-subdivision
-    scheme of DCUHRE, Berntsen, Espelid and Genz, ACM TOMS 17, 1991).
-
-    Refinement goes by generation, after the subregion batches of DCUHRE
-    and the vectorized hcubature_v of S. G. Johnson's cubature: each
-    generation pops up to _BATCH cells in order of their largest error of
-    any component (ties by row), splits each of them, and evaluates all
-    children in one kernel call.  Bisection is anisotropic: a cell is split
-    along the axis whose embedded Gauss/Kronrod defect of its worst
-    component is larger, which keeps ridge refinement one-dimensional.
-    Between generations, refinement stops once every component meets
-    max(abs_tol, rel_tol * |value|); a generation never takes more splits
-    than are left of max_subdivisions, so the budget counts splits and a
-    run evaluates 1 + 2 * splits cells.  Each component's err_estimate is
-    its summed cell defect; where the tolerance could not be met it stays
-    above tolerance rather than being silently clipped, and
-    budget_exhausted is set.
+    rect = (u0, u1, v0, v1).  f must accept numpy arrays that broadcast to a
+    common shape and return values of that shape, or a stack of K such grids
+    on a leading axis; all K components are integrated on one shared mesh
+    (the shared-subdivision scheme of DCUHRE, Berntsen, Espelid and Genz,
+    ACM TOMS 17, 1991).  Bisection is anisotropic: the cell with the largest
+    error of any component is split along the axis whose embedded
+    Gauss/Kronrod defect of that component is larger, which keeps ridge
+    refinement one-dimensional.  Refinement stops once every component
+    meets max(abs_tol, rel_tol * |value|), or after max_subdivisions splits.
+    Each component's err_estimate is its summed cell defect; where the
+    tolerance could not be met it stays above tolerance rather than being
+    silently clipped, and budget_exhausted is set.
 
     The result is the last component, with all K component results in
     levels.
@@ -288,54 +265,42 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
     min_du = 1e-13 * (u1 - u0)
     min_dv = 1e-13 * (v1 - v0)
 
-    first = np.array([[u0, u1, v0, v1]])
-    ik, eu, ev = _eval_cells(f, first)
-    cells = _Cells(ik.shape[1])
-    heap = [(-cells.put(np.array([0]), first, ik, eu, ev)[0], 0)]
-    total = ik[0].copy()
-    err_total = eu[0] + ev[0]
+    ik, eu, ev = _eval_cell(f, u0, u1, v0, v1)
+    cells = _Cells(len(ik))
+    heap = [(-cells.put(0, (u0, u1, v0, v1), ik, eu, ev), 0)]
+    total = ik.copy()
+    err_total = eu + ev
     splits = 0
     while heap and splits < cfg.max_subdivisions:
         if (err_total <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))).all():
             break
-        parents, lower, upper = [], [], []
-        cap = min(_BATCH, cfg.max_subdivisions - splits)
-        while heap and len(parents) < cap:
-            neg_err, i = heapq.heappop(heap)
-            if -neg_err == 0.0:  # frozen: stays a leaf, never split again
-                continue
-            cu0, cu1, cv0, cv1 = cells.rect[i].tolist()
-            ceu, cev = cells.worst[i].tolist()
-            split_u = ceu >= cev
-            if split_u and (cu1 - cu0) < min_du:
-                split_u = False
-            if (not split_u) and (cv1 - cv0) < min_dv:
-                if (cu1 - cu0) >= min_du and ceu > 0.0:
-                    split_u = True
-                else:
-                    continue
-            parents.append(i)
-            if split_u:
-                mid = 0.5 * (cu0 + cu1)
-                lower.append((cu0, mid, cv0, cv1))
-                upper.append((mid, cu1, cv0, cv1))
+        neg_err, i = heapq.heappop(heap)
+        if -neg_err == 0.0:  # frozen: stays a leaf, never split again
+            continue
+        cu0, cu1, cv0, cv1 = cells.rect[i].tolist()
+        ceu, cev = cells.worst[i].tolist()
+        split_u = ceu >= cev
+        if split_u and (cu1 - cu0) < min_du:
+            split_u = False
+        if (not split_u) and (cv1 - cv0) < min_dv:
+            if (cu1 - cu0) >= min_du and ceu > 0.0:
+                split_u = True
             else:
-                mid = 0.5 * (cv0 + cv1)
-                lower.append((cu0, cu1, cv0, mid))
-                upper.append((cu0, cu1, mid, cv1))
-        if not parents:
-            break
-        # the lower children take their parents' rows, the upper ones append
-        rows = np.array(parents + list(range(cells.n, cells.n + len(parents))))
-        total -= cells.val[parents].sum(axis=0)
-        err_total -= cells.err[parents].sum(axis=0)
-        kids = np.array(lower + upper)
-        prios = cells.put(rows, kids, *_eval_cells(f, kids))
-        for prio, row in zip(prios, rows.tolist()):
+                continue
+        if split_u:
+            mid = 0.5 * (cu0 + cu1)
+            kids = ((cu0, mid, cv0, cv1), (mid, cu1, cv0, cv1))
+        else:
+            mid = 0.5 * (cv0 + cv1)
+            kids = ((cu0, cu1, cv0, mid), (cu0, cu1, mid, cv1))
+        total -= cells.val[i]
+        err_total -= cells.err[i]
+        for row, kid in zip((i, cells.n), kids):
+            prio = cells.put(row, kid, *_eval_cell(f, *kid))
             heapq.heappush(heap, (-prio, row))
-        total += cells.val[rows].sum(axis=0)
-        err_total += cells.err[rows].sum(axis=0)
-        splits += len(parents)
+            total += cells.val[row]
+            err_total += cells.err[row]
+        splits += 1
 
     # final reduction over the leaves with exactly-rounded sums, so the
     # result does not depend on the order of the rows

@@ -39,7 +39,7 @@ from takagi_harvest.gaussian import transported_mode, transported_mode_at_clock
 from takagi_harvest.geometry import transform_switching
 from takagi_harvest.harvesting import compute_elements, regulator_sequence
 from takagi_harvest.quadrature import XK, IntegralResult, QuadratureConfig, default_epsilon_sequence
-from takagi_harvest.quadrature import _eval_cells, fourier_oracle_L, integrate_square
+from takagi_harvest.quadrature import fourier_oracle_L, integrate_square
 
 C0 = 0.0078125  # 2^-7: power-of-two coupling makes quadratic scaling exact
 
@@ -497,8 +497,7 @@ def test_extrapolation_none_integrates_only_the_finest_level(monkeypatch):
     for name, run in runs.items():
         shapes.clear()
         res = run(eps6)
-        # one regulator level on every stack of cells
-        assert shapes and {(k, *grid) for k, _, *grid in shapes} == {(1, 15, 15)}
+        assert shapes and set(shapes) == {(1, 15, 15)}
         assert res.note == "finest-epsilon"
         assert res.epsilon_used == eps6[-1]
         assert res == finest[name]
@@ -524,32 +523,7 @@ def test_element_reports_the_cells_of_its_mesh(monkeypatch):
     levels, calls = _mesh_of(monkeypatch, lambda: seen.append(compute_M(_scenario())))
     (res,) = seen
     assert res.note == "richardson"
-    assert res.cells == levels[0].cells > calls > 1
-
-
-def test_stacked_cells_of_element_kernels_equal_each_cell_alone():
-    # the flat L kernel and the straightened dual M kernel, on a stack of
-    # cells and on each cell alone, for three regulator levels
-    flat = _scenario()
-    dual = dualize(flat, 2.0)
-    eps = (0.02, 0.01, 0.005)
-    da = flat.detectors[0]
-    rect_L = harvesting._rect(da.switching.support, da.switching.support, False)
-    a, b = dual.detectors
-    rect_M = harvesting._rect(a.switching.support, b.switching.support, True)
-    cases = (
-        (harvesting._kernel(flat, da, da, False, False, eps), rect_L),
-        (harvesting._straighten(harvesting._kernel(dual, a, b, True, True, eps),
-                                dual.map, 5.0, rect_M, True), rect_M),
-    )
-    for kern, rect in cases:
-        u0, u1, w0, w1 = rect
-        rects = np.array(_halves(rect) + ((u0, u1, w0, 0.5 * (w0 + w1)),))
-        stacked = _eval_cells(kern, rects)
-        assert stacked[0].shape == (len(rects), len(eps))
-        for i, cell in enumerate(rects):
-            for got, want in zip(stacked, _eval_cells(kern, cell[None])):
-                assert np.array_equal(got[i], want[0])
+    assert res.cells == levels[0].cells == calls > 1
 
 
 # --- each leg evaluated once -----------------------------------------------------
@@ -559,19 +533,11 @@ SMALL = QuadratureConfig(max_subdivisions=6, extrapolation="none")
 EPS1 = (0.01,)
 
 
-def _gk_grid(*rects):
-    """The (n, 15, 1) and (n, 1, 15) nodes of a stack of n cells, as kernels get them."""
-    u0, u1, w0, w1 = np.array(rects, dtype=float).T[:, :, None, None]
+def _gk_grid(rect):
+    u0, u1, w0, w1 = rect
     u = u0 + 0.5 * (u1 - u0) * (XK[:, None] + 1.0)
     w = w0 + 0.5 * (w1 - w0) * (XK[None, :] + 1.0)
     return u, w
-
-
-def _halves(rect):
-    """rect and its two halves in u, a stack of three cells."""
-    u0, u1, w0, w1 = rect
-    mid = 0.5 * (u0 + u1)
-    return rect, (u0, mid, w0, w1), (mid, u1, w0, w1)
 
 
 def test_dual_kernels_evaluate_the_clock_once_per_leg(monkeypatch):
@@ -627,8 +593,8 @@ def test_shared_clock_legs_equal_the_public_wrappers():
 
 def test_dual_kernels_equal_the_formulas_of_the_public_legs():
     # the one kernel factory, for L, M and N on both sides, written with the
-    # public per-point legs, node by node and regulator level by level, on a
-    # stack of cells; the flat Wightman factor is taken at t - t' = u exactly
+    # public per-point legs, node by node and regulator level by level; the
+    # flat Wightman factor is taken at t - t' = u exactly
     flat = _scenario()
     dual = dualize(flat, 2.0)
     eps_seq = (0.02, 0.01, 0.005)
@@ -656,22 +622,22 @@ def test_dual_kernels_equal_the_formulas_of_the_public_legs():
         chi, chi_b = da.switching, db.switching
         mode, wight = public_legs(sc)
 
-        u, w = _gk_grid(*_halves(harvesting._rect(chi.support, chi.support, False)))
+        u, w = _gk_grid(harvesting._rect(chi.support, chi.support, False))
         t, tp = 0.5 * (w + u), 0.5 * (w - u)
         L = harvesting._kernel(sc, da, da, False, False, eps_seq)(u, w)
-        assert L.shape == (len(eps_seq), 3, 15, 15)
+        assert L.shape == (len(eps_seq), 15, 15)
         for level, eps in zip(L, eps_seq):
             expect_L = (wight(-u, tp, t, 0.0, eps)
                         * (0.5 * (chi(t) * mode(t) * chi(tp) * np.conj(mode(tp)))))
             assert np.array_equal(level, expect_L)
 
-        u, w = _gk_grid(*_halves(harvesting._rect(chi.support, chi_b.support, True)))
+        u, w = _gk_grid(harvesting._rect(chi.support, chi_b.support, True))
         t, tp = 0.5 * (w + u), 0.5 * (w - u)
         pair = chi(t) * mode(t) * chi_b(tp) * mode(tp)
         swapped = chi_b(t) * mode(t) * chi(tp) * mode(tp)
         M = harvesting._kernel(sc, da, db, True, True, eps_seq)(u, w)
         N = harvesting._kernel(sc, da, da, True, False, eps_seq)(u, w)
-        assert M.shape == N.shape == (len(eps_seq), 3, 15, 15)
+        assert M.shape == N.shape == (len(eps_seq), 15, 15)
         for level_M, level_N, eps in zip(M, N, eps_seq):
             expect_M = wight(u, t, tp, 5.0, eps) * (0.5 * (pair + swapped))
             assert np.array_equal(level_M, expect_M)
