@@ -4,9 +4,11 @@ Four subcommands cover the library surface: ``check-takagi`` runs the
 symplectic identity suite, ``harvest`` evaluates one scenario (or a frequency
 scan), ``dualize`` pairs a flat scenario with its cosmological dual per
 requested Omega, and ``geometry-tables`` dumps dense clock-map and scale
-factor grids.  All floats are printed with 17 significant digits and every
-reduction order is fixed, so identical configs produce byte-identical output
-regardless of --threads.
+factor grids.  A sweep (a frequency scan or a dualize Omega list) runs its
+rows in input order on the calling thread.  All floats are printed with 17
+significant digits and every reduction order is fixed, so identical configs
+produce byte-identical output.  --threads is accepted for compatibility and
+has no effect.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical hard
 error.
@@ -20,7 +22,6 @@ import hashlib
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
@@ -380,11 +381,10 @@ def _out_path(args, sections, loc):
     return _section(sections, "output", loc)["path"]
 
 
-def _sweep(row, scenario, points, columns, report, out, threads) -> int:
+def _sweep(row, scenario, points, columns, report, out) -> int:
     """row(scenario, p) for each point p, in input order, emitted as CSV, or
     as the rows of report if out ends in .json."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda p: row(scenario, p), points))
+    rows = [row(scenario, p) for p in points]
     if out is not None and out.endswith(".json"):
         report["rows"] = [dict(zip(columns, r)) for r in rows]
         _emit(_json_dump(report) + "\n", out)
@@ -470,8 +470,7 @@ def cmd_harvest(sections, loc, config_sha, args) -> int:
     out = _out_path(args, sections, loc)
     if "scan" in sections:
         report = {**_report_header("harvest", config_sha), "scan_parameter": "frequency"}
-        return _sweep(_scan_row, scenario, sections["scan"]["omega"], _SCAN_COLUMNS, report,
-                      out, args.threads)
+        return _sweep(_scan_row, scenario, sections["scan"]["omega"], _SCAN_COLUMNS, report, out)
     rep = harvest(scenario)
     el = rep.elements
     report = _report_header("harvest", config_sha)
@@ -551,8 +550,7 @@ def cmd_dualize(sections, loc, config_sha, args) -> int:
         except ValueError as exc:
             raise loc.error("dualize", "Omega_list", f"Omega = {Omega}: {exc}") from None
     return _sweep(_dualize_row, scenario, Omegas, _DUALIZE_COLUMNS,
-                  _report_header("dualize", config_sha), _out_path(args, sections, loc),
-                  args.threads)
+                  _report_header("dualize", config_sha), _out_path(args, sections, loc))
 
 
 def cmd_geometry_tables(sections, loc, config_sha, args) -> int:
@@ -594,9 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=command.__doc__)
         sp.add_argument("--config", default=None, help="INI scenario configuration")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
         sp.add_argument(
-            "--seed", type=int, default=None, help="ignored; reserved (core is deterministic)"
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; no effect (sweep rows run in input order)",
         )
         if name == "check-takagi":
             sp.add_argument(

@@ -106,30 +106,21 @@ class ConformalTakagiMap:
         lam = (np.arctan((self.omega / self.Omega) * np.tan(y)) + math.pi * m) / self.omega
         return _finish(lam, scalar)
 
-    def _conformal_profile(self, x):
-        # 1 / (cos^2(omega x) + (Omega/omega)^2 sin^2(omega x)), any branch
-        c = np.cos(self.omega * x)
-        s = np.sin(self.omega * x)
-        r = self.Omega / self.omega
-        return 1.0 / (c * c + (r * r) * (s * s))
-
-    def dtau_dlambda(self, lam):
-        """Clock rate dtau/dlambda; strictly positive, equals C on the trajectory."""
-        lam, scalar = _prepare(lam)
-        if self.degenerate:
-            return _finish(np.ones_like(lam), scalar)
-        return _finish(self._conformal_profile(lam), scalar)
-
     def conformal_factor(self, t):
         """Conformal factor C(t) of the dual metric in conformal time t.
 
         The solution is spatially homogeneous, so C depends on t alone and the
-        on-trajectory value C(lambda) is the same function.
+        on-trajectory value C(lambda) is the same function.  It is also the
+        clock rate dtau/dlambda, strictly positive on any branch.
         """
         t, scalar = _prepare(t)
         if self.degenerate:
             return _finish(np.ones_like(t), scalar)
-        return _finish(self._conformal_profile(t), scalar)
+        # 1 / (cos^2(omega t) + (Omega/omega)^2 sin^2(omega t))
+        c = np.cos(self.omega * t)
+        s = np.sin(self.omega * t)
+        r = self.Omega / self.omega
+        return _finish(1.0 / (c * c + (r * r) * (s * s)), scalar)
 
     def scale_factor(self, T):
         """Scale factor a(T) of the dual cosmology in cosmological time T."""
@@ -142,12 +133,6 @@ class ConformalTakagiMap:
         s = np.sin(self.Omega * T)
         r = self.omega / self.Omega
         return _finish(c * c + (r * r) * (s * s), scalar)
-
-    def swapped(self) -> "ConformalTakagiMap":
-        """Map with the two frequencies exchanged (requires Omega > 0)."""
-        if self.Omega == 0.0:
-            raise ValueError("swapped() needs Omega > 0")
-        return ConformalTakagiMap(self.Omega, self.omega, self.n_spatial)
 
 
 @dataclass(frozen=True)

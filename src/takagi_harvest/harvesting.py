@@ -299,7 +299,7 @@ def duality_backbone_residual(m: ConformalTakagiMap, chi: SwitchingFunction, lam
         raise ValueError("samples too close to cos(omega*lambda) = 0; shift the grid")
     chi_dual = transform_switching(m, chi)
     tau = m.tau_of_lambda(lam)
-    C = m.dtau_dlambda(lam)
+    C = m.conformal_factor(lam)
     weight = C ** (-0.5 * (m.n_spatial - 1))
     lhs = chi_dual(tau) * C * weight * (np.cos(m.Omega * tau) / cos_flat)
     return float(np.max(np.abs(lhs - chi(lam))))

@@ -125,10 +125,6 @@ class QuadratureConfig:
             object.__setattr__(self, "epsilon_sequence", eps)
 
 
-def _halving(eps) -> bool:
-    return all(abs(e1 / e2 - 2.0) <= 1e-9 for e1, e2 in zip(eps, eps[1:]))
-
-
 def validate_epsilon_sequence(epsilons, extrapolation: str = "richardson") -> tuple:
     """The regulator sequence as a tuple of floats, checked before any quadrature.
 
@@ -141,7 +137,9 @@ def validate_epsilon_sequence(epsilons, extrapolation: str = "richardson") -> tu
         raise ValueError("epsilon_sequence must be nonempty, positive and finite")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon_sequence must be strictly decreasing")
-    if extrapolation == "richardson" and not _halving(eps):
+    if extrapolation == "richardson" and any(
+        abs(a / b - 2.0) > 1e-9 for a, b in zip(eps, eps[1:])
+    ):
         raise ValueError(
             "epsilon_sequence must halve at every step for richardson extrapolation"
         )
@@ -381,19 +379,13 @@ def extrapolate_epsilon(results) -> IntegralResult:
     a failed limit is never silently presented as converged.
     """
     results = list(results)
-    if not results:
-        raise ValueError("need at least one result")
-    eps = [r.epsilon_used for r in results]
-    if any(e is None for e in eps):
+    if any(r.epsilon_used is None for r in results):
         raise ValueError("all results must carry epsilon_used")
-    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ValueError("epsilon sequence must be strictly decreasing")
+    eps = validate_epsilon_sequence([r.epsilon_used for r in results], "richardson")
     quad_err = max(r.err_estimate for r in results)
     vals = [complex(r.value) for r in results]
     if len(vals) == 1:
         return replace(results[0], note="single-epsilon")
-    if not _halving(eps):
-        raise ValueError("extrapolation assumes epsilon halving")
     exhausted = any(r.budget_exhausted for r in results)
     cells = max(r.cells for r in results)
 

@@ -6,11 +6,13 @@ debuggers see straight through; file outputs go to tmp_path.
 
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from takagi_harvest import cli
 from takagi_harvest.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -118,11 +120,6 @@ def test_gaussian_switching_rejects_window_keys(tmp_path, capsys):
     assert "not a gaussian parameter" in capsys.readouterr().err
 
 
-def test_seed_flag_accepted(capsys):
-    assert main(["check-takagi", "--seed", "42"]) == EXIT_OK
-    capsys.readouterr()
-
-
 # --- check-takagi ---------------------------------------------------------------
 
 
@@ -211,6 +208,30 @@ def test_scan_threads_byte_identical(tmp_path):
         assert rc == EXIT_OK
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_sweep_rows_run_on_the_calling_thread_in_input_order(tmp_path, monkeypatch):
+    calls = []
+
+    def recorder(columns):
+        def row(scenario, point):
+            calls.append((threading.get_ident(), point))
+            return (point,) + (0.0,) * (len(columns) - 1)
+
+        return row
+
+    monkeypatch.setattr(cli, "_scan_row", recorder(_SCAN_COLUMNS))
+    monkeypatch.setattr(cli, "_dualize_row", recorder(_DUALIZE_COLUMNS))
+    scan = _write(tmp_path, QUBIT_COS2 + "\n[scan]\nomega = 3.0, 1.0, 2.0\n", "scan.ini")
+    dual = _write(tmp_path, GAUSS_REF + "\n[dualize]\nOmega_list = 2.0, 0.5\n", "dual.ini")
+    for command, path, threads, points in (
+        ("harvest", scan, "2", [3.0, 1.0, 2.0]),
+        ("dualize", dual, "3", [2.0, 0.5]),
+    ):
+        calls.clear()
+        out = str(tmp_path / f"{command}.csv")
+        assert main([command, "--config", path, "--out", out, "--threads", threads]) == EXIT_OK
+        assert calls == [(threading.get_ident(), p) for p in points]
 
 
 # --- dualize ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""The names the package exports and the names the benchmark tracer patches.
+"""The names the package exports, the names the benchmark tracer patches,
+and the command line the benchmark runs.
 
 perfbench/spans.py installs its per-layer wrappers by replacing module
-attributes by name, and its own tests are outside this suite; these checks
-make a deletion or a rename that would break ``--trace 1`` fail here.
+attributes by name, perfbench/workloads.py builds CLI argv, and the
+benchmark's own tests are outside this suite; these checks make a deletion or
+a rename that would break ``perfbench/run.py`` fail here.
 """
 
 import importlib
@@ -10,6 +12,7 @@ import importlib
 import pytest
 
 import takagi_harvest
+from takagi_harvest.cli import build_parser
 
 MODULES = ("geometry", "gaussian", "field", "quadrature", "harvesting")
 
@@ -68,3 +71,13 @@ def test_traced_function_exists_where_it_is_read(home, attr, also):
 def test_traced_method_exists_on_its_class(home, cls, attr):
     klass = getattr(importlib.import_module(f"takagi_harvest.{home}"), cls)
     assert callable(getattr(klass, attr))
+
+
+def test_cli_parses_the_benchmark_argv():
+    # perfbench/workloads.py passes --threads 2 on every window_scan run; the
+    # flag has no effect but must parse until the benchmark stops passing it
+    for command in ("harvest", "dualize"):
+        args = build_parser().parse_args(
+            [command, "--config", "C", "--out", "O", "--threads", "2"]
+        )
+        assert (args.command, args.config, args.out, args.threads) == (command, "C", "O", 2)
