@@ -13,7 +13,7 @@ joined by the Wightman function; the three differ only in which legs they
 join, whether the domain is time-ordered, and their prefactor:
 
     L_ab = c_a c_b s_a s_b * I[ chi_a(l) m_a(l) chi_b(l') conj(m_b(l'))
-                                 W((l', x_b), (l, x_a)) ]          (full square)
+                                 W((l', x_b), (l, x_a)) ]  (full square, folded)
     M    = -c_A c_B s_A s_B * I_ordered[ W((l,x_A),(l',x_B)) chi_A(l) m_A(l)
                                  chi_B(l') m_B(l') + (A <-> B) ]    (l' < l)
     N_d  = -sqrt(2) (c_d s_d)^2 * I_ordered[ chi_d(l) m_d(l) chi_d(l') m_d(l')
@@ -26,7 +26,10 @@ All integrals run over proper time of each detector.
 
 Quadrature coordinates.  Every element is integrated over the rotated
 rectangle u = t - t', w = t + t', on one adaptive mesh for all regulator
-levels.  The Wightman factor peaks on the light cone of the two detectors.
+levels.  An L whose detectors mirror each other (L_AA, L_BB, a mirrored L_AB)
+is Hermitian, K(-u, w) = conj(K(u, w)), on either side of the duality, and is
+folded: taken as 2 Re of its u >= 0 half, on about half the cells.
+The Wightman factor peaks on the light cone of the two detectors.
 In flat spacetime that is the straight line u = +-L, an axis of the
 rectangle, and the mesh refines across it in u alone.  On the cosmological
 side it is the curve lambda(t) - lambda(t') = +-L of the clock map, so the
@@ -364,7 +367,7 @@ def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
     return det.coupling * (det.scale / math.sqrt(2.0 * scenario.map.omega))
 
 
-def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons):
+def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons, fold=False):
     """The integrand of one element in rotated coordinates, one grid per regulator level.
 
     A's leg (window times mode) sits at t = (w + u)/2 and B's at
@@ -375,6 +378,9 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons):
     stacked on the first axis.  Unordered (L): B's mode enters conjugated and
     W runs from t' to t.  Ordered (M, N): W runs from t to t', and swapped
     adds the (A <-> B) product, which is the same product when B mirrors A.
+    fold (a Hermitian L, 2 Re of its u >= 0 half) returns the real part of
+    twice the integrand: the half's imaginary part carries the coincidence
+    pole, and would swamp the relative stopping test of the quadrature.
 
     Where the clock is the identity (the flat side and Omega == omega) W
     depends on u = t - t' alone, and is taken on the (15, 1) u axis: the
@@ -410,7 +416,8 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons):
             legs = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
             if swapped:
                 legs = legs + (legs if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp))
-        return wight * (0.5 * legs)
+        # folded, the fold's 2 and the Jacobian's 1/2 cancel exactly
+        return (wight * legs).real if fold else wight * (0.5 * legs)
 
     return kern
 
@@ -422,7 +429,8 @@ def _rect(sup_a, sup_b, ordered: bool):
     u >= 0 part of the rectangles of both orderings (t in A's support and t'
     in B's, or the reverse), so the time ordering t' < t is an exact edge and
     the (A <-> B) term keeps its domain when the windows sit asymmetrically
-    in time.
+    in time.  For equal supports it is the u >= 0 half of the unordered
+    rectangle, the domain of a folded L (see _element).
     """
     a0, a1 = sup_a
     b0, b1 = sup_b
@@ -518,7 +526,9 @@ def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
     separated detectors under a clock that is not the identity is integrated
     in the straightened coordinates of _straighten, where its light cone is
     a line of the mesh; every other element (the flat side, L_AA, L_BB, N,
-    and Omega == omega) keeps the plain (u, w) mesh.
+    and Omega == omega) keeps the plain (u, w) mesh.  An unordered element of
+    two mirrored detectors is folded: 2 Re of its u >= 0 half, on the ordered
+    rectangle, straightened (if at all) on its one ridge u = +g(w).
     """
     ca = _coupling_eff(scenario, det_a)
     cb = _coupling_eff(scenario, det_b)
@@ -527,11 +537,12 @@ def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
     eps_seq = regulator_sequence(scenario, epsilons)
     if scenario.quadrature.extrapolation == "none":
         eps_seq = eps_seq[-1:]
-    kern = _kernel(scenario, det_a, det_b, ordered, swapped, eps_seq)
-    rect = _rect(det_a.switching.support, det_b.switching.support, ordered)
+    fold = not ordered and _mirrors(det_a, det_b)
+    kern = _kernel(scenario, det_a, det_b, ordered, swapped, eps_seq, fold)
+    rect = _rect(det_a.switching.support, det_b.switching.support, ordered or fold)
     sep = separation(det_a.trajectory, det_b.trajectory)
     if scenario.frame == "frw" and sep > 0.0 and not scenario.map.degenerate:
-        kern = _straighten(kern, scenario.map, sep, rect, ordered)
+        kern = _straighten(kern, scenario.map, sep, rect, ordered or fold)
     res = integrate_square(kern, rect, scenario.quadrature)
     levels = res.levels or (res,) * len(eps_seq)  # an empty domain has no levels
     levels = [replace(r, epsilon_used=eps) for r, eps in zip(levels, eps_seq)]
@@ -550,7 +561,9 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenari
     Evaluated in rotated coordinates u = t - t', w = t + t' so the regulated
     lightcone ridges are axis-aligned, per the configured route: "direct"
     regulated quadrature plus extrapolation, or the closed-form "fourier" mode
-    sum (static flat ground-state scenarios only).
+    sum (static flat ground-state scenarios only).  When B mirrors A (a is b
+    included) L_ab is real, and the direct route integrates twice the real
+    part of the integrand over the u >= 0 half only (see _kernel).
     """
     if scenario.quadrature.method != "fourier":
         return _element(scenario, det_a, det_b, ordered=False, swapped=False, pref=1.0,

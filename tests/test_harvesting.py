@@ -36,9 +36,10 @@ from takagi_harvest import (
 from takagi_harvest import harvesting
 from takagi_harvest.field import wightman_flat_sep, wightman_frw_at_clock, wightman_frw_sep
 from takagi_harvest.gaussian import transported_mode, transported_mode_at_clock
-from takagi_harvest.geometry import transform_switching
+from takagi_harvest.geometry import separation, transform_switching
 from takagi_harvest.harvesting import compute_elements, regulator_sequence
 from takagi_harvest.quadrature import XK, IntegralResult, QuadratureConfig, default_epsilon_sequence
+from takagi_harvest.quadrature import extrapolate_epsilon
 from takagi_harvest.quadrature import fourier_oracle_L, integrate_square
 
 C0 = 0.0078125  # 2^-7: power-of-two coupling makes quadratic scaling exact
@@ -852,28 +853,88 @@ def test_frw_ground_state_L_AB_straightened_matches_the_plain_mesh(monkeypatch):
 
 def test_elements_without_a_curved_ridge_keep_the_plain_kernel(monkeypatch):
     # flat elements, same-detector elements (sep = 0) and the identity clock
-    # hand _kernel itself to the quadrature
+    # hand _kernel itself to the quadrature; a Hermitian L (B mirrors A) hands
+    # twice the real part of the unordered _kernel on its u >= 0 half
     flat = _scenario()
     dual = dualize(flat, 2.0)
     same = dualize(flat, 1.0)
     cases = [
-        (flat, *flat.detectors, True, True, lambda: compute_M(flat, EPS1)),
-        (flat, *flat.detectors, False, False, lambda: compute_L(*flat.detectors, flat, EPS1)),
-        (dual, dual.detectors[0], dual.detectors[0], False, False,
+        (flat, *flat.detectors, True, True, False, lambda: compute_M(flat, EPS1)),
+        (flat, *flat.detectors, False, False, True, lambda: compute_L(*flat.detectors, flat, EPS1)),
+        (dual, dual.detectors[0], dual.detectors[0], False, False, True,
          lambda: compute_L(dual.detectors[0], dual.detectors[0], dual, EPS1)),
-        (dual, dual.detectors[0], dual.detectors[0], True, False,
+        (dual, dual.detectors[0], dual.detectors[0], True, False, False,
          lambda: compute_N(dual.detectors[0], dual, EPS1)),
-        (same, *same.detectors, True, True, lambda: compute_M(same, EPS1)),
+        (same, *same.detectors, True, True, False, lambda: compute_M(same, EPS1)),
     ]
-    for sc, da, db, ordered, swapped, run in cases:
-        kernels = []
+    for sc, da, db, ordered, swapped, folded, run in cases:
+        handed = []
         monkeypatch.setattr(harvesting, "integrate_square",
-                            lambda f, rect, cfg: kernels.append(f) or IntegralResult(0j, 0.0))
+                            lambda f, rect, cfg: handed.append((f, rect)) or IntegralResult(0j, 0.0))
         run()
         monkeypatch.undo()
-        u, w = _gk_grid(harvesting._rect(da.switching.support, db.switching.support, ordered))
+        (kern, rect), = handed
+        assert rect == harvesting._rect(da.switching.support, db.switching.support,
+                                        ordered or folded)
+        u, w = _gk_grid(rect)
         plain = harvesting._kernel(sc, da, db, ordered, swapped, EPS1)(u, w)
-        assert np.array_equal(kernels[0](u, w), plain)
+        if folded:
+            assert rect[0] == 0.0
+            plain = 2.0 * plain.real
+        assert np.array_equal(kern(u, w), plain)
+
+
+def _unfolded_L(sc, da, db, eps):
+    """L_ab over the whole rotated rectangle, straightened where the dual side needs it."""
+    kern = harvesting._kernel(sc, da, db, False, False, eps)
+    rect = harvesting._rect(da.switching.support, db.switching.support, False)
+    sep = separation(da.trajectory, db.trajectory)
+    if sc.frame == "frw" and sep > 0.0 and not sc.map.degenerate:
+        kern = harvesting._straighten(kern, sc.map, sep, rect, False)
+    res = integrate_square(kern, rect, sc.quadrature)
+    res = extrapolate_epsilon([replace(r, epsilon_used=e) for r, e in zip(res.levels, eps)])
+    pref = 1.0 * harvesting._coupling_eff(sc, da) * harvesting._coupling_eff(sc, db)
+    return replace(res, value=pref * res.value)
+
+
+def test_hermitian_L_is_folded_onto_u_nonnegative(monkeypatch):
+    # K(-u, w) = conj(K(u, w)) when B mirrors A, so L is 2 Re of its u >= 0
+    # half: a real value, the unfolded value within tolerance, far fewer cells
+    flat = _scenario()
+    near = _scenario(L=0.5)
+    dual = dualize(flat, 2.0)
+    power = dualize(_scenario(L=0.5, chi=gaussian_switching(0.15)), 0.0)
+    cases = [
+        (flat, flat.detectors[0], flat.detectors[0]),
+        (near, *near.detectors),
+        (flat, *flat.detectors),
+        (dual, dual.detectors[0], dual.detectors[0]),
+        (dual, *dual.detectors),
+        (power, power.detectors[0], power.detectors[0]),
+        (power, *power.detectors),
+    ]
+    for sc, da, db in cases:
+        eps = regulator_sequence(sc, levels=4)
+        folded = compute_L(da, db, sc, eps)
+        whole = _unfolded_L(sc, da, db, eps)
+        assert folded.value.imag == 0.0
+        assert abs(folded.value - whole.value) <= 1e-6 * abs(whole.value), (da.label, db.label)
+        assert folded.cells <= 0.6 * whole.cells, (folded.cells, whole.cells)
+    # a pair that does not mirror keeps the whole rectangle, bit for bit
+    da, db = flat.detectors
+    integrate = harvesting.integrate_square
+    for chi_b in (gaussian_switching(1.25), gaussian_switching(1.0, center=0.5)):
+        other = replace(db, switching=chi_b)
+        sc = HarvestScenario(detectors=(da, other))
+        eps = regulator_sequence(sc, levels=4)
+        rects = []
+        with monkeypatch.context() as mp:
+            mp.setattr(harvesting, "integrate_square",
+                       lambda f, rect, cfg: rects.append(rect) or integrate(f, rect, cfg))
+            res = compute_L(da, other, sc, eps)
+        (rect,) = rects
+        assert rect[0] < 0.0
+        assert res.value == _unfolded_L(sc, da, other, eps).value
 
 
 def test_power_law_dual_check():
