@@ -393,15 +393,20 @@ def _sweep(row, scenario, points, columns, report, out) -> int:
     return EXIT_OK
 
 
-def _element_record(res):
+def _element_record(res, with_pole=False):
+    """One element's JSON record; an N record adds its 1/eps pole (null where not separated)."""
     if res is None:
         return None
-    return {
+    rec = {
         "re": float(res.value.real),
         "im": float(res.value.imag),
         "err": float(res.err_estimate),
         "note": res.note,
     }
+    if with_pole:
+        pole = res.pole
+        rec["pole_re"], rec["pole_im"] = (None, None) if pole is None else (pole.real, pole.imag)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +489,8 @@ def cmd_harvest(sections, loc, config_sha, args) -> int:
         "L_BB": _element_record(el.L_BB),
         "L_AB": _element_record(el.L_AB),
         "M": _element_record(el.M),
-        "N_A": _element_record(el.N_A),
-        "N_B": _element_record(el.N_B),
+        "N_A": _element_record(el.N_A, with_pole=True),
+        "N_B": _element_record(el.N_B, with_pole=True),
     }
     report["E1"] = float(rep.E1)
     report["negativity"] = float(rep.negativity)

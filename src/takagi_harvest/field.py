@@ -24,13 +24,15 @@ import numpy as np
 from .geometry import ConformalTakagiMap, SwitchingFunction
 
 __all__ = [
+    "WIGHTMAN_PREF",
     "wightman_flat_sep",
+    "wightman_flat_pv",
     "wightman_frw_sep",
     "wightman_frw_at_clock",
     "mode_integrand_static",
 ]
 
-_PREF = 1.0 / (4.0 * math.pi**2)
+WIGHTMAN_PREF = 1.0 / (4.0 * math.pi**2)
 
 
 def _check_epsilon(epsilon):
@@ -49,7 +51,24 @@ def wightman_flat_sep(dt, sep, epsilon):
     _check_epsilon(epsilon)
     dt = np.asarray(dt, dtype=float)
     z = dt - 1j * epsilon
-    return _PREF / (sep * sep - z * z)
+    return WIGHTMAN_PREF / (sep * sep - z * z)
+
+
+def wightman_flat_pv(dt, sep):
+    """The eps -> 0 limit of wightman_flat_sep off its poles, P/(sep^2 - dt^2).
+
+    P = WIGHTMAN_PREF = 1/(4 pi^2).  As a distribution in dt the limit is,
+    by Sokhotski-Plemelj (1/(x -+ i0) = PV 1/x +- i pi delta(x)),
+
+        sep > 0:  P PV 1/(sep^2 - dt^2) - i pi sum_{q = +-sep} P/(2q) delta(dt - q),
+        sep = 0:  -P Pf 1/dt^2 + i pi P delta'(dt),
+
+    so this factor is the principal-value (sep > 0) or finite-part (sep = 0)
+    kernel; near a pole q it is (P/(2q)) / (q - dt) plus a bounded rest.
+    The harvesting closed forms subtract that pole and add the delta terms.
+    """
+    dt = np.asarray(dt, dtype=float)
+    return WIGHTMAN_PREF / (sep * sep - dt * dt)
 
 
 def wightman_frw_sep(t, t2, sep, m: ConformalTakagiMap, epsilon):
@@ -94,4 +113,4 @@ def mode_integrand_static(k, chi_a: SwitchingFunction, chi_b: SwitchingFunction,
     angular = np.sinc(k * L / math.pi)  # np.sinc has the pi built in
     fa = chi_a.fourier(omega_a + k)
     fb = chi_b.fourier(omega_b + k)
-    return k * _PREF * angular * fa * np.conj(fb)
+    return k * WIGHTMAN_PREF * angular * fa * np.conj(fb)

@@ -24,16 +24,30 @@ transported mode for the squeezed dual state) and s the interaction-scale
 normalization that makes oscillator elements coincide with qubit ones.
 All integrals run over proper time of each detector.
 
-Quadrature coordinates.  Every element is integrated over the rotated
-rectangle u = t - t', w = t + t', on one adaptive mesh for all regulator
-levels.  An L whose detectors mirror each other (L_AA, L_BB, a mirrored L_AB)
-is Hermitian, K(-u, w) = conj(K(u, w)), on either side of the duality, and is
-folded: taken as 2 Re of its u >= 0 half, on about half the cells.
-The Wightman factor peaks on the light cone of the two detectors.
-In flat spacetime that is the straight line u = +-L, an axis of the
-rectangle, and the mesh refines across it in u alone.  On the cosmological
-side it is the curve lambda(t) - lambda(t') = +-L of the clock map, so the
-separated elements there (M and L_AB) are integrated in (s, w) instead:
+Quadrature coordinates.  Every element is integrated in the rotated
+coordinates u = t - t', w = t + t'.  An L whose detectors mirror each other
+(L_AA, L_BB, a mirrored L_AB) is Hermitian, K(-u, w) = conj(K(u, w)), on
+either side of the duality, and is folded: taken as 2 Re of its u >= 0 half,
+on about half the cells.
+
+Two routes remove the regulator.  Where the clock is the identity (the flat
+side, and the dual side at Omega == omega) the Wightman factor depends on u
+alone, and its eps -> 0 limit is a known distribution (Sokhotski-Plemelj;
+see field.wightman_flat_pv).  There an element that would be extrapolated
+takes that limit in closed form (_limit): the pole of the kernel is
+subtracted at the same node line, which leaves one bounded integrand per
+element (the regularised response of Louko and Satz, CQG 23, 6321, 2006, and
+QUADPACK's qawc subtraction, here in 2D), and the delta and delta' terms are
+line integrals, added to the same integrand.  N, which diverges like 1/eps,
+reports its finite part and the coefficient of the pole separately.  Every
+other element (the curved dual side, extrapolation = none, one regulator
+level, and two co-located detectors that do not mirror) integrates the
+regulated kernel at every level of the sequence on one adaptive mesh and
+extrapolates.  On that route the Wightman factor peaks on the light cone of
+the two detectors.  In flat spacetime that is the straight line u = +-L, an
+axis of the rectangle, and the mesh refines across it in u alone.  On the
+cosmological side it is the curve lambda(t) - lambda(t') = +-L of the clock
+map, so the separated elements there (M and L_AB) are integrated in (s, w):
 u = phi_w(s) is piecewise linear in s, with knots that put the curve, taken
 in closed form from the clock map (_ridge), on fixed lines s = const.  Only
 the nodes move; the integrand at each node is still the cosmological
@@ -50,7 +64,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .field import wightman_flat_sep, wightman_frw_at_clock
+from .field import WIGHTMAN_PREF, wightman_flat_pv, wightman_flat_sep, wightman_frw_at_clock
 from .gaussian import BogoliubovPair, transported_mode_at_clock, vacuum_bogoliubov
 from .geometry import (
     ConformalTakagiMap,
@@ -62,6 +76,7 @@ from .geometry import (
 from .quadrature import (
     IntegralResult,
     QuadratureConfig,
+    adaptive_1d,
     default_epsilon_sequence,
     extrapolate_epsilon,
     fourier_oracle_L,
@@ -367,32 +382,61 @@ def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
     return det.coupling * (det.scale / math.sqrt(2.0 * scenario.map.omega))
 
 
-def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons, fold=False):
-    """The integrand of one element in rotated coordinates, one grid per regulator level.
+def _leg_product(scenario, det_a, det_b, ordered: bool, swapped: bool):
+    """legs(t, t'): A's leg (window times mode) at t times B's at t'.
 
-    A's leg (window times mode) sits at t = (w + u)/2 and B's at
-    t' = (w - u)/2; the 1/2 is the Jacobian of (t, t') -> (u, w).  The legs
-    are joined by the Wightman function on the scenario background, with the
-    conformal-time regulator on the dual side (the regulator under which the
-    duality is an exact per-epsilon identity), at every level of epsilons,
-    stacked on the first axis.  Unordered (L): B's mode enters conjugated and
-    W runs from t' to t.  Ordered (M, N): W runs from t to t', and swapped
-    adds the (A <-> B) product, which is the same product when B mirrors A.
-    fold (a Hermitian L, 2 Re of its u >= 0 half) returns the real part of
-    twice the integrand: the half's imaginary part carries the coincidence
-    pole, and would swamp the relative stopping test of the quadrature.
-
-    Where the clock is the identity (the flat side and Omega == omega) W
-    depends on u = t - t' alone, and is taken on the (15, 1) u axis: the
-    time difference is then exact rather than rounded from t - t', and W
-    costs one division per u node and level, broadcast over w by the legs
-    in the last product.  Elsewhere W is taken at lambda(t) - lambda(t').
+    t and t' are what _clock gives a leg (the times themselves on the flat
+    side).  Unordered (L): B's mode enters conjugated.  Ordered (M, N):
+    swapped adds the (A <-> B) product, which is the same product when B
+    mirrors A.
     """
     chi_a, mode_a = _legs(scenario, det_a)
     chi_b, mode_b = _legs(scenario, det_b)
     mirrored = swapped and _mirrors(det_a, det_b)
+
+    def legs(t, tp):
+        # each product keeps its left-to-right order: a complex multiply
+        # rounds differently when its factors are reordered
+        if not ordered:
+            return chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp))
+        out = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
+        if swapped:
+            out = out + (out if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp))
+        return out
+
+    return legs
+
+
+def _on_u(scenario: HarvestScenario) -> bool:
+    """True where the clock is the identity: the flat side and Omega == omega."""
+    return scenario.frame == "minkowski" or scenario.map.degenerate
+
+
+def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons, fold=False):
+    """The regulated integrand of one element in rotated coordinates, one grid per level.
+
+    This is the finite-eps route of _element; on_u elements extrapolated over
+    two or more levels take the eps -> 0 limit of _limit instead.  A's leg
+    sits at t = (w + u)/2 and B's at t' = (w - u)/2 (see _leg_product); the
+    1/2 is the Jacobian of (t, t') -> (u, w).  The legs are joined by the
+    Wightman function on the scenario background, with the conformal-time
+    regulator on the dual side (the regulator under which the duality is an
+    exact per-epsilon identity), at every level of epsilons, stacked on the
+    first axis.  Unordered (L): W runs from t' to t.  Ordered (M, N): W runs
+    from t to t'.  fold (a Hermitian L, 2 Re of its u >= 0 half) returns the
+    real part of twice the integrand: the half's imaginary part carries the
+    coincidence pole, and would swamp the relative stopping test of the
+    quadrature.
+
+    Where the clock is the identity (on_u: the flat side and Omega == omega)
+    W depends on u = t - t' alone, and is taken on the (15, 1) u axis: the
+    time difference is then exact rather than rounded from t - t', and W
+    costs one division per u node and level, broadcast over w by the legs
+    in the last product.  Elsewhere W is taken at lambda(t) - lambda(t').
+    """
+    legs = _leg_product(scenario, det_a, det_b, ordered, swapped)
     clock = _clock(scenario)
-    on_u = clock is None or scenario.map.degenerate
+    on_u = _on_u(scenario)
     sep = separation(det_a.trajectory, det_b.trajectory)
     eps = np.asarray(epsilons, dtype=float)[:, None, None]
 
@@ -408,16 +452,9 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons, fold
             wight = wightman_frw_at_clock(t[1], t[2], tp[1], tp[2], sep, eps)
         else:
             wight = wightman_frw_at_clock(tp[1], tp[2], t[1], t[2], sep, eps)
-        # each product keeps its left-to-right order: a complex multiply
-        # rounds differently when its factors are reordered
-        if not ordered:
-            legs = chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp))
-        else:
-            legs = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
-            if swapped:
-                legs = legs + (legs if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp))
+        product = legs(t, tp)
         # folded, the fold's 2 and the Jacobian's 1/2 cancel exactly
-        return (wight * legs).real if fold else wight * (0.5 * legs)
+        return (wight * product).real if fold else wight * (0.5 * product)
 
     return kern
 
@@ -430,7 +467,9 @@ def _rect(sup_a, sup_b, ordered: bool):
     in B's, or the reverse), so the time ordering t' < t is an exact edge and
     the (A <-> B) term keeps its domain when the windows sit asymmetrically
     in time.  For equal supports it is the u >= 0 half of the unordered
-    rectangle, the domain of a folded L (see _element).
+    rectangle, the domain of a folded L (see _element).  It is the domain of
+    the finite-eps route and of a limit-route element of unequal supports;
+    equal supports take the sheared diamond of _chart on the limit route.
     """
     a0, a1 = sup_a
     b0, b1 = sup_b
@@ -516,28 +555,177 @@ def _straighten(kern, m: ConformalTakagiMap, sep: float, rect, ordered: bool):
     return kern_sw
 
 
+def _chart(sup_a, sup_b, half: bool):
+    """Domain of a limit-route element: ((u0, u1, v0, v1), chart, kinks).
+
+    chart(u, v) gives (w, Jacobian) at the nodes.  For equal supports
+    [a0, a1] the leg product lives on the diamond |w - a0 - a1| <= U - |u|,
+    U = a1 - a0, whose edges are where a window switches on: a cos^2 window
+    is only C^1 there, and a Gauss-Kronrod rule on a cell that straddles the
+    edge underestimates its error 100 to 300 fold.  So the diamond is
+    sheared onto the rectangle of (u, s), w = a0 + a1 + (U - |u|) s with s in
+    [-1, 1] and Jacobian U - |u|, and its edges are mesh edges; the whole
+    diamond has a kink at u = 0, listed in kinks.  Unequal supports keep the
+    rectangle of _rect (v = w, Jacobian 1), where a Gaussian window's edge is
+    a jump of e^-32.
+    """
+    if sup_a != sup_b:
+        return _rect(sup_a, sup_b, half), (lambda u, w: (w, 1.0)), ()
+    a0, a1 = sup_a
+    U, mid = a1 - a0, a0 + a1
+
+    def shear(u, s):
+        h = U - np.abs(u)
+        return mid + h * s, h
+
+    return (0.0 if half else -U, U, -1.0, 1.0), shear, (() if half else (0.0,))
+
+
+def _takes_limit(scenario, det_a, det_b, eps_seq) -> bool:
+    """True when an element takes its eps -> 0 limit in closed form (see _limit).
+
+    That is an on_u element that would otherwise be extrapolated (richardson
+    over two or more levels), unless it joins two co-located detectors that
+    do not mirror each other: its delta' term would need the derivative of a
+    window.  Every other element keeps the regulator sweep.
+    """
+    return (
+        _on_u(scenario)
+        and scenario.quadrature.extrapolation == "richardson"
+        and len(eps_seq) > 1
+        and (separation(det_a.trajectory, det_b.trajectory) > 0.0 or _mirrors(det_a, det_b))
+    )
+
+
+def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> IntegralResult:
+    """The eps -> 0 limit of an on_u element, as bounded integrands (before the prefactor).
+
+    g(u, w) is half the leg product (see _kernel), P = 1/(4 pi^2), and the
+    flat kernel's limit is the distribution of field.wightman_flat_pv.  With
+    a range [u0, u1] at each v of _chart:
+
+    * sep > 0: each pole p = +-sep inside the range (unordered; +sep when
+      ordered or folded) is subtracted at the same v.  Near it the integrand
+      is a(v) / (p - u) with a = J g(p, w) P/(2p), and its limit adds
+      a (log((p - u0)/(u1 - p)) +- i pi), + unordered and - ordered.  The
+      range breaks at each pole, so no node falls on one.
+    * sep = 0, folded L of mirrored detectors (L_AA, L_BB): with g0 = g(0, w)
+      and U(w) the half-width of the diamond at w,
+          L = -P { int int_{u>=0} 2 (Re g - g0)/u^2 + int dw g0 (pi omega - 2/U(w)) },
+      where pi omega is the i pi delta' term, Im d_u g(0, w) = omega g0.
+    * sep = 0, ordered (N, and M of mirrored co-located detectors): g is even
+      in u, and int_0^U g/(u - i eps)^2 = g0 (i/eps - 1/U) + int (g - g0)/u^2.
+      The value is the finite part; pole carries the coefficient of 1/eps,
+      -i P int dw g0, from adaptive_1d.
+
+    Each line term is spread evenly over the u range of its line, so it is
+    one more term of the same bounded 2D integrand and every stopping test
+    is relative to the element's value.  Each piece of the u range is one
+    integrate_square call; cells adds up the cells of all pieces and the
+    segments of the pole's 1D integral.
+    """
+    legs = _leg_product(scenario, det_a, det_b, ordered, swapped)
+    clock = _clock(scenario) or (lambda t: t)
+    sep = separation(det_a.trajectory, det_b.trajectory)
+    (u0, u1, v0, v1), chart, kinks = _chart(
+        det_a.switching.support, det_b.switching.support, ordered or fold
+    )
+    cfg = scenario.quadrature
+
+    def g(u, w):
+        return 0.5 * legs(clock(0.5 * (w + u)), clock(0.5 * (w - u)))
+
+    pole = None
+    if sep > 0.0:
+        poles = [p for p in ((sep,) if ordered or fold else (-sep, sep)) if u0 < p < u1]
+        line = (-1j if ordered else 1j) * math.pi
+        spread = {p: (math.log((p - u0) / (u1 - p)) + line) / (u1 - u0) for p in poles}
+
+        def kern(u, v):
+            w, jac = chart(u, v)
+            out = jac * g(u, w) * wightman_flat_pv(u, sep)
+            for p in poles:
+                wp, jac_p = chart(p, v)
+                a = jac_p * g(p, wp) * (WIGHTMAN_PREF / (2.0 * p))
+                out = out - a / (p - u) + a * spread[p]
+            return 2.0 * out.real if fold else out
+
+        breaks = sorted(set(poles) | {k for k in kinks if u0 < k < u1})
+    else:
+        # mirrored detectors: equal supports, the half diamond, v = s; on the
+        # line u = 0 both legs are one detector's leg at t = w/2
+        omega = det_a.frequency
+        chi, mode = _legs(scenario, det_a)
+        scale = 1.0 if swapped else 0.5  # a mirrored M adds the product to itself
+
+        def g0(w):
+            p = clock(0.5 * w)
+            leg = chi(p) * mode(p)
+            return scale * (leg * (leg if ordered else np.conj(leg)))
+
+        def kern(u, s):
+            w, jac = chart(u, s)
+            rest = g(u, w) - g0(w)  # subtracted at the same w
+            g_line = g0(chart(0.0, s)[0])
+            half_width = u1 * (1.0 - np.abs(s))
+            if fold:
+                return (jac * (2.0 * rest.real) * wightman_flat_pv(u, 0.0)
+                        - WIGHTMAN_PREF * g_line.real * (math.pi * omega - 2.0 / half_width))
+            return jac * rest * wightman_flat_pv(u, 0.0) + WIGHTMAN_PREF * g_line / half_width
+
+        breaks = []
+        if ordered:
+            pole = adaptive_1d(lambda w: -1j * WIGHTMAN_PREF * g0(w),
+                               chart(0.0, v0)[0], chart(0.0, v1)[0], cfg)
+
+    edges = [u0, *breaks, u1]
+    parts = [integrate_square(kern, (a, b, v0, v1), cfg) for a, b in zip(edges, edges[1:])]
+    runs = parts if pole is None else parts + [pole]
+    return IntegralResult(
+        complex(math.fsum(r.value.real for r in parts), math.fsum(r.value.imag for r in parts)),
+        math.fsum(r.err_estimate for r in parts),
+        note="closed-form" if pole is None else "finite-part",
+        budget_exhausted=any(r.budget_exhausted for r in runs),
+        cells=sum(r.cells for r in runs),
+        pole=None if pole is None else pole.value,
+    )
+
+
 def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
              epsilons) -> IntegralResult:
-    """pref * c_a s_a * c_b s_b times the integral of _kernel over _rect.
+    """pref * c_a s_a * c_b s_b times one element's integral.
 
-    All regulator levels are integrated on one adaptive mesh and then
+    An on_u element that would be extrapolated takes its eps -> 0 limit in
+    closed form (_takes_limit, _limit).  Every other element integrates
+    _kernel over _rect: all regulator levels on one adaptive mesh, then
     extrapolated; without extrapolation only the finest level is integrated,
     because it is the only one reported.  A cosmological element of two
     separated detectors under a clock that is not the identity is integrated
     in the straightened coordinates of _straighten, where its light cone is
-    a line of the mesh; every other element (the flat side, L_AA, L_BB, N,
-    and Omega == omega) keeps the plain (u, w) mesh.  An unordered element of
-    two mirrored detectors is folded: 2 Re of its u >= 0 half, on the ordered
-    rectangle, straightened (if at all) on its one ridge u = +g(w).
+    a line of the mesh; every other element keeps the plain (u, w) mesh.  An
+    unordered element of two mirrored detectors is folded on either route:
+    2 Re of its u >= 0 half, on the ordered rectangle, straightened (if at
+    all) on its one ridge u = +g(w).
     """
     ca = _coupling_eff(scenario, det_a)
     cb = _coupling_eff(scenario, det_b)
     if ca == 0.0 or cb == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
     eps_seq = regulator_sequence(scenario, epsilons)
+    fold = not ordered and _mirrors(det_a, det_b)
+    if _takes_limit(scenario, det_a, det_b, eps_seq):
+        res = _limit(scenario, det_a, det_b, ordered, swapped, fold)
+    else:
+        res = _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps_seq)
+    pref = pref * ca * cb
+    return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate,
+                   pole=None if res.pole is None else pref * res.pole)
+
+
+def _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps_seq) -> IntegralResult:
+    """The finite-eps route of _element, before the prefactor."""
     if scenario.quadrature.extrapolation == "none":
         eps_seq = eps_seq[-1:]
-    fold = not ordered and _mirrors(det_a, det_b)
     kern = _kernel(scenario, det_a, det_b, ordered, swapped, eps_seq, fold)
     rect = _rect(det_a.switching.support, det_b.switching.support, ordered or fold)
     sep = separation(det_a.trajectory, det_b.trajectory)
@@ -547,23 +735,21 @@ def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
     levels = res.levels or (res,) * len(eps_seq)  # an empty domain has no levels
     levels = [replace(r, epsilon_used=eps) for r, eps in zip(levels, eps_seq)]
     if len(levels) == 1:
-        res = replace(levels[0], note="finest-epsilon")
-    else:
-        res = extrapolate_epsilon(levels)
-    pref = pref * ca * cb
-    return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate)
+        return replace(levels[0], note="finest-epsilon")
+    return extrapolate_epsilon(levels)
 
 
 def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenario,
               epsilons=None) -> IntegralResult:
     """Response element L_ab over the full (t, t') square.
 
-    Evaluated in rotated coordinates u = t - t', w = t + t' so the regulated
-    lightcone ridges are axis-aligned, per the configured route: "direct"
-    regulated quadrature plus extrapolation, or the closed-form "fourier" mode
-    sum (static flat ground-state scenarios only).  When B mirrors A (a is b
-    included) L_ab is real, and the direct route integrates twice the real
-    part of the integrand over the u >= 0 half only (see _kernel).
+    Evaluated in rotated coordinates u = t - t', w = t + t', per the
+    configured route: "direct" quadrature (the eps -> 0 limit in closed form
+    where the clock is the identity, else the regulated sweep plus
+    extrapolation; see _element), or the "fourier" mode sum (static flat
+    ground-state scenarios only).  When B mirrors A (a is b included) L_ab is
+    real, and the direct route integrates twice the real part of the
+    integrand over the u >= 0 half only, with an imaginary part of exactly 0.
     """
     if scenario.quadrature.method != "fourier":
         return _element(scenario, det_a, det_b, ordered=False, swapped=False, pref=1.0,
@@ -588,10 +774,15 @@ def compute_M(scenario: HarvestScenario, epsilons=None) -> IntegralResult:
 def compute_N(det: DetectorSpec, scenario: HarvestScenario, epsilons=None) -> IntegralResult:
     """Same-detector double-excitation element N_d (oscillator models only).
 
-    The coincidence-limit kernel makes the imaginary part of the ordered
-    integral diverge like 1/epsilon; the extrapolation then reports its
-    documented non-monotone fallback (finest-epsilon value, inflated error)
-    rather than pretending the regulator limit exists.
+    The coincidence-limit kernel makes the ordered integral diverge like
+    1/epsilon.  Where the limit is taken in closed form (see _element) the
+    result is split: its value is the finite part (note "finite-part"),
+    which is what enters rho, and pole is the coefficient of 1/epsilon, so
+    that the regulated N at epsilon is value + pole/epsilon + O(epsilon).
+    On the regulated route the pole stays in the value: one level reports
+    it as is, and a sweep reports its documented non-monotone fallback
+    (finest-epsilon value, inflated error) rather than pretending the
+    regulator limit exists.
     """
     if det.model != "oscillator":
         raise ValueError("the second excited state exists only for oscillator detectors")
@@ -782,9 +973,11 @@ def run_dual_check(scenario: HarvestScenario, Omega: float, epsilons=None) -> Du
 
     Both sides share one regulator sequence (the conformal-time regulator is
     the one under which the pictures agree epsilon by epsilon), four levels by
-    default.  Each side runs its own quadrature on its own mesh; the
-    cosmological M straightens its curved light cone first (see _element),
-    which keeps its cost close to the flat side's.  Residuals are relative,
+    default.  The flat side, and the dual side at Omega == omega, take the
+    eps -> 0 limit of that regulator in closed form; the dual side elsewhere
+    extrapolates the sequence.  Each side runs its own quadrature on its own
+    mesh; the cosmological M straightens its curved light cone first (see
+    _element), which keeps its cost close to the flat side's.  Residuals are relative,
     on L_AA, L_BB, |M| and the negativity.  A mirrored pair (B differs from
     A only in label and position) reuses L_AA as L_BB on each side.
     """

@@ -81,9 +81,10 @@ WG = np.concatenate([_WG_HALF[3:0:-1], _WG_HALF])          # 7 gauss weights
 # row-major (u, v) order: Kronrod x Kronrod, Gauss in u, Gauss in v
 _WG15 = np.zeros(15)
 _WG15[G_IDX] = WG
-_CELL_RULES = np.stack(
+_CELL_RULES_REAL = np.stack(
     [np.outer(WK, WK), np.outer(_WG15, WK), np.outer(WK, _WG15)], axis=-1
-).reshape(225, 3).astype(complex)
+).reshape(225, 3)
+_CELL_RULES = _CELL_RULES_REAL.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,10 @@ class IntegralResult:
     integrate_square call share its mesh and its count, and an extrapolated
     result carries the largest count of its levels.  levels holds every
     component result of a stacked integrate_square call, the last of which
-    is the result itself; it is empty otherwise.
+    is the result itself; it is empty otherwise.  pole is the coefficient
+    of 1/eps of an element that diverges as the regulator is removed, whose
+    value is then the finite part (note "finite-part"); it is None for every
+    other result.
     """
 
     value: complex
@@ -177,31 +181,35 @@ class IntegralResult:
     budget_exhausted: bool = False
     cells: int = 0
     levels: tuple = ()
+    pole: complex | None = None
 
 
 def _eval_cell(f, u0, u1, v0, v1):
     """Kronrod values and per-axis Gauss defects of every component on one cell.
 
     f returns a (15, 15) grid, taken as one component, or a (K, 15, 15)
-    stack of K components; the three results are arrays of shape (K,).
+    stack of K components; the three results are arrays of shape (K,), the
+    values complex whether the grid is real or complex.
     """
     hu = 0.5 * (u1 - u0)
     hv = 0.5 * (v1 - v0)
     uu = u0 + hu * (XK + 1.0)
     vv = v0 + hv * (XK + 1.0)
-    F = np.ascontiguousarray(f(uu[:, None], vv[None, :]), dtype=complex)
+    F = np.asarray(f(uu[:, None], vv[None, :]))
     if F.shape == (15, 15):
         F = F[None]
     elif F.ndim != 3 or F.shape[1:] != (15, 15):
         raise ValueError(
             "kernel must broadcast over (15,1) x (1,15) grids, optionally stacked as (K, 15, 15)"
         )
-    F = F.reshape(len(F), 225)
-    if not np.isfinite(F.view(float)).all():  # real view: both parts, half the cost
+    # a real grid stays real: a real check and matmul, a third of the complex cost
+    real = not np.iscomplexobj(F)
+    F = np.ascontiguousarray(F, dtype=float if real else complex).reshape(len(F), 225)
+    if not np.isfinite(F if real else F.view(float)).all():  # real view: both parts
         raise NumericalHardError("kernel returned non-finite values")
-    rules = (F @ _CELL_RULES) * (hu * hv)
+    rules = (F @ (_CELL_RULES_REAL if real else _CELL_RULES)) * (hu * hv)
     ik = rules[:, 0]
-    return ik, np.abs(ik - rules[:, 1]), np.abs(ik - rules[:, 2])
+    return ik.astype(complex), np.abs(ik - rules[:, 1]), np.abs(ik - rules[:, 2])
 
 
 class _Cells:

@@ -163,6 +163,24 @@ def test_harvest_single_json_frozen(tmp_path):
     assert len(rep["config_sha256"]) == 64
 
 
+def test_harvest_N_records_carry_the_finite_part_and_the_pole(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["harvest", "--config", _write(tmp_path, GAUSS_REF), "--out", str(out)]) == EXIT_OK
+    el = json.loads(out.read_text())["elements"]
+    for name in ("N_A", "N_B"):
+        rec = el[name]
+        assert rec["note"] == "finite-part"
+        assert abs(rec["re"] - -2.0700e-6) <= 1e-4 * 2.0700e-6
+        assert abs(rec["pole_im"] - 2.3358e-6) <= 1e-4 * 2.3358e-6
+        assert abs(rec["pole_re"]) <= 1e-12 * rec["pole_im"]
+    assert "pole_re" not in el["M"] and "pole_re" not in el["L_AA"]
+    # the finite-eps route does not separate the pole
+    cfg = GAUSS_REF + "\n[quadrature]\nextrapolation = none\n"
+    assert main(["harvest", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    rec = json.loads(out.read_text())["elements"]["N_A"]
+    assert rec["note"] == "finest-epsilon" and rec["pole_re"] is None and rec["pole_im"] is None
+
+
 def test_harvest_zero_coupling_all_zero(tmp_path):
     cfg = GAUSS_REF.replace("coupling = 0.01", "coupling = 0.0")
     out = tmp_path / "rep.json"

@@ -11,7 +11,7 @@ from takagi_harvest import (
     wightman_flat_sep,
     wightman_frw_sep,
 )
-from takagi_harvest.field import mode_integrand_static
+from takagi_harvest.field import WIGHTMAN_PREF, mode_integrand_static, wightman_flat_pv
 
 
 def test_flat_value_closed_form():
@@ -72,3 +72,28 @@ def test_mode_integrand_coincident_limit():
     F = chi.fourier(1.0 + k)
     expected = k / (4 * math.pi**2) * F * np.conj(F)
     assert mode_integrand_static(k, chi, chi, 1.0, 1.0, 0.0) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("sep", [0.5, 2.0])
+def test_flat_limit_off_the_poles_is_the_principal_value_factor(sep):
+    # the regulated kernel departs from it by about 2 |dt| eps / |sep^2 - dt^2|
+    dt = np.concatenate([np.linspace(-3.0 * sep, -1.5 * sep, 20),
+                         np.linspace(-0.5 * sep, 0.5 * sep, 20),
+                         np.linspace(1.5 * sep, 3.0 * sep, 20)])
+    pv = wightman_flat_pv(dt, sep)
+    assert np.all(np.abs(wightman_flat_sep(dt, sep, 1e-7) - pv) <= 1e-6 * np.abs(pv))
+    assert wightman_flat_pv(0.7, 0.0) == pytest.approx(-WIGHTMAN_PREF / 0.49, rel=1e-15)
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_flat_limit_delta_term_sign(ordered):
+    # lim W(dt) holds -i pi P/(2q) delta(dt - q) at q = +-sep; the ordered
+    # kernel takes dt = u, the unordered dt = -u, so near u = sep the delta
+    # term is -i pi P/(2 sep) ordered and +i pi P/(2 sep) unordered
+    sep, eps = 2.0, 1e-6
+    u = sep + np.linspace(-3e-6, 3e-6, 601)
+    w = wightman_flat_sep(u if ordered else -u, sep, eps)
+    weight = np.trapezoid(w.imag, u)
+    expect = (-1.0 if ordered else 1.0) * math.pi * WIGHTMAN_PREF / (2.0 * sep)
+    assert np.sign(weight) == np.sign(expect)
+    assert weight == pytest.approx(expect, rel=0.3)

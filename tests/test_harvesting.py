@@ -519,12 +519,46 @@ def test_diagonal_L_at_large_omega_sigma_converges_to_the_mode_sum(freq, sigma):
 
 
 def test_element_reports_the_cells_of_its_mesh(monkeypatch):
-    # the extrapolated, rescaled element carries the cell count of its one mesh
+    # the extrapolated, rescaled element carries the cell count of its one
+    # mesh: a dual M on 6 levels (the flat side takes its limit in closed form)
     seen = []
-    levels, calls = _mesh_of(monkeypatch, lambda: seen.append(compute_M(_scenario())))
+    dual = dualize(_scenario(), 2.0)
+    levels, calls = _mesh_of(monkeypatch, lambda: seen.append(compute_M(dual)))
     (res,) = seen
     assert res.note == "richardson"
     assert res.cells == levels[0].cells == calls > 1
+
+
+def _calls_of(monkeypatch, run):
+    """Kernel calls of each integrate_square call of run, and run's result."""
+    calls = []
+    integrate = harvesting.integrate_square
+
+    def spy(f, rect, cfg):
+        calls.append(0)
+
+        def kern(u, w):
+            calls[-1] += 1
+            return f(u, w)
+
+        return integrate(kern, rect, cfg)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harvesting, "integrate_square", spy)
+        res = run()
+    return calls, res
+
+
+def test_closed_form_element_reports_all_its_cells(monkeypatch):
+    # a closed-form element counts the cells of each piece of its u range
+    # (M breaks at its pole u = L) and N the segments of its pole's line integral
+    sc = _scenario()
+    calls, M = _calls_of(monkeypatch, lambda: compute_M(sc))
+    assert M.note == "closed-form" and M.pole is None
+    assert len(calls) == 2 and M.cells == sum(calls)
+    calls, N = _calls_of(monkeypatch, lambda: compute_N(sc.detectors[0], sc))
+    assert N.note == "finite-part" and N.pole is not None
+    assert len(calls) == 1 and N.cells > calls[0]
 
 
 # --- each leg evaluated once -----------------------------------------------------
@@ -920,12 +954,13 @@ def test_hermitian_L_is_folded_onto_u_nonnegative(monkeypatch):
         assert folded.value.imag == 0.0
         assert abs(folded.value - whole.value) <= 1e-6 * abs(whole.value), (da.label, db.label)
         assert folded.cells <= 0.6 * whole.cells, (folded.cells, whole.cells)
-    # a pair that does not mirror keeps the whole rectangle, bit for bit
-    da, db = flat.detectors
+    # a pair that does not mirror keeps the whole rectangle, bit for bit (on
+    # the dual side, where the regulator sweep remains)
     integrate = harvesting.integrate_square
     for chi_b in (gaussian_switching(1.25), gaussian_switching(1.0, center=0.5)):
-        other = replace(db, switching=chi_b)
-        sc = HarvestScenario(detectors=(da, other))
+        fa, fb = flat.detectors
+        sc = dualize(HarvestScenario(detectors=(fa, replace(fb, switching=chi_b))), 2.0)
+        da, other = sc.detectors
         eps = regulator_sequence(sc, levels=4)
         rects = []
         with monkeypatch.context() as mp:
@@ -942,3 +977,96 @@ def test_power_law_dual_check():
     chi = gaussian_switching(0.15)
     rep = run_dual_check(_scenario(L=0.5, chi=chi), 0.0)
     assert rep.resid_max <= 1e-3
+
+
+# --- the eps -> 0 limit in closed form ---------------------------------------------
+
+LIMIT_WINDOWS = [
+    (gaussian_switching(1.0), 0.6),
+    (gaussian_switching(1.0), 2.0),
+    (gaussian_switching(1.6), 0.6),
+    (cos_squared_switching(-0.5, 0.5), 0.5),
+    (cos_squared_switching(-0.5, 0.5), 3.7),
+    (cos_squared_switching(-0.5, 0.5), 7.7),
+]
+
+
+@pytest.mark.parametrize("chi,freq", LIMIT_WINDOWS)
+def test_L_AA_limit_matches_the_mode_sum(chi, freq):
+    # the regulated sweep was up to 6e-6 off on cos^2, whose C^1 edges now
+    # lie on mesh lines of the sheared support diamond
+    sc = _scenario(model="qubit", freq=freq, chi=chi, L=2.0)
+    da = sc.detectors[0]
+    res = compute_L(da, da, sc)
+    oracle = fourier_oracle_L(da, da, 0.0, QuadratureConfig(rel_tol=1e-10))
+    assert res.note == "closed-form" and res.value.imag == 0.0
+    assert abs(res.value - oracle.value) <= 1e-8 * abs(oracle.value)
+
+
+def test_criterion_10_M_limit_matches_the_product_integral():
+    windows = ((-0.5, 0.5), (-0.5, 0.5))
+    for freq in np.arange(0.5, 8.01, 0.5):
+        sc = _window_pair(windows, 2.0)
+        sc = HarvestScenario(detectors=tuple(replace(d, frequency=float(freq))
+                                             for d in sc.detectors))
+        oracle = _spacelike_M(windows, 2.0, freq=float(freq), n=400)
+        got = compute_M(sc).value
+        assert abs(got - oracle) <= 1e-9 * abs(oracle), (freq, got, oracle)
+
+
+def _swept(sc, da, db, ordered, swapped, pref):
+    """An element by the regulated sweep of the finite-eps route, extrapolated."""
+    eps = regulator_sequence(sc)
+    fold = not ordered and harvesting._mirrors(da, db)
+    res = harvesting._regulated(sc, da, db, ordered, swapped, fold, eps)
+    assert len(eps) == 6 and res.note == "richardson"
+    return pref * harvesting._coupling_eff(sc, da) * harvesting._coupling_eff(sc, db) * res.value
+
+
+@pytest.mark.parametrize("L", [0.5, 1.0, 5.0])
+def test_limit_agrees_with_the_regulated_sweep(L):
+    # at L = 1 a node once fell on the pole u = L
+    da = _detector("A", (0.0, 0.0, 0.0))
+    mirror = _detector("B", (L, 0.0, 0.0))
+    # B's window differs (the rectangle of _rect), or its gap (the whole
+    # sheared diamond, broken at its kink u = 0 and at both poles)
+    other = _detector("B", (L, 0.0, 0.0), chi=gaussian_switching(1.25))
+    gap = _detector("B", (L, 0.0, 0.0), freq=1.5)
+    same = HarvestScenario(detectors=(da, mirror))
+    apart = HarvestScenario(detectors=(da, other))
+    detuned = HarvestScenario(detectors=(da, gap))
+    cases = [
+        (compute_M(same), _swept(same, da, mirror, True, True, -1.0)),
+        (compute_M(apart), _swept(apart, da, other, True, True, -1.0)),
+        (compute_L(da, mirror, same), _swept(same, da, mirror, False, False, 1.0)),
+        (compute_L(da, other, apart), _swept(apart, da, other, False, False, 1.0)),
+        (compute_L(da, gap, detuned), _swept(detuned, da, gap, False, False, 1.0)),
+    ]
+    for got, want in cases:
+        assert got.note == "closed-form"
+        assert abs(got.value - want) <= 1e-6 * abs(want), (got.value, want)
+
+
+def test_N_finite_part_and_pole_match_the_regulated_N():
+    # criterion 7's pair: the regulated N at eps is finite + pole/eps + O(eps)
+    sc = _scenario(quad=QuadratureConfig(rel_tol=1e-10))
+    da = sc.detectors[0]
+    N = compute_N(da, sc)
+    assert N.note == "finite-part"
+    assert abs(N.pole - 2.3358e-6j) <= 1e-4 * abs(N.pole)
+    assert abs(N.value - -2.0700e-6) <= 1e-4 * abs(N.value)
+    gaps = []
+    for eps in (0.04, 0.02, 0.01, 0.005):
+        regulated = compute_N(da, sc, epsilons=(eps,))
+        assert regulated.note == "finest-epsilon"
+        gaps.append(abs(N.value + N.pole / eps - regulated.value))
+    assert all(g2 * 1.5 <= g1 for g1, g2 in zip(gaps, gaps[1:])), gaps
+
+
+def test_co_located_pair_that_does_not_mirror_keeps_the_sweep():
+    # its delta' term would need the derivative of a window
+    da = _detector("A", (0.0, 0.0, 0.0))
+    db = _detector("B", (0.0, 0.0, 0.0), chi=gaussian_switching(1.25))
+    sc = HarvestScenario(detectors=(da, db))
+    res = compute_L(da, db, sc)
+    assert res.note == "richardson" and res.pole is None

@@ -127,6 +127,21 @@ def test_identical_components_are_bitwise_equal():
     assert abs(stacked.value - single.value) <= 1e-14 * abs(single.value)
 
 
+def test_real_grid_matches_its_complex_cast():
+    # a real kernel keeps a real rule matrix; only the last bits may move
+    f = lambda u, v: np.stack([_ridge(a)(u, v).real for a in (0.05, 0.025)])
+    real = integrate_square(f, (0, 1, 0, 1), CFG)
+    cast = integrate_square(lambda u, v: f(u, v) + 0j, (0, 1, 0, 1), CFG)
+    assert real.cells == cast.cells
+    for got, want in zip(real.levels, cast.levels):
+        assert isinstance(got.value, complex) and got.value.imag == 0.0
+        assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
+        # an error is a difference of two rules, so it keeps the values' absolute bits
+        assert abs(got.err_estimate - want.err_estimate) <= 1e-14 * abs(want.value)
+    with pytest.raises(NumericalHardError):
+        integrate_square(lambda u, v: np.where(u > 0.5, np.nan, 1.0 + 0 * v), (0, 1, 0, 1), CFG)
+
+
 def test_ridge_sweep_on_one_mesh():
     # a halving regulator sweep of the ridge 1/((u-v)^2 + a^2)
     widths = [0.05 / 2**k for k in range(6)]
