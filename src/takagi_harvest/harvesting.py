@@ -30,30 +30,31 @@ coordinates u = t - t', w = t + t'.  An L whose detectors mirror each other
 either side of the duality, and is folded: taken as 2 Re of its u >= 0 half,
 on about half the cells.
 
-Two routes remove the regulator.  Where the clock is the identity (the flat
-side, and the dual side at Omega == omega) the Wightman factor depends on u
-alone, and its eps -> 0 limit is a known distribution (Sokhotski-Plemelj;
-see field.wightman_flat_pv).  There an element that would be extrapolated
-takes that limit in closed form (_limit): the pole of the kernel is
-subtracted at the same node line, which leaves one bounded integrand per
-element (the regularised response of Louko and Satz, CQG 23, 6321, 2006, and
-QUADPACK's qawc subtraction, here in 2D), and the delta and delta' terms are
-line integrals, added to the same integrand.  N, which diverges like 1/eps,
-reports its finite part and the coefficient of the pole separately.  Every
-other element (the curved dual side, extrapolation = none, one regulator
-level, and two co-located detectors that do not mirror) integrates the
-regulated kernel at every level of the sequence on one adaptive mesh and
-extrapolates.  On that route the Wightman factor peaks on the light cone of
-the two detectors.  In flat spacetime that is the straight line u = +-L, an
-axis of the rectangle, and the mesh refines across it in u alone.  On the
-cosmological side it is the curve lambda(t) - lambda(t') = +-L of the clock
-map, so the separated elements there (M and L_AB) are integrated in (s, w):
-u = phi_w(s) is piecewise linear in s, with knots that put the curve, taken
-in closed form from the clock map (_ridge), on fixed lines s = const.  Only
-the nodes move; the integrand at each node is still the cosmological
-formula at the dual times (tau, tau'), so the flat and cosmological values
-stay two independent routes to the same number, never a change of variables
-of one into the other.
+Two routes remove the regulator.  The regulator sits on the conformal-time
+difference x = lambda(t) - lambda(t') of the two legs (x = u on the flat
+side), and the eps -> 0 limit of the kernel is a known distribution in x
+(Sokhotski-Plemelj; see field.wightman_flat_pv).  On either side an element
+that would be extrapolated takes that limit in closed form (_limit): the
+pole of the kernel is subtracted at the same node line, which leaves one
+bounded integrand per element (the regularised response of Louko and Satz,
+CQG 23, 6321, 2006, and QUADPACK's qawc subtraction, here in 2D), and the
+delta and delta' terms are line integrals, added to the same integrand.  N,
+which diverges like 1/eps, reports its finite part and the coefficient of
+the pole separately.  Every other element (extrapolation = none, one
+regulator level, and two co-located detectors that do not mirror)
+integrates the regulated kernel at every level of the sequence on one
+adaptive mesh and extrapolates.  On both routes the kernel is singular, or
+peaks, on the light cone of the two detectors.  In flat spacetime that is
+the straight line u = +-L, an axis of the rectangle, and the mesh refines
+across it in u alone.  On the cosmological side it is the curve
+lambda(t) - lambda(t') = +-L of the clock map, so the separated elements
+there (M and L_AB) are integrated in (s, w): u = phi_w(s) is piecewise
+linear in s, with knots that put the curve, taken in closed form from the
+clock map (_ridge), on fixed lines s = const.  Only the nodes move; the
+integrand at each node is still the cosmological formula at the dual times
+(tau, tau'), so the flat and cosmological values stay two independent
+routes to the same number, never a change of variables of one into the
+other.
 """
 
 from __future__ import annotations
@@ -415,8 +416,9 @@ def _on_u(scenario: HarvestScenario) -> bool:
 def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons, fold=False):
     """The regulated integrand of one element in rotated coordinates, one grid per level.
 
-    This is the finite-eps route of _element; on_u elements extrapolated over
-    two or more levels take the eps -> 0 limit of _limit instead.  A's leg
+    This is the finite-eps route of _element: one regulator level, no
+    extrapolation, or two co-located detectors that do not mirror; every
+    other element takes the eps -> 0 limit of _limit instead.  A's leg
     sits at t = (w + u)/2 and B's at t' = (w - u)/2 (see _leg_product); the
     1/2 is the Jacobian of (t, t') -> (u, w).  The legs are joined by the
     Wightman function on the scenario background, with the conformal-time
@@ -468,8 +470,8 @@ def _rect(sup_a, sup_b, ordered: bool):
     the (A <-> B) term keeps its domain when the windows sit asymmetrically
     in time.  For equal supports it is the u >= 0 half of the unordered
     rectangle, the domain of a folded L (see _element).  It is the domain of
-    the finite-eps route and of a limit-route element of unequal supports;
-    equal supports take the sheared diamond of _chart on the limit route.
+    the finite-eps route and of the limit route, except where _chart shears
+    equal supports onto their diamond.
     """
     a0, a1 = sup_a
     b0, b1 = sup_b
@@ -517,17 +519,16 @@ def _ridge(m: ConformalTakagiMap, sep: float, w):
     return (2.0 * math.pi * turns + phi + np.arcsin(d / math.hypot(a, b))) / Om
 
 
-def _straighten(kern, m: ConformalTakagiMap, sep: float, rect, ordered: bool):
-    """kern in (s, w) coordinates in which each light-cone ridge is a line s = const.
+def _straight(m: ConformalTakagiMap, sep: float, rect, ordered: bool):
+    """(ks, chart): the (s, w) chart in which each light-cone ridge is a line s = const.
 
     u = phi_w(s) is piecewise linear in s on the unchanged range [u0, u1].
-    Its knots send fixed points s_k, multiples of 1/8 of the range, to the
-    ridges u = g(w) (and u = -g(w) when unordered) at the same w, clamped
-    into the range where a ridge leaves it; each s_k is the multiple nearest
-    the ridge at the middle of the w range.  The result is kern(phi_w(s), w)
-    times the slope of phi_w, so the rectangle and its edges are unchanged,
-    and the mesh refines across a ridge in s alone, as it does across the
-    straight ridges of the flat side.
+    Its knots ks send fixed points s_k, multiples of 1/8 of the range, to
+    the ridges u = g(w) (and u = -g(w) when unordered, the lower first) at
+    the same w, clamped into the range where a ridge leaves it; each s_k is
+    the multiple nearest the ridge at the middle of the w range.
+    chart(s, w) gives u, the slope of phi_w and the knot images ku
+    (u0, the clamped ridges, u1).
     """
     u0, u1, w0, w1 = rect
     signs = (1.0,) if ordered else (-1.0, 1.0)
@@ -541,7 +542,7 @@ def _straighten(kern, m: ConformalTakagiMap, sep: float, rect, ordered: bool):
         ks.append(u0 + j * step)
     ks.append(u1)
 
-    def kern_sw(s, w):
+    def chart(s, w):
         g = _ridge(m, sep, w)
         ku = [u0] + [np.clip(sign * g, u0, u1) for sign in signs] + [u1]
         u = jac = 0.0
@@ -550,12 +551,47 @@ def _straighten(kern, m: ConformalTakagiMap, sep: float, rect, ordered: bool):
             piece = s >= ks[i]
             u = np.where(piece, ku[i] + (s - ks[i]) * slope, u)
             jac = np.where(piece, slope, jac)
+        return u, jac, ku
+
+    return ks, chart
+
+
+def _straighten(kern, m: ConformalTakagiMap, sep: float, rect, ordered: bool):
+    """kern in the (s, w) chart of _straight, times the slope of phi_w.
+
+    The rectangle and its edges are unchanged, and the mesh refines across
+    a ridge in s alone, as it does across the straight ridges of the flat
+    side.  This is the finite-eps route's chart; _limit reads the chart of
+    _straight itself, because its pole terms need the knots and the ridges.
+    """
+    chart = _straight(m, sep, rect, ordered)[1]
+
+    def kern_sw(s, w):
+        u, jac, _ = chart(s, w)
         return kern(u, w) * jac
 
     return kern_sw
 
 
-def _chart(sup_a, sup_b, half: bool):
+def _dlam(m: ConformalTakagiMap, u, w, coarse):
+    """lambda(t) - lambda(t') at t, t' = (w +- u)/2, free of cancellation at small u.
+
+    The tangent-subtraction formula gives omega times the difference modulo
+    2 pi as one atan2, accurate to rounding relative to u itself; coarse,
+    the difference of the clock's own lambda values, picks its turn.  At
+    Omega = 0 the difference stays below pi/omega and needs no turn.
+    """
+    om, Om = m.omega, m.Omega
+    if Om == 0.0:
+        return np.arctan2(om * u, 1.0 + 0.25 * om * om * (w * w - u * u)) / om
+    r = om / Om
+    x = Om * u
+    y = np.arctan2(r * np.sin(x), 0.5 * ((1.0 + r * r) * np.cos(x) + (1.0 - r * r) * np.cos(Om * w)))
+    turns = np.round((om * coarse - y) / (2.0 * math.pi))
+    return (y + 2.0 * math.pi * turns) / om
+
+
+def _chart(sup_a, sup_b, half: bool, shear: bool = True):
     """Domain of a limit-route element: ((u0, u1, v0, v1), chart, kinks).
 
     chart(u, v) gives (w, Jacobian) at the nodes.  For equal supports
@@ -565,11 +601,11 @@ def _chart(sup_a, sup_b, half: bool):
     edge underestimates its error 100 to 300 fold.  So the diamond is
     sheared onto the rectangle of (u, s), w = a0 + a1 + (U - |u|) s with s in
     [-1, 1] and Jacobian U - |u|, and its edges are mesh edges; the whole
-    diamond has a kink at u = 0, listed in kinks.  Unequal supports keep the
-    rectangle of _rect (v = w, Jacobian 1), where a Gaussian window's edge is
-    a jump of e^-32.
+    diamond has a kink at u = 0, listed in kinks.  Unequal supports, and
+    equal ones without shear, keep the rectangle of _rect (v = w, Jacobian
+    1), where a Gaussian window's edge is a jump of e^-32.
     """
-    if sup_a != sup_b:
+    if sup_a != sup_b or not shear:
         return _rect(sup_a, sup_b, half), (lambda u, w: (w, 1.0)), ()
     a0, a1 = sup_a
     U, mid = a1 - a0, a0 + a1
@@ -584,98 +620,161 @@ def _chart(sup_a, sup_b, half: bool):
 def _takes_limit(scenario, det_a, det_b, eps_seq) -> bool:
     """True when an element takes its eps -> 0 limit in closed form (see _limit).
 
-    That is an on_u element that would otherwise be extrapolated (richardson
-    over two or more levels), unless it joins two co-located detectors that
-    do not mirror each other: its delta' term would need the derivative of a
-    window.  Every other element keeps the regulator sweep.
+    That is an element on either side that would otherwise be extrapolated
+    (richardson over two or more levels), unless it joins two co-located
+    detectors that do not mirror each other: its delta' term would need the
+    derivative of a window.  Every other element keeps the regulator sweep.
     """
     return (
-        _on_u(scenario)
-        and scenario.quadrature.extrapolation == "richardson"
+        scenario.quadrature.extrapolation == "richardson"
         and len(eps_seq) > 1
         and (separation(det_a.trajectory, det_b.trajectory) > 0.0 or _mirrors(det_a, det_b))
     )
 
 
 def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> IntegralResult:
-    """The eps -> 0 limit of an on_u element, as bounded integrands (before the prefactor).
+    """The eps -> 0 limit of an element, as bounded integrands (before the prefactor).
 
-    g(u, w) is half the leg product (see _kernel), P = 1/(4 pi^2), and the
-    flat kernel's limit is the distribution of field.wightman_flat_pv.  With
-    a range [u0, u1] at each v of _chart:
+    The regulator sits on the conformal-time difference x = lambda(t) -
+    lambda(t'), which is u itself where the clock is the identity.  With
+    G(u, w) half the leg product over C C' (see _kernel), x' = dx/du =
+    (1/C + 1/C')/2 and P = 1/(4 pi^2), the integrand is G times the flat
+    kernel in x, whose limit is the distribution of field.wightman_flat_pv
+    (in u: C = 1, x' = 1).  With a range [u0, u1] at each v of the chart:
 
-    * sep > 0: each pole p = +-sep inside the range (unordered; +sep when
-      ordered or folded) is subtracted at the same v.  Near it the integrand
-      is a(v) / (p - u) with a = J g(p, w) P/(2p), and its limit adds
-      a (log((p - u0)/(u1 - p)) +- i pi), + unordered and - ordered.  The
-      range breaks at each pole, so no node falls on one.
-    * sep = 0, folded L of mirrored detectors (L_AA, L_BB): with g0 = g(0, w)
-      and U(w) the half-width of the diamond at w,
-          L = -P { int int_{u>=0} 2 (Re g - g0)/u^2 + int dw g0 (pi omega - 2/U(w)) },
-      where pi omega is the i pi delta' term, Im d_u g(0, w) = omega g0.
-    * sep = 0, ordered (N, and M of mirrored co-located detectors): g is even
-      in u, and int_0^U g/(u - i eps)^2 = g0 (i/eps - 1/U) + int (g - g0)/u^2.
-      The value is the finite part; pole carries the coefficient of 1/eps,
-      -i P int dw g0, from adaptive_1d.
+    * sep > 0: each pole x = q, q = +-sep (unordered; +sep when ordered or
+      folded), lies on a line s = s_k: u = q itself on the identity clock,
+      the ridge u = g(w) of the straightened chart of _straight elsewhere.
+      Near it the integrand is a / (s_k - s), a = J G P/(2 q x') at the
+      ridge and J the Jacobian of v; that is subtracted at the same v, and
+      the limit adds a (c +- i pi), + unordered and - ordered.  c is the
+      principal value of int ds/(s_k - s) taken in u, where the limit is
+      symmetric: log((g - u0)/(u1 - g)) for one ridge.  phi_w has a kink at
+      s_k, so the principal value in s differs from it by the log of the
+      ratio of phi_w's slopes on either side of s_k.  Where a ridge leaves
+      the range there is no pole, and a = 0.  The range breaks at each pole,
+      so no node falls on one.
+    * sep = 0, folded L of mirrored detectors (L_AA, L_BB): with F0(w) =
+      G(0, w) C(w/2) and X(w) the x at the end of the u range,
+          L = -P { int int_{u>=0} 2 Re(G - F0 x')/x^2 + int dw F0 (pi nu - 2/X) },
+      where pi nu F0 is the i pi delta' term and nu the leg's phase rate per
+      unit conformal time at w/2: omega on the flat side and for the
+      transported mode, Omega C for a dual ground state.
+    * sep = 0, ordered (N, and M of mirrored co-located detectors): G/x' is
+      even in x, and int_0^U G/(x - i eps)^2 du = F0 (i/eps - 1/X) +
+      int (G - F0 x')/x^2 du.  The value is the finite part; pole carries
+      the coefficient of 1/eps, -i P int dw F0, from adaptive_1d.
 
-    Each line term is spread evenly over the u range of its line, so it is
-    one more term of the same bounded 2D integrand and every stopping test
-    is relative to the element's value.  Each piece of the u range is one
-    integrate_square call; cells adds up the cells of all pieces and the
-    segments of the pole's 1D integral.
+    x is taken by _dlam, without cancellation at small u.  Each line term is
+    spread evenly over the u range of its line, so it is one more term of
+    the same bounded 2D integrand and every stopping test is relative to the
+    element's value.  Each piece of the u range is one integrate_square
+    call; cells adds up the cells of all pieces and the segments of the
+    pole's 1D integral.
     """
     legs = _leg_product(scenario, det_a, det_b, ordered, swapped)
     clock = _clock(scenario) or (lambda t: t)
+    m = scenario.map
+    exact = _on_u(scenario)
     sep = separation(det_a.trajectory, det_b.trajectory)
-    (u0, u1, v0, v1), chart, kinks = _chart(
-        det_a.switching.support, det_b.switching.support, ordered or fold
-    )
+    sup_a, sup_b = det_a.switching.support, det_b.switching.support
+    half = ordered or fold
     cfg = scenario.quadrature
 
-    def g(u, w):
-        return 0.5 * legs(clock(0.5 * (w + u)), clock(0.5 * (w - u)))
+    def at(u, w):
+        """(G, x, x') at the nodes, from one clock evaluation per leg."""
+        p, q = clock(0.5 * (w + u)), clock(0.5 * (w - u))
+        G = 0.5 * legs(p, q)
+        if exact:
+            return G, u, 1.0
+        return G / (p[2] * q[2]), _dlam(m, u, w, p[1] - q[1]), 0.5 * (1.0 / p[2] + 1.0 / q[2])
 
     pole = None
     if sep > 0.0:
-        poles = [p for p in ((sep,) if ordered or fold else (-sep, sep)) if u0 < p < u1]
         line = (-1j if ordered else 1j) * math.pi
-        spread = {p: (math.log((p - u0) / (u1 - p)) + line) / (u1 - u0) for p in poles}
+        qs = (sep,) if half else (-sep, sep)
+        if exact:
+            (u0, u1, v0, v1), chart, kinks = _chart(sup_a, sup_b, half)
+            qs = [q for q in qs if u0 < q < u1]
+            spread = [(math.log((q - u0) / (u1 - q)) + line) / (u1 - u0) for q in qs]
+            breaks = sorted(set(qs) | {k for k in kinks if u0 < k < u1})
 
-        def kern(u, v):
-            w, jac = chart(u, v)
-            out = jac * g(u, w) * wightman_flat_pv(u, sep)
-            for p in poles:
-                wp, jac_p = chart(p, v)
-                a = jac_p * g(p, wp) * (WIGHTMAN_PREF / (2.0 * p))
-                out = out - a / (p - u) + a * spread[p]
+            def place(s, v):
+                w, jac = chart(s, v)
+                return s, w, jac, [(q, q, q, *chart(q, v), c) for q, c in zip(qs, spread)]
+        else:
+            u0, u1, v0, v1 = rect = _rect(sup_a, sup_b, half)
+            ks, straight = _straight(m, sep, rect, half)
+            breaks = ks[1:-1]
+            # c = log((s_k - u0)/(u1 - s_k)) plus the log of the ratio of
+            # phi_w's slopes either side of s_k; bias is the part that does
+            # not move with w (0 for one ridge)
+            bias = [math.log((k - u0) * (hi - k) / ((u1 - k) * (k - lo)))
+                    for lo, k, hi in zip(ks, ks[1:], ks[2:])]
+
+            def place(s, w):
+                u, jac, ku = straight(s, w)
+                poles = []
+                for i, q in enumerate(qs, 1):
+                    below, above = ku[i] - ku[i - 1], ku[i + 1] - ku[i]
+                    inside = (below > 0.0) & (above > 0.0)
+                    c = np.log(np.where(inside, below, 1.0) / np.where(inside, above, 1.0))
+                    poles.append((q, ks[i], ku[i], w, inside, (c + bias[i - 1] + line) / (u1 - u0)))
+                return u, w, jac, poles
+
+        def kern(s, v):
+            # place gives the nodes and, per pole, (q, its line s_k, u, w and
+            # Jacobian of v on it, its line term per unit u)
+            u, w, jac, poles = place(s, v)
+            G, x, _ = at(u, w)
+            out = jac * G * wightman_flat_pv(x, sep)
+            for q, s_k, u_k, w_k, jac_k, spread_k in poles:
+                G_k, _, rate_k = at(u_k, w_k)
+                a = jac_k * G_k * (WIGHTMAN_PREF / (2.0 * q * rate_k))
+                out = out - a / (s_k - s) + a * spread_k
             return 2.0 * out.real if fold else out
-
-        breaks = sorted(set(poles) | {k for k in kinks if u0 < k < u1})
     else:
-        # mirrored detectors: equal supports, the half diamond, v = s; on the
-        # line u = 0 both legs are one detector's leg at t = w/2
-        omega = det_a.frequency
+        # mirrored detectors, equal supports; on the line u = 0 both legs are
+        # one detector's leg at t = w/2.  The dual side keeps the diamond for
+        # cos^2 windows only: on a Gaussian one it costs cells
+        window = det_a.switching
+        base = window.param("base") if window.kind == "transformed" else window
+        sheared = exact or base.kind == "cos_squared"
+        (u0, u1, v0, v1), chart, _ = _chart(sup_a, sup_b, half, sheared)
         chi, mode = _legs(scenario, det_a)
         scale = 1.0 if swapped else 0.5  # a mirrored M adds the product to itself
+        transported = scenario.initial_state == "takagi_squeezed"
 
-        def g0(w):
+        def on_line(w):
+            """F0 at w and the leg's phase rate nu per unit conformal time."""
             p = clock(0.5 * w)
             leg = chi(p) * mode(p)
-            return scale * (leg * (leg if ordered else np.conj(leg)))
+            F0 = scale * (leg * (leg if ordered else np.conj(leg)))
+            if exact:
+                return F0, det_a.frequency
+            return F0 / p[2], (m.omega if transported else det_a.frequency * p[2])
 
         def kern(u, s):
             w, jac = chart(u, s)
-            rest = g(u, w) - g0(w)  # subtracted at the same w
-            g_line = g0(chart(0.0, s)[0])
-            half_width = u1 * (1.0 - np.abs(s))
+            G, x, rate = at(u, w)
+            w_line = chart(0.0, s)[0]
+            F_line, nu = on_line(w_line)
+            rest = G - (F_line if w is w_line else on_line(w)[0]) * rate  # at the same w
+            # a line term spread over the u range at v: on the diamond the
+            # shear's Jacobian cancels the range's width, on the rectangle not
+            X = u1 * (1.0 - np.abs(s)) if sheared else u1
+            if not sheared:
+                F_line = F_line / u1
+            if not exact:
+                X = m.lambda_of_tau(0.5 * (w_line + X)) - m.lambda_of_tau(0.5 * (w_line - X))
             if fold:
-                return (jac * (2.0 * rest.real) * wightman_flat_pv(u, 0.0)
-                        - WIGHTMAN_PREF * g_line.real * (math.pi * omega - 2.0 / half_width))
-            return jac * rest * wightman_flat_pv(u, 0.0) + WIGHTMAN_PREF * g_line / half_width
+                return (jac * (2.0 * rest.real) * wightman_flat_pv(x, 0.0)
+                        - WIGHTMAN_PREF * F_line.real * (math.pi * nu - 2.0 / X))
+            return jac * rest * wightman_flat_pv(x, 0.0) + WIGHTMAN_PREF * F_line / X
 
         breaks = []
         if ordered:
-            pole = adaptive_1d(lambda w: -1j * WIGHTMAN_PREF * g0(w),
+            pole = adaptive_1d(lambda w: -1j * WIGHTMAN_PREF * on_line(w)[0],
                                chart(0.0, v0)[0], chart(0.0, v1)[0], cfg)
 
     edges = [u0, *breaks, u1]
@@ -695,8 +794,8 @@ def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
              epsilons) -> IntegralResult:
     """pref * c_a s_a * c_b s_b times one element's integral.
 
-    An on_u element that would be extrapolated takes its eps -> 0 limit in
-    closed form (_takes_limit, _limit).  Every other element integrates
+    An element that would be extrapolated takes its eps -> 0 limit in closed
+    form (_takes_limit, _limit).  Every other element integrates
     _kernel over _rect: all regulator levels on one adaptive mesh, then
     extrapolated; without extrapolation only the finest level is integrated,
     because it is the only one reported.  A cosmological element of two
@@ -745,8 +844,8 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenari
 
     Evaluated in rotated coordinates u = t - t', w = t + t', per the
     configured route: "direct" quadrature (the eps -> 0 limit in closed form
-    where the clock is the identity, else the regulated sweep plus
-    extrapolation; see _element), or the "fourier" mode sum (static flat
+    wherever the sweep would be extrapolated, else the regulated sweep; see
+    _element), or the "fourier" mode sum (static flat
     ground-state scenarios only).  When B mirrors A (a is b included) L_ab is
     real, and the direct route integrates twice the real part of the
     integrand over the u >= 0 half only, with an imaginary part of exactly 0.
@@ -779,6 +878,9 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario, epsilons=None) -> In
     result is split: its value is the finite part (note "finite-part"),
     which is what enters rho, and pole is the coefficient of 1/epsilon, so
     that the regulated N at epsilon is value + pole/epsilon + O(epsilon).
+    On the dual side epsilon regulates the conformal-time difference, the
+    regulator under which the duality holds epsilon by epsilon, so the
+    flat and dual finite parts and poles are the same two numbers.
     On the regulated route the pole stays in the value: one level reports
     it as is, and a sweep reports its documented non-monotone fallback
     (finest-epsilon value, inflated error) rather than pretending the
@@ -973,12 +1075,11 @@ def run_dual_check(scenario: HarvestScenario, Omega: float, epsilons=None) -> Du
 
     Both sides share one regulator sequence (the conformal-time regulator is
     the one under which the pictures agree epsilon by epsilon), four levels by
-    default.  The flat side, and the dual side at Omega == omega, take the
-    eps -> 0 limit of that regulator in closed form; the dual side elsewhere
-    extrapolates the sequence.  Each side runs its own quadrature on its own
-    mesh; the cosmological M straightens its curved light cone first (see
-    _element), which keeps its cost close to the flat side's.  Residuals are relative,
-    on L_AA, L_BB, |M| and the negativity.  A mirrored pair (B differs from
+    default.  Both sides take the eps -> 0 limit of that regulator in closed
+    form (see _limit), each with its own quadrature on its own mesh, at its
+    own times; the cosmological M straightens its curved light cone first
+    (see _element).  Residuals are relative, on L_AA, L_BB, |M| and the
+    negativity.  A mirrored pair (B differs from
     A only in label and position) reuses L_AA as L_BB on each side.
     """
     eps_seq = regulator_sequence(scenario, epsilons, levels=4)

@@ -520,10 +520,13 @@ def test_diagonal_L_at_large_omega_sigma_converges_to_the_mode_sum(freq, sigma):
 
 def test_element_reports_the_cells_of_its_mesh(monkeypatch):
     # the extrapolated, rescaled element carries the cell count of its one
-    # mesh: a dual M on 6 levels (the flat side takes its limit in closed form)
+    # mesh: the dual L_AB on 6 levels of two co-located detectors that do not
+    # mirror (every other extrapolated element takes its limit in closed form)
     seen = []
-    dual = dualize(_scenario(), 2.0)
-    levels, calls = _mesh_of(monkeypatch, lambda: seen.append(compute_M(dual)))
+    da, db = _scenario(L=0.0).detectors
+    dual = dualize(HarvestScenario(detectors=(da, replace(db, switching=gaussian_switching(1.25)))),
+                   2.0)
+    levels, calls = _mesh_of(monkeypatch, lambda: seen.append(compute_L(*dual.detectors, dual)))
     (res,) = seen
     assert res.note == "richardson"
     assert res.cells == levels[0].cells == calls > 1
@@ -864,7 +867,9 @@ def test_dual_M_straightened_matches_the_plain_mesh(monkeypatch):
     dual = dualize(flat, 2.0)
     da, db = dual.detectors
     eps = regulator_sequence(flat, levels=4)
-    levels, calls = _mesh_of(monkeypatch, lambda: compute_M(dual, eps))
+    # the finite-eps route: the extrapolated M takes its limit in closed form
+    levels, calls = _mesh_of(
+        monkeypatch, lambda: harvesting._regulated(dual, da, db, True, True, False, eps))
     assert calls < 2000
     _assert_levels_agree(levels, _plain_mesh(dual, da, db, True, True, eps),
                          dual.quadrature.rel_tol)
@@ -879,7 +884,9 @@ def test_frw_ground_state_L_AB_straightened_matches_the_plain_mesh(monkeypatch):
     )
     sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
     eps = (0.01, 0.005, 0.0025)
-    levels, calls = _mesh_of(monkeypatch, lambda: compute_L(da, db, sc, eps))
+    # the finite-eps route of the folded L_AB (B mirrors A)
+    levels, calls = _mesh_of(
+        monkeypatch, lambda: harvesting._regulated(sc, da, db, False, False, True, eps))
     ref = _plain_mesh(sc, da, db, False, False, eps)
     _assert_levels_agree(levels, ref, sc.quadrature.rel_tol)
     assert calls < 1000  # the plain mesh takes 4,409
@@ -954,11 +961,11 @@ def test_hermitian_L_is_folded_onto_u_nonnegative(monkeypatch):
         assert folded.value.imag == 0.0
         assert abs(folded.value - whole.value) <= 1e-6 * abs(whole.value), (da.label, db.label)
         assert folded.cells <= 0.6 * whole.cells, (folded.cells, whole.cells)
-    # a pair that does not mirror keeps the whole rectangle, bit for bit (on
-    # the dual side, where the regulator sweep remains)
+    # a pair that does not mirror keeps the whole rectangle, bit for bit (two
+    # co-located detectors, which keep the regulator sweep)
     integrate = harvesting.integrate_square
     for chi_b in (gaussian_switching(1.25), gaussian_switching(1.0, center=0.5)):
-        fa, fb = flat.detectors
+        fa, fb = _scenario(L=0.0).detectors
         sc = dualize(HarvestScenario(detectors=(fa, replace(fb, switching=chi_b))), 2.0)
         da, other = sc.detectors
         eps = regulator_sequence(sc, levels=4)
@@ -1070,3 +1077,76 @@ def test_co_located_pair_that_does_not_mirror_keeps_the_sweep():
     sc = HarvestScenario(detectors=(da, db))
     res = compute_L(da, db, sc)
     assert res.note == "richardson" and res.pole is None
+
+
+# --- the eps -> 0 limit on the curved dual side ------------------------------------
+
+# (flat scenario, Omega): criterion 7's pair across Omega, a narrow window whose
+# ridge of L = 5 leaves the u range for part of the w range, and the power law
+DUAL_LIMIT_CASES = [
+    *((_scenario(), Omega) for Omega in (0.5, 1.3, 2.0, 3.0)),
+    (_scenario(chi=gaussian_switching(0.35)), 2.0),
+    (_scenario(L=0.5, chi=gaussian_switching(0.15)), 0.0),
+]
+
+
+@pytest.mark.parametrize("flat,Omega", DUAL_LIMIT_CASES)
+def test_dual_limit_matches_the_flat_side(flat, Omega):
+    # the dual elements take the limit in the conformal-time difference, on
+    # their own legs and times; the duality makes them the flat numbers
+    dual = dualize(flat, Omega)
+    fa, da = flat.detectors[0], dual.detectors[0]
+    for got, want in ((compute_L(da, da, dual), compute_L(fa, fa, flat)),
+                      (compute_M(dual), compute_M(flat))):
+        assert got.note == want.note == "closed-form"
+        assert abs(got.value - want.value) <= 1e-8 * abs(want.value), (got.value, want.value)
+
+
+@pytest.mark.parametrize("Omega", [0.5, 1.3, 2.0])
+def test_dual_N_finite_part_and_pole_match_the_flat_N(Omega):
+    # under the conformal-time regulator the finite parts are one quantity
+    flat = _scenario()
+    dual = dualize(flat, Omega)
+    got, want = compute_N(dual.detectors[0], dual), compute_N(flat.detectors[0], flat)
+    assert got.note == want.note == "finite-part"
+    assert abs(got.value - want.value) <= 1e-8 * abs(want.value)
+    assert abs(got.pole - want.pole) <= 1e-8 * abs(want.pole)
+
+
+@pytest.mark.parametrize("L", [0.5, 5.0])
+def test_dual_L_AB_of_a_pair_that_does_not_mirror_matches_the_flat_side(L):
+    # unfolded, its straightened chart has two ridges u = -g and u = +g; the
+    # principal value in u then also needs the slopes of phi_w at each knot
+    da, db = _scenario(L=L).detectors
+    for chi_b in (gaussian_switching(1.25), gaussian_switching(1.0, center=0.5)):
+        flat = HarvestScenario(detectors=(da, replace(db, switching=chi_b)))
+        want = compute_L(*flat.detectors, flat)
+        for Omega in (0.5, 2.0):
+            dual = dualize(flat, Omega)
+            got = compute_L(*dual.detectors, dual)
+            assert got.note == "closed-form"
+            assert abs(got.value - want.value) <= 1e-6 * abs(want.value), (chi_b, Omega)
+
+
+@pytest.mark.parametrize("chi", [gaussian_switching(0.5), cos_squared_switching(-1.0, 1.0)])
+def test_frw_ground_state_limit_agrees_with_the_regulated_sweep(chi):
+    # a ground state on the dual background has no flat counterpart; its
+    # delta' term turns with the phase rate Omega C per unit conformal time
+    m = ConformalTakagiMap(1.0, 0.5)
+    da, db = (
+        DetectorSpec(label, "oscillator", 1.3, 0.01, StaticTrajectory((x, 0.0, 0.0), frame="frw"), chi)
+        for label, x in (("A", 0.0), ("B", 1.0))
+    )
+    sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
+    cases = [
+        (compute_L(da, da, sc), _swept(sc, da, da, False, False, 1.0)),
+        (compute_M(sc), _swept(sc, da, db, True, True, -1.0)),
+        (compute_L(da, db, sc), _swept(sc, da, db, False, False, 1.0)),
+    ]
+    for got, want in cases:
+        assert got.note == "closed-form"
+        assert abs(got.value - want) <= 1e-6 * abs(want), (got.value, want)
+    N = compute_N(da, sc)
+    gaps = [abs(N.value + N.pole / eps - compute_N(da, sc, epsilons=(eps,)).value)
+            for eps in (0.02, 0.01, 0.005)]
+    assert all(g2 * 1.5 <= g1 for g1, g2 in zip(gaps, gaps[1:])), gaps
