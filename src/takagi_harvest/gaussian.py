@@ -33,7 +33,7 @@ __all__ = [
     "BogoliubovPair",
     "vacuum_bogoliubov",
     "transported_mode",
-    "transported_mode_at_clock",
+    "transported_leg",
     "mode_ode_residual",
     "run_identity_suite",
     "SUITE_THRESHOLDS",
@@ -173,16 +173,19 @@ def transported_mode(m: ConformalTakagiMap, tau):
     u(0) = 1, u'(0) = i omega, and u solves u'' + Omega^2 u = 0 exactly.
     """
     lam = m.lambda_of_tau(tau)
-    return transported_mode_at_clock(m, lam, m.conformal_factor(lam))
+    amp, phase = transported_leg(m, lam, m.conformal_factor(lam))
+    return amp * np.exp(1j * phase)
 
 
-def transported_mode_at_clock(m: ConformalTakagiMap, lam, C):
+def transported_leg(m: ConformalTakagiMap, lam, C):
     """Transported mode from the clock values lam = lambda(tau), C = C(lam).
 
-    Equals transported_mode(m, tau) value for value; kernels that already
-    hold the clock at their nodes call this one.
+    Returns (amplitude, phase) = (C^{1/2}, omega lam), so that
+    transported_mode(m, tau) is amplitude * e^{i phase} value for value.
+    Kernels that hold the clock at their nodes multiply the amplitude into
+    the window and join the phases of two legs under one exponential.
     """
-    return np.sqrt(C) * np.exp(1j * m.omega * np.asarray(lam))
+    return np.sqrt(C), m.omega * np.asarray(lam)
 
 
 def mode_ode_residual(m: ConformalTakagiMap, tau_grid=None) -> float:

@@ -62,11 +62,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .field import WIGHTMAN_PREF, wightman_flat_pv, wightman_flat_sep, wightman_frw_at_clock
-from .gaussian import BogoliubovPair, transported_mode_at_clock, vacuum_bogoliubov
+from .gaussian import BogoliubovPair, transported_leg, vacuum_bogoliubov
 from .geometry import (
     ConformalTakagiMap,
     StaticTrajectory,
@@ -325,15 +326,15 @@ def duality_backbone_residual(m: ConformalTakagiMap, chi: SwitchingFunction, lam
 
 
 def _clock(scenario: HarvestScenario):
-    """The clock at one leg's nodes, or None on the flat side.
+    """t -> (t, lambda(t), C(lambda(t))): the clock at a set of points.
 
-    On the dual side a leg's point set t becomes (t, lambda(t), C(lambda(t))),
-    evaluated once per kernel call; the window, the mode and the Wightman
-    kernel all read lambda and C from it.
+    On the flat side lambda and C are None.  On the dual side they are
+    evaluated once per set of points; the windows, the transported mode and
+    the Wightman kernel all read them from here.
     """
-    if scenario.frame == "minkowski":
-        return None
     m = scenario.map
+    if m is None:
+        return lambda t: (t, None, None)
 
     def clock(t):
         lam = m.lambda_of_tau(t)
@@ -342,33 +343,69 @@ def _clock(scenario: HarvestScenario):
     return clock
 
 
-def _legs(scenario: HarvestScenario, det: DetectorSpec):
-    """(window, mode) of one detector, as functions of what _clock gives a leg.
+def _cut(p, lo, hi):
+    """Rows lo:hi (on the first axis) of what _clock gives; None stays None."""
+    return tuple(c if c is None else c[lo:hi] for c in p)
 
-    The mode multiplies the switching in every element: e^{i omega t} for
-    ground states, the transported mode for the squeezed dual state.
+
+def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
+          ordered: bool, swapped: bool):
+    """(at, join): each detector's leg, window times mode, as a real amplitude times e^{i phase}.
+
+    at(p, k) gives (amp_a, phase_a, amp_b, phase_b) at what _clock gives a
+    stack of rows; A's leg reads the first k, B's the rest, and each
+    distinct detector's window is called once, on the rows its legs read
+    (every row when swapped; otherwise amp_a and amp_b are one array).  The
+    amplitude is the window, times sqrt(C) for the transported mode; the
+    phase is omega t on the flat side, Omega tau for a dual ground state and
+    omega_flat lambda for the transported mode (gaussian.transported_leg).
+
+    join(P, Q) gives (amp, phase) of A's leg at P times B's at Q, the product
+    amp e^{i phase}.  Unordered (L): B's leg enters conjugated, so the
+    phases subtract.  Ordered (M, N): they add, and swapped adds the
+    (A <-> B) product; where both legs share one phase function (the
+    transported mode, or equal frequencies) the amplitudes add, otherwise
+    amp is the complex sum of both products and the phase 0.
     """
-    chi = det.switching
-    w = det.frequency
-    if scenario.frame == "minkowski":
-        def mode(t):
-            return np.exp(1j * w * t)
-
-        return chi, mode
     m = scenario.map
-    if chi.kind == "transformed" and chi.param("map") == m:
-        def window(p):
-            return chi.at_clock(*p)
-    else:
-        def window(p):
-            return chi(p[0])
-    if scenario.initial_state == "ground":
-        def mode(p):
-            return np.exp(1j * w * p[0])
-    else:
-        def mode(p):
-            return transported_mode_at_clock(m, p[1], p[2])
-    return window, mode
+    transported = scenario.initial_state == "takagi_squeezed"
+    mirrored = _mirrors(det_a, det_b)
+    shared = transported or det_a.frequency == det_b.frequency
+
+    def window(chi):
+        if m is not None and chi.kind == "transformed" and chi.param("map") == m:
+            return lambda p: chi.at_clock(*p)
+        return lambda p: chi(p[0])
+
+    windows = [window(d.switching) for d in ((det_a,) if mirrored else (det_a, det_b))]
+    freqs = [d.frequency for d in ((det_a,) if shared else (det_a, det_b))]
+
+    def at(p, k):
+        if mirrored or swapped:
+            amps = [chi(p) for chi in windows]
+        else:
+            n = len(p[0])
+            amps = [chi(_cut(p, lo, hi)) for chi, lo, hi in zip(windows, (0, k), (k, n)) if lo < hi]
+            amps = amps if len(amps) == 1 else [np.concatenate(amps)]
+        if transported:
+            root, phase = transported_leg(m, p[1], p[2])
+            amps, phases = [amp * root for amp in amps], [phase]
+        else:
+            phases = [w * p[0] for w in freqs]
+        return amps[0], phases[0], amps[-1], phases[-1]
+
+    def join(P, Q):
+        amp = P[0] * Q[2]
+        if not ordered:
+            return amp, P[1] - Q[3]
+        phase = P[1] + Q[3]
+        if not swapped:
+            return amp, phase
+        if shared:
+            return amp + P[2] * Q[0], phase
+        return amp * np.exp(1j * phase) + P[2] * Q[0] * np.exp(1j * (P[3] + Q[1])), 0.0
+
+    return at, join
 
 
 def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
@@ -383,31 +420,6 @@ def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
     return det.coupling * (det.scale / math.sqrt(2.0 * scenario.map.omega))
 
 
-def _leg_product(scenario, det_a, det_b, ordered: bool, swapped: bool):
-    """legs(t, t'): A's leg (window times mode) at t times B's at t'.
-
-    t and t' are what _clock gives a leg (the times themselves on the flat
-    side).  Unordered (L): B's mode enters conjugated.  Ordered (M, N):
-    swapped adds the (A <-> B) product, which is the same product when B
-    mirrors A.
-    """
-    chi_a, mode_a = _legs(scenario, det_a)
-    chi_b, mode_b = _legs(scenario, det_b)
-    mirrored = swapped and _mirrors(det_a, det_b)
-
-    def legs(t, tp):
-        # each product keeps its left-to-right order: a complex multiply
-        # rounds differently when its factors are reordered
-        if not ordered:
-            return chi_a(t) * mode_a(t) * chi_b(tp) * np.conj(mode_b(tp))
-        out = chi_a(t) * mode_a(t) * chi_b(tp) * mode_b(tp)
-        if swapped:
-            out = out + (out if mirrored else chi_b(t) * mode_b(t) * chi_a(tp) * mode_a(tp))
-        return out
-
-    return legs
-
-
 def _on_u(scenario: HarvestScenario) -> bool:
     """True where the clock is the identity: the flat side and Omega == omega."""
     return scenario.frame == "minkowski" or scenario.map.degenerate
@@ -419,16 +431,17 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons, fold
     This is the finite-eps route of _element: one regulator level, no
     extrapolation, or two co-located detectors that do not mirror; every
     other element takes the eps -> 0 limit of _limit instead.  A's leg
-    sits at t = (w + u)/2 and B's at t' = (w - u)/2 (see _leg_product); the
+    sits at t = (w + u)/2 and B's at t' = (w - u)/2 (see _legs); the
     1/2 is the Jacobian of (t, t') -> (u, w).  The legs are joined by the
     Wightman function on the scenario background, with the conformal-time
     regulator on the dual side (the regulator under which the duality is an
     exact per-epsilon identity), at every level of epsilons, stacked on the
     first axis.  Unordered (L): W runs from t' to t.  Ordered (M, N): W runs
-    from t to t'.  fold (a Hermitian L, 2 Re of its u >= 0 half) returns the
-    real part of twice the integrand: the half's imaginary part carries the
-    coincidence pole, and would swamp the relative stopping test of the
-    quadrature.
+    from t to t'.  W times the leg product amp e^{i phase} is formed in real
+    arithmetic, its real part amp (Re W cos - Im W sin).  fold (a Hermitian
+    L, 2 Re of its u >= 0 half) returns that real part alone: the half's
+    imaginary part carries the coincidence pole, and would swamp the
+    relative stopping test of the quadrature.
 
     Where the clock is the identity (on_u: the flat side and Omega == omega)
     W depends on u = t - t' alone, and is taken on the (15, 1) u axis: the
@@ -436,27 +449,26 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons, fold
     costs one division per u node and level, broadcast over w by the legs
     in the last product.  Elsewhere W is taken at lambda(t) - lambda(t').
     """
-    legs = _leg_product(scenario, det_a, det_b, ordered, swapped)
+    at, join = _legs(scenario, det_a, det_b, ordered, swapped)
     clock = _clock(scenario)
     on_u = _on_u(scenario)
     sep = separation(det_a.trajectory, det_b.trajectory)
     eps = np.asarray(epsilons, dtype=float)[:, None, None]
 
     def kern(u, w):
-        t = 0.5 * (w + u)
-        tp = 0.5 * (w - u)
-        if clock is not None:
-            t, tp = clock(t), clock(tp)
+        p, q = clock(0.5 * (w + u)), clock(0.5 * (w - u))
         if on_u:
             # C = 1 on the identity clock, so W / (C C') is W itself
             wight = wightman_flat_sep(u if ordered else -u, sep, eps)
         elif ordered:
-            wight = wightman_frw_at_clock(t[1], t[2], tp[1], tp[2], sep, eps)
+            wight = wightman_frw_at_clock(p[1], p[2], q[1], q[2], sep, eps)
         else:
-            wight = wightman_frw_at_clock(tp[1], tp[2], t[1], t[2], sep, eps)
-        product = legs(t, tp)
+            wight = wightman_frw_at_clock(q[1], q[2], p[1], p[2], sep, eps)
+        amp, phase = join(at(p, len(p[0])), at(q, 0))
+        cos, sin = np.cos(phase), np.sin(phase)
+        re = amp * (wight.real * cos - wight.imag * sin)
         # folded, the fold's 2 and the Jacobian's 1/2 cancel exactly
-        return (wight * product).real if fold else wight * (0.5 * product)
+        return re if fold else 0.5 * (re + 1j * amp * (wight.real * sin + wight.imag * cos))
 
     return kern
 
@@ -637,7 +649,7 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
 
     The regulator sits on the conformal-time difference x = lambda(t) -
     lambda(t'), which is u itself where the clock is the identity.  With
-    G(u, w) half the leg product over C C' (see _kernel), x' = dx/du =
+    G(u, w) half the leg product over C C' (see _legs), x' = dx/du =
     (1/C + 1/C')/2 and P = 1/(4 pi^2), the integrand is G times the flat
     kernel in x, whose limit is the distribution of field.wightman_flat_pv
     (in u: C = 1, x' = 1).  With a range [u0, u1] at each v of the chart:
@@ -668,12 +680,16 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
     x is taken by _dlam, without cancellation at small u.  Each line term is
     spread evenly over the u range of its line, so it is one more term of
     the same bounded 2D integrand and every stopping test is relative to the
-    element's value.  Each piece of the u range is one integrate_square
-    call; cells adds up the cells of all pieces and the segments of the
-    pole's 1D integral.
+    element's value.  A kernel call stacks every time it reads (the t and t'
+    grids, each pole's ridge row, the line u = 0, the diamond's w/2 grid and
+    the ends of the range that give X) into one clock call and one window
+    call per distinct detector (evaluate), and a folded L takes its grid's
+    real part in real arithmetic.  Each piece of the u range is one
+    integrate_square call; cells adds up the cells of all pieces and the
+    segments of the pole's 1D integral.
     """
-    legs = _leg_product(scenario, det_a, det_b, ordered, swapped)
-    clock = _clock(scenario) or (lambda t: t)
+    at, join = _legs(scenario, det_a, det_b, ordered, swapped)
+    clock = _clock(scenario)
     m = scenario.map
     exact = _on_u(scenario)
     sep = separation(det_a.trajectory, det_b.trajectory)
@@ -681,13 +697,29 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
     half = ordered or fold
     cfg = scenario.quadrature
 
-    def at(u, w):
-        """(G, x, x') at the nodes, from one clock evaluation per leg."""
-        p, q = clock(0.5 * (w + u)), clock(0.5 * (w - u))
-        G = 0.5 * legs(p, q)
-        if exact:
-            return G, u, 1.0
-        return G / (p[2] * q[2]), _dlam(m, u, w, p[1] - q[1]), 0.5 * (1.0 / p[2] + 1.0 / q[2])
+    def evaluate(a_rows, b_rows=(), bare=()):
+        """(amp_a, phase_a, amp_b, phase_b, lambda, C) per row of times, from one _clock call.
+
+        A's leg reads a_rows, B's b_rows (see _legs); bare rows take no window.
+        """
+        rows = [*a_rows, *b_rows, *bare]
+        ends = list(accumulate(len(row) for row in rows))
+        i, j = len(a_rows), len(a_rows) + len(b_rows)
+        p = clock(np.concatenate(rows))
+        cols = (*at(_cut(p, 0, ends[j - 1]), ends[i - 1]), *p[1:])
+        legs = [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)]
+        return legs[:i], legs[i:j], legs[j:]
+
+    def half_product(P, Q, real=False, line=False):
+        """G at the rows P (A's leg) and Q (B's), or F0 = G C on the line u = 0 (real: Re G)."""
+        amp, phase = join(P, Q)
+        if not exact:
+            amp = amp / (P[5] if line else P[5] * Q[5])
+        return 0.5 * amp * (np.cos(phase) if real else np.exp(1j * phase))
+
+    def rate(P, Q):
+        """x' = dx/du at the rows P and Q."""
+        return 1.0 if exact else 0.5 * (1.0 / P[5] + 1.0 / Q[5])
 
     pole = None
     if sep > 0.0:
@@ -726,13 +758,21 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
             # place gives the nodes and, per pole, (q, its line s_k, u, w and
             # Jacobian of v on it, its line term per unit u)
             u, w, jac, poles = place(s, v)
-            G, x, _ = at(u, w)
+            nodes = [(u, w)] + [(u_k, w_k) for _, _, u_k, w_k, _, _ in poles]
+            (P, *Ps), (Q, *Qs), _ = evaluate([0.5 * (w_k + u_k) for u_k, w_k in nodes],
+                                             [0.5 * (w_k - u_k) for u_k, w_k in nodes])
+            G = half_product(P, Q, fold)
+            x = u if exact else _dlam(m, u, w, P[4] - Q[4])
             out = jac * G * wightman_flat_pv(x, sep)
-            for q, s_k, u_k, w_k, jac_k, spread_k in poles:
-                G_k, _, rate_k = at(u_k, w_k)
-                a = jac_k * G_k * (WIGHTMAN_PREF / (2.0 * q * rate_k))
-                out = out - a / (s_k - s) + a * spread_k
-            return 2.0 * out.real if fold else out
+            for (q, s_k, _, _, jac_k, spread_k), P_k, Q_k in zip(poles, Ps, Qs):
+                # complex even when folded: Re(a (c + i pi)) = Re(a) c - Im(a) pi
+                G_k = half_product(P_k, Q_k)
+                a = jac_k * G_k * (WIGHTMAN_PREF / (2.0 * q * rate(P_k, Q_k)))
+                term = a * spread_k
+                if fold:
+                    a, term = a.real, term.real
+                out = out - a / (s_k - s) + term
+            return 2.0 * out if fold else out
     else:
         # mirrored detectors, equal supports; on the line u = 0 both legs are
         # one detector's leg at t = w/2.  The dual side keeps the diamond for
@@ -741,41 +781,38 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
         base = window.param("base") if window.kind == "transformed" else window
         sheared = exact or base.kind == "cos_squared"
         (u0, u1, v0, v1), chart, _ = _chart(sup_a, sup_b, half, sheared)
-        chi, mode = _legs(scenario, det_a)
-        scale = 1.0 if swapped else 0.5  # a mirrored M adds the product to itself
         transported = scenario.initial_state == "takagi_squeezed"
-
-        def on_line(w):
-            """F0 at w and the leg's phase rate nu per unit conformal time."""
-            p = clock(0.5 * w)
-            leg = chi(p) * mode(p)
-            F0 = scale * (leg * (leg if ordered else np.conj(leg)))
-            if exact:
-                return F0, det_a.frequency
-            return F0 / p[2], (m.omega if transported else det_a.frequency * p[2])
 
         def kern(u, s):
             w, jac = chart(u, s)
-            G, x, rate = at(u, w)
             w_line = chart(0.0, s)[0]
-            F_line, nu = on_line(w_line)
-            rest = G - (F_line if w is w_line else on_line(w)[0]) * rate  # at the same w
             # a line term spread over the u range at v: on the diamond the
             # shear's Jacobian cancels the range's width, on the rectangle not
             X = u1 * (1.0 - np.abs(s)) if sheared else u1
+            # F0 on the line, and at the grid's own w; X from the ends of the range
+            rows = [0.5 * (w + u), 0.5 * w_line] + ([] if w is w_line else [0.5 * w])
+            ends = [] if exact else [0.5 * (w_line + X), 0.5 * (w_line - X)]
+            (P, L, *W), (Q,), ends = evaluate(rows, [0.5 * (w - u)], ends)
+            F_line = half_product(L, L, fold, line=True)
+            F_w = half_product(W[0], W[0], fold, line=True) if W else F_line
+            rest = half_product(P, Q, fold) - F_w * rate(P, Q)
             if not sheared:
                 F_line = F_line / u1
-            if not exact:
-                X = m.lambda_of_tau(0.5 * (w_line + X)) - m.lambda_of_tau(0.5 * (w_line - X))
+            x = u if exact else _dlam(m, u, w, P[4] - Q[4])
+            X = X if exact else ends[0][4] - ends[1][4]
+            nu = det_a.frequency if exact else (m.omega if transported else det_a.frequency * L[5])
             if fold:
-                return (jac * (2.0 * rest.real) * wightman_flat_pv(x, 0.0)
-                        - WIGHTMAN_PREF * F_line.real * (math.pi * nu - 2.0 / X))
+                return (jac * (2.0 * rest) * wightman_flat_pv(x, 0.0)
+                        - WIGHTMAN_PREF * F_line * (math.pi * nu - 2.0 / X))
             return jac * rest * wightman_flat_pv(x, 0.0) + WIGHTMAN_PREF * F_line / X
 
         breaks = []
         if ordered:
-            pole = adaptive_1d(lambda w: -1j * WIGHTMAN_PREF * on_line(w)[0],
-                               chart(0.0, v0)[0], chart(0.0, v1)[0], cfg)
+            def on_line(w):
+                (L,), _, _ = evaluate([0.5 * w])
+                return -1j * WIGHTMAN_PREF * half_product(L, L, line=True)
+
+            pole = adaptive_1d(on_line, chart(0.0, v0)[0], chart(0.0, v1)[0], cfg)
 
     edges = [u0, *breaks, u1]
     parts = [integrate_square(kern, (a, b, v0, v1), cfg) for a, b in zip(edges, edges[1:])]

@@ -35,8 +35,8 @@ from takagi_harvest import (
 )
 from takagi_harvest import harvesting
 from takagi_harvest.field import wightman_flat_sep, wightman_frw_at_clock, wightman_frw_sep
-from takagi_harvest.gaussian import transported_mode, transported_mode_at_clock
-from takagi_harvest.geometry import separation, transform_switching
+from takagi_harvest.gaussian import transported_leg, transported_mode
+from takagi_harvest.geometry import SwitchingFunction, separation, transform_switching
 from takagi_harvest.harvesting import compute_elements, regulator_sequence
 from takagi_harvest.quadrature import XK, IntegralResult, QuadratureConfig, default_epsilon_sequence
 from takagi_harvest.quadrature import extrapolate_epsilon
@@ -622,65 +622,214 @@ def test_shared_clock_legs_equal_the_public_wrappers():
     C, C_p = m.conformal_factor(lam), m.conformal_factor(lam_p)
     assert np.array_equal(chi.at_clock(t, lam, C), chi(t))
     assert np.all(chi.at_clock(t, lam, C)[outside] == 0.0)
-    assert np.array_equal(transported_mode_at_clock(m, lam, C), transported_mode(m, t))
+    amp, phase = transported_leg(m, lam, C)
+    assert np.array_equal(amp * np.exp(1j * phase), transported_mode(m, t))
     assert np.array_equal(
         wightman_frw_at_clock(lam, C, lam_p, C_p, 5.0, 0.01),
         wightman_frw_sep(lam, lam_p, 5.0, m, 0.01),
     )
 
 
+def _assert_legs_close(got, want, scale=None, rel=1e-14):
+    # a leg product amp e^{i phase} rounds differently from the product of
+    # the complex legs, by a few units in the last place of the phase; a sum
+    # of two products is compared relative to the sum of their sizes
+    scale = np.abs(want) if scale is None else scale
+    err = np.abs(got - want)
+    assert np.all(err <= rel * scale), float(np.max(err / np.maximum(scale, 1e-300)))
+
+
 def test_dual_kernels_equal_the_formulas_of_the_public_legs():
     # the one kernel factory, for L, M and N on both sides, written with the
     # public per-point legs, node by node and regulator level by level; the
-    # flat Wightman factor is taken at t - t' = u exactly
+    # flat Wightman factor is taken at t - t' = u exactly.  A leg is the
+    # window times sqrt(C) (transported) and a phase, and W times the product
+    # amp e^{i phase} is formed in real arithmetic; that the product equals
+    # the complex legs is test_leg_product_equals_the_explicit_legs
     flat = _scenario()
     dual = dualize(flat, 2.0)
     eps_seq = (0.02, 0.01, 0.005)
 
     def public_legs(sc):
         if sc.frame == "minkowski":
-            def mode(x):
-                return np.exp(1j * sc.detectors[0].frequency * x)
+            def leg(chi, x):
+                return chi(x), sc.detectors[0].frequency * x
 
             def wight(dt, x, y, sep, eps):
                 return wightman_flat_sep(dt, sep, eps)
         else:
             m = sc.map
 
-            def mode(x):
-                return transported_mode(m, x)
+            def leg(chi, x):
+                lam = m.lambda_of_tau(x)
+                root, phase = transported_leg(m, lam, m.conformal_factor(lam))
+                return chi(x) * root, phase
 
             def wight(dt, x, y, sep, eps):
                 return wightman_frw_sep(m.lambda_of_tau(x), m.lambda_of_tau(y), sep, m, eps)
 
-        return mode, wight
+        return leg, wight
+
+    def times(wight, amp, phase):
+        cos, sin = np.cos(phase), np.sin(phase)
+        re = amp * (wight.real * cos - wight.imag * sin)
+        return 0.5 * (re + 1j * amp * (wight.real * sin + wight.imag * cos))
 
     for sc in (flat, dual):
         da, db = sc.detectors
         chi, chi_b = da.switching, db.switching
-        mode, wight = public_legs(sc)
+        leg, wight = public_legs(sc)
 
         u, w = _gk_grid(harvesting._rect(chi.support, chi.support, False))
         t, tp = 0.5 * (w + u), 0.5 * (w - u)
+        (amp, phase), (amp_p, phase_p) = leg(chi, t), leg(chi, tp)
         L = harvesting._kernel(sc, da, da, False, False, eps_seq)(u, w)
         assert L.shape == (len(eps_seq), 15, 15)
         for level, eps in zip(L, eps_seq):
-            expect_L = (wight(-u, tp, t, 0.0, eps)
-                        * (0.5 * (chi(t) * mode(t) * chi(tp) * np.conj(mode(tp)))))
+            expect_L = times(wight(-u, tp, t, 0.0, eps), amp * amp_p, phase - phase_p)
             assert np.array_equal(level, expect_L)
 
         u, w = _gk_grid(harvesting._rect(chi.support, chi_b.support, True))
         t, tp = 0.5 * (w + u), 0.5 * (w - u)
-        pair = chi(t) * mode(t) * chi_b(tp) * mode(tp)
-        swapped = chi_b(t) * mode(t) * chi(tp) * mode(tp)
+        (amp, phase), (amp_p, phase_p) = leg(chi, t), leg(chi_b, tp)
+        amp_b, amp_bp = leg(chi_b, t)[0], leg(chi, tp)[0]  # the (A <-> B) ordering
         M = harvesting._kernel(sc, da, db, True, True, eps_seq)(u, w)
         N = harvesting._kernel(sc, da, da, True, False, eps_seq)(u, w)
         assert M.shape == N.shape == (len(eps_seq), 15, 15)
         for level_M, level_N, eps in zip(M, N, eps_seq):
-            expect_M = wight(u, t, tp, 5.0, eps) * (0.5 * (pair + swapped))
+            pair = amp * amp_p + amp_b * amp_bp
+            expect_M = times(wight(u, t, tp, 5.0, eps), pair, phase + phase_p)
             assert np.array_equal(level_M, expect_M)
-            expect_N = wight(u, t, tp, 0.0, eps) * (0.5 * (chi(t) * mode(t) * chi(tp) * mode(tp)))
+            expect_N = times(wight(u, t, tp, 0.0, eps), amp * amp_bp, phase + phase_p)
             assert np.array_equal(level_N, expect_N)
+
+
+def _leg_pairs(side):
+    """(scenario, [(A, B)]) on one side: B mirrors A, has another window or frequency."""
+    flat = _scenario()
+    da, db = flat.detectors
+    if side == "flat":
+        sc = flat
+    elif side == "transported":
+        sc = dualize(flat, 2.0)
+    else:
+        m = ConformalTakagiMap(1.0, 2.0)
+        da, db = (replace(d, frequency=2.0, switching=transform_switching(m, GAUSS),
+                          trajectory=StaticTrajectory(d.trajectory.position, frame="frw"))
+                  for d in (da, db))
+        sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
+    da, db = sc.detectors
+    # a dual ground state also takes a window of its own (not transported)
+    wide = gaussian_switching(1.25)
+    if side == "transported":
+        wide = transform_switching(sc.map, wide)
+    return sc, [(da, db), (da, replace(db, switching=wide)), (da, replace(db, frequency=1.5))]
+
+
+@pytest.mark.parametrize("side", ["flat", "frw_ground", "transported"])
+def test_leg_product_equals_the_explicit_legs(side):
+    # the amplitude/phase legs joined under one exponential, against
+    # chi(t) mode(t) chi(t') conj(mode(t')) (unordered) and chi(t) mode(t)
+    # chi(t') mode(t') (+ the swapped product) from the public windows and modes
+    sc, pairs = _leg_pairs(side)
+
+    def explicit(det):
+        if sc.initial_state == "takagi_squeezed":
+            return lambda t: det.switching(t) * transported_mode(sc.map, t)
+        return lambda t: det.switching(t) * np.exp(1j * det.frequency * t)
+
+    clock = harvesting._clock(sc)
+    for da, db in pairs:
+        leg_a, leg_b = explicit(da), explicit(db)
+        u, w = _gk_grid(harvesting._rect(da.switching.support, db.switching.support, False))
+        t, tp = 0.5 * (w + u), 0.5 * (w - u)
+        pair, swapped_pair = leg_a(t) * leg_b(tp), leg_b(t) * leg_a(tp)
+        cases = [
+            (False, False, leg_a(t) * np.conj(leg_b(tp)), None),
+            (True, False, pair, None),
+            (True, True, pair + swapped_pair, np.abs(pair) + np.abs(swapped_pair)),
+        ]
+        for ordered, swapped, want, scale in cases:
+            at, join = harvesting._legs(sc, da, db, ordered, swapped)
+            amp, phase = join(at(clock(t), len(t)), at(clock(tp), 0))
+            assert np.any(want != 0.0) and np.any(want == 0.0)
+            _assert_legs_close(amp * np.exp(1j * phase), want, scale)
+
+
+def _clock_and_window_calls(monkeypatch, run):
+    """(clock-map calls, window calls, window points) in each kernel call that run integrates.
+
+    Windows count at the outermost call: a transported window evaluates its
+    base window inside at_clock.
+    """
+    counts = {"clock": 0, "window": 0, "points": 0}
+    depth = [0]
+
+    def counted(fn):
+        def window(*args, **kwargs):
+            counts["window"] += depth[0] == 0
+            counts["points"] += np.size(args[1]) if depth[0] == 0 else 0
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return window
+
+    lam = ConformalTakagiMap.lambda_of_tau
+
+    def clock(self, tau):
+        counts["clock"] += 1
+        return lam(self, tau)
+
+    per_call = []
+    integrate = harvesting.integrate_square
+
+    def spy(f, rect, cfg):
+        def kern(u, v):
+            before = dict(counts)
+            out = f(u, v)
+            per_call.append(tuple(counts[k] - before[k] for k in ("clock", "window", "points")))
+            return out
+
+        return integrate(kern, rect, cfg)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ConformalTakagiMap, "lambda_of_tau", clock)
+        for name in ("__call__", "at_clock"):
+            mp.setattr(SwitchingFunction, name, counted(getattr(SwitchingFunction, name)))
+        mp.setattr(harvesting, "integrate_square", spy)
+        run()
+    return per_call
+
+
+def test_one_clock_call_and_one_window_call_per_detector_per_cell(monkeypatch):
+    flat = _scenario()
+    da = flat.detectors[0]
+    other = HarvestScenario(detectors=(da, replace(flat.detectors[1],
+                                                   switching=gaussian_switching(1.25))))
+    dual = dualize(flat, 2.0)
+    cases = [
+        # (run, clock calls, distinct detectors, window points or None): a
+        # window reads the (15, 15) grid and one (1, 15) row per pole only
+        # where its detector's legs do
+        (lambda: compute_L(da, da, flat), 0, 1, None),
+        (lambda: compute_N(da, flat), 0, 1, None),
+        # a swapped M (one pole) reads both legs at t and at t'
+        (lambda: compute_M(other), 0, 2, 2 * 2 * (225 + 15)),
+        # L_AB, two poles (u = -L and u = L): A's window at t, B's at t'
+        (lambda: compute_L(*other.detectors, other), 0, 2, 2 * (225 + 2 * 15)),
+        (lambda: compute_L(dual.detectors[0], dual.detectors[0], dual), 1, 1, None),
+        (lambda: compute_M(dual), 1, 1, None),
+    ]
+    for run, clocks, windows, points in cases:
+        per_call = _clock_and_window_calls(monkeypatch, run)
+        assert len(per_call) > 1
+        assert {calls[:2] for calls in per_call} == {(clocks, windows)}
+        assert points is None or {calls[2] for calls in per_call} == {points}
+    res = compute_L(*other.detectors, other)
+    assert res.note == "closed-form" and res.cells > 0
 
 
 def _count_compute_L(monkeypatch):
