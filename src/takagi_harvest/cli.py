@@ -129,7 +129,6 @@ _SCHEMA = {
         "abs_tol": _Key(_real, default=QuadratureConfig.abs_tol),
         "max_subdivisions": _Key(_count, default=QuadratureConfig.max_subdivisions),
         "epsilon_sequence": _Key(_reals()),
-        "extrapolation": _Key(_choice("richardson", "none"), default="richardson"),
         "method": _Key(_choice("direct", "fourier"), default="direct"),
     }),
     "detectors.<label>": (_SCENARIO, {

@@ -34,19 +34,21 @@ Two routes remove the regulator.  The regulator sits on the conformal-time
 difference x = lambda(t) - lambda(t') of the two legs (x = u on the flat
 side), and the eps -> 0 limit of the kernel is a known distribution in x
 (Sokhotski-Plemelj; see field.wightman_flat_pv).  On either side an element
-that would be extrapolated takes that limit in closed form (_limit): the
+that asks for that limit takes it in closed form (_limit): the
 pole of the kernel is subtracted at the same node line, which leaves one
 bounded integrand per element (the regularised response of Louko and Satz,
 CQG 23, 6321, 2006, and QUADPACK's qawc subtraction, here in 2D), and the
 delta and delta' terms are line integrals, added to the same integrand.  N,
 which diverges like 1/eps, reports its finite part and the coefficient of
-the pole separately.  Every other element (extrapolation = none, one
-regulator level, and two co-located detectors that do not mirror)
-integrates the regulated kernel at every level of the sequence on one
-adaptive mesh and extrapolates.  On both routes the kernel is singular, or
-peaks, on the light cone of the two detectors.  In flat spacetime that is
-the straight line u = +-L, an axis of the rectangle, and the mesh refines
-across it in u alone.  On the cosmological side it is the curve
+the pole separately.  The regulator sequence (regulator_sequence) picks the
+route (_takes_limit): a sequence of more than one level asks for the limit,
+which every element takes except one that joins two co-located detectors
+that do not mirror.  That element integrates the regulated kernel at every
+level on one adaptive mesh and extrapolates, and under a one-level sequence
+every element integrates it at that finite eps.  On both routes the kernel
+is singular, or peaks, on the light cone of the two detectors.  In flat
+spacetime that is the straight line u = +-L, an axis of the rectangle, and
+the mesh refines across it in u alone.  On the cosmological side it is the curve
 lambda(t) - lambda(t') = +-L of the clock map, so the separated elements
 there (M and L_AB) are integrated in (s, w): u = phi_w(s) is piecewise
 linear in s, with knots that put the curve, taken in closed form from the
@@ -83,7 +85,6 @@ from .quadrature import (
     extrapolate_epsilon,
     fourier_oracle_L,
     integrate_square,
-    validate_epsilon_sequence,
 )
 
 __all__ = [
@@ -224,36 +225,33 @@ class HarvestScenario:
                     raise ValueError("ground-state detectors need frequency > 0")
 
 
-def regulator_sequence(scenario: HarvestScenario, epsilons=None, levels: int = 6) -> tuple:
-    """The regulator sequence of a run, resolved and validated before any quadrature.
-
-    Explicit epsilons come first, then the configured sequence, then
-    default_epsilon_sequence of the shortest switching timescale with the
-    given number of levels (6 for harvest and the compute_* routines, 4 for
-    run_dual_check).  Explicit sequences get the checks that QuadratureConfig
-    applies to configured ones.
+def regulator_sequence(scenario: HarvestScenario) -> tuple:
+    """The regulator sequence of a scenario: the configured one (validated by
+    QuadratureConfig), or else the 6 levels of default_epsilon_sequence at
+    the shortest switching timescale.  _takes_limit reads the route from it.
     """
-    if epsilons is not None:
-        return validate_epsilon_sequence(epsilons, scenario.quadrature.extrapolation)
     if scenario.quadrature.epsilon_sequence is not None:
         return scenario.quadrature.epsilon_sequence
-    ts = min(d.switching.timescale for d in scenario.detectors)
-    return default_epsilon_sequence(ts, levels)
+    return default_epsilon_sequence(min(d.switching.timescale for d in scenario.detectors))
 
 
 def _mirrors(det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
-    """True when B differs from A only in label and position.
+    """True when B's leg is A's: the same frequency and window.
 
-    Then every single-detector element of B (L_BB, N_B) is A's, bit for bit,
-    and both time orderings of the M integrand are one product.
+    Then the legs of an element that joins A and B are one detector's: one
+    window serves both, an unordered L is Hermitian (it folds), both time
+    orderings of the M integrand are one product, and a co-located pair
+    takes its limit like a single detector.  Couplings and interaction
+    scales enter only the prefactor, so they do not count here.
     """
-    return (
-        det_a.model == det_b.model
-        and det_a.frequency == det_b.frequency
-        and det_a.coupling == det_b.coupling
-        and det_a.interaction_scale == det_b.interaction_scale
-        and det_a.switching == det_b.switching
-    )
+    return det_a.frequency == det_b.frequency and det_a.switching == det_b.switching
+
+
+def _twins(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
+    """True when B mirrors A with the same prefactor, so that L_BB and N_B
+    are A's elements bit for bit."""
+    same_prefactor = _coupling_eff(scenario, det_a) == _coupling_eff(scenario, det_b)
+    return _mirrors(det_a, det_b) and same_prefactor
 
 
 @dataclass(frozen=True)
@@ -350,15 +348,17 @@ def _cut(p, lo, hi):
 
 def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
           ordered: bool, swapped: bool):
-    """(at, join): each detector's leg, window times mode, as a real amplitude times e^{i phase}.
+    """(evaluate, join): each detector's leg, window times mode, as amplitude times e^{i phase}.
 
-    at(p, k) gives (amp_a, phase_a, amp_b, phase_b) at what _clock gives a
-    stack of rows; A's leg reads the first k, B's the rest, and each
-    distinct detector's window is called once, on the rows its legs read
-    (every row when swapped; otherwise amp_a and amp_b are one array).  The
-    amplitude is the window, times sqrt(C) for the transported mode; the
-    phase is omega t on the flat side, Omega tau for a dual ground state and
-    omega_flat lambda for the transported mode (gaussian.transported_leg).
+    evaluate(a_rows, b_rows=(), bare=()) gives, for each row of times, the
+    tuple (amp_a, phase_a, amp_b, phase_b, lambda, C), in three lists: A's
+    leg reads a_rows, B's b_rows, and bare rows take no window.  All rows go
+    through one _clock call, and each distinct detector's window is called
+    once, on the rows its legs read (every windowed row when swapped;
+    otherwise amp_a and amp_b are one array).  The amplitude is the window,
+    times sqrt(C) for the transported mode; the phase is omega t on the flat
+    side, Omega tau for a dual ground state and omega_flat lambda for the
+    transported mode (gaussian.transported_leg).
 
     join(P, Q) gives (amp, phase) of A's leg at P times B's at Q, the product
     amp e^{i phase}.  Unordered (L): B's leg enters conjugated, so the
@@ -368,6 +368,7 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
     amp is the complex sum of both products and the phase 0.
     """
     m = scenario.map
+    clock = _clock(scenario)
     transported = scenario.initial_state == "takagi_squeezed"
     mirrored = _mirrors(det_a, det_b)
     shared = transported or det_a.frequency == det_b.frequency
@@ -380,19 +381,26 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
     windows = [window(d.switching) for d in ((det_a,) if mirrored else (det_a, det_b))]
     freqs = [d.frequency for d in ((det_a,) if shared else (det_a, det_b))]
 
-    def at(p, k):
+    def evaluate(a_rows, b_rows=(), bare=()):
+        rows = [*a_rows, *b_rows, *bare]
+        ends = list(accumulate(len(row) for row in rows))
+        i, j = len(a_rows), len(a_rows) + len(b_rows)
+        p = clock(np.concatenate(rows))
+        k, n = ends[i - 1], ends[j - 1]  # A's rows end at k, the windowed rows at n
+        q = _cut(p, 0, n)
         if mirrored or swapped:
-            amps = [chi(p) for chi in windows]
+            amps = [chi(q) for chi in windows]
         else:
-            n = len(p[0])
-            amps = [chi(_cut(p, lo, hi)) for chi, lo, hi in zip(windows, (0, k), (k, n)) if lo < hi]
+            amps = [chi(_cut(q, lo, hi)) for chi, lo, hi in zip(windows, (0, k), (k, n)) if lo < hi]
             amps = amps if len(amps) == 1 else [np.concatenate(amps)]
         if transported:
-            root, phase = transported_leg(m, p[1], p[2])
+            root, phase = transported_leg(m, q[1], q[2])
             amps, phases = [amp * root for amp in amps], [phase]
         else:
-            phases = [w * p[0] for w in freqs]
-        return amps[0], phases[0], amps[-1], phases[-1]
+            phases = [w * q[0] for w in freqs]
+        cols = (amps[0], phases[0], amps[-1], phases[-1], *p[1:])
+        legs = [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)]
+        return legs[:i], legs[i:j], legs[j:]
 
     def join(P, Q):
         amp = P[0] * Q[2]
@@ -405,7 +413,7 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
             return amp + P[2] * Q[0], phase
         return amp * np.exp(1j * phase) + P[2] * Q[0] * np.exp(1j * (P[3] + Q[1])), 0.0
 
-    return at, join
+    return evaluate, join
 
 
 def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
@@ -425,20 +433,21 @@ def _on_u(scenario: HarvestScenario) -> bool:
     return scenario.frame == "minkowski" or scenario.map.degenerate
 
 
-def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons, fold=False):
+def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, eps_seq, fold=False):
     """The regulated integrand of one element in rotated coordinates, one grid per level.
 
-    This is the finite-eps route of _element: one regulator level, no
-    extrapolation, or two co-located detectors that do not mirror; every
-    other element takes the eps -> 0 limit of _limit instead.  A's leg
-    sits at t = (w + u)/2 and B's at t' = (w - u)/2 (see _legs); the
-    1/2 is the Jacobian of (t, t') -> (u, w).  The legs are joined by the
-    Wightman function on the scenario background, with the conformal-time
-    regulator on the dual side (the regulator under which the duality is an
-    exact per-epsilon identity), at every level of epsilons, stacked on the
-    first axis.  Unordered (L): W runs from t' to t.  Ordered (M, N): W runs
-    from t to t'.  W times the leg product amp e^{i phase} is formed in real
-    arithmetic, its real part amp (Re W cos - Im W sin).  fold (a Hermitian
+    This is the finite-eps route of _element: a one-level sequence, or a
+    sweep over two co-located detectors that do not mirror; every other
+    element takes the eps -> 0 limit of _limit instead.  A's leg sits at
+    t = (w + u)/2 and B's at t' = (w - u)/2, both rows from one evaluate
+    call of _legs; the 1/2 is the Jacobian of (t, t') -> (u, w).  The legs
+    are joined by the Wightman function on the scenario background, with the
+    conformal-time regulator on the dual side (the regulator under which the
+    duality is an exact per-epsilon identity), at every level of eps_seq,
+    stacked on the first axis.  Unordered (L): W runs from t' to t.
+    Ordered (M, N): W runs from t to t'.  W times the leg product
+    amp e^{i phase} is formed in real arithmetic, its real part
+    amp (Re W cos - Im W sin).  fold (a Hermitian
     L, 2 Re of its u >= 0 half) returns that real part alone: the half's
     imaginary part carries the coincidence pole, and would swamp the
     relative stopping test of the quadrature.
@@ -449,22 +458,21 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, epsilons, fold
     costs one division per u node and level, broadcast over w by the legs
     in the last product.  Elsewhere W is taken at lambda(t) - lambda(t').
     """
-    at, join = _legs(scenario, det_a, det_b, ordered, swapped)
-    clock = _clock(scenario)
+    evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped)
     on_u = _on_u(scenario)
     sep = separation(det_a.trajectory, det_b.trajectory)
-    eps = np.asarray(epsilons, dtype=float)[:, None, None]
+    eps = np.asarray(eps_seq, dtype=float)[:, None, None]
 
     def kern(u, w):
-        p, q = clock(0.5 * (w + u)), clock(0.5 * (w - u))
+        (P,), (Q,), _ = evaluate([0.5 * (w + u)], [0.5 * (w - u)])
         if on_u:
             # C = 1 on the identity clock, so W / (C C') is W itself
             wight = wightman_flat_sep(u if ordered else -u, sep, eps)
         elif ordered:
-            wight = wightman_frw_at_clock(p[1], p[2], q[1], q[2], sep, eps)
+            wight = wightman_frw_at_clock(P[4], P[5], Q[4], Q[5], sep, eps)
         else:
-            wight = wightman_frw_at_clock(q[1], q[2], p[1], p[2], sep, eps)
-        amp, phase = join(at(p, len(p[0])), at(q, 0))
+            wight = wightman_frw_at_clock(Q[4], Q[5], P[4], P[5], sep, eps)
+        amp, phase = join(P, Q)
         cos, sin = np.cos(phase), np.sin(phase)
         re = amp * (wight.real * cos - wight.imag * sin)
         # folded, the fold's 2 and the Jacobian's 1/2 cancel exactly
@@ -629,18 +637,19 @@ def _chart(sup_a, sup_b, half: bool, shear: bool = True):
     return (0.0 if half else -U, U, -1.0, 1.0), shear, (() if half else (0.0,))
 
 
-def _takes_limit(scenario, det_a, det_b, eps_seq) -> bool:
+def _takes_limit(det_a, det_b, eps_seq) -> bool:
     """True when an element takes its eps -> 0 limit in closed form (see _limit).
 
-    That is an element on either side that would otherwise be extrapolated
-    (richardson over two or more levels), unless it joins two co-located
-    detectors that do not mirror each other: its delta' term would need the
-    derivative of a window.  Every other element keeps the regulator sweep.
+    This is the one regulator policy.  A sequence of more than one level
+    asks for the limit, and an element on either side takes it in closed
+    form when its detectors are separated or mirror each other.  Otherwise
+    it integrates the regulated kernel (_regulated): a one-level sequence
+    gives that finite-eps value, and a co-located pair that does not mirror,
+    whose delta' term would need the derivative of a window, keeps the
+    sweep and its Richardson extrapolation.
     """
-    return (
-        scenario.quadrature.extrapolation == "richardson"
-        and len(eps_seq) > 1
-        and (separation(det_a.trajectory, det_b.trajectory) > 0.0 or _mirrors(det_a, det_b))
+    return len(eps_seq) > 1 and (
+        separation(det_a.trajectory, det_b.trajectory) > 0.0 or _mirrors(det_a, det_b)
     )
 
 
@@ -683,32 +692,18 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
     element's value.  A kernel call stacks every time it reads (the t and t'
     grids, each pole's ridge row, the line u = 0, the diamond's w/2 grid and
     the ends of the range that give X) into one clock call and one window
-    call per distinct detector (evaluate), and a folded L takes its grid's
-    real part in real arithmetic.  Each piece of the u range is one
+    call per distinct detector (evaluate of _legs), and a folded L takes its
+    grid's real part in real arithmetic.  Each piece of the u range is one
     integrate_square call; cells adds up the cells of all pieces and the
     segments of the pole's 1D integral.
     """
-    at, join = _legs(scenario, det_a, det_b, ordered, swapped)
-    clock = _clock(scenario)
+    evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped)
     m = scenario.map
     exact = _on_u(scenario)
     sep = separation(det_a.trajectory, det_b.trajectory)
     sup_a, sup_b = det_a.switching.support, det_b.switching.support
     half = ordered or fold
     cfg = scenario.quadrature
-
-    def evaluate(a_rows, b_rows=(), bare=()):
-        """(amp_a, phase_a, amp_b, phase_b, lambda, C) per row of times, from one _clock call.
-
-        A's leg reads a_rows, B's b_rows (see _legs); bare rows take no window.
-        """
-        rows = [*a_rows, *b_rows, *bare]
-        ends = list(accumulate(len(row) for row in rows))
-        i, j = len(a_rows), len(a_rows) + len(b_rows)
-        p = clock(np.concatenate(rows))
-        cols = (*at(_cut(p, 0, ends[j - 1]), ends[i - 1]), *p[1:])
-        legs = [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)]
-        return legs[:i], legs[i:j], legs[j:]
 
     def half_product(P, Q, real=False, line=False):
         """G at the rows P (A's leg) and Q (B's), or F0 = G C on the line u = 0 (real: Re G)."""
@@ -827,18 +822,16 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
     )
 
 
-def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
-             epsilons) -> IntegralResult:
+def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float) -> IntegralResult:
     """pref * c_a s_a * c_b s_b times one element's integral.
 
-    An element that would be extrapolated takes its eps -> 0 limit in closed
-    form (_takes_limit, _limit).  Every other element integrates
-    _kernel over _rect: all regulator levels on one adaptive mesh, then
-    extrapolated; without extrapolation only the finest level is integrated,
-    because it is the only one reported.  A cosmological element of two
-    separated detectors under a clock that is not the identity is integrated
-    in the straightened coordinates of _straighten, where its light cone is
-    a line of the mesh; every other element keeps the plain (u, w) mesh.  An
+    The scenario's regulator sequence picks the route (_takes_limit): the
+    eps -> 0 limit in closed form (_limit), or _kernel over _rect at every
+    level of the sequence on one adaptive mesh (_regulated), extrapolated
+    when there is more than one.  A cosmological element of two separated
+    detectors under a clock that is not the identity is integrated in the
+    straightened coordinates of _straighten, where its light cone is a line
+    of the mesh; every other element keeps the plain (u, w) mesh.  An
     unordered element of two mirrored detectors is folded on either route:
     2 Re of its u >= 0 half, on the ordered rectangle, straightened (if at
     all) on its one ridge u = +g(w).
@@ -847,9 +840,9 @@ def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
     cb = _coupling_eff(scenario, det_b)
     if ca == 0.0 or cb == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
-    eps_seq = regulator_sequence(scenario, epsilons)
+    eps_seq = regulator_sequence(scenario)
     fold = not ordered and _mirrors(det_a, det_b)
-    if _takes_limit(scenario, det_a, det_b, eps_seq):
+    if _takes_limit(det_a, det_b, eps_seq):
         res = _limit(scenario, det_a, det_b, ordered, swapped, fold)
     else:
         res = _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps_seq)
@@ -860,8 +853,6 @@ def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float,
 
 def _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps_seq) -> IntegralResult:
     """The finite-eps route of _element, before the prefactor."""
-    if scenario.quadrature.extrapolation == "none":
-        eps_seq = eps_seq[-1:]
     kern = _kernel(scenario, det_a, det_b, ordered, swapped, eps_seq, fold)
     rect = _rect(det_a.switching.support, det_b.switching.support, ordered or fold)
     sep = separation(det_a.trajectory, det_b.trajectory)
@@ -875,77 +866,71 @@ def _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps_seq) -> Integ
     return extrapolate_epsilon(levels)
 
 
-def compute_L(det_a: DetectorSpec, det_b: DetectorSpec, scenario: HarvestScenario,
-              epsilons=None) -> IntegralResult:
+def compute_L(det_a: DetectorSpec, det_b: DetectorSpec,
+              scenario: HarvestScenario) -> IntegralResult:
     """Response element L_ab over the full (t, t') square.
 
     Evaluated in rotated coordinates u = t - t', w = t + t', per the
     configured route: "direct" quadrature (the eps -> 0 limit in closed form
-    wherever the sweep would be extrapolated, else the regulated sweep; see
-    _element), or the "fourier" mode sum (static flat
-    ground-state scenarios only).  When B mirrors A (a is b included) L_ab is
+    or the regulated kernel, as the regulator sequence asks; see
+    _takes_limit), or the "fourier" mode sum (static flat ground-state
+    scenarios only).  When B mirrors A (a is b included) L_ab is
     real, and the direct route integrates twice the real part of the
     integrand over the u >= 0 half only, with an imaginary part of exactly 0.
     """
     if scenario.quadrature.method != "fourier":
-        return _element(scenario, det_a, det_b, ordered=False, swapped=False, pref=1.0,
-                        epsilons=epsilons)
+        return _element(scenario, det_a, det_b, ordered=False, swapped=False, pref=1.0)
     if scenario.frame != "minkowski" or scenario.initial_state != "ground":
         raise ValueError("fourier route needs a static flat ground-state scenario")
     sep = separation(det_a.trajectory, det_b.trajectory)
     return fourier_oracle_L(det_a, det_b, sep, scenario.quadrature)
 
 
-def compute_M(scenario: HarvestScenario, epsilons=None) -> IntegralResult:
+def compute_M(scenario: HarvestScenario) -> IntegralResult:
     """Pair-excitation element M: time-ordered, symmetrized in the two detectors.
 
     The time ordering t' < t is the exact edge u > 0 of the rotated rectangle,
     so no indicator function enters the integrand.
     """
     det_a, det_b = scenario.detectors
-    return _element(scenario, det_a, det_b, ordered=True, swapped=True, pref=-1.0,
-                    epsilons=epsilons)
+    return _element(scenario, det_a, det_b, ordered=True, swapped=True, pref=-1.0)
 
 
-def compute_N(det: DetectorSpec, scenario: HarvestScenario, epsilons=None) -> IntegralResult:
+def compute_N(det: DetectorSpec, scenario: HarvestScenario) -> IntegralResult:
     """Same-detector double-excitation element N_d (oscillator models only).
 
     The coincidence-limit kernel makes the ordered integral diverge like
-    1/epsilon.  Where the limit is taken in closed form (see _element) the
-    result is split: its value is the finite part (note "finite-part"),
-    which is what enters rho, and pole is the coefficient of 1/epsilon, so
-    that the regulated N at epsilon is value + pole/epsilon + O(epsilon).
-    On the dual side epsilon regulates the conformal-time difference, the
-    regulator under which the duality holds epsilon by epsilon, so the
-    flat and dual finite parts and poles are the same two numbers.
-    On the regulated route the pole stays in the value: one level reports
-    it as is, and a sweep reports its documented non-monotone fallback
-    (finest-epsilon value, inflated error) rather than pretending the
-    regulator limit exists.
+    1/epsilon.  Under a sequence of more than one level the limit is taken
+    in closed form (see _takes_limit) and the result is split: its value is
+    the finite part (note "finite-part"), which is what enters rho, and pole
+    is the coefficient of 1/epsilon, so that the regulated N at epsilon is
+    value + pole/epsilon + O(epsilon).  On the dual side epsilon regulates
+    the conformal-time difference, the regulator under which the duality
+    holds epsilon by epsilon, so the flat and dual finite parts and poles
+    are the same two numbers.  A one-level sequence gives the regulated N at
+    that epsilon, with the pole in the value (note "finest-epsilon").
     """
     if det.model != "oscillator":
         raise ValueError("the second excited state exists only for oscillator detectors")
-    return _element(scenario, det, det, ordered=True, swapped=False, pref=-math.sqrt(2.0),
-                    epsilons=epsilons)
+    return _element(scenario, det, det, ordered=True, swapped=False, pref=-math.sqrt(2.0))
 
 
-def compute_elements(scenario: HarvestScenario, epsilons=None) -> MatrixElements:
+def compute_elements(scenario: HarvestScenario) -> MatrixElements:
     """All elements needed for the scenario's density matrix.
 
-    When B mirrors A (see _mirrors), L_BB and N_B are A's results, which is
-    bitwise what computing them again would give.
+    When B mirrors A with the same prefactor (see _twins), L_BB and N_B are
+    A's results, which is bitwise what computing them again would give.
     """
     det_a, det_b = scenario.detectors
-    eps_seq = regulator_sequence(scenario, epsilons)
-    mirrored = _mirrors(det_a, det_b)
-    L_AA = compute_L(det_a, det_a, scenario, eps_seq)
-    L_BB = L_AA if mirrored else compute_L(det_b, det_b, scenario, eps_seq)
-    M = compute_M(scenario, eps_seq)
-    L_AB = compute_L(det_a, det_b, scenario, eps_seq)
+    twins = _twins(scenario, det_a, det_b)
+    L_AA = compute_L(det_a, det_a, scenario)
+    L_BB = L_AA if twins else compute_L(det_b, det_b, scenario)
+    M = compute_M(scenario)
+    L_AB = compute_L(det_a, det_b, scenario)
     N_A = N_B = None
     if det_a.model == "oscillator":
-        N_A = compute_N(det_a, scenario, eps_seq)
-        N_B = N_A if mirrored else compute_N(det_b, scenario, eps_seq)
+        N_A = compute_N(det_a, scenario)
+        N_B = N_A if twins else compute_N(det_b, scenario)
     return MatrixElements(L_AA=L_AA, L_BB=L_BB, M=M, L_AB=L_AB, N_A=N_A, N_B=N_B)
 
 
@@ -1037,10 +1022,9 @@ def negativity_pt_exact(rho: np.ndarray) -> float:
     return float(-np.sum(np.minimum(eigs, 0.0)))
 
 
-def harvest(scenario: HarvestScenario, epsilons=None) -> HarvestReport:
+def harvest(scenario: HarvestScenario) -> HarvestReport:
     """Full pipeline: elements, density matrix, E1 and negativity."""
-    eps_seq = regulator_sequence(scenario, epsilons)
-    elements = compute_elements(scenario, eps_seq)
+    elements = compute_elements(scenario)
     model = scenario.detectors[0].model
     rho = assemble_rho(elements, model)
     e1, neg = negativity_leading(elements)
@@ -1051,7 +1035,7 @@ def harvest(scenario: HarvestScenario, epsilons=None) -> HarvestReport:
         negativity=neg,
         negativity_pt=negativity_pt_exact(rho),
         provenance=f"{scenario.frame}/{scenario.initial_state}",
-        epsilon_sequence=eps_seq,
+        epsilon_sequence=regulator_sequence(scenario),
         method=scenario.quadrature.method,
     )
 
@@ -1107,28 +1091,31 @@ def _rel_diff(x: float, y: float) -> float:
     return abs(x - y) / denom if denom > 0.0 else 0.0
 
 
-def run_dual_check(scenario: HarvestScenario, Omega: float, epsilons=None) -> DualCheckReport:
+def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
     """Compute L_AA, L_BB, M independently in both pictures and compare.
 
-    Both sides share one regulator sequence (the conformal-time regulator is
-    the one under which the pictures agree epsilon by epsilon), four levels by
-    default.  Both sides take the eps -> 0 limit of that regulator in closed
-    form (see _limit), each with its own quadrature on its own mesh, at its
-    own times; the cosmological M straightens its curved light cone first
-    (see _element).  Residuals are relative, on L_AA, L_BB, |M| and the
-    negativity.  A mirrored pair (B differs from
-    A only in label and position) reuses L_AA as L_BB on each side.
+    Both sides run under the flat scenario's regulator sequence, set on the
+    config that dualize hands on (the conformal-time regulator is the one
+    under which the pictures agree epsilon by epsilon; the dual windows
+    have timescales of their own), and follow one policy (see
+    _takes_limit): under a sequence of more than one level both take the
+    eps -> 0 limit in closed form (see _limit), each with its own quadrature
+    on its own mesh, at its own times; the cosmological M straightens its
+    curved light cone first (see _element).  Residuals are relative, on
+    L_AA, L_BB, |M| and the negativity.  A pair whose B mirrors A with the
+    same prefactor (see _twins) reuses L_AA as L_BB on each side.
     """
-    eps_seq = regulator_sequence(scenario, epsilons, levels=4)
+    eps_seq = regulator_sequence(scenario)
+    scenario = replace(scenario, quadrature=replace(scenario.quadrature, epsilon_sequence=eps_seq))
     dual = dualize(scenario, Omega)
 
     def elements_for(sc):
         a, b = sc.detectors
-        L_AA = compute_L(a, a, sc, eps_seq)
+        L_AA = compute_L(a, a, sc)
         return MatrixElements(
             L_AA=L_AA,
-            L_BB=L_AA if _mirrors(a, b) else compute_L(b, b, sc, eps_seq),
-            M=compute_M(sc, eps_seq),
+            L_BB=L_AA if _twins(sc, a, b) else compute_L(b, b, sc),
+            M=compute_M(sc),
         )
 
     flat = elements_for(scenario)

@@ -7,7 +7,7 @@ Two layers:
   axis-aligned (the regulated Wightman kernel in difference coordinates) are
   resolved in O(log 1/eps) refinement levels; a kernel may stack several
   components (the levels of a regulator sweep), which share one mesh;
-* regulator handling: a decreasing epsilon sequence, Richardson extrapolation
+* regulator handling: a halving epsilon sequence, Richardson extrapolation
   to eps -> 0 with an empirical validation of the linear-error model, and a
   radial mode-sum oracle with a rigorous tail bound for static flat scenarios.
 
@@ -91,13 +91,13 @@ _CELL_RULES = _CELL_RULES_REAL.astype(complex)
 class QuadratureConfig:
     """Tolerances and regulator policy for the integral evaluations.
 
-    epsilon_sequence is decreasing (eps0 / 2^k); None means "derive from the
-    switching timescales" (see default_epsilon_sequence).  extrapolation is
-    "richardson" or "none" (report the finest-regulator value); a sequence
-    that Richardson extrapolation will run on must halve at every step, and
-    is rejected here otherwise (see validate_epsilon_sequence).  method picks
-    the evaluation route for response elements: "direct" double quadrature or
-    the "fourier" mode-sum oracle where available.
+    epsilon_sequence is the one place a regulator sequence is set: one
+    level asks for that finite regulator, more levels for the eps -> 0
+    limit, and such a sequence must halve at every step (eps0 / 2^k; see
+    validate_epsilon_sequence).  None means "derive from the switching
+    timescales" (see default_epsilon_sequence).  method picks the evaluation
+    route for response elements: "direct" double quadrature or the
+    "fourier" mode-sum oracle where available.
 
     max_subdivisions bounds the splits of one integrate_square call; the
     harvesting elements integrate their whole regulator sweep in one call,
@@ -109,7 +109,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     max_subdivisions: int = 40000
     epsilon_sequence: tuple | None = None
-    extrapolation: str = "richardson"
     method: str = "direct"
 
     def __post_init__(self):
@@ -117,42 +116,33 @@ class QuadratureConfig:
             raise ValueError("need finite rel_tol > 0 and abs_tol >= 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.extrapolation not in ("richardson", "none"):
-            raise ValueError(f"unknown extrapolation {self.extrapolation!r}")
         if self.method not in ("direct", "fourier"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.epsilon_sequence is not None:
-            eps = validate_epsilon_sequence(self.epsilon_sequence, self.extrapolation)
-            object.__setattr__(self, "epsilon_sequence", eps)
+            object.__setattr__(self, "epsilon_sequence",
+                               validate_epsilon_sequence(self.epsilon_sequence))
 
 
-def validate_epsilon_sequence(epsilons, extrapolation: str = "richardson") -> tuple:
+def validate_epsilon_sequence(sequence) -> tuple:
     """The regulator sequence as a tuple of floats, checked before any quadrature.
 
-    It must be nonempty, positive, finite and strictly decreasing; when it has
-    more than one level and extrapolation is "richardson", each level must
-    halve the previous one, which is what extrapolate_epsilon assumes.
+    It must be nonempty, positive and finite, and each level must halve the
+    previous one, which is what extrapolate_epsilon assumes.
     """
-    eps = tuple(float(e) for e in epsilons)
+    eps = tuple(float(e) for e in sequence)
     if len(eps) == 0 or any(not 0.0 < e < math.inf for e in eps):
         raise ValueError("epsilon_sequence must be nonempty, positive and finite")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilon_sequence must be strictly decreasing")
-    if extrapolation == "richardson" and any(
-        abs(a / b - 2.0) > 1e-9 for a, b in zip(eps, eps[1:])
-    ):
-        raise ValueError(
-            "epsilon_sequence must halve at every step for richardson extrapolation"
-        )
+    if any(abs(a / b - 2.0) > 1e-9 for a, b in zip(eps, eps[1:])):
+        raise ValueError("epsilon_sequence must halve at every step")
     return eps
 
 
-def default_epsilon_sequence(timescale: float, levels: int = 6) -> tuple:
-    """eps_k = 1e-2 * timescale / 2^k for k = 0 .. levels-1."""
+def default_epsilon_sequence(timescale: float) -> tuple:
+    """eps_k = 1e-2 * timescale / 2^k for k = 0 .. 5."""
     if not timescale > 0.0:
         raise ValueError("timescale must be positive")
     eps0 = 1e-2 * timescale
-    return tuple(eps0 / 2.0**k for k in range(levels))
+    return tuple(eps0 / 2.0**k for k in range(6))
 
 
 @dataclass(frozen=True)
@@ -389,7 +379,7 @@ def extrapolate_epsilon(results) -> IntegralResult:
     results = list(results)
     if any(r.epsilon_used is None for r in results):
         raise ValueError("all results must carry epsilon_used")
-    eps = validate_epsilon_sequence([r.epsilon_used for r in results], "richardson")
+    eps = validate_epsilon_sequence([r.epsilon_used for r in results])
     quad_err = max(r.err_estimate for r in results)
     vals = [complex(r.value) for r in results]
     if len(vals) == 1:

@@ -174,8 +174,9 @@ def test_harvest_N_records_carry_the_finite_part_and_the_pole(tmp_path):
         assert abs(rec["pole_im"] - 2.3358e-6) <= 1e-4 * 2.3358e-6
         assert abs(rec["pole_re"]) <= 1e-12 * rec["pole_im"]
     assert "pole_re" not in el["M"] and "pole_re" not in el["L_AA"]
-    # the finite-eps route does not separate the pole
-    cfg = GAUSS_REF + "\n[quadrature]\nextrapolation = none\n"
+    # the finite-eps route (a one-level sequence, here the default's finest
+    # level) does not separate the pole
+    cfg = GAUSS_REF + "\n[quadrature]\nepsilon_sequence = 0.0003125\n"
     assert main(["harvest", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
     rec = json.loads(out.read_text())["elements"]["N_A"]
     assert rec["note"] == "finest-epsilon" and rec["pole_re"] is None and rec["pole_im"] is None
@@ -388,7 +389,11 @@ def test_constructor_error_reports_section_and_line(tmp_path, capsys):
     (GAUSS_REF.replace("frame = minkowski", "frame = frw\nomega = 1\nOmega = 2")
      + "\n[dualize]\nOmega_list = 2\n",
      "[spacetime] key 'frame' (line 2)", "flat scenario"),
-], ids=["negative-Omega", "qubit-pair", "unequal-frequencies", "Omega-0-wide-window", "frw-frame"])
+    # one regulator policy: a one-level epsilon_sequence asks for a finite eps
+    (GAUSS_REF + "\n[quadrature]\nextrapolation = none\n\n[dualize]\nOmega_list = 2\n",
+     "[quadrature] key 'extrapolation' (line 25)", "unknown key"),
+], ids=["negative-Omega", "qubit-pair", "unequal-frequencies", "Omega-0-wide-window", "frw-frame",
+        "extrapolation-key"])
 def test_dualize_refuses_at_the_key_at_fault(tmp_path, capsys, text, where, why):
     err = _config_error(tmp_path, capsys, "dualize", text)
     assert where in err and why in err

@@ -65,6 +65,11 @@ def _scenario(model="oscillator", c=0.01, L=5.0, freq=1.0, chi=GAUSS, quad=None)
     return HarvestScenario(detectors=(da, db), **kw)
 
 
+def _sequence(sc, eps):
+    """sc with its regulator sequence set to eps on its quadrature config."""
+    return replace(sc, quadrature=replace(sc.quadrature, epsilon_sequence=eps))
+
+
 def _elements(L_AA, L_BB, M, L_AB=0.0, N_A=None, N_B=None):
     def wrap(v):
         return None if v is None else IntegralResult(value=complex(v), err_estimate=0.0)
@@ -103,10 +108,10 @@ def test_coupling_scaling_exact():
     eps = (0.01,)
     vals = {}
     for s in (1, 2, 3):
-        sc = _scenario(model="qubit", c=s * C0)
+        sc = _scenario(model="qubit", c=s * C0, quad=QuadratureConfig(epsilon_sequence=eps))
         vals[s] = (
-            compute_L(sc.detectors[0], sc.detectors[0], sc, epsilons=eps).value,
-            compute_M(sc, epsilons=eps).value,
+            compute_L(sc.detectors[0], sc.detectors[0], sc).value,
+            compute_M(sc).value,
         )
     assert vals[2][0] == 4 * vals[1][0] and vals[2][1] == 4 * vals[1][1]
     assert vals[3][0] == 9 * vals[1][0] and vals[3][1] == 9 * vals[1][1]
@@ -117,16 +122,15 @@ def test_M_zero_coupling():
 
 
 def test_M_label_swap_invariant():
-    sc = _scenario(model="qubit")
+    sc = _scenario(model="qubit", quad=QuadratureConfig(epsilon_sequence=(0.01, 0.005)))
     swapped = HarvestScenario(detectors=sc.detectors[::-1], quadrature=sc.quadrature)
-    eps = (0.01, 0.005)
-    assert compute_M(sc, epsilons=eps).value == compute_M(swapped, epsilons=eps).value
+    assert compute_M(sc).value == compute_M(swapped).value
 
 
 def test_M_nonzero_while_spacelike():
     # gaussian windows at separation 5: essentially causally disjoint, yet
     # the cross term survives (this is what makes harvesting possible)
-    res = compute_M(_scenario(), epsilons=(0.01, 0.005))
+    res = compute_M(_scenario(quad=QuadratureConfig(epsilon_sequence=(0.01, 0.005))))
     assert abs(res.value) > 1e-7
 
 
@@ -209,24 +213,24 @@ def test_N_equals_half_sqrt2_of_clone_M():
     clone = HarvestScenario(detectors=(da, db))
     single = HarvestScenario(detectors=(da, _detector("B", (5.0, 0.0, 0.0))))
     for eps in (1e-2, 5e-3):
-        n = compute_N(da, single, epsilons=(eps,)).value
-        m = compute_M(clone, epsilons=(eps,)).value
+        n = compute_N(da, _sequence(single, (eps,))).value
+        m = compute_M(_sequence(clone, (eps,))).value
         assert abs(n - 0.5 * math.sqrt(2.0) * m) / abs(n) <= 1e-12
 
 
 def test_N_coupling_quadruples():
-    sc1 = _scenario(c=C0)
-    sc2 = _scenario(c=2 * C0)
-    eps = (0.01,)
-    n1 = compute_N(sc1.detectors[0], sc1, epsilons=eps).value
-    n2 = compute_N(sc2.detectors[0], sc2, epsilons=eps).value
+    one = QuadratureConfig(epsilon_sequence=(0.01,))
+    sc1 = _scenario(c=C0, quad=one)
+    sc2 = _scenario(c=2 * C0, quad=one)
+    n1 = compute_N(sc1.detectors[0], sc1).value
+    n2 = compute_N(sc2.detectors[0], sc2).value
     assert n2 == 4 * n1
 
 
 def test_simpson_cross_check_frozen():
     # Simpson on a 6001^2 grid in unrotated (t, t') coordinates, eps = 0.25,
     # [-8, 8]^2; values frozen from that independent evaluation
-    cfg = QuadratureConfig(epsilon_sequence=(0.25,), extrapolation="none")
+    cfg = QuadratureConfig(epsilon_sequence=(0.25,))
     sc = _scenario(quad=cfg)
     L = compute_L(sc.detectors[0], sc.detectors[0], sc)
     M = compute_M(sc)
@@ -343,9 +347,9 @@ def test_harvest_report_provenance(qubit_reports):
 
 
 def test_perturbative_warning():
-    sc = _scenario(model="qubit", c=5.0, L=1.0)
+    sc = _scenario(model="qubit", c=5.0, L=1.0, quad=QuadratureConfig(epsilon_sequence=(0.01,)))
     with pytest.warns(UserWarning, match="second-order truncation"):
-        harvest(sc, epsilons=(0.01,))
+        harvest(sc)
 
 
 # --- validation ----------------------------------------------------------------
@@ -442,7 +446,7 @@ def test_dual_check_degenerate_collapses():
 
 
 def test_dual_check_nontrivial_pair():
-    rep = run_dual_check(_scenario(), 2.0, epsilons=(0.01, 0.005))
+    rep = run_dual_check(_scenario(quad=QuadratureConfig(epsilon_sequence=(0.01, 0.005))), 2.0)
     assert rep.resid_max <= 1e-3
     assert set(rep.residuals) == {"L_AA", "L_BB", "abs_M", "negativity"}
     assert rep.bogoliubov == vacuum_bogoliubov(1.0, 2.0)
@@ -452,12 +456,15 @@ def test_dual_check_nontrivial_pair():
 
 
 def test_regulator_sequence_policy(monkeypatch):
+    # the configured sequence or, without one, one 6-level default, for
+    # harvest and dualize alike
     sc = _scenario()
     assert regulator_sequence(sc) == default_epsilon_sequence(1.0)
-    assert regulator_sequence(sc, levels=4) == default_epsilon_sequence(1.0, levels=4)
-    assert regulator_sequence(sc, [0.02, 0.01]) == (0.02, 0.01)
+    assert len(regulator_sequence(sc)) == 6
+    assert regulator_sequence(_sequence(sc, (0.02, 0.01))) == (0.02, 0.01)
     configured = _scenario(quad=QuadratureConfig(epsilon_sequence=(0.04, 0.02)))
-    assert regulator_sequence(configured, levels=4) == (0.04, 0.02)
+    assert regulator_sequence(configured) == (0.04, 0.02)
+    assert run_dual_check(sc, 1.0).epsilon_sequence == default_epsilon_sequence(1.0)
 
     def no_quadrature(*args):
         raise AssertionError("quadrature ran on a rejected sequence")
@@ -465,24 +472,27 @@ def test_regulator_sequence_policy(monkeypatch):
     monkeypatch.setattr(harvesting, "integrate_square", no_quadrature)
     da = sc.detectors[0]
     with pytest.raises(ValueError, match="halve"):
-        compute_L(da, da, sc, epsilons=(0.01, 0.004))
+        _sequence(sc, (0.01, 0.004))
     with pytest.raises(ValueError, match="halve"):
-        harvest(sc, epsilons=(0.01, 0.004))
+        QuadratureConfig(epsilon_sequence=(0.04, 0.02, 0.004))
     # the patched name is the one the elements call: a valid sequence reaches it
     with pytest.raises(AssertionError, match="quadrature ran"):
-        compute_L(da, da, sc, epsilons=(0.02, 0.01))
+        compute_L(da, da, _sequence(sc, (0.02, 0.01)))
 
 
-def test_extrapolation_none_integrates_only_the_finest_level(monkeypatch):
-    sc = _scenario(quad=QuadratureConfig(max_subdivisions=6, extrapolation="none"))
-    da = sc.detectors[0]
+def test_one_level_sequence_integrates_only_that_level(monkeypatch):
+    # a one-level sequence asks for that finite regulator: one grid per
+    # kernel call, the regulated value at that eps, as extrapolation = none
+    # on the finest level of the default sequence once did
     eps6 = default_epsilon_sequence(1.0)
+    sc = _scenario(quad=QuadratureConfig(max_subdivisions=6, epsilon_sequence=eps6[-1:]))
+    da = sc.detectors[0]
     runs = {
-        "L": lambda eps: compute_L(da, da, sc, eps),
-        "M": lambda eps: compute_M(sc, eps),
-        "N": lambda eps: compute_N(da, sc, eps),
+        "L": lambda: compute_L(da, da, sc),
+        "M": lambda: compute_M(sc),
+        "N": lambda: compute_N(da, sc),
     }
-    finest = {name: run(eps6[-1:]) for name, run in runs.items()}
+    finest = {name: run() for name, run in runs.items()}
     shapes = []
     integrate = harvesting.integrate_square
 
@@ -497,7 +507,7 @@ def test_extrapolation_none_integrates_only_the_finest_level(monkeypatch):
     monkeypatch.setattr(harvesting, "integrate_square", spy)
     for name, run in runs.items():
         shapes.clear()
-        res = run(eps6)
+        res = run()
         assert shapes and set(shapes) == {(1, 15, 15)}
         assert res.note == "finest-epsilon"
         assert res.epsilon_used == eps6[-1]
@@ -567,8 +577,8 @@ def test_closed_form_element_reports_all_its_cells(monkeypatch):
 # --- each leg evaluated once -----------------------------------------------------
 
 # one regulator level and a handful of cells: enough to exercise every kernel
-SMALL = QuadratureConfig(max_subdivisions=6, extrapolation="none")
 EPS1 = (0.01,)
+SMALL = QuadratureConfig(max_subdivisions=6, epsilon_sequence=EPS1)
 
 
 def _gk_grid(rect):
@@ -598,16 +608,17 @@ def test_dual_kernels_evaluate_the_clock_once_per_leg(monkeypatch):
         lambda f, rect, cfg: integrate(counted("kernel", f), rect, cfg),
     )
     runs = (
-        lambda: compute_L(da, da, dual, EPS1),
-        lambda: compute_M(dual, EPS1),
-        lambda: compute_N(da, dual, EPS1),
+        lambda: compute_L(da, da, dual),
+        lambda: compute_M(dual),
+        lambda: compute_N(da, dual),
     )
     for run in runs:
         calls.update(dict.fromkeys(calls, 0))
         run()
+        # both legs' rows go through one clock call per kernel call
         assert calls["kernel"] > 1
-        assert calls["lambda_of_tau"] == 2 * calls["kernel"]
-        assert calls["conformal_factor"] == 2 * calls["kernel"]
+        assert calls["lambda_of_tau"] == calls["kernel"]
+        assert calls["conformal_factor"] == calls["kernel"]
 
 
 def test_shared_clock_legs_equal_the_public_wrappers():
@@ -738,7 +749,6 @@ def test_leg_product_equals_the_explicit_legs(side):
             return lambda t: det.switching(t) * transported_mode(sc.map, t)
         return lambda t: det.switching(t) * np.exp(1j * det.frequency * t)
 
-    clock = harvesting._clock(sc)
     for da, db in pairs:
         leg_a, leg_b = explicit(da), explicit(db)
         u, w = _gk_grid(harvesting._rect(da.switching.support, db.switching.support, False))
@@ -750,8 +760,9 @@ def test_leg_product_equals_the_explicit_legs(side):
             (True, True, pair + swapped_pair, np.abs(pair) + np.abs(swapped_pair)),
         ]
         for ordered, swapped, want, scale in cases:
-            at, join = harvesting._legs(sc, da, db, ordered, swapped)
-            amp, phase = join(at(clock(t), len(t)), at(clock(tp), 0))
+            evaluate, join = harvesting._legs(sc, da, db, ordered, swapped)
+            (P,), (Q,), _ = evaluate([t], [tp])
+            amp, phase = join(P, Q)
             assert np.any(want != 0.0) and np.any(want == 0.0)
             _assert_legs_close(amp * np.exp(1j * phase), want, scale)
 
@@ -836,9 +847,9 @@ def _count_compute_L(monkeypatch):
     calls = []
     compute = harvesting.compute_L
 
-    def counted(det_a, det_b, scenario, epsilons=None):
+    def counted(det_a, det_b, scenario):
         calls.append((det_a.label, det_b.label))
-        return compute(det_a, det_b, scenario, epsilons)
+        return compute(det_a, det_b, scenario)
 
     monkeypatch.setattr(harvesting, "compute_L", counted)
     return calls
@@ -847,10 +858,10 @@ def _count_compute_L(monkeypatch):
 def test_mirrored_pair_reuses_L_AA_and_N_A(monkeypatch):
     sc = _scenario(quad=SMALL)
     db = sc.detectors[1]
-    general_L = compute_L(db, db, sc, EPS1)
-    general_N = compute_N(db, sc, EPS1)
+    general_L = compute_L(db, db, sc)
+    general_N = compute_N(db, sc)
     calls = _count_compute_L(monkeypatch)
-    el = compute_elements(sc, EPS1)
+    el = compute_elements(sc)
     assert calls == [("A", "A"), ("A", "B")]
     # the general path gives the same results, bit for bit
     assert el.L_BB == el.L_AA == general_L
@@ -861,9 +872,9 @@ def test_dual_check_reuses_L_AA_on_both_sides(monkeypatch):
     sc = _scenario(quad=SMALL)
     dual = dualize(sc, 2.0)
     flat_b, dual_b = sc.detectors[1], dual.detectors[1]
-    general = (compute_L(flat_b, flat_b, sc, EPS1), compute_L(dual_b, dual_b, dual, EPS1))
+    general = (compute_L(flat_b, flat_b, sc), compute_L(dual_b, dual_b, dual))
     calls = _count_compute_L(monkeypatch)
-    rep = run_dual_check(sc, 2.0, epsilons=EPS1)
+    rep = run_dual_check(sc, 2.0)
     assert calls == [("A", "A"), ("A", "A")]
     assert rep.flat.L_BB == rep.flat.L_AA == general[0]
     assert rep.frw.L_BB == rep.frw.L_AA == general[1]
@@ -877,16 +888,18 @@ def test_dual_check_reuses_L_AA_on_both_sides(monkeypatch):
     {"switching": cos_squared_switching(-4.0, 4.0)},
 ])
 def test_pair_that_does_not_mirror_takes_the_general_path(monkeypatch, change):
+    # a coupling or an interaction scale leaves B's leg A's (see _mirrors) but
+    # changes its prefactor, so L_BB and N_B are computed too
     da, db = _scenario().detectors
     sc = HarvestScenario(detectors=(da, replace(db, **change)), quadrature=SMALL)
     calls = _count_compute_L(monkeypatch)
-    el = compute_elements(sc, EPS1)
+    el = compute_elements(sc)
     assert calls == [("A", "A"), ("B", "B"), ("A", "B")]
     assert el.L_BB.value != el.L_AA.value
     assert el.N_B.value != el.N_A.value
     # both time orderings enter M, so it is symmetric in the labels
     swapped = HarvestScenario(detectors=sc.detectors[::-1], quadrature=SMALL)
-    assert compute_M(swapped, EPS1).value == el.M.value
+    assert compute_M(swapped).value == el.M.value
 
 
 def test_scenarios_pickle_by_value():
@@ -1011,11 +1024,11 @@ def _assert_levels_agree(levels, ref, rel_tol):
 
 
 def test_dual_M_straightened_matches_the_plain_mesh(monkeypatch):
-    # criterion 7's pair at Omega = 2, on run_dual_check's four levels
+    # criterion 7's pair at Omega = 2, on the first four levels of its sequence
     flat = _scenario()
     dual = dualize(flat, 2.0)
     da, db = dual.detectors
-    eps = regulator_sequence(flat, levels=4)
+    eps = regulator_sequence(flat)[:4]
     # the finite-eps route: the extrapolated M takes its limit in closed form
     levels, calls = _mesh_of(
         monkeypatch, lambda: harvesting._regulated(dual, da, db, True, True, False, eps))
@@ -1045,17 +1058,17 @@ def test_elements_without_a_curved_ridge_keep_the_plain_kernel(monkeypatch):
     # flat elements, same-detector elements (sep = 0) and the identity clock
     # hand _kernel itself to the quadrature; a Hermitian L (B mirrors A) hands
     # twice the real part of the unordered _kernel on its u >= 0 half
-    flat = _scenario()
+    flat = _scenario(quad=SMALL)
     dual = dualize(flat, 2.0)
     same = dualize(flat, 1.0)
     cases = [
-        (flat, *flat.detectors, True, True, False, lambda: compute_M(flat, EPS1)),
-        (flat, *flat.detectors, False, False, True, lambda: compute_L(*flat.detectors, flat, EPS1)),
+        (flat, *flat.detectors, True, True, False, lambda: compute_M(flat)),
+        (flat, *flat.detectors, False, False, True, lambda: compute_L(*flat.detectors, flat)),
         (dual, dual.detectors[0], dual.detectors[0], False, False, True,
-         lambda: compute_L(dual.detectors[0], dual.detectors[0], dual, EPS1)),
+         lambda: compute_L(dual.detectors[0], dual.detectors[0], dual)),
         (dual, dual.detectors[0], dual.detectors[0], True, False, False,
-         lambda: compute_N(dual.detectors[0], dual, EPS1)),
-        (same, *same.detectors, True, True, False, lambda: compute_M(same, EPS1)),
+         lambda: compute_N(dual.detectors[0], dual)),
+        (same, *same.detectors, True, True, False, lambda: compute_M(same)),
     ]
     for sc, da, db, ordered, swapped, folded, run in cases:
         handed = []
@@ -1104,8 +1117,8 @@ def test_hermitian_L_is_folded_onto_u_nonnegative(monkeypatch):
         (power, *power.detectors),
     ]
     for sc, da, db in cases:
-        eps = regulator_sequence(sc, levels=4)
-        folded = compute_L(da, db, sc, eps)
+        eps = regulator_sequence(sc)[:4]
+        folded = compute_L(da, db, _sequence(sc, eps))
         whole = _unfolded_L(sc, da, db, eps)
         assert folded.value.imag == 0.0
         assert abs(folded.value - whole.value) <= 1e-6 * abs(whole.value), (da.label, db.label)
@@ -1117,12 +1130,12 @@ def test_hermitian_L_is_folded_onto_u_nonnegative(monkeypatch):
         fa, fb = _scenario(L=0.0).detectors
         sc = dualize(HarvestScenario(detectors=(fa, replace(fb, switching=chi_b))), 2.0)
         da, other = sc.detectors
-        eps = regulator_sequence(sc, levels=4)
+        eps = regulator_sequence(sc)[:4]
         rects = []
         with monkeypatch.context() as mp:
             mp.setattr(harvesting, "integrate_square",
                        lambda f, rect, cfg: rects.append(rect) or integrate(f, rect, cfg))
-            res = compute_L(da, other, sc, eps)
+            res = compute_L(da, other, _sequence(sc, eps))
         (rect,) = rects
         assert rect[0] < 0.0
         assert res.value == _unfolded_L(sc, da, other, eps).value
@@ -1213,10 +1226,23 @@ def test_N_finite_part_and_pole_match_the_regulated_N():
     assert abs(N.value - -2.0700e-6) <= 1e-4 * abs(N.value)
     gaps = []
     for eps in (0.04, 0.02, 0.01, 0.005):
-        regulated = compute_N(da, sc, epsilons=(eps,))
+        regulated = compute_N(da, _sequence(sc, (eps,)))
         assert regulated.note == "finest-epsilon"
         gaps.append(abs(N.value + N.pole / eps - regulated.value))
     assert all(g2 * 1.5 <= g1 for g1, g2 in zip(gaps, gaps[1:])), gaps
+
+
+def test_a_coupling_that_differs_by_a_part_in_a_million_keeps_the_limit():
+    # couplings enter only the prefactor: B's leg is still A's, so M and L_AB
+    # of the co-located pair take the closed form, and the 1/eps pole of M
+    # stays out of its value and of the negativity
+    da, db = _scenario(L=0.0).detectors
+    base = harvest(HarvestScenario(detectors=(da, db)))
+    moved = harvest(HarvestScenario(detectors=(da, replace(db, coupling=0.01 * (1.0 + 1e-6)))))
+    assert moved.elements.M.note == base.elements.M.note == "finite-part"
+    assert moved.elements.L_AB.note == base.elements.L_AB.note == "closed-form"
+    assert base.negativity > 0.0
+    assert abs(moved.negativity - base.negativity) <= 1e-5 * base.negativity
 
 
 def test_co_located_pair_that_does_not_mirror_keeps_the_sweep():
@@ -1296,6 +1322,6 @@ def test_frw_ground_state_limit_agrees_with_the_regulated_sweep(chi):
         assert got.note == "closed-form"
         assert abs(got.value - want) <= 1e-6 * abs(want), (got.value, want)
     N = compute_N(da, sc)
-    gaps = [abs(N.value + N.pole / eps - compute_N(da, sc, epsilons=(eps,)).value)
+    gaps = [abs(N.value + N.pole / eps - compute_N(da, _sequence(sc, (eps,))).value)
             for eps in (0.02, 0.01, 0.005)]
     assert all(g2 * 1.5 <= g1 for g1, g2 in zip(gaps, gaps[1:])), gaps

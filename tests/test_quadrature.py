@@ -263,8 +263,8 @@ def test_config_validation():
         QuadratureConfig(epsilon_sequence=(1e-2, 1e-2))
     with pytest.raises(ValueError):
         QuadratureConfig(epsilon_sequence=(1e-3, 1e-2))
-    with pytest.raises(ValueError):
-        QuadratureConfig(extrapolation="pade")
+    with pytest.raises(TypeError):  # a one-level sequence asks for a finite eps
+        QuadratureConfig(extrapolation="none")
     with pytest.raises(ValueError):
         QuadratureConfig(method="montecarlo")
 
@@ -272,9 +272,9 @@ def test_config_validation():
 def test_richardson_config_needs_halving_sequence():
     with pytest.raises(ValueError, match="halve"):
         QuadratureConfig(epsilon_sequence=(0.01, 0.004))
-    # only the finest level is used without extrapolation
-    cfg = QuadratureConfig(epsilon_sequence=(0.01, 0.004), extrapolation="none")
-    assert cfg.epsilon_sequence == (0.01, 0.004)
+    # a finite regulator is asked for by a one-level sequence
+    cfg = QuadratureConfig(epsilon_sequence=(0.004,))
+    assert cfg.epsilon_sequence == (0.004,)
     assert validate_epsilon_sequence([0.02, 0.01, 0.005]) == (0.02, 0.01, 0.005)
     assert validate_epsilon_sequence([0.5]) == (0.5,)
 
@@ -288,11 +288,12 @@ def test_config_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="finite"):
         validate_epsilon_sequence([bad])
     with pytest.raises(ValueError, match="finite"):
-        QuadratureConfig(epsilon_sequence=(bad,), extrapolation="none")
+        QuadratureConfig(epsilon_sequence=(bad,))
 
 
 def test_default_epsilon_sequence_halves():
-    eps = default_epsilon_sequence(2.0, levels=4)
+    eps = default_epsilon_sequence(2.0)
+    assert len(eps) == 6
     assert eps[0] == pytest.approx(0.02)
     assert all(a / b == pytest.approx(2.0) for a, b in zip(eps, eps[1:]))
 
