@@ -277,7 +277,6 @@ class HarvestReport:
     negativity_pt: float
     provenance: str
     epsilon_sequence: tuple
-    method: str
 
 
 @dataclass(frozen=True)
@@ -1036,7 +1035,6 @@ def harvest(scenario: HarvestScenario) -> HarvestReport:
         negativity_pt=negativity_pt_exact(rho),
         provenance=f"{scenario.frame}/{scenario.initial_state}",
         epsilon_sequence=regulator_sequence(scenario),
-        method=scenario.quadrature.method,
     )
 
 

@@ -1,13 +1,15 @@
 """Deterministic adaptive quadrature for regulated detector-response integrals.
 
-Two layers:
+Two parts:
 
-* a tensor Gauss-Kronrod 7/15 cubature over rectangles with per-axis error
-  indicators and anisotropic bisection, so near-singular ridges that are
-  axis-aligned (the regulated Wightman kernel in difference coordinates) are
-  resolved in O(log 1/eps) refinement levels; a kernel may stack several
-  components (the levels of a regulator sweep), which share one mesh;
-* regulator handling: a halving epsilon sequence, Richardson extrapolation
+* One adaptive engine (_adapt): globally adaptive tensor Gauss-Kronrod 7/15
+  over boxes of one or two axes, with per-axis error indicators and
+  anisotropic bisection, so near-singular ridges that are axis-aligned (the
+  regulated Wightman kernel in difference coordinates) are resolved in
+  O(log 1/eps) refinement levels; a kernel may stack several components
+  (the levels of a regulator sweep), which share one mesh.  integrate_square
+  (rectangles) and adaptive_1d (segments) are its two entries.
+* Regulator handling: a halving epsilon sequence, Richardson extrapolation
   to eps -> 0 with an empirical validation of the linear-error model, and a
   radial mode-sum oracle with a rigorous tail bound for static flat scenarios.
 
@@ -77,14 +79,17 @@ WK = np.concatenate([_WK_HALF[:0:-1], _WK_HALF])           # kronrod weights
 G_IDX = np.arange(1, 15, 2)                                # gauss subset
 WG = np.concatenate([_WG_HALF[3:0:-1], _WG_HALF])          # 7 gauss weights
 
-# the three tensor rules of a cell, as columns over its 15 x 15 nodes in
-# row-major (u, v) order: Kronrod x Kronrod, Gauss in u, Gauss in v
+# the d + 1 tensor rules of a cell with d = 1 or 2 axes, as columns over its
+# 15^d nodes in row-major order: Kronrod on every axis, then for each axis j
+# Gauss in axis j and Kronrod in the other; real and complex copies
 _WG15 = np.zeros(15)
 _WG15[G_IDX] = WG
-_CELL_RULES_REAL = np.stack(
-    [np.outer(WK, WK), np.outer(_WG15, WK), np.outer(WK, _WG15)], axis=-1
-).reshape(225, 3)
-_CELL_RULES = _CELL_RULES_REAL.astype(complex)
+_CELL_RULES = {d: (rules, rules.astype(complex)) for d, rules in [
+    (1, np.stack([WK, _WG15], axis=-1)),
+    (2, np.stack([np.outer(WK, WK), np.outer(_WG15, WK), np.outer(WK, _WG15)], axis=-1
+                 ).reshape(225, 3)),
+]}
+_XK1 = XK + 1.0  # the nodes on [0, 2]: a cell's nodes are lo + h * _XK1
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,11 @@ class QuadratureConfig:
     route for response elements: "direct" double quadrature or the
     "fourier" mode-sum oracle where available.
 
-    max_subdivisions bounds the splits of one integrate_square call; the
-    harvesting elements integrate their whole regulator sweep in one call,
-    so it bounds the splits of one element's sweep, not of each level; a
-    run evaluates at most 1 + 2 * max_subdivisions cells.
+    max_subdivisions bounds the splits of each adaptive run (one
+    integrate_square or adaptive_1d call): each piece of a closed-form
+    element's u range, the line integral of N's pole, or a regulated
+    element's whole sweep, whose levels share one mesh and so one budget;
+    a run evaluates at most 1 + 2 * max_subdivisions cells.
     """
 
     rel_tol: float = 1e-6
@@ -152,12 +158,12 @@ class IntegralResult:
     budget_exhausted is set when an adaptive quadrature stopped at
     max_subdivisions with its error still above the tolerance; an
     extrapolated result carries it when any of its regulator levels did.
-    cells counts the cells (1D segments in adaptive_1d) the adaptive run
-    evaluated, 1 + 2 * splits, and is 0 where none ran; the levels of one
-    integrate_square call share its mesh and its count, and an extrapolated
+    cells counts the cells (rectangles, or segments on one axis) the
+    adaptive run evaluated, 1 + 2 * splits, and is 0 where none ran; the
+    components of one run share its mesh and its count, and an extrapolated
     result carries the largest count of its levels.  levels holds every
-    component result of a stacked integrate_square call, the last of which
-    is the result itself; it is empty otherwise.  pole is the coefficient
+    component result of an adaptive run, the last of which is the result
+    itself; it is empty otherwise.  pole is the coefficient
     of 1/eps of an element that diverges as the regulator is removed, whose
     value is then the finite part (note "finite-part"); it is None for every
     other result.
@@ -174,98 +180,95 @@ class IntegralResult:
     pole: complex | None = None
 
 
-def _eval_cell(f, u0, u1, v0, v1):
+def _eval_cell(f, box):
     """Kronrod values and per-axis Gauss defects of every component on one cell.
 
-    f returns a (15, 15) grid, taken as one component, or a (K, 15, 15)
-    stack of K components; the three results are arrays of shape (K,), the
-    values complex whether the grid is real or complex.
+    box is (lo, hi) per axis, flattened: (a, b) or (u0, u1, v0, v1).  f takes
+    one node array per axis, broadcast against each other (shapes (15,), or
+    (15, 1) and (1, 15)), and returns their grid, taken as one component, or a
+    stack of K such grids.  Returns the K Kronrod values, complex whether the
+    grid is real or complex, and their defects as a (d, K) array, one row
+    per axis.
     """
-    hu = 0.5 * (u1 - u0)
-    hv = 0.5 * (v1 - v0)
-    uu = u0 + hu * (XK + 1.0)
-    vv = v0 + hv * (XK + 1.0)
-    F = np.asarray(f(uu[:, None], vv[None, :]))
-    if F.shape == (15, 15):
+    d = len(box) // 2
+    h = [0.5 * (box[2 * j + 1] - box[2 * j]) for j in range(d)]
+    x = [box[2 * j] + h[j] * _XK1 for j in range(d)]
+    F = np.asarray(f(*x) if d == 1 else f(x[0][:, None], x[1][None, :]))
+    grid = (15,) * d
+    if F.shape == grid:
         F = F[None]
-    elif F.ndim != 3 or F.shape[1:] != (15, 15):
+    elif F.ndim != d + 1 or F.shape[1:] != grid:
         raise ValueError(
-            "kernel must broadcast over (15,1) x (1,15) grids, optionally stacked as (K, 15, 15)"
+            f"kernel must broadcast over its node arrays to shape {grid}, "
+            f"optionally stacked as (K, *{grid})"
         )
     # a real grid stays real: a real check and matmul, a third of the complex cost
     real = not np.iscomplexobj(F)
-    F = np.ascontiguousarray(F, dtype=float if real else complex).reshape(len(F), 225)
+    F = np.ascontiguousarray(F, dtype=float if real else complex).reshape(len(F), -1)
     if not np.isfinite(F if real else F.view(float)).all():  # real view: both parts
         raise NumericalHardError("kernel returned non-finite values")
-    rules = (F @ (_CELL_RULES_REAL if real else _CELL_RULES)) * (hu * hv)
+    rules = (F @ _CELL_RULES[d][0 if real else 1]) * math.prod(h)
     ik = rules[:, 0]
-    return ik.astype(complex), np.abs(ik - rules[:, 1]), np.abs(ik - rules[:, 2])
+    return ik.astype(complex), np.abs(ik - rules[:, 1:].T)
 
 
 class _Cells:
     """The leaf cells of one adaptive run, one row each, in growing arrays.
 
-    Row i holds cell i's rectangle, its K Kronrod values, its K errors
-    (the sum of both axis defects) and the axis defects of its worst
-    component, which pick the split axis.  A split cell's row goes to its
-    first child, so the rows are always the leaves.
+    Row i holds cell i's box, its K Kronrod values, its K errors (the sum of
+    its axis defects) and the axis defects of its worst component, which pick
+    the split axis.  A split cell's row goes to its first child, so the rows
+    are always the leaves.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, d: int):
         self.n = 0
-        self.rect = np.empty((64, 4))
+        self.box = np.empty((64, 2 * d))
         self.val = np.empty((64, k), dtype=complex)
         self.err = np.empty((64, k))
-        self.worst = np.empty((64, 2))
+        self.worst = np.empty((64, d))
 
-    def put(self, i, rect, ik, eu, ev):
+    def put(self, i, box, ik, defects):
         """Store a cell in row i (i == n appends); returns its heap priority."""
-        if i == len(self.rect):
-            for name in ("rect", "val", "err", "worst"):
+        if i == len(self.box):
+            for name in ("box", "val", "err", "worst"):
                 a = getattr(self, name)
                 setattr(self, name, np.concatenate([a, np.empty_like(a)]))
-        err = eu + ev
-        k = int(np.argmax(err))
-        self.rect[i] = rect
+        err = np.add.reduce(defects, 0)
+        k = int(err.argmax())
+        self.box[i] = box
         self.val[i] = ik
         self.err[i] = err
-        self.worst[i] = eu[k], ev[k]
+        self.worst[i] = defects[:, k]
         self.n = max(self.n, i + 1)
         return float(err[k])
 
 
-def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
-    """Adaptive cubature of a complex kernel f(u, v), or of K kernels at once.
+def _adapt(f, box, cfg: QuadratureConfig) -> IntegralResult:
+    """Globally adaptive Gauss-Kronrod 7/15 over a box of d = 1 or 2 axes.
 
-    rect = (u0, u1, v0, v1).  f must accept numpy arrays that broadcast to a
-    common shape and return values of that shape, or a stack of K such grids
-    on a leading axis; all K components are integrated on one shared mesh
-    (the shared-subdivision scheme of DCUHRE, Berntsen, Espelid and Genz,
-    ACM TOMS 17, 1991).  Bisection is anisotropic: the cell with the largest
-    error of any component is split along the axis whose embedded
-    Gauss/Kronrod defect of that component is larger, which keeps ridge
-    refinement one-dimensional.  Refinement stops once every component
-    meets max(abs_tol, rel_tol * |value|), or after max_subdivisions splits.
-    Each component's err_estimate is its summed cell defect; where the
-    tolerance could not be met it stays above tolerance rather than being
-    silently clipped, and budget_exhausted is set.
-
-    The result is the last component, with all K component results in
-    levels.
+    box is a nonempty (lo, hi) per axis, flattened; f is evaluated as in
+    _eval_cell, and its K components share one mesh (the shared-subdivision
+    scheme of DCUHRE, Berntsen, Espelid and Genz, ACM TOMS 17, 1991).  The
+    cell with the largest error of any component is bisected along the axis
+    whose Gauss/Kronrod defect of that component is larger, which keeps
+    ridge refinement one-dimensional; an axis narrower than 1e-13 of its
+    range is not split, and a cell with no axis left to split stays a leaf.
+    Refinement stops once every component meets max(abs_tol, rel_tol *
+    |value|), or after max_subdivisions splits.  Each component's
+    err_estimate is its summed cell defect; where the tolerance could not be
+    met it stays above tolerance rather than being silently clipped, and
+    budget_exhausted is set.  The result is the last component, with all K
+    component results in levels.
     """
-    u0, u1, v0, v1 = (float(x) for x in rect)
-    if not (u1 >= u0 and v1 >= v0):
-        raise ValueError(f"degenerate rectangle {rect}")
-    if u1 == u0 or v1 == v0:
-        return IntegralResult(value=0.0 + 0.0j, err_estimate=0.0, note="empty-domain")
-    min_du = 1e-13 * (u1 - u0)
-    min_dv = 1e-13 * (v1 - v0)
+    d = len(box) // 2
+    min_w = [1e-13 * (box[2 * j + 1] - box[2 * j]) for j in range(d)]
 
-    ik, eu, ev = _eval_cell(f, u0, u1, v0, v1)
-    cells = _Cells(len(ik))
-    heap = [(-cells.put(0, (u0, u1, v0, v1), ik, eu, ev), 0)]
+    ik, defects = _eval_cell(f, box)
+    cells = _Cells(len(ik), d)
+    heap = [(-cells.put(0, box, ik, defects), 0)]
     total = ik.copy()
-    err_total = eu + ev
+    err_total = cells.err[0].copy()
     splits = 0
     while heap and splits < cfg.max_subdivisions:
         if (err_total <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))).all():
@@ -273,26 +276,20 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
         neg_err, i = heapq.heappop(heap)
         if -neg_err == 0.0:  # frozen: stays a leaf, never split again
             continue
-        cu0, cu1, cv0, cv1 = cells.rect[i].tolist()
-        ceu, cev = cells.worst[i].tolist()
-        split_u = ceu >= cev
-        if split_u and (cu1 - cu0) < min_du:
-            split_u = False
-        if (not split_u) and (cv1 - cv0) < min_dv:
-            if (cu1 - cu0) >= min_du and ceu > 0.0:
-                split_u = True
-            else:
+        cell = cells.box[i].tolist()
+        w = cells.worst[i].tolist()
+        j = int(w[-1] > w[0])  # the axis of the larger defect, ties to the first
+        if cell[2 * j + 1] - cell[2 * j] < min_w[j]:
+            j = d - 1 - j  # the other axis; the first is split only where it has a defect
+            if cell[2 * j + 1] - cell[2 * j] < min_w[j] or (j == 0 and w[0] == 0.0):
                 continue
-        if split_u:
-            mid = 0.5 * (cu0 + cu1)
-            kids = ((cu0, mid, cv0, cv1), (mid, cu1, cv0, cv1))
-        else:
-            mid = 0.5 * (cv0 + cv1)
-            kids = ((cu0, cu1, cv0, mid), (cu0, cu1, mid, cv1))
+        mid = 0.5 * (cell[2 * j] + cell[2 * j + 1])
+        lo, hi = cell[:], cell[:]
+        lo[2 * j + 1] = hi[2 * j] = mid
         total -= cells.val[i]
         err_total -= cells.err[i]
-        for row, kid in zip((i, cells.n), kids):
-            prio = cells.put(row, kid, *_eval_cell(f, *kid))
+        for row, kid in zip((i, cells.n), (lo, hi)):
+            prio = cells.put(row, kid, *_eval_cell(f, kid))
             heapq.heappush(heap, (-prio, row))
             total += cells.val[row]
             err_total += cells.err[row]
@@ -312,53 +309,33 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
     return replace(levels[-1], levels=tuple(levels))
 
 
+def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
+    """Adaptive cubature of a complex kernel f(u, v), or of K kernels at once.
+
+    rect = (u0, u1, v0, v1).  f must accept numpy arrays that broadcast to a
+    common shape and return values of that shape, or a stack of K such grids
+    on a leading axis; all K components are integrated on one shared mesh.
+    The refinement and its accounting are those of _adapt.
+    """
+    u0, u1, v0, v1 = (float(x) for x in rect)
+    if not (u1 >= u0 and v1 >= v0):
+        raise ValueError(f"degenerate rectangle {rect}")
+    if u1 == u0 or v1 == v0:
+        return IntegralResult(value=0.0 + 0.0j, err_estimate=0.0, note="empty-domain")
+    return _adapt(f, [u0, u1, v0, v1], cfg)
+
+
 def adaptive_1d(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
-    """Adaptive Gauss-Kronrod 7/15 on [a, b] for a vectorized complex f."""
+    """Adaptive Gauss-Kronrod 7/15 on [a, b] for a vectorized complex f.
+
+    The one-axis case of integrate_square's refinement (_adapt); f may
+    return a stack of K components on a leading axis.
+    """
     a = float(a)
     b = float(b)
     if b <= a:
         return IntegralResult(value=0.0 + 0.0j, err_estimate=0.0, note="empty-domain")
-
-    def eval_seg(x0, x1):
-        h = 0.5 * (x1 - x0)
-        xs = x0 + h * (XK + 1.0)
-        F = np.asarray(f(xs), dtype=complex)
-        if not np.all(np.isfinite(F.real)) or not np.all(np.isfinite(F.imag)):
-            raise NumericalHardError("integrand returned non-finite values")
-        ik = (WK @ F) * h
-        ig = (WG @ F[G_IDX]) * h
-        return ik, abs(ik - ig)
-
-    ik, e = eval_seg(a, b)
-    counter = 0
-    heap = [(-e, counter, (a, b), ik, e)]
-    total, err_total = ik, e
-    splits = 0
-    min_w = 1e-14 * (b - a)
-    frozen = []
-    while heap and splits < cfg.max_subdivisions:
-        if err_total <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            break
-        neg_e, _, (x0, x1), cik, ce = heapq.heappop(heap)
-        if -neg_e == 0.0 or (x1 - x0) < min_w:
-            frozen.append(((x0, x1), cik, ce))
-            continue
-        mid = 0.5 * (x0 + x1)
-        total -= cik
-        err_total -= ce
-        for seg in ((x0, mid), (mid, x1)):
-            kik, ke = eval_seg(*seg)
-            counter += 1
-            heapq.heappush(heap, (-ke, counter, seg, kik, ke))
-            total += kik
-            err_total += ke
-        splits += 1
-    leaves = [(h[2], h[3], h[4]) for h in heap] + frozen
-    val = complex(math.fsum(l[1].real for l in leaves), math.fsum(l[1].imag for l in leaves))
-    err = math.fsum(l[2] for l in leaves)
-    exhausted = splits >= cfg.max_subdivisions and err > max(cfg.abs_tol, cfg.rel_tol * abs(val))
-    return IntegralResult(value=val, err_estimate=err, budget_exhausted=exhausted,
-                          cells=1 + 2 * splits)
+    return _adapt(f, [a, b], cfg)
 
 
 # Richardson table coefficients amplify the per-level quadrature noise by at

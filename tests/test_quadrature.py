@@ -108,11 +108,17 @@ def test_cell_rule_defects_follow_their_axis():
     # one cell's Kronrod value and Gauss defects against the separable
     # rules written out; a kernel that varies along u only has no v defect
     F = np.exp(5.0 * XK[:, None]) * (1.0 + 0.0 * XK[None, :]) + 1j * XK[:, None] ** 2
-    ik, eu, ev = _eval_cell(lambda u, v: F, -1.0, 1.0, -1.0, 1.0)
+    ik, (eu, ev) = _eval_cell(lambda u, v: F, [-1.0, 1.0, -1.0, 1.0])
     kron = WK @ F @ WK
     assert abs(ik[0] - kron) <= 1e-14 * abs(kron)
     assert abs(eu[0] - abs(kron - WG @ F[G_IDX] @ WK)) <= 1e-14 * abs(kron)
     assert eu[0] > 1e-8 and ev[0] <= 1e-14 * abs(kron)
+    # a one-axis cell: the Kronrod value and its one Gauss defect
+    ik, (e,) = _eval_cell(lambda x: F[:, 0], [-1.0, 1.0])
+    kron = WK @ F[:, 0]
+    assert abs(ik[0] - kron) <= 1e-14 * abs(kron)
+    assert abs(e[0] - abs(kron - WG @ F[G_IDX, 0])) <= 1e-14 * abs(kron)
+    assert e[0] > 1e-8
 
 
 def test_identical_components_are_bitwise_equal():
@@ -179,10 +185,12 @@ def test_stacked_budget_is_flagged_per_component():
 
 def test_budget_starved_run_counts_its_cells():
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=37)
-    res = integrate_square(_ridge(1e-3), (0, 1, 0, 1), cfg)
-    assert res.budget_exhausted
-    assert res.cells == 1 + 2 * cfg.max_subdivisions
-    assert all(lev.cells == res.cells for lev in res.levels)
+    square = integrate_square(_ridge(1e-3), (0, 1, 0, 1), cfg)
+    line = adaptive_1d(lambda x: 1.0 / (x * x + 1e-6), -1.0, 1.0, cfg)
+    for res in (square, line):
+        assert res.budget_exhausted
+        assert res.cells == 1 + 2 * cfg.max_subdivisions
+        assert all(lev.cells == res.cells for lev in res.levels)
     eps = [1e-2 / 2**k for k in range(3)]
     levels = [replace(_res(0.7 + 0.3 * e, e), cells=c) for e, c in zip(eps, (9, 75, 9))]
     assert extrapolate_epsilon(levels).cells == 75
@@ -203,6 +211,20 @@ def test_nonfinite_component_raises(bad):
 def test_kernel_of_wrong_shape_rejected(shape):
     with pytest.raises(ValueError, match="kernel must broadcast"):
         integrate_square(lambda u, v: np.ones(shape), (0, 1, 0, 1), CFG)
+
+
+@pytest.mark.parametrize("max_subdivisions", [CFG.max_subdivisions, 5])
+def test_kernel_constant_in_v_matches_adaptive_1d(max_subdivisions):
+    # on [a, b] x [0, 1] a kernel that ignores v is its 1D integrand: both
+    # runs refine the same u segments, so the value, the cell count and the
+    # budget flag agree
+    cfg = replace(CFG, rel_tol=1e-12, max_subdivisions=max_subdivisions)
+    g = lambda x: np.exp(-x) * (2.0 + np.cos(7.0 * x)) + 0j
+    line = adaptive_1d(g, 0.0, 10.0, cfg)
+    square = integrate_square(lambda u, v: g(u) + 0.0 * v, (0.0, 10.0, 0.0, 1.0), cfg)
+    assert abs(square.value - line.value) <= 1e-14 * abs(line.value)
+    assert square.cells == line.cells > 1
+    assert square.budget_exhausted == line.budget_exhausted == (max_subdivisions == 5)
 
 
 def test_adaptive_1d_oscillatory():
@@ -248,6 +270,8 @@ def test_nonfinite_integrand_raises():
 
     with pytest.raises(NumericalHardError):
         integrate_square(bad, (0, 1, 0, 1), CFG)
+    with pytest.raises(NumericalHardError):
+        adaptive_1d(lambda x: bad(x, 0.0), 0.0, 1.0, CFG)
 
 
 def test_degenerate_rect_rejected():
