@@ -281,7 +281,7 @@ def _build_detector(sections, label, frame, loc):
     sec = f"detectors.{label}"
     sw_sec = f"{sec}.switching"
     if sw_sec not in sections:
-        raise ConfigError(f"missing section [{sw_sec}] for detector {label!r}")
+        raise loc.error(sec, None, f"missing section [{sw_sec}] for detector {label!r}")
     params = dict(sections[sw_sec])
     make = _SWITCHINGS[params.pop("kind")]
     spec = dict(sections[sec])
@@ -482,7 +482,8 @@ def cmd_harvest(sections, loc, config_sha, args) -> int:
     report["frame"] = scenario.frame
     report["initial_state"] = scenario.initial_state
     report["provenance"] = rep.provenance
-    report["epsilon_sequence"] = list(rep.epsilon_sequence)
+    eps = rep.epsilon_sequence
+    report["epsilon_sequence"] = None if eps is None else list(eps)
     report["elements"] = {
         "L_AA": _element_record(el.L_AA),
         "L_BB": _element_record(el.L_BB),

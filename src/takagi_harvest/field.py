@@ -44,9 +44,8 @@ def _check_epsilon(epsilon):
 def wightman_flat_sep(dt, sep, epsilon):
     """Flat kernel as a function of time difference dt = t - t2 and spatial separation.
 
-    Vectorized over dt; sep is a scalar >= 0.  epsilon is a scalar or an
-    array that broadcasts against dt, e.g. a regulator sweep of shape
-    (K, 1, 1) against a (15, 15) grid, which gives one grid per level.
+    Vectorized over dt; sep is a scalar >= 0 and epsilon a scalar > 0 (or an
+    array that broadcasts against dt).
     """
     _check_epsilon(epsilon)
     dt = np.asarray(dt, dtype=float)
@@ -85,8 +84,7 @@ def wightman_frw_at_clock(t, C, t2, C2, sep, epsilon):
 
     t, t2 are conformal times (arrays) and C, C2 the conformal factor there;
     n_spatial = 3.  Equals wightman_frw_sep value for value; kernels that
-    already hold the clock at their nodes call this one.  epsilon broadcasts
-    as in wightman_flat_sep.
+    already hold the clock at their nodes call this one.
     """
     return wightman_flat_sep(t - t2, sep, epsilon) / (C * C2)
 

@@ -137,19 +137,17 @@ class ConformalTakagiMap:
 
 @dataclass(frozen=True)
 class SwitchingFunction:
-    """Window function chi with compact support and a characteristic timescale.
+    """Window function chi with compact support.
 
     A window is plain data: kind is one of gaussian / cos_squared /
     transformed, and params holds its (name, value) pairs (sigma and center;
     t0 and t1; the base window and the map it is transported by).  Windows
-    are equal, hash and pickle by value.  Evaluation outside the support
-    returns exactly zero.  timescale feeds the default regulator sequence of
-    the quadrature layer.
+    are equal, hash and pickle by value.  Evaluation outside the support,
+    of the window and of its derivative, returns exactly zero.
     """
 
     kind: str
     support: tuple[float, float]
-    timescale: float
     params: tuple
 
     def __post_init__(self):
@@ -158,8 +156,6 @@ class SwitchingFunction:
         a, b = self.support
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError(f"support must be a finite interval, got {self.support}")
-        if not self.timescale > 0.0:
-            raise ValueError("timescale must be positive")
 
     def param(self, name: str):
         """The parameter called name (see the class docstring)."""
@@ -193,6 +189,36 @@ class SwitchingFunction:
         a, b = self.support
         vals = self.param("base")(lam) * C ** (0.5 * (self.param("map").n_spatial - 4))
         return np.where((tau >= a) & (tau <= b), vals, 0.0)
+
+    def derivative(self, t, lam=None, C=None):
+        """d chi / dt in closed form, zero outside the support.
+
+        A transported window chi(lambda) C^e, e = (n_spatial - 4)/2, is
+        differentiated by the chain rule through the clock, dlambda/dtau =
+        1/C and dC/dlambda = omega (1 - r^2) sin(2 omega lambda) C^2 with
+        r = Omega/omega.  lam = lambda(t) and C = C(lam) may be passed as
+        for at_clock, from this window's own map; otherwise the clock is
+        evaluated here.
+        """
+        t, scalar = _prepare(t)
+        p = dict(self.params)
+        if self.kind == "transformed":
+            m, base = p["map"], p["base"]
+            if lam is None:
+                lam = m.lambda_of_tau(t)
+                C = m.conformal_factor(lam)
+            e = 0.5 * (m.n_spatial - 4)
+            r = m.Omega / m.omega
+            rate = m.omega * (1.0 - r * r) * np.sin(2.0 * m.omega * lam) * C
+            vals = C ** (e - 1.0) * (base.derivative(lam) + e * base(lam) * rate)
+        elif self.kind == "gaussian":
+            x = (t - p["center"]) / p["sigma"]
+            vals = -x / p["sigma"] * np.exp(-0.5 * x * x)
+        else:
+            t0, t1 = p["t0"], p["t1"]
+            vals = -math.pi / (t1 - t0) * np.sin(2.0 * math.pi * (t - 0.5 * (t0 + t1)) / (t1 - t0))
+        a, b = self.support
+        return _finish(np.where((t >= a) & (t <= b), vals, 0.0), scalar)
 
     def fourier(self, s):
         """Closed-form Fourier transform F(s) = integral chi(t) exp(i s t) dt.
@@ -261,7 +287,6 @@ def gaussian_switching(sigma: float, center: float = 0.0) -> SwitchingFunction:
     return SwitchingFunction(
         kind="gaussian",
         support=(center - half, center + half),
-        timescale=sigma,
         params=(("sigma", sigma), ("center", center)),
     )
 
@@ -273,7 +298,6 @@ def cos_squared_switching(t0: float, t1: float) -> SwitchingFunction:
     return SwitchingFunction(
         kind="cos_squared",
         support=(t0, t1),
-        timescale=0.5 * (t1 - t0),
         params=(("t0", t0), ("t1", t1)),
     )
 
@@ -298,7 +322,6 @@ def transform_switching(m: ConformalTakagiMap, chi: SwitchingFunction) -> Switch
     return SwitchingFunction(
         kind="transformed",
         support=(ta, tb),
-        timescale=(tb - ta) / 16.0,
         params=(("base", chi), ("map", m)),
     )
 

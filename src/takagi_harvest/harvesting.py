@@ -30,23 +30,22 @@ coordinates u = t - t', w = t + t'.  An L whose detectors mirror each other
 either side of the duality, and is folded: taken as 2 Re of its u >= 0 half,
 on about half the cells.
 
-Two routes remove the regulator.  The regulator sits on the conformal-time
-difference x = lambda(t) - lambda(t') of the two legs (x = u on the flat
-side), and the eps -> 0 limit of the kernel is a known distribution in x
-(Sokhotski-Plemelj; see field.wightman_flat_pv).  On either side an element
-that asks for that limit takes it in closed form (_limit): the
-pole of the kernel is subtracted at the same node line, which leaves one
-bounded integrand per element (the regularised response of Louko and Satz,
-CQG 23, 6321, 2006, and QUADPACK's qawc subtraction, here in 2D), and the
-delta and delta' terms are line integrals, added to the same integrand.  N,
-which diverges like 1/eps, reports its finite part and the coefficient of
-the pole separately.  The regulator sequence (regulator_sequence) picks the
-route (_takes_limit): a sequence of more than one level asks for the limit,
-which every element takes except one that joins two co-located detectors
-that do not mirror.  That element integrates the regulated kernel at every
-level on one adaptive mesh and extrapolates, and under a one-level sequence
-every element integrates it at that finite eps.  On both routes the kernel
-is singular, or peaks, on the light cone of the two detectors.  In flat
+Two routes, and the quadrature config's epsilon_sequence alone picks one
+(_element).  The regulator sits on the conformal-time difference x =
+lambda(t) - lambda(t') of the two legs (x = u on the flat side), and the
+eps -> 0 limit of the kernel is a known distribution in x
+(Sokhotski-Plemelj; see field.wightman_flat_pv).  Without a sequence, or
+with more than one level, every element on either side takes that limit in
+closed form (_limit): the pole of the kernel is subtracted at the same node
+line, which leaves one bounded integrand per element (the regularised
+response of Louko and Satz, CQG 23, 6321, 2006, and QUADPACK's qawc
+subtraction, here in 2D), and the delta and delta' terms are line
+integrals, added to the same integrand.  An ordered element of two
+co-located detectors (N, and M) diverges like 1/eps; it reports its finite
+part and the coefficient of the pole separately.  A one-level sequence
+asks for that finite eps: every element integrates the regulated kernel
+there (_regulated).  On both routes the kernel is singular, or peaks, on
+the light cone of the two detectors.  In flat
 spacetime that is the straight line u = +-L, an axis of the rectangle, and
 the mesh refines across it in u alone.  On the cosmological side it is the curve
 lambda(t) - lambda(t') = +-L of the clock map, so the separated elements
@@ -81,8 +80,6 @@ from .quadrature import (
     IntegralResult,
     QuadratureConfig,
     adaptive_1d,
-    default_epsilon_sequence,
-    extrapolate_epsilon,
     fourier_oracle_L,
     integrate_square,
 )
@@ -95,7 +92,6 @@ __all__ = [
     "DualCheckReport",
     "PERTURBATIVE_WARN_THRESHOLD",
     "duality_backbone_residual",
-    "regulator_sequence",
     "compute_L",
     "compute_M",
     "compute_N",
@@ -225,24 +221,13 @@ class HarvestScenario:
                     raise ValueError("ground-state detectors need frequency > 0")
 
 
-def regulator_sequence(scenario: HarvestScenario) -> tuple:
-    """The regulator sequence of a scenario: the configured one (validated by
-    QuadratureConfig), or else the 6 levels of default_epsilon_sequence at
-    the shortest switching timescale.  _takes_limit reads the route from it.
-    """
-    if scenario.quadrature.epsilon_sequence is not None:
-        return scenario.quadrature.epsilon_sequence
-    return default_epsilon_sequence(min(d.switching.timescale for d in scenario.detectors))
-
-
 def _mirrors(det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
     """True when B's leg is A's: the same frequency and window.
 
     Then the legs of an element that joins A and B are one detector's: one
-    window serves both, an unordered L is Hermitian (it folds), both time
-    orderings of the M integrand are one product, and a co-located pair
-    takes its limit like a single detector.  Couplings and interaction
-    scales enter only the prefactor, so they do not count here.
+    window serves both, an unordered L is Hermitian (it folds), and both
+    time orderings of the M integrand are one product.  Couplings and
+    interaction scales enter only the prefactor, so they do not count here.
     """
     return det_a.frequency == det_b.frequency and det_a.switching == det_b.switching
 
@@ -268,7 +253,11 @@ class MatrixElements:
 
 @dataclass(frozen=True)
 class HarvestReport:
-    """Elements, assembled state and entanglement summary of one scenario."""
+    """Elements, assembled state and entanglement summary of one scenario.
+
+    epsilon_sequence is the scenario's configured one, None where the
+    elements took the eps -> 0 limit without one.
+    """
 
     elements: MatrixElements
     rho: np.ndarray
@@ -276,7 +265,7 @@ class HarvestReport:
     negativity: float
     negativity_pt: float
     provenance: str
-    epsilon_sequence: tuple
+    epsilon_sequence: tuple | None
 
 
 @dataclass(frozen=True)
@@ -294,7 +283,6 @@ class DualCheckReport:
     residuals: dict
     resid_max: float
     bogoliubov: BogoliubovPair | None
-    epsilon_sequence: tuple
 
 
 def duality_backbone_residual(m: ConformalTakagiMap, chi: SwitchingFunction, lam) -> float:
@@ -345,6 +333,12 @@ def _cut(p, lo, hi):
     return tuple(c if c is None else c[lo:hi] for c in p)
 
 
+def _own_clock(m: ConformalTakagiMap | None, chi: SwitchingFunction) -> bool:
+    """True when chi is transported by the scenario's map m, so that it reads
+    the clock values a kernel already holds (SwitchingFunction.at_clock)."""
+    return m is not None and chi.kind == "transformed" and chi.param("map") == m
+
+
 def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
           ordered: bool, swapped: bool):
     """(evaluate, join): each detector's leg, window times mode, as amplitude times e^{i phase}.
@@ -361,9 +355,11 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
 
     join(P, Q) gives (amp, phase) of A's leg at P times B's at Q, the product
     amp e^{i phase}.  Unordered (L): B's leg enters conjugated, so the
-    phases subtract.  Ordered (M, N): they add, and swapped adds the
-    (A <-> B) product; where both legs share one phase function (the
-    transported mode, or equal frequencies) the amplitudes add, otherwise
+    phases subtract.  Ordered (M, N): they add.  swapped adds the same
+    product with the two times exchanged, A's leg at Q and B's at P: the
+    (A <-> B) ordering of M, and the u < 0 half of an L unfolded onto
+    u >= 0.  Where an ordered product's legs share one phase function (the
+    transported mode, or equal frequencies) the amplitudes add; otherwise
     amp is the complex sum of both products and the phase 0.
     """
     m = scenario.map
@@ -373,7 +369,7 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
     shared = transported or det_a.frequency == det_b.frequency
 
     def window(chi):
-        if m is not None and chi.kind == "transformed" and chi.param("map") == m:
+        if _own_clock(m, chi):
             return lambda p: chi.at_clock(*p)
         return lambda p: chi(p[0])
 
@@ -403,14 +399,13 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
 
     def join(P, Q):
         amp = P[0] * Q[2]
-        if not ordered:
-            return amp, P[1] - Q[3]
-        phase = P[1] + Q[3]
+        phase = P[1] + Q[3] if ordered else P[1] - Q[3]
         if not swapped:
             return amp, phase
-        if shared:
+        if ordered and shared:
             return amp + P[2] * Q[0], phase
-        return amp * np.exp(1j * phase) + P[2] * Q[0] * np.exp(1j * (P[3] + Q[1])), 0.0
+        other = P[3] + Q[1] if ordered else Q[1] - P[3]
+        return amp * np.exp(1j * phase) + P[2] * Q[0] * np.exp(1j * other), 0.0
 
     return evaluate, join
 
@@ -432,18 +427,16 @@ def _on_u(scenario: HarvestScenario) -> bool:
     return scenario.frame == "minkowski" or scenario.map.degenerate
 
 
-def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, eps_seq, fold=False):
-    """The regulated integrand of one element in rotated coordinates, one grid per level.
+def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, eps: float, fold=False):
+    """The integrand of one element regulated at eps, in rotated coordinates.
 
-    This is the finite-eps route of _element: a one-level sequence, or a
-    sweep over two co-located detectors that do not mirror; every other
-    element takes the eps -> 0 limit of _limit instead.  A's leg sits at
-    t = (w + u)/2 and B's at t' = (w - u)/2, both rows from one evaluate
-    call of _legs; the 1/2 is the Jacobian of (t, t') -> (u, w).  The legs
-    are joined by the Wightman function on the scenario background, with the
-    conformal-time regulator on the dual side (the regulator under which the
-    duality is an exact per-epsilon identity), at every level of eps_seq,
-    stacked on the first axis.  Unordered (L): W runs from t' to t.
+    This is the finite-eps route of _element (a one-level sequence); the
+    eps -> 0 limit is _limit.  A's leg sits at t = (w + u)/2 and B's at
+    t' = (w - u)/2, both rows from one evaluate call of _legs; the 1/2 is
+    the Jacobian of (t, t') -> (u, w).  The legs are joined by the Wightman
+    function on the scenario background, with the conformal-time regulator
+    on the dual side (the regulator under which the duality is an exact
+    per-epsilon identity).  Unordered (L): W runs from t' to t.
     Ordered (M, N): W runs from t to t'.  W times the leg product
     amp e^{i phase} is formed in real arithmetic, its real part
     amp (Re W cos - Im W sin).  fold (a Hermitian
@@ -454,13 +447,12 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, eps_seq, fold=
     Where the clock is the identity (on_u: the flat side and Omega == omega)
     W depends on u = t - t' alone, and is taken on the (15, 1) u axis: the
     time difference is then exact rather than rounded from t - t', and W
-    costs one division per u node and level, broadcast over w by the legs
-    in the last product.  Elsewhere W is taken at lambda(t) - lambda(t').
+    costs one division per u node, broadcast over w by the legs in the last
+    product.  Elsewhere W is taken at lambda(t) - lambda(t').
     """
     evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped)
     on_u = _on_u(scenario)
     sep = separation(det_a.trajectory, det_b.trajectory)
-    eps = np.asarray(eps_seq, dtype=float)[:, None, None]
 
     def kern(u, w):
         (P,), (Q,), _ = evaluate([0.5 * (w + u)], [0.5 * (w - u)])
@@ -636,20 +628,24 @@ def _chart(sup_a, sup_b, half: bool, shear: bool = True):
     return (0.0 if half else -U, U, -1.0, 1.0), shear, (() if half else (0.0,))
 
 
-def _takes_limit(det_a, det_b, eps_seq) -> bool:
-    """True when an element takes its eps -> 0 limit in closed form (see _limit).
+def _delta_prime(scenario, det_a, det_b, t, L):
+    """H1 of _limit for A and B co-located, at the line times t, from their leg row L.
 
-    This is the one regulator policy.  A sequence of more than one level
-    asks for the limit, and an element on either side takes it in closed
-    form when its detectors are separated or mirror each other.  Otherwise
-    it integrates the regulated kernel (_regulated): a one-level sequence
-    gives that finite-eps value, and a co-located pair that does not mirror,
-    whose delta' term would need the derivative of a window, keeps the
-    sweep and its Richardson extrapolation.
+    L is the row of t from evaluate of _legs with both legs on every row
+    (swapped).  a'b - ab' takes the windows' derivatives alone: both legs
+    carry the same mode amplitude (sqrt C for the transported mode, else 1),
+    whose own derivative cancels.  The phase rates are the frequencies, or
+    omega/C per unit dual time for the transported mode.
     """
-    return len(eps_seq) > 1 and (
-        separation(det_a.trajectory, det_b.trajectory) > 0.0 or _mirrors(det_a, det_b)
-    )
+    m = scenario.map
+    da, db = (d.switching.derivative(t, L[4], L[5]) if _own_clock(m, d.switching)
+              else d.switching.derivative(t) for d in (det_a, det_b))
+    if scenario.initial_state == "takagi_squeezed":
+        root = np.sqrt(L[5])
+        da, db, rate = da * root, db * root, 2.0 * m.omega / L[5]
+    else:
+        rate = det_a.frequency + det_b.frequency
+    return 0.25 * (da * L[2] - L[0] * db + 1j * L[0] * L[2] * rate) * np.exp(1j * (L[1] - L[3]))
 
 
 def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> IntegralResult:
@@ -680,10 +676,18 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
       where pi nu F0 is the i pi delta' term and nu the leg's phase rate per
       unit conformal time at w/2: omega on the flat side and for the
       transported mode, Omega C for a dual ground state.
-    * sep = 0, ordered (N, and M of mirrored co-located detectors): G/x' is
-      even in x, and int_0^U G/(x - i eps)^2 du = F0 (i/eps - 1/X) +
-      int (G - F0 x')/x^2 du.  The value is the finite part; pole carries
-      the coefficient of 1/eps, -i P int dw F0, from adaptive_1d.
+    * sep = 0, unordered and not mirrored (L_AB of a co-located pair):
+      unfolded onto u >= 0, with S(u, w) = G(u, w) + G(-u, w) (_legs,
+      swapped) and H1(w) the derivative of G/x' in x at u = 0 (x' and C C'
+      are even in u, so only the leg product's u-derivative enters),
+          L = -P { int int_{u>=0} (S - 2 F0 x')/x^2 - int dw (2 F0/X + i pi H1) },
+      H1 = (a'b - ab' + i a b (phi_A' + phi_B')) e^{i (phi_A - phi_B)} / 4
+      at t = w/2 from the leg amplitudes a, b and phases phi (_delta_prime).
+    * sep = 0, ordered (N, and M of co-located detectors): G/x' is even in x
+      (M's leg product is symmetrized in t and t'), and int_0^U G/(x - i
+      eps)^2 du = F0 (i/eps - 1/X) + int (G - F0 x')/x^2 du.  The value is
+      the finite part; pole carries the coefficient of 1/eps, -i P int dw
+      F0, from adaptive_1d.
 
     x is taken by _dlam, without cancellation at small u.  Each line term is
     spread evenly over the u range of its line, so it is one more term of
@@ -696,12 +700,13 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
     integrate_square call; cells adds up the cells of all pieces and the
     segments of the pole's 1D integral.
     """
-    evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped)
     m = scenario.map
     exact = _on_u(scenario)
     sep = separation(det_a.trajectory, det_b.trajectory)
+    unfold = sep == 0.0 and not (ordered or fold)
+    evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped or unfold)
     sup_a, sup_b = det_a.switching.support, det_b.switching.support
-    half = ordered or fold
+    half = ordered or fold or unfold
     cfg = scenario.quadrature
 
     def half_product(P, Q, real=False, line=False):
@@ -768,12 +773,12 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
                 out = out - a / (s_k - s) + term
             return 2.0 * out if fold else out
     else:
-        # mirrored detectors, equal supports; on the line u = 0 both legs are
-        # one detector's leg at t = w/2.  The dual side keeps the diamond for
-        # cos^2 windows only: on a Gaussian one it costs cells
-        window = det_a.switching
-        base = window.param("base") if window.kind == "transformed" else window
-        sheared = exact or base.kind == "cos_squared"
+        # on the line u = 0 both legs sit at t = w/2.  Equal supports are
+        # sheared onto their diamond; the dual side keeps it for cos^2
+        # windows only: on a Gaussian one it costs cells
+        bases = [d.switching.param("base") if d.switching.kind == "transformed" else d.switching
+                 for d in (det_a, det_b)]
+        sheared = sup_a == sup_b and (exact or any(b.kind == "cos_squared" for b in bases))
         (u0, u1, v0, v1), chart, _ = _chart(sup_a, sup_b, half, sheared)
         transported = scenario.initial_state == "takagi_squeezed"
 
@@ -794,11 +799,15 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
                 F_line = F_line / u1
             x = u if exact else _dlam(m, u, w, P[4] - Q[4])
             X = X if exact else ends[0][4] - ends[1][4]
-            nu = det_a.frequency if exact else (m.omega if transported else det_a.frequency * L[5])
             if fold:
+                nu = det_a.frequency if exact else (m.omega if transported else det_a.frequency * L[5])
                 return (jac * (2.0 * rest) * wightman_flat_pv(x, 0.0)
                         - WIGHTMAN_PREF * F_line * (math.pi * nu - 2.0 / X))
-            return jac * rest * wightman_flat_pv(x, 0.0) + WIGHTMAN_PREF * F_line / X
+            out = jac * rest * wightman_flat_pv(x, 0.0) + WIGHTMAN_PREF * F_line / X
+            if unfold:
+                H1 = _delta_prime(scenario, det_a, det_b, 0.5 * w_line, L)
+                out = out + (1j * math.pi * WIGHTMAN_PREF) * (H1 if sheared else H1 / u1)
+            return out
 
         breaks = []
         if ordered:
@@ -824,45 +833,41 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
 def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float) -> IntegralResult:
     """pref * c_a s_a * c_b s_b times one element's integral.
 
-    The scenario's regulator sequence picks the route (_takes_limit): the
-    eps -> 0 limit in closed form (_limit), or _kernel over _rect at every
-    level of the sequence on one adaptive mesh (_regulated), extrapolated
-    when there is more than one.  A cosmological element of two separated
-    detectors under a clock that is not the identity is integrated in the
-    straightened coordinates of _straighten, where its light cone is a line
-    of the mesh; every other element keeps the plain (u, w) mesh.  An
-    unordered element of two mirrored detectors is folded on either route:
-    2 Re of its u >= 0 half, on the ordered rectangle, straightened (if at
-    all) on its one ridge u = +g(w).
+    The quadrature config's epsilon_sequence picks the route, and nothing
+    else does: None or more than one level asks for the eps -> 0 limit in
+    closed form (_limit), one level for _kernel at that eps over _rect
+    (_regulated).  On the regulated route a cosmological element of two
+    separated detectors under a clock that is not the identity is
+    integrated in the straightened coordinates of _straighten, where its
+    light cone is a line of the mesh; every other element keeps the plain
+    (u, w) mesh.  An unordered element of two mirrored detectors is folded
+    on either route: 2 Re of its u >= 0 half, on the ordered rectangle,
+    straightened (if at all) on its one ridge u = +g(w).
     """
     ca = _coupling_eff(scenario, det_a)
     cb = _coupling_eff(scenario, det_b)
     if ca == 0.0 or cb == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
-    eps_seq = regulator_sequence(scenario)
+    eps_seq = scenario.quadrature.epsilon_sequence
     fold = not ordered and _mirrors(det_a, det_b)
-    if _takes_limit(det_a, det_b, eps_seq):
+    if eps_seq is None or len(eps_seq) > 1:
         res = _limit(scenario, det_a, det_b, ordered, swapped, fold)
     else:
-        res = _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps_seq)
+        res = _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps_seq[0])
     pref = pref * ca * cb
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate,
                    pole=None if res.pole is None else pref * res.pole)
 
 
-def _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps_seq) -> IntegralResult:
-    """The finite-eps route of _element, before the prefactor."""
-    kern = _kernel(scenario, det_a, det_b, ordered, swapped, eps_seq, fold)
+def _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps: float) -> IntegralResult:
+    """The finite-eps route of _element at its one eps, before the prefactor."""
+    kern = _kernel(scenario, det_a, det_b, ordered, swapped, eps, fold)
     rect = _rect(det_a.switching.support, det_b.switching.support, ordered or fold)
     sep = separation(det_a.trajectory, det_b.trajectory)
     if scenario.frame == "frw" and sep > 0.0 and not scenario.map.degenerate:
         kern = _straighten(kern, scenario.map, sep, rect, ordered or fold)
     res = integrate_square(kern, rect, scenario.quadrature)
-    levels = res.levels or (res,) * len(eps_seq)  # an empty domain has no levels
-    levels = [replace(r, epsilon_used=eps) for r, eps in zip(levels, eps_seq)]
-    if len(levels) == 1:
-        return replace(levels[0], note="finest-epsilon")
-    return extrapolate_epsilon(levels)
+    return replace(res, epsilon_used=eps, note="finest-epsilon")
 
 
 def compute_L(det_a: DetectorSpec, det_b: DetectorSpec,
@@ -871,11 +876,11 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec,
 
     Evaluated in rotated coordinates u = t - t', w = t + t', per the
     configured route: "direct" quadrature (the eps -> 0 limit in closed form
-    or the regulated kernel, as the regulator sequence asks; see
-    _takes_limit), or the "fourier" mode sum (static flat ground-state
-    scenarios only).  When B mirrors A (a is b included) L_ab is
-    real, and the direct route integrates twice the real part of the
-    integrand over the u >= 0 half only, with an imaginary part of exactly 0.
+    or the regulated kernel, as epsilon_sequence asks; see _element), or the
+    "fourier" mode sum (static flat ground-state scenarios only).  When B
+    mirrors A (a is b included) L_ab is real, and the direct route
+    integrates twice the real part of the integrand over the u >= 0 half
+    only, with an imaginary part of exactly 0.
     """
     if scenario.quadrature.method != "fourier":
         return _element(scenario, det_a, det_b, ordered=False, swapped=False, pref=1.0)
@@ -889,7 +894,9 @@ def compute_M(scenario: HarvestScenario) -> IntegralResult:
     """Pair-excitation element M: time-ordered, symmetrized in the two detectors.
 
     The time ordering t' < t is the exact edge u > 0 of the rotated rectangle,
-    so no indicator function enters the integrand.
+    so no indicator function enters the integrand.  Of two co-located
+    detectors M diverges like 1/epsilon, as N does, and is split the same
+    way: the finite part, which enters rho, and the pole.
     """
     det_a, det_b = scenario.detectors
     return _element(scenario, det_a, det_b, ordered=True, swapped=True, pref=-1.0)
@@ -899,8 +906,8 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario) -> IntegralResult:
     """Same-detector double-excitation element N_d (oscillator models only).
 
     The coincidence-limit kernel makes the ordered integral diverge like
-    1/epsilon.  Under a sequence of more than one level the limit is taken
-    in closed form (see _takes_limit) and the result is split: its value is
+    1/epsilon.  Where the limit is taken in closed form (no sequence, or
+    more than one level; see _element) the result is split: its value is
     the finite part (note "finite-part"), which is what enters rho, and pole
     is the coefficient of 1/epsilon, so that the regulated N at epsilon is
     value + pole/epsilon + O(epsilon).  On the dual side epsilon regulates
@@ -1034,7 +1041,7 @@ def harvest(scenario: HarvestScenario) -> HarvestReport:
         negativity=neg,
         negativity_pt=negativity_pt_exact(rho),
         provenance=f"{scenario.frame}/{scenario.initial_state}",
-        epsilon_sequence=regulator_sequence(scenario),
+        epsilon_sequence=scenario.quadrature.epsilon_sequence,
     )
 
 
@@ -1092,19 +1099,15 @@ def _rel_diff(x: float, y: float) -> float:
 def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
     """Compute L_AA, L_BB, M independently in both pictures and compare.
 
-    Both sides run under the flat scenario's regulator sequence, set on the
-    config that dualize hands on (the conformal-time regulator is the one
-    under which the pictures agree epsilon by epsilon; the dual windows
-    have timescales of their own), and follow one policy (see
-    _takes_limit): under a sequence of more than one level both take the
-    eps -> 0 limit in closed form (see _limit), each with its own quadrature
-    on its own mesh, at its own times; the cosmological M straightens its
-    curved light cone first (see _element).  Residuals are relative, on
+    Both sides run under the flat scenario's quadrature config, which
+    dualize hands on, and so take one route (see _element): the eps -> 0
+    limit in closed form (see _limit), each with its own quadrature on its
+    own mesh, at its own times, or under a one-level sequence the regulated
+    elements at that eps (the conformal-time regulator is the one under
+    which the pictures agree epsilon by epsilon).  Residuals are relative, on
     L_AA, L_BB, |M| and the negativity.  A pair whose B mirrors A with the
     same prefactor (see _twins) reuses L_AA as L_BB on each side.
     """
-    eps_seq = regulator_sequence(scenario)
-    scenario = replace(scenario, quadrature=replace(scenario.quadrature, epsilon_sequence=eps_seq))
     dual = dualize(scenario, Omega)
 
     def elements_for(sc):
@@ -1138,5 +1141,4 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
         residuals=residuals,
         resid_max=max(residuals.values()),
         bogoliubov=dual.bogoliubov,
-        epsilon_sequence=eps_seq,
     )

@@ -6,12 +6,13 @@ Two parts:
   over boxes of one or two axes, with per-axis error indicators and
   anisotropic bisection, so near-singular ridges that are axis-aligned (the
   regulated Wightman kernel in difference coordinates) are resolved in
-  O(log 1/eps) refinement levels; a kernel may stack several components
-  (the levels of a regulator sweep), which share one mesh.  integrate_square
-  (rectangles) and adaptive_1d (segments) are its two entries.
-* Regulator handling: a halving epsilon sequence, Richardson extrapolation
-  to eps -> 0 with an empirical validation of the linear-error model, and a
-  radial mode-sum oracle with a rigorous tail bound for static flat scenarios.
+  O(log 1/eps) refinement levels.  integrate_square (rectangles) and
+  adaptive_1d (segments) are its two entries.
+* Regulator handling: validation of a halving epsilon sequence, Richardson
+  extrapolation to eps -> 0 with an empirical validation of the
+  linear-error model (a reference for evaluations at several regulators; the
+  harvesting pipeline takes that limit in closed form), and a radial
+  mode-sum oracle with a rigorous tail bound for static flat scenarios.
 
 Everything here is sequential and insertion-ordered, so results are bitwise
 reproducible for identical inputs regardless of ambient thread counts.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "integrate_square",
     "adaptive_1d",
     "extrapolate_epsilon",
-    "default_epsilon_sequence",
     "validate_epsilon_sequence",
     "fourier_oracle_L",
 ]
@@ -96,19 +96,19 @@ _XK1 = XK + 1.0  # the nodes on [0, 2]: a cell's nodes are lo + h * _XK1
 class QuadratureConfig:
     """Tolerances and regulator policy for the integral evaluations.
 
-    epsilon_sequence is the one place a regulator sequence is set: one
-    level asks for that finite regulator, more levels for the eps -> 0
-    limit, and such a sequence must halve at every step (eps0 / 2^k; see
-    validate_epsilon_sequence).  None means "derive from the switching
-    timescales" (see default_epsilon_sequence).  method picks the evaluation
-    route for response elements: "direct" double quadrature or the
-    "fourier" mode-sum oracle where available.
+    epsilon_sequence is the one place a regulator is set: one level asks
+    for that finite regulator, and None or more levels for the eps -> 0
+    limit, which the elements take in closed form.  A sequence of more
+    levels must halve at every step (eps0 / 2^k; see
+    validate_epsilon_sequence).  method picks the evaluation route for
+    response elements: "direct" double quadrature or the "fourier" mode-sum
+    oracle where available.
 
     max_subdivisions bounds the splits of each adaptive run (one
     integrate_square or adaptive_1d call): each piece of a closed-form
-    element's u range, the line integral of N's pole, or a regulated
-    element's whole sweep, whose levels share one mesh and so one budget;
-    a run evaluates at most 1 + 2 * max_subdivisions cells.
+    element's u range, the line integral of a pole, or a regulated
+    element at its one eps; a run evaluates at most 1 + 2 *
+    max_subdivisions cells.
     """
 
     rel_tol: float = 1e-6
@@ -143,14 +143,6 @@ def validate_epsilon_sequence(sequence) -> tuple:
     return eps
 
 
-def default_epsilon_sequence(timescale: float) -> tuple:
-    """eps_k = 1e-2 * timescale / 2^k for k = 0 .. 5."""
-    if not timescale > 0.0:
-        raise ValueError("timescale must be positive")
-    eps0 = 1e-2 * timescale
-    return tuple(eps0 / 2.0**k for k in range(6))
-
-
 @dataclass(frozen=True)
 class IntegralResult:
     """Value and accounting of one integral evaluation.
@@ -159,14 +151,11 @@ class IntegralResult:
     max_subdivisions with its error still above the tolerance; an
     extrapolated result carries it when any of its regulator levels did.
     cells counts the cells (rectangles, or segments on one axis) the
-    adaptive run evaluated, 1 + 2 * splits, and is 0 where none ran; the
-    components of one run share its mesh and its count, and an extrapolated
-    result carries the largest count of its levels.  levels holds every
-    component result of an adaptive run, the last of which is the result
-    itself; it is empty otherwise.  pole is the coefficient
-    of 1/eps of an element that diverges as the regulator is removed, whose
-    value is then the finite part (note "finite-part"); it is None for every
-    other result.
+    adaptive run evaluated, 1 + 2 * splits, and is 0 where none ran; an
+    extrapolated result carries the largest count of its levels.  pole is
+    the coefficient of 1/eps of an element that diverges as the regulator is
+    removed, whose value is then the finite part (note "finite-part"); it is
+    None for every other result.
     """
 
     value: complex
@@ -176,108 +165,93 @@ class IntegralResult:
     note: str = ""
     budget_exhausted: bool = False
     cells: int = 0
-    levels: tuple = ()
     pole: complex | None = None
 
 
 def _eval_cell(f, box):
-    """Kronrod values and per-axis Gauss defects of every component on one cell.
+    """Kronrod value and per-axis Gauss defects of f on one cell.
 
     box is (lo, hi) per axis, flattened: (a, b) or (u0, u1, v0, v1).  f takes
     one node array per axis, broadcast against each other (shapes (15,), or
-    (15, 1) and (1, 15)), and returns their grid, taken as one component, or a
-    stack of K such grids.  Returns the K Kronrod values, complex whether the
-    grid is real or complex, and their defects as a (d, K) array, one row
-    per axis.
+    (15, 1) and (1, 15)), and returns their grid.  Returns the Kronrod
+    value, complex whether the grid is real or complex, and its defects as
+    a length-d array, one per axis.
     """
     d = len(box) // 2
     h = [0.5 * (box[2 * j + 1] - box[2 * j]) for j in range(d)]
     x = [box[2 * j] + h[j] * _XK1 for j in range(d)]
     F = np.asarray(f(*x) if d == 1 else f(x[0][:, None], x[1][None, :]))
     grid = (15,) * d
-    if F.shape == grid:
-        F = F[None]
-    elif F.ndim != d + 1 or F.shape[1:] != grid:
-        raise ValueError(
-            f"kernel must broadcast over its node arrays to shape {grid}, "
-            f"optionally stacked as (K, *{grid})"
-        )
-    # a real grid stays real: a real check and matmul, a third of the complex cost
+    if F.shape != grid:
+        raise ValueError(f"kernel must broadcast over its node arrays to shape {grid}")
+    # a real grid stays real: a real check and product, a third of the complex cost
     real = not np.iscomplexobj(F)
-    F = np.ascontiguousarray(F, dtype=float if real else complex).reshape(len(F), -1)
+    F = np.ascontiguousarray(F, dtype=float if real else complex).reshape(-1)
     if not np.isfinite(F if real else F.view(float)).all():  # real view: both parts
         raise NumericalHardError("kernel returned non-finite values")
     rules = (F @ _CELL_RULES[d][0 if real else 1]) * math.prod(h)
-    ik = rules[:, 0]
-    return ik.astype(complex), np.abs(ik - rules[:, 1:].T)
+    ik = rules[0]
+    return complex(ik), np.abs(ik - rules[1:])
 
 
 class _Cells:
     """The leaf cells of one adaptive run, one row each, in growing arrays.
 
-    Row i holds cell i's box, its K Kronrod values, its K errors (the sum of
-    its axis defects) and the axis defects of its worst component, which pick
-    the split axis.  A split cell's row goes to its first child, so the rows
-    are always the leaves.
+    Row i holds cell i's box, its Kronrod value, its error (the sum of its
+    axis defects) and its axis defects, which pick the split axis.  A split
+    cell's row goes to its first child, so the rows are always the leaves.
     """
 
-    def __init__(self, k: int, d: int):
+    def __init__(self, d: int):
         self.n = 0
         self.box = np.empty((64, 2 * d))
-        self.val = np.empty((64, k), dtype=complex)
-        self.err = np.empty((64, k))
-        self.worst = np.empty((64, d))
+        self.val = np.empty(64, dtype=complex)
+        self.err = np.empty(64)
+        self.defects = np.empty((64, d))
 
     def put(self, i, box, ik, defects):
-        """Store a cell in row i (i == n appends); returns its heap priority."""
+        """Store a cell in row i (i == n appends); returns its error, the heap priority."""
         if i == len(self.box):
-            for name in ("box", "val", "err", "worst"):
+            for name in ("box", "val", "err", "defects"):
                 a = getattr(self, name)
                 setattr(self, name, np.concatenate([a, np.empty_like(a)]))
-        err = np.add.reduce(defects, 0)
-        k = int(err.argmax())
         self.box[i] = box
         self.val[i] = ik
-        self.err[i] = err
-        self.worst[i] = defects[:, k]
+        self.err[i] = np.add.reduce(defects)
+        self.defects[i] = defects
         self.n = max(self.n, i + 1)
-        return float(err[k])
+        return float(self.err[i])
 
 
 def _adapt(f, box, cfg: QuadratureConfig) -> IntegralResult:
     """Globally adaptive Gauss-Kronrod 7/15 over a box of d = 1 or 2 axes.
 
     box is a nonempty (lo, hi) per axis, flattened; f is evaluated as in
-    _eval_cell, and its K components share one mesh (the shared-subdivision
-    scheme of DCUHRE, Berntsen, Espelid and Genz, ACM TOMS 17, 1991).  The
-    cell with the largest error of any component is bisected along the axis
-    whose Gauss/Kronrod defect of that component is larger, which keeps
-    ridge refinement one-dimensional; an axis narrower than 1e-13 of its
-    range is not split, and a cell with no axis left to split stays a leaf.
-    Refinement stops once every component meets max(abs_tol, rel_tol *
-    |value|), or after max_subdivisions splits.  Each component's
-    err_estimate is its summed cell defect; where the tolerance could not be
-    met it stays above tolerance rather than being silently clipped, and
-    budget_exhausted is set.  The result is the last component, with all K
-    component results in levels.
+    _eval_cell.  The cell with the largest error is bisected along the axis
+    whose Gauss/Kronrod defect is larger, which keeps ridge refinement
+    one-dimensional; an axis narrower than 1e-13 of its range is not split,
+    and a cell with no axis left to split stays a leaf.  Refinement stops
+    once the summed error meets max(abs_tol, rel_tol * |value|), or after
+    max_subdivisions splits.  err_estimate is the summed cell defect; where
+    the tolerance could not be met it stays above tolerance rather than
+    being silently clipped, and budget_exhausted is set.
     """
     d = len(box) // 2
     min_w = [1e-13 * (box[2 * j + 1] - box[2 * j]) for j in range(d)]
 
-    ik, defects = _eval_cell(f, box)
-    cells = _Cells(len(ik), d)
-    heap = [(-cells.put(0, box, ik, defects), 0)]
-    total = ik.copy()
-    err_total = cells.err[0].copy()
+    cells = _Cells(d)
+    heap = [(-cells.put(0, box, *_eval_cell(f, box)), 0)]
+    total = cells.val[0]
+    err_total = cells.err[0]
     splits = 0
     while heap and splits < cfg.max_subdivisions:
-        if (err_total <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))).all():
+        if err_total <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             break
         neg_err, i = heapq.heappop(heap)
         if -neg_err == 0.0:  # frozen: stays a leaf, never split again
             continue
         cell = cells.box[i].tolist()
-        w = cells.worst[i].tolist()
+        w = cells.defects[i].tolist()
         j = int(w[-1] > w[0])  # the axis of the larger defect, ties to the first
         if cell[2 * j + 1] - cell[2 * j] < min_w[j]:
             j = d - 1 - j  # the other axis; the first is split only where it has a defect
@@ -297,25 +271,20 @@ def _adapt(f, box, cfg: QuadratureConfig) -> IntegralResult:
 
     # final reduction over the leaves with exactly-rounded sums, so the
     # result does not depend on the order of the rows
-    levels = []
-    for v, e in zip(cells.val[: cells.n].T, cells.err[: cells.n].T):
-        val = complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
-        err = math.fsum(e.tolist())
-        exhausted = splits >= cfg.max_subdivisions and err > max(
-            cfg.abs_tol, cfg.rel_tol * abs(val)
-        )
-        levels.append(IntegralResult(value=val, err_estimate=err, budget_exhausted=exhausted,
-                                     cells=1 + 2 * splits))
-    return replace(levels[-1], levels=tuple(levels))
+    v = cells.val[: cells.n]
+    val = complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
+    err = math.fsum(cells.err[: cells.n].tolist())
+    exhausted = splits >= cfg.max_subdivisions and err > max(cfg.abs_tol, cfg.rel_tol * abs(val))
+    return IntegralResult(value=val, err_estimate=err, budget_exhausted=exhausted,
+                          cells=1 + 2 * splits)
 
 
 def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
-    """Adaptive cubature of a complex kernel f(u, v), or of K kernels at once.
+    """Adaptive cubature of a complex kernel f(u, v) over rect = (u0, u1, v0, v1).
 
-    rect = (u0, u1, v0, v1).  f must accept numpy arrays that broadcast to a
-    common shape and return values of that shape, or a stack of K such grids
-    on a leading axis; all K components are integrated on one shared mesh.
-    The refinement and its accounting are those of _adapt.
+    f must accept numpy arrays that broadcast to a common shape and return
+    values of that shape.  The refinement and its accounting are those of
+    _adapt.
     """
     u0, u1, v0, v1 = (float(x) for x in rect)
     if not (u1 >= u0 and v1 >= v0):
@@ -328,8 +297,7 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
 def adaptive_1d(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
     """Adaptive Gauss-Kronrod 7/15 on [a, b] for a vectorized complex f.
 
-    The one-axis case of integrate_square's refinement (_adapt); f may
-    return a stack of K components on a leading axis.
+    The one-axis case of integrate_square's refinement (_adapt).
     """
     a = float(a)
     b = float(b)
@@ -357,10 +325,10 @@ def extrapolate_epsilon(results) -> IntegralResult:
     if any(r.epsilon_used is None for r in results):
         raise ValueError("all results must carry epsilon_used")
     eps = validate_epsilon_sequence([r.epsilon_used for r in results])
+    if len(eps) < 2:
+        raise ValueError("extrapolation needs two or more regulator levels")
     quad_err = max(r.err_estimate for r in results)
     vals = [complex(r.value) for r in results]
-    if len(vals) == 1:
-        return replace(results[0], note="single-epsilon")
     exhausted = any(r.budget_exhausted for r in results)
     cells = max(r.cells for r in results)
 

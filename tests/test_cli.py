@@ -154,6 +154,7 @@ def test_harvest_single_json_frozen(tmp_path):
     assert rep["spec_version"] == SPEC_VERSION
     assert rep["provenance"] == "minkowski/ground"
     assert rep["model"] == "oscillator"
+    assert rep["epsilon_sequence"] is None  # no sequence: the eps -> 0 limit
     la = rep["elements"]["L_AA"]
     assert abs(la["re"] - 7.088272232636415e-07) / 7.088272232636415e-07 <= 1e-6
     assert la["im"] == pytest.approx(0.0, abs=1e-15)
@@ -174,8 +175,7 @@ def test_harvest_N_records_carry_the_finite_part_and_the_pole(tmp_path):
         assert abs(rec["pole_im"] - 2.3358e-6) <= 1e-4 * 2.3358e-6
         assert abs(rec["pole_re"]) <= 1e-12 * rec["pole_im"]
     assert "pole_re" not in el["M"] and "pole_re" not in el["L_AA"]
-    # the finite-eps route (a one-level sequence, here the default's finest
-    # level) does not separate the pole
+    # the finite-eps route (a one-level sequence) does not separate the pole
     cfg = GAUSS_REF + "\n[quadrature]\nepsilon_sequence = 0.0003125\n"
     assert main(["harvest", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
     rec = json.loads(out.read_text())["elements"]["N_A"]
@@ -392,8 +392,11 @@ def test_constructor_error_reports_section_and_line(tmp_path, capsys):
     # one regulator policy: a one-level epsilon_sequence asks for a finite eps
     (GAUSS_REF + "\n[quadrature]\nextrapolation = none\n\n[dualize]\nOmega_list = 2\n",
      "[quadrature] key 'extrapolation' (line 25)", "unknown key"),
+    (GAUSS_REF.replace("\n[detectors.B.switching]\nkind = gaussian\nsigma = 1.0\n", "\n")
+     + "\n[dualize]\nOmega_list = 2\n",
+     "[detectors.B] (line 14)", "missing section [detectors.B.switching]"),
 ], ids=["negative-Omega", "qubit-pair", "unequal-frequencies", "Omega-0-wide-window", "frw-frame",
-        "extrapolation-key"])
+        "extrapolation-key", "missing-switching-section"])
 def test_dualize_refuses_at_the_key_at_fault(tmp_path, capsys, text, where, why):
     err = _config_error(tmp_path, capsys, "dualize", text)
     assert where in err and why in err

@@ -159,7 +159,6 @@ def test_gaussian_switching_shape():
     assert chi(0.0) == 1.0
     assert chi(8.5) == 0.0  # outside the 8 sigma support
     assert chi.support == (-8.0, 8.0)
-    assert chi.timescale == 1.0
 
 
 def test_gaussian_fourier_closed_form():
@@ -223,7 +222,7 @@ def test_windows_compare_by_value():
 
 def test_window_kind_is_checked():
     with pytest.raises(ValueError, match="kind"):
-        SwitchingFunction("tabulated", (0.0, 1.0), 1.0, ())
+        SwitchingFunction("tabulated", (0.0, 1.0), ())
 
 
 def test_at_clock_needs_a_transported_window():
@@ -235,6 +234,30 @@ def test_cos_squared_support_and_zero_outside():
     chi = cos_squared_switching(1.0, 3.5)
     assert chi(2.25) == 1.0
     assert chi(0.99) == 0.0 and chi(3.51) == 0.0
+
+
+@pytest.mark.parametrize("chi", [
+    gaussian_switching(1.3, center=0.4),
+    cos_squared_switching(-0.5, 1.0),
+    transform_switching(ConformalTakagiMap(1.0, 2.0), gaussian_switching(1.0)),
+    transform_switching(ConformalTakagiMap(1.0, 0.5), cos_squared_switching(-1.0, 1.0)),
+    transform_switching(ConformalTakagiMap(1.0, 0.0), cos_squared_switching(-0.5, 0.5)),
+], ids=["gaussian", "cos_squared", "transported-gaussian", "transported-cos_squared",
+        "transported-power-law"])
+def test_window_derivative_matches_a_central_difference(chi):
+    a, b = chi.support
+    h = 1e-5 * (b - a)
+    t = np.linspace(a + 3.0 * h, b - 3.0 * h, 401)
+    # five-point stencil, O(h^4)
+    fd = (chi(t - 2 * h) - 8.0 * chi(t - h) + 8.0 * chi(t + h) - chi(t + 2 * h)) / (12.0 * h)
+    got = chi.derivative(t)
+    assert np.max(np.abs(got - fd)) <= 1e-8 * np.max(np.abs(fd))
+    assert chi.derivative(a - 0.1) == 0.0 and chi.derivative(b + 0.1) == 0.0
+    if chi.kind == "transformed":
+        # from the clock values a kernel holds, value for value
+        m = chi.param("map")
+        lam = m.lambda_of_tau(t)
+        assert np.array_equal(chi.derivative(t, lam, m.conformal_factor(lam)), got)
 
 
 # --- switching transport ---------------------------------------------------

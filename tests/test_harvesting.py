@@ -33,13 +33,12 @@ from takagi_harvest import (
     run_dual_check,
     vacuum_bogoliubov,
 )
-from takagi_harvest import harvesting
+from takagi_harvest import harvesting, quadrature
 from takagi_harvest.field import wightman_flat_sep, wightman_frw_at_clock, wightman_frw_sep
 from takagi_harvest.gaussian import transported_leg, transported_mode
 from takagi_harvest.geometry import SwitchingFunction, separation, transform_switching
-from takagi_harvest.harvesting import compute_elements, regulator_sequence
-from takagi_harvest.quadrature import XK, IntegralResult, QuadratureConfig, default_epsilon_sequence
-from takagi_harvest.quadrature import extrapolate_epsilon
+from takagi_harvest.harvesting import compute_elements
+from takagi_harvest.quadrature import XK, IntegralResult, QuadratureConfig, extrapolate_epsilon
 from takagi_harvest.quadrature import fourier_oracle_L, integrate_square
 
 C0 = 0.0078125  # 2^-7: power-of-two coupling makes quadratic scaling exact
@@ -68,6 +67,15 @@ def _scenario(model="oscillator", c=0.01, L=5.0, freq=1.0, chi=GAUSS, quad=None)
 def _sequence(sc, eps):
     """sc with its regulator sequence set to eps on its quadrature config."""
     return replace(sc, quadrature=replace(sc.quadrature, epsilon_sequence=eps))
+
+
+def _halving(eps0, n):
+    """n regulator levels eps0 / 2^k."""
+    return tuple(eps0 / 2.0**k for k in range(n))
+
+
+# six levels from 1e-2: the sequence a Richardson reference is built on
+EPS6 = _halving(0.01, 6)
 
 
 def _elements(L_AA, L_BB, M, L_AB=0.0, N_A=None, N_B=None):
@@ -342,7 +350,7 @@ def test_subleading_ratio_vanishes_quadratically(qubit_reports):
 def test_harvest_report_provenance(qubit_reports):
     rep = qubit_reports[0.01]
     assert rep.provenance == "minkowski/ground"
-    assert len(rep.epsilon_sequence) >= 1
+    assert rep.epsilon_sequence is None  # none configured: the eps -> 0 limit
     assert rep.elements.N_A is None  # qubits have no N elements
 
 
@@ -456,15 +464,19 @@ def test_dual_check_nontrivial_pair():
 
 
 def test_regulator_sequence_policy(monkeypatch):
-    # the configured sequence or, without one, one 6-level default, for
-    # harvest and dualize alike
-    sc = _scenario()
-    assert regulator_sequence(sc) == default_epsilon_sequence(1.0)
-    assert len(regulator_sequence(sc)) == 6
-    assert regulator_sequence(_sequence(sc, (0.02, 0.01))) == (0.02, 0.01)
-    configured = _scenario(quad=QuadratureConfig(epsilon_sequence=(0.04, 0.02)))
-    assert regulator_sequence(configured) == (0.04, 0.02)
-    assert run_dual_check(sc, 1.0).epsilon_sequence == default_epsilon_sequence(1.0)
+    # the configured sequence alone picks the route: none, or more than one
+    # level, takes the eps -> 0 limit; one level that finite eps.  The
+    # report records the configured sequence, harvest and dualize alike
+    sc = _scenario(model="qubit", quad=SMALL)
+    da = sc.detectors[0]
+    for eps in (None, (0.02, 0.01), (0.04, 0.02, 0.01)):
+        configured = _sequence(sc, eps)
+        assert harvest(configured).epsilon_sequence == eps
+        for res in (compute_L(da, da, configured), compute_M(configured)):
+            assert res.note == "closed-form" and res.epsilon_used is None
+    for res in (compute_L(da, da, _sequence(sc, (0.02,))), compute_M(_sequence(sc, (0.02,)))):
+        assert res.note == "finest-epsilon" and res.epsilon_used == 0.02
+    assert not hasattr(run_dual_check(_scenario(quad=SMALL), 1.0), "epsilon_sequence")
 
     def no_quadrature(*args):
         raise AssertionError("quadrature ran on a rejected sequence")
@@ -482,10 +494,8 @@ def test_regulator_sequence_policy(monkeypatch):
 
 def test_one_level_sequence_integrates_only_that_level(monkeypatch):
     # a one-level sequence asks for that finite regulator: one grid per
-    # kernel call, the regulated value at that eps, as extrapolation = none
-    # on the finest level of the default sequence once did
-    eps6 = default_epsilon_sequence(1.0)
-    sc = _scenario(quad=QuadratureConfig(max_subdivisions=6, epsilon_sequence=eps6[-1:]))
+    # kernel call, the regulated value at that eps
+    sc = _scenario(quad=QuadratureConfig(max_subdivisions=6, epsilon_sequence=EPS6[-1:]))
     da = sc.detectors[0]
     runs = {
         "L": lambda: compute_L(da, da, sc),
@@ -508,9 +518,9 @@ def test_one_level_sequence_integrates_only_that_level(monkeypatch):
     for name, run in runs.items():
         shapes.clear()
         res = run()
-        assert shapes and set(shapes) == {(1, 15, 15)}
+        assert shapes and set(shapes) == {(15, 15)}
         assert res.note == "finest-epsilon"
-        assert res.epsilon_used == eps6[-1]
+        assert res.epsilon_used == EPS6[-1]
         assert res == finest[name]
 
 
@@ -529,17 +539,16 @@ def test_diagonal_L_at_large_omega_sigma_converges_to_the_mode_sum(freq, sigma):
 
 
 def test_element_reports_the_cells_of_its_mesh(monkeypatch):
-    # the extrapolated, rescaled element carries the cell count of its one
-    # mesh: the dual L_AB on 6 levels of two co-located detectors that do not
-    # mirror (every other extrapolated element takes its limit in closed form)
+    # the rescaled element at one regulator carries the cell count of its
+    # one mesh: the dual L_AB of two co-located detectors that do not mirror
     seen = []
     da, db = _scenario(L=0.0).detectors
-    dual = dualize(HarvestScenario(detectors=(da, replace(db, switching=gaussian_switching(1.25)))),
-                   2.0)
-    levels, calls = _mesh_of(monkeypatch, lambda: seen.append(compute_L(*dual.detectors, dual)))
+    dual = dualize(HarvestScenario(detectors=(da, replace(db, switching=gaussian_switching(1.25))),
+                                   quadrature=QuadratureConfig(epsilon_sequence=(0.01,))), 2.0)
+    mesh, calls = _mesh_of(monkeypatch, lambda: seen.append(compute_L(*dual.detectors, dual)))
     (res,) = seen
-    assert res.note == "richardson"
-    assert res.cells == levels[0].cells == calls > 1
+    assert res.note == "finest-epsilon"
+    assert res.cells == mesh.cells == calls > 1
 
 
 def _calls_of(monkeypatch, run):
@@ -652,7 +661,7 @@ def _assert_legs_close(got, want, scale=None, rel=1e-14):
 
 def test_dual_kernels_equal_the_formulas_of_the_public_legs():
     # the one kernel factory, for L, M and N on both sides, written with the
-    # public per-point legs, node by node and regulator level by level; the
+    # public per-point legs, node by node, at each of three regulators; the
     # flat Wightman factor is taken at t - t' = u exactly.  A leg is the
     # window times sqrt(C) (transported) and a phase, and W times the product
     # amp e^{i phase} is formed in real arithmetic; that the product equals
@@ -694,25 +703,24 @@ def test_dual_kernels_equal_the_formulas_of_the_public_legs():
         u, w = _gk_grid(harvesting._rect(chi.support, chi.support, False))
         t, tp = 0.5 * (w + u), 0.5 * (w - u)
         (amp, phase), (amp_p, phase_p) = leg(chi, t), leg(chi, tp)
-        L = harvesting._kernel(sc, da, da, False, False, eps_seq)(u, w)
-        assert L.shape == (len(eps_seq), 15, 15)
-        for level, eps in zip(L, eps_seq):
+        for eps in eps_seq:
+            L = harvesting._kernel(sc, da, da, False, False, eps)(u, w)
             expect_L = times(wight(-u, tp, t, 0.0, eps), amp * amp_p, phase - phase_p)
-            assert np.array_equal(level, expect_L)
+            assert np.array_equal(L, expect_L)
 
         u, w = _gk_grid(harvesting._rect(chi.support, chi_b.support, True))
         t, tp = 0.5 * (w + u), 0.5 * (w - u)
         (amp, phase), (amp_p, phase_p) = leg(chi, t), leg(chi_b, tp)
         amp_b, amp_bp = leg(chi_b, t)[0], leg(chi, tp)[0]  # the (A <-> B) ordering
-        M = harvesting._kernel(sc, da, db, True, True, eps_seq)(u, w)
-        N = harvesting._kernel(sc, da, da, True, False, eps_seq)(u, w)
-        assert M.shape == N.shape == (len(eps_seq), 15, 15)
-        for level_M, level_N, eps in zip(M, N, eps_seq):
+        for eps in eps_seq:
+            M = harvesting._kernel(sc, da, db, True, True, eps)(u, w)
+            N = harvesting._kernel(sc, da, da, True, False, eps)(u, w)
+            assert M.shape == N.shape == (15, 15)
             pair = amp * amp_p + amp_b * amp_bp
             expect_M = times(wight(u, t, tp, 5.0, eps), pair, phase + phase_p)
-            assert np.array_equal(level_M, expect_M)
+            assert np.array_equal(M, expect_M)
             expect_N = times(wight(u, t, tp, 0.0, eps), amp * amp_bp, phase + phase_p)
-            assert np.array_equal(level_N, expect_N)
+            assert np.array_equal(N, expect_N)
 
 
 def _leg_pairs(side):
@@ -988,7 +996,7 @@ def test_straightened_nodes_stay_in_the_rectangle(ordered):
 
 
 def _mesh_of(monkeypatch, run):
-    """The regulator levels and kernel calls of the one integrate_square call of run."""
+    """The result and kernel calls of the one integrate_square call of run."""
     seen = []
     integrate = harvesting.integrate_square
 
@@ -1000,41 +1008,38 @@ def _mesh_of(monkeypatch, run):
             return f(u, w)
 
         res = integrate(kern, rect, cfg)
-        seen.append((res.levels, calls[0]))
+        seen.append((res, calls[0]))
         return res
 
     with monkeypatch.context() as mp:
         mp.setattr(harvesting, "integrate_square", spy)
         run()
-    (levels, calls), = seen
-    return levels, calls
+    (res, calls), = seen
+    return res, calls
 
 
 def _plain_mesh(sc, da, db, ordered, swapped, eps):
-    """The same element on today's (u, w) mesh, from the kernel and rectangle directly."""
+    """The same element at one eps on the plain (u, w) mesh, from the kernel and rectangle."""
     kern = harvesting._kernel(sc, da, db, ordered, swapped, eps)
     rect = harvesting._rect(da.switching.support, db.switching.support, ordered)
-    return integrate_square(kern, rect, sc.quadrature).levels
+    return integrate_square(kern, rect, sc.quadrature)
 
 
-def _assert_levels_agree(levels, ref, rel_tol):
-    assert len(levels) == len(ref)
-    for got, want in zip(levels, ref):
-        assert abs(got.value - want.value) <= 10.0 * rel_tol * abs(want.value)
+def _assert_straightened_matches_the_plain_mesh(monkeypatch, sc, da, db, ordered, swapped,
+                                               fold, eps_seq, max_calls):
+    for eps in eps_seq:
+        res, calls = _mesh_of(
+            monkeypatch, lambda: harvesting._regulated(sc, da, db, ordered, swapped, fold, eps))
+        want = _plain_mesh(sc, da, db, ordered, swapped, eps)
+        assert abs(res.value - want.value) <= 10.0 * sc.quadrature.rel_tol * abs(want.value)
+        assert calls < max_calls, (eps, calls)
 
 
 def test_dual_M_straightened_matches_the_plain_mesh(monkeypatch):
-    # criterion 7's pair at Omega = 2, on the first four levels of its sequence
-    flat = _scenario()
-    dual = dualize(flat, 2.0)
-    da, db = dual.detectors
-    eps = regulator_sequence(flat)[:4]
-    # the finite-eps route: the extrapolated M takes its limit in closed form
-    levels, calls = _mesh_of(
-        monkeypatch, lambda: harvesting._regulated(dual, da, db, True, True, False, eps))
-    assert calls < 2000
-    _assert_levels_agree(levels, _plain_mesh(dual, da, db, True, True, eps),
-                         dual.quadrature.rel_tol)
+    # criterion 7's pair at Omega = 2, at four regulators, each on its own mesh
+    dual = dualize(_scenario(), 2.0)
+    _assert_straightened_matches_the_plain_mesh(
+        monkeypatch, dual, *dual.detectors, True, True, False, EPS6[:4], 2000)
 
 
 def test_frw_ground_state_L_AB_straightened_matches_the_plain_mesh(monkeypatch):
@@ -1045,13 +1050,9 @@ def test_frw_ground_state_L_AB_straightened_matches_the_plain_mesh(monkeypatch):
         for label, x in (("A", 0.0), ("B", 1.0))
     )
     sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
-    eps = (0.01, 0.005, 0.0025)
     # the finite-eps route of the folded L_AB (B mirrors A)
-    levels, calls = _mesh_of(
-        monkeypatch, lambda: harvesting._regulated(sc, da, db, False, False, True, eps))
-    ref = _plain_mesh(sc, da, db, False, False, eps)
-    _assert_levels_agree(levels, ref, sc.quadrature.rel_tol)
-    assert calls < 1000  # the plain mesh takes 4,409
+    _assert_straightened_matches_the_plain_mesh(
+        monkeypatch, sc, da, db, False, False, True, EPS6[:3], 1000)
 
 
 def test_elements_without_a_curved_ridge_keep_the_plain_kernel(monkeypatch):
@@ -1080,22 +1081,25 @@ def test_elements_without_a_curved_ridge_keep_the_plain_kernel(monkeypatch):
         assert rect == harvesting._rect(da.switching.support, db.switching.support,
                                         ordered or folded)
         u, w = _gk_grid(rect)
-        plain = harvesting._kernel(sc, da, db, ordered, swapped, EPS1)(u, w)
+        plain = harvesting._kernel(sc, da, db, ordered, swapped, EPS1[0])(u, w)
         if folded:
             assert rect[0] == 0.0
             plain = 2.0 * plain.real
         assert np.array_equal(kern(u, w), plain)
 
 
-def _unfolded_L(sc, da, db, eps):
-    """L_ab over the whole rotated rectangle, straightened where the dual side needs it."""
-    kern = harvesting._kernel(sc, da, db, False, False, eps)
+def _unfolded_L(sc, da, db, eps_seq):
+    """L_ab over the whole rotated rectangle at each eps, straightened where the
+    dual side needs it, extrapolated."""
     rect = harvesting._rect(da.switching.support, db.switching.support, False)
     sep = separation(da.trajectory, db.trajectory)
-    if sc.frame == "frw" and sep > 0.0 and not sc.map.degenerate:
-        kern = harvesting._straighten(kern, sc.map, sep, rect, False)
-    res = integrate_square(kern, rect, sc.quadrature)
-    res = extrapolate_epsilon([replace(r, epsilon_used=e) for r, e in zip(res.levels, eps)])
+    levels = []
+    for eps in eps_seq:
+        kern = harvesting._kernel(sc, da, db, False, False, eps)
+        if sc.frame == "frw" and sep > 0.0 and not sc.map.degenerate:
+            kern = harvesting._straighten(kern, sc.map, sep, rect, False)
+        levels.append(replace(integrate_square(kern, rect, sc.quadrature), epsilon_used=eps))
+    res = extrapolate_epsilon(levels)
     pref = 1.0 * harvesting._coupling_eff(sc, da) * harvesting._coupling_eff(sc, db)
     return replace(res, value=pref * res.value)
 
@@ -1117,28 +1121,28 @@ def test_hermitian_L_is_folded_onto_u_nonnegative(monkeypatch):
         (power, *power.detectors),
     ]
     for sc, da, db in cases:
-        eps = regulator_sequence(sc)[:4]
-        folded = compute_L(da, db, _sequence(sc, eps))
-        whole = _unfolded_L(sc, da, db, eps)
+        folded = compute_L(da, db, sc)
+        whole = _unfolded_L(sc, da, db, EPS6[:4])
         assert folded.value.imag == 0.0
         assert abs(folded.value - whole.value) <= 1e-6 * abs(whole.value), (da.label, db.label)
         assert folded.cells <= 0.6 * whole.cells, (folded.cells, whole.cells)
-    # a pair that does not mirror keeps the whole rectangle, bit for bit (two
-    # co-located detectors, which keep the regulator sweep)
+    # a co-located pair that does not mirror is not Hermitian: it is
+    # unfolded onto u >= 0, both halves of the whole rectangle in one
+    # integrand
     integrate = harvesting.integrate_square
     for chi_b in (gaussian_switching(1.25), gaussian_switching(1.0, center=0.5)):
         fa, fb = _scenario(L=0.0).detectors
         sc = dualize(HarvestScenario(detectors=(fa, replace(fb, switching=chi_b))), 2.0)
         da, other = sc.detectors
-        eps = regulator_sequence(sc)[:4]
         rects = []
         with monkeypatch.context() as mp:
             mp.setattr(harvesting, "integrate_square",
                        lambda f, rect, cfg: rects.append(rect) or integrate(f, rect, cfg))
-            res = compute_L(da, other, _sequence(sc, eps))
+            res = compute_L(da, other, sc)
         (rect,) = rects
-        assert rect[0] < 0.0
-        assert res.value == _unfolded_L(sc, da, other, eps).value
+        whole = harvesting._rect(da.switching.support, other.switching.support, False)
+        assert rect[:2] == (0.0, max(-whole[0], whole[1])) and rect[2:] == whole[2:]
+        assert abs(res.value - _unfolded_L(sc, da, other, EPS6).value) <= 1e-6 * abs(res.value)
 
 
 def test_power_law_dual_check():
@@ -1183,12 +1187,12 @@ def test_criterion_10_M_limit_matches_the_product_integral():
         assert abs(got - oracle) <= 1e-9 * abs(oracle), (freq, got, oracle)
 
 
-def _swept(sc, da, db, ordered, swapped, pref):
-    """An element by the regulated sweep of the finite-eps route, extrapolated."""
-    eps = regulator_sequence(sc)
+def _swept(sc, da, db, ordered, swapped, pref, eps_seq=EPS6):
+    """An element by one-level runs of the finite-eps route at each eps, extrapolated."""
     fold = not ordered and harvesting._mirrors(da, db)
-    res = harvesting._regulated(sc, da, db, ordered, swapped, fold, eps)
-    assert len(eps) == 6 and res.note == "richardson"
+    res = extrapolate_epsilon([harvesting._regulated(sc, da, db, ordered, swapped, fold, eps)
+                               for eps in eps_seq])
+    assert res.note == "richardson", res.note
     return pref * harvesting._coupling_eff(sc, da) * harvesting._coupling_eff(sc, db) * res.value
 
 
@@ -1245,13 +1249,98 @@ def test_a_coupling_that_differs_by_a_part_in_a_million_keeps_the_limit():
     assert abs(moved.negativity - base.negativity) <= 1e-5 * base.negativity
 
 
-def test_co_located_pair_that_does_not_mirror_keeps_the_sweep():
-    # its delta' term would need the derivative of a window
-    da = _detector("A", (0.0, 0.0, 0.0))
-    db = _detector("B", (0.0, 0.0, 0.0), chi=gaussian_switching(1.25))
+# co-located pairs that do not mirror: another gap, another Gaussian width,
+# cos^2 windows on supports that overlap only in part
+CO_LOCATED = [
+    (_detector("A", (0.0, 0.0, 0.0)), _detector("B", (0.0, 0.0, 0.0), freq=1.1)),
+    (_detector("A", (0.0, 0.0, 0.0)),
+     _detector("B", (0.0, 0.0, 0.0), chi=gaussian_switching(1.25))),
+    (_detector("A", (0.0, 0.0, 0.0), chi=cos_squared_switching(-0.5, 0.5)),
+     _detector("B", (0.0, 0.0, 0.0), chi=cos_squared_switching(0.0, 1.0))),
+]
+CO_LOCATED_IDS = ["gap", "sigma", "cos2"]
+
+
+@pytest.mark.parametrize("da,db", CO_LOCATED, ids=CO_LOCATED_IDS)
+def test_co_located_pair_that_does_not_mirror_takes_the_limit(da, db):
+    # L_AB unfolded onto u >= 0, with its i pi delta' line term (the window
+    # derivatives enter through a'b - ab'), against the mode sum and against
+    # a six-level Richardson reference of the regulated kernel
     sc = HarvestScenario(detectors=(da, db))
     res = compute_L(da, db, sc)
-    assert res.note == "richardson" and res.pole is None
+    assert res.note == "closed-form" and res.pole is None
+    oracle = fourier_oracle_L(da, db, 0.0, QuadratureConfig(rel_tol=1e-10))
+    tol = max(1e-6 * abs(oracle.value), oracle.err_estimate)
+    assert abs(res.value - oracle.value) <= tol, (res.value, oracle.value)
+    want = _swept(sc, da, db, False, False, 1.0)
+    assert abs(res.value - want) <= 1e-6 * abs(want), (res.value, want)
+    # M takes the finite part and reports its pole apart, as N does
+    M = compute_M(sc)
+    assert M.note == "finite-part" and M.pole is not None
+
+
+def test_co_located_M_is_continuous_in_the_gap():
+    # criterion 7's pair at L = 0 with B's gap 1 + d: the finite part moves
+    # smoothly from the mirrored pair's, and the pole stays out of the
+    # negativity
+    da, db = _scenario(L=0.0).detectors
+
+    def pair(d):
+        return HarvestScenario(detectors=(da, replace(db, frequency=1.0 + d)))
+
+    same, near = compute_M(pair(0.0)), compute_M(pair(1e-12))
+    assert abs(near.value - same.value) <= 1e-9 * abs(same.value)
+    assert abs(near.pole - same.pole) <= 1e-9 * abs(same.pole)
+    probe = {1e-6: -2.927489e-6, 1e-3: -2.924566e-6, 0.1: -2.648893e-6, 0.5: -1.771214e-6}
+    for d, want in probe.items():
+        got = compute_M(pair(d))
+        assert got.note == "finite-part"
+        assert abs(got.value - want) <= 1e-6 * abs(want), (d, got.value)
+    rep = harvest(pair(0.1))
+    assert rep.elements.M.note == "finite-part"
+    assert rep.negativity < 1e-5
+
+
+@pytest.mark.parametrize("da,db", CO_LOCATED[1:], ids=CO_LOCATED_IDS[1:])
+def test_co_located_M_finite_part_and_pole_match_the_regulated_M(da, db):
+    # the regulated M at eps is finite + pole/eps + O(eps), as for N
+    sc = HarvestScenario(detectors=(da, db))
+    M = compute_M(sc)
+    assert M.note == "finite-part"
+    gaps = [abs(M.value + M.pole / eps - compute_M(_sequence(sc, (eps,))).value)
+            for eps in (0.004, 0.002, 0.001)]
+    assert all(g2 * 1.5 <= g1 for g1, g2 in zip(gaps, gaps[1:])), gaps
+
+
+def test_no_pipeline_call_integrates_more_than_one_regulator_level(monkeypatch):
+    # every element takes the eps -> 0 limit in closed form, with or without
+    # a sequence of more than one level; no pipeline call extrapolates
+    def refuse(results):
+        raise AssertionError("a pipeline call extrapolated a regulator sweep")
+
+    monkeypatch.setattr(quadrature, "extrapolate_epsilon", refuse)
+    a = _detector("A", (0.0, 0.0, 0.0))
+    pairs = {
+        "mirrored": (a, _detector("B", (0.0, 0.0, 0.0))),
+        "separated": (a, _detector("B", (5.0, 0.0, 0.0), chi=gaussian_switching(1.25))),
+        "gap": CO_LOCATED[0],
+        "sigma": CO_LOCATED[1],
+    }
+    m = ConformalTakagiMap(1.0, 0.5)
+    for quad in (QuadratureConfig(), QuadratureConfig(epsilon_sequence=(0.01, 0.005))):
+        for name, (da, db) in pairs.items():
+            flat = HarvestScenario(detectors=(da, db), quadrature=quad)
+            frw = HarvestScenario(
+                detectors=tuple(replace(d, trajectory=StaticTrajectory(d.trajectory.position,
+                                                                       frame="frw"))
+                                for d in (da, db)),
+                frame="frw", map=m, quadrature=quad)
+            for rep in (harvest(flat), harvest(frw)):
+                assert rep.elements.M.note in ("closed-form", "finite-part"), name
+                assert rep.elements.L_AB.note == "closed-form", name
+            if da.frequency == db.frequency:  # dualize needs one gap
+                rep = run_dual_check(flat, 2.0)
+                assert rep.resid_max <= 1e-3, (name, rep.residuals)
 
 
 # --- the eps -> 0 limit on the curved dual side ------------------------------------
@@ -1288,10 +1377,11 @@ def test_dual_N_finite_part_and_pole_match_the_flat_N(Omega):
     assert abs(got.pole - want.pole) <= 1e-8 * abs(want.pole)
 
 
-@pytest.mark.parametrize("L", [0.5, 5.0])
+@pytest.mark.parametrize("L", [0.5, 5.0, 0.0])
 def test_dual_L_AB_of_a_pair_that_does_not_mirror_matches_the_flat_side(L):
     # unfolded, its straightened chart has two ridges u = -g and u = +g; the
-    # principal value in u then also needs the slopes of phi_w at each knot
+    # principal value in u then also needs the slopes of phi_w at each knot.
+    # At L = 0 the delta' term takes the transported windows' derivatives
     da, db = _scenario(L=L).detectors
     for chi_b in (gaussian_switching(1.25), gaussian_switching(1.0, center=0.5)):
         flat = HarvestScenario(detectors=(da, replace(db, switching=chi_b)))
@@ -1325,3 +1415,22 @@ def test_frw_ground_state_limit_agrees_with_the_regulated_sweep(chi):
     gaps = [abs(N.value + N.pole / eps - compute_N(da, _sequence(sc, (eps,))).value)
             for eps in (0.02, 0.01, 0.005)]
     assert all(g2 * 1.5 <= g1 for g1, g2 in zip(gaps, gaps[1:])), gaps
+
+
+def test_frw_ground_state_co_located_pair_agrees_with_the_regulated_sweep():
+    # a dual ground state at L = 0, B with another gap or a window of its
+    # own; its delta' term turns with the frequencies per unit proper time
+    m = ConformalTakagiMap(1.0, 0.5)
+    chi = gaussian_switching(0.5)
+
+    def det(label, freq, window):
+        return DetectorSpec(label, "oscillator", freq, 0.01,
+                            StaticTrajectory((0.0, 0.0, 0.0), frame="frw"), window)
+
+    da = det("A", 1.3, chi)
+    for db in (det("B", 1.6, chi), det("B", 1.3, gaussian_switching(0.6)),
+               det("B", 1.3, transform_switching(m, gaussian_switching(0.5)))):
+        sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
+        got, want = compute_L(da, db, sc), _swept(sc, da, db, False, False, 1.0)
+        assert got.note == "closed-form"
+        assert abs(got.value - want) <= 1e-6 * abs(want), (db.switching, got.value, want)

@@ -29,7 +29,7 @@ TRACED = [
     ("harvesting", "harvest", ("cli",)),
     ("harvesting", "run_dual_check", ("cli",)),
     ("quadrature", "integrate_square", ("harvesting",)),
-    ("quadrature", "extrapolate_epsilon", ("harvesting",)),
+    ("quadrature", "extrapolate_epsilon", ()),
     ("field", "wightman_flat_sep", ()),
     ("field", "wightman_frw_sep", ()),
     ("gaussian", "transported_mode", ()),

@@ -27,7 +27,6 @@ from takagi_harvest.quadrature import (
     XK,
     _eval_cell,
     adaptive_1d,
-    default_epsilon_sequence,
     extrapolate_epsilon,
     fourier_oracle_L,
     integrate_square,
@@ -78,20 +77,20 @@ def test_square_complex_phase():
     assert res.value == pytest.approx(expected, rel=1e-12)
 
 
+def _ridge(a):
+    return lambda u, v: 1.0 / ((u - v) ** 2 + a * a)
+
+
 def test_square_diagonal_ridge_closed_form():
     # int int du dv / ((u-v)^2 + a^2) = (2/a) arctan(1/a) - ln((1+a^2)/a^2)
     a = 0.05
     expected = (2 / a) * math.atan(1 / a) - math.log((1 + a * a) / (a * a))
-    res = integrate_square(lambda u, v: 1.0 / ((u - v) ** 2 + a * a), (0, 1, 0, 1), CFG)
+    res = integrate_square(_ridge(a), (0, 1, 0, 1), CFG)
     assert res.value.real == pytest.approx(expected, rel=1e-10)
     assert abs(res.value.imag) <= 1e-12
 
 
-# --- stacked components on one shared mesh -----------------------------------
-
-
-def _ridge(a):
-    return lambda u, v: 1.0 / ((u - v) ** 2 + a * a)
+# --- one cell and one run ---------------------------------------------------------
 
 
 def _counted(f):
@@ -110,77 +109,71 @@ def test_cell_rule_defects_follow_their_axis():
     F = np.exp(5.0 * XK[:, None]) * (1.0 + 0.0 * XK[None, :]) + 1j * XK[:, None] ** 2
     ik, (eu, ev) = _eval_cell(lambda u, v: F, [-1.0, 1.0, -1.0, 1.0])
     kron = WK @ F @ WK
-    assert abs(ik[0] - kron) <= 1e-14 * abs(kron)
-    assert abs(eu[0] - abs(kron - WG @ F[G_IDX] @ WK)) <= 1e-14 * abs(kron)
-    assert eu[0] > 1e-8 and ev[0] <= 1e-14 * abs(kron)
+    assert abs(ik - kron) <= 1e-14 * abs(kron)
+    assert abs(eu - abs(kron - WG @ F[G_IDX] @ WK)) <= 1e-14 * abs(kron)
+    assert eu > 1e-8 and ev <= 1e-14 * abs(kron)
     # a one-axis cell: the Kronrod value and its one Gauss defect
     ik, (e,) = _eval_cell(lambda x: F[:, 0], [-1.0, 1.0])
     kron = WK @ F[:, 0]
-    assert abs(ik[0] - kron) <= 1e-14 * abs(kron)
-    assert abs(e[0] - abs(kron - WG @ F[G_IDX, 0])) <= 1e-14 * abs(kron)
-    assert e[0] > 1e-8
+    assert abs(ik - kron) <= 1e-14 * abs(kron)
+    assert abs(e - abs(kron - WG @ F[G_IDX, 0])) <= 1e-14 * abs(kron)
+    assert e > 1e-8
 
 
 def test_identical_components_are_bitwise_equal():
+    # the same kernel, called directly or through a read-only view of its
+    # grid, gives the same result bit for bit on every run
     f = _ridge(0.05)
     single = integrate_square(f, (0, 1, 0, 1), CFG)
-    stacked = integrate_square(
-        lambda u, v: np.broadcast_to(f(u, v), (4, 15, 15)), (0, 1, 0, 1), CFG
+    viewed = integrate_square(
+        lambda u, v: np.broadcast_to(f(u, v), (15, 15)), (0, 1, 0, 1), CFG
     )
-    assert len(single.levels) == 1 and len(stacked.levels) == 4
-    assert all(lev == stacked.levels[0] for lev in stacked.levels)
-    assert stacked == replace(stacked.levels[-1], levels=stacked.levels)
-    assert abs(stacked.value - single.value) <= 1e-14 * abs(single.value)
+    assert viewed == single
+    assert integrate_square(f, (0, 1, 0, 1), CFG) == single
 
 
 def test_real_grid_matches_its_complex_cast():
     # a real kernel keeps a real rule matrix; only the last bits may move
-    f = lambda u, v: np.stack([_ridge(a)(u, v).real for a in (0.05, 0.025)])
-    real = integrate_square(f, (0, 1, 0, 1), CFG)
-    cast = integrate_square(lambda u, v: f(u, v) + 0j, (0, 1, 0, 1), CFG)
-    assert real.cells == cast.cells
-    for got, want in zip(real.levels, cast.levels):
-        assert isinstance(got.value, complex) and got.value.imag == 0.0
-        assert abs(got.value - want.value) <= 1e-14 * abs(want.value)
+    for a in (0.05, 0.025):
+        real = integrate_square(_ridge(a), (0, 1, 0, 1), CFG)
+        cast = integrate_square(lambda u, v: _ridge(a)(u, v) + 0j, (0, 1, 0, 1), CFG)
+        assert real.cells == cast.cells
+        assert isinstance(real.value, complex) and real.value.imag == 0.0
+        assert abs(real.value - cast.value) <= 1e-14 * abs(cast.value)
         # an error is a difference of two rules, so it keeps the values' absolute bits
-        assert abs(got.err_estimate - want.err_estimate) <= 1e-14 * abs(want.value)
+        assert abs(real.err_estimate - cast.err_estimate) <= 1e-14 * abs(cast.value)
     with pytest.raises(NumericalHardError):
         integrate_square(lambda u, v: np.where(u > 0.5, np.nan, 1.0 + 0 * v), (0, 1, 0, 1), CFG)
 
 
 def test_ridge_sweep_on_one_mesh():
-    # a halving regulator sweep of the ridge 1/((u-v)^2 + a^2)
-    widths = [0.05 / 2**k for k in range(6)]
-    shared, shared_calls = _counted(
-        lambda u, v: np.stack([_ridge(a)(u, v) for a in widths])
-    )
-    res = integrate_square(shared, (0, 1, 0, 1), CFG)
-    assert len(res.levels) == len(widths)
-    assert res.levels[-1] == replace(res, levels=())
-    separate_calls = 0
-    for a, lev in zip(widths, res.levels):
+    # a halving regulator sweep of the ridge 1/((u-v)^2 + a^2): each width
+    # runs on one mesh of its own, calling its kernel once per cell, and
+    # meets the tolerance and the closed form
+    for a in [0.05 / 2**k for k in range(6)]:
         kern, calls = _counted(_ridge(a))
-        alone = integrate_square(kern, (0, 1, 0, 1), CFG)
-        separate_calls += calls[0]
-        assert not lev.budget_exhausted
-        assert lev.err_estimate <= max(CFG.abs_tol, CFG.rel_tol * abs(lev.value))
-        assert abs(lev.value - alone.value) <= 10 * CFG.rel_tol * abs(alone.value)
+        res = integrate_square(kern, (0, 1, 0, 1), CFG)
+        assert calls[0] == res.cells
+        assert not res.budget_exhausted
+        assert res.err_estimate <= max(CFG.abs_tol, CFG.rel_tol * abs(res.value))
         expected = (2 / a) * math.atan(1 / a) - math.log((1 + a * a) / (a * a))
-        assert lev.value.real == pytest.approx(expected, rel=10 * CFG.rel_tol)
-    assert shared_calls[0] < separate_calls
+        assert res.value.real == pytest.approx(expected, rel=10 * CFG.rel_tol)
 
 
 def test_stacked_budget_is_flagged_per_component():
+    # under one tight budget each run is flagged on its own: the smooth
+    # kernel meets its tolerance unflagged, the ridge uses the whole budget
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-300, max_subdivisions=3)
-    kern, calls = _counted(
-        lambda u, v: np.stack([np.exp(u + v) + 0j, _ridge(1e-2)(u, v) + 0j])
-    )
-    res = integrate_square(kern, (0, 1, 0, 1), cfg)
-    assert calls[0] == res.cells == 1 + 2 * cfg.max_subdivisions
-    above = [lev.err_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(lev.value)) for lev in res.levels]
+    runs = []
+    for f in (lambda u, v: np.exp(u + v) + 0j, lambda u, v: _ridge(1e-2)(u, v) + 0j):
+        kern, calls = _counted(f)
+        res = integrate_square(kern, (0, 1, 0, 1), cfg)
+        assert calls[0] == res.cells
+        runs.append(res)
+    above = [res.err_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(res.value)) for res in runs]
     assert above == [False, True]
-    assert [lev.budget_exhausted for lev in res.levels] == above
-    assert res.budget_exhausted
+    assert [res.budget_exhausted for res in runs] == above
+    assert runs[1].cells == 1 + 2 * cfg.max_subdivisions
 
 
 def test_budget_starved_run_counts_its_cells():
@@ -190,24 +183,23 @@ def test_budget_starved_run_counts_its_cells():
     for res in (square, line):
         assert res.budget_exhausted
         assert res.cells == 1 + 2 * cfg.max_subdivisions
-        assert all(lev.cells == res.cells for lev in res.levels)
     eps = [1e-2 / 2**k for k in range(3)]
     levels = [replace(_res(0.7 + 0.3 * e, e), cells=c) for e, c in zip(eps, (9, 75, 9))]
     assert extrapolate_epsilon(levels).cells == 75
-    assert extrapolate_epsilon(levels[:1]).cells == 9
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
 def test_nonfinite_component_raises(bad):
+    # a non-finite real or imaginary part anywhere in the grid
     def kern(u, v):
         ones = np.ones_like(u + v) + 0j
-        return np.stack([ones, np.where(u > 0.5, bad, ones), ones])
+        return np.where(u > 0.5, bad, ones)
 
     with pytest.raises(NumericalHardError):
         integrate_square(kern, (0, 1, 0, 1), CFG)
 
 
-@pytest.mark.parametrize("shape", [(15,), (2, 15, 14), (15, 15, 2), (2, 2, 15, 15)])
+@pytest.mark.parametrize("shape", [(15,), (2, 15, 14), (15, 15, 2), (2, 2, 15, 15), (2, 15, 15)])
 def test_kernel_of_wrong_shape_rejected(shape):
     with pytest.raises(ValueError, match="kernel must broadcast"):
         integrate_square(lambda u, v: np.ones(shape), (0, 1, 0, 1), CFG)
@@ -315,13 +307,6 @@ def test_config_rejects_non_finite_values(bad):
         QuadratureConfig(epsilon_sequence=(bad,))
 
 
-def test_default_epsilon_sequence_halves():
-    eps = default_epsilon_sequence(2.0)
-    assert len(eps) == 6
-    assert eps[0] == pytest.approx(0.02)
-    assert all(a / b == pytest.approx(2.0) for a, b in zip(eps, eps[1:]))
-
-
 def _res(value, eps):
     return IntegralResult(value=value, err_estimate=1e-16, epsilon_used=eps)
 
@@ -334,12 +319,6 @@ def test_extrapolate_richardson_removes_linear_term():
     assert out.extrapolated
     assert out.value == pytest.approx(v0, abs=1e-10)
     assert abs(out.value - v0) <= out.err_estimate + 1e-12
-
-
-def test_extrapolate_single_epsilon():
-    out = extrapolate_epsilon([_res(1.0, 1e-2)])
-    assert out.note == "single-epsilon"
-    assert out.value == 1.0
 
 
 def test_extrapolate_flat_sequence():
@@ -370,6 +349,8 @@ def test_extrapolate_wrong_ratio_falls_back():
 def test_extrapolate_validates_sequence():
     with pytest.raises(ValueError):
         extrapolate_epsilon([])
+    with pytest.raises(ValueError, match="two or more"):
+        extrapolate_epsilon([_res(1.0, 1e-2)])
     with pytest.raises(ValueError):
         extrapolate_epsilon([IntegralResult(1.0, 0.0), IntegralResult(1.0, 0.0)])
     with pytest.raises(ValueError):
