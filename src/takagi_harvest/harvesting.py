@@ -445,7 +445,7 @@ def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, eps: float, fo
     relative stopping test of the quadrature.
 
     Where the clock is the identity (on_u: the flat side and Omega == omega)
-    W depends on u = t - t' alone, and is taken on the (15, 1) u axis: the
+    W depends on u = t - t' alone, and is taken on the (31, 1) u axis: the
     time difference is then exact rather than rounded from t - t', and W
     costs one division per u node, broadcast over w by the legs in the last
     product.  Elsewhere W is taken at lambda(t) - lambda(t').

@@ -518,7 +518,7 @@ def test_one_level_sequence_integrates_only_that_level(monkeypatch):
     for name, run in runs.items():
         shapes.clear()
         res = run()
-        assert shapes and set(shapes) == {(15, 15)}
+        assert shapes and set(shapes) == {(len(XK), len(XK))}
         assert res.note == "finest-epsilon"
         assert res.epsilon_used == EPS6[-1]
         assert res == finest[name]
@@ -715,7 +715,7 @@ def test_dual_kernels_equal_the_formulas_of_the_public_legs():
         for eps in eps_seq:
             M = harvesting._kernel(sc, da, db, True, True, eps)(u, w)
             N = harvesting._kernel(sc, da, da, True, False, eps)(u, w)
-            assert M.shape == N.shape == (15, 15)
+            assert M.shape == N.shape == (len(XK), len(XK))
             pair = amp * amp_p + amp_b * amp_bp
             expect_M = times(wight(u, t, tp, 5.0, eps), pair, phase + phase_p)
             assert np.array_equal(M, expect_M)
@@ -829,16 +829,17 @@ def test_one_clock_call_and_one_window_call_per_detector_per_cell(monkeypatch):
     other = HarvestScenario(detectors=(da, replace(flat.detectors[1],
                                                    switching=gaussian_switching(1.25))))
     dual = dualize(flat, 2.0)
+    n = len(XK)
     cases = [
         # (run, clock calls, distinct detectors, window points or None): a
-        # window reads the (15, 15) grid and one (1, 15) row per pole only
-        # where its detector's legs do
+        # window reads the (n, n) grid and one (1, n) row per pole only
+        # where its detector's legs do, n = len(XK)
         (lambda: compute_L(da, da, flat), 0, 1, None),
         (lambda: compute_N(da, flat), 0, 1, None),
         # a swapped M (one pole) reads both legs at t and at t'
-        (lambda: compute_M(other), 0, 2, 2 * 2 * (225 + 15)),
+        (lambda: compute_M(other), 0, 2, 2 * 2 * (n * n + n)),
         # L_AB, two poles (u = -L and u = L): A's window at t, B's at t'
-        (lambda: compute_L(*other.detectors, other), 0, 2, 2 * (225 + 2 * 15)),
+        (lambda: compute_L(*other.detectors, other), 0, 2, 2 * (n * n + 2 * n)),
         (lambda: compute_L(dual.detectors[0], dual.detectors[0], dual), 1, 1, None),
         (lambda: compute_M(dual), 1, 1, None),
     ]
@@ -1033,6 +1034,18 @@ def _assert_straightened_matches_the_plain_mesh(monkeypatch, sc, da, db, ordered
         want = _plain_mesh(sc, da, db, ordered, swapped, eps)
         assert abs(res.value - want.value) <= 10.0 * sc.quadrature.rel_tol * abs(want.value)
         assert calls < max_calls, (eps, calls)
+
+
+@pytest.mark.parametrize("Omega", [0.5, 1.3, 2.0, 3.0])
+def test_dual_M_of_cos_squared_windows_matches_the_flat_one(Omega):
+    # criterion 7's oscillators with cos^2 windows on (-1/2, 1/2) at L = 3,
+    # where every pair of events is spacelike; the windows' C^1 edges cross
+    # the dual side's straightened cells diagonally, and the dual M must
+    # still land within 2e-6 of the flat one
+    flat = _scenario(L=3.0, chi=cos_squared_switching(-0.5, 0.5))
+    M_flat = compute_M(flat).value
+    M_dual = compute_M(dualize(flat, Omega)).value
+    assert abs(M_dual - M_flat) <= 2e-6 * abs(M_flat)
 
 
 def test_dual_M_straightened_matches_the_plain_mesh(monkeypatch):

@@ -1,8 +1,8 @@
 """Adaptive cubature, regulator extrapolation, and Fourier oracle tests.
 
 Gauss-Kronrod constants are checked against scipy.special.roots_legendre and
-against the polynomial exactness degrees the pair must satisfy (13 for the
-embedded 7-point Gauss rule, 22 for the 15-point Kronrod extension).
+against the polynomial exactness degrees the pair must satisfy (29 for the
+embedded 15-point Gauss rule, 46 for the 31-point Kronrod extension).
 """
 
 import math
@@ -45,18 +45,18 @@ def test_weight_sums():
 
 
 def test_gauss_subset_matches_legendre_roots():
-    nodes, weights = roots_legendre(7)
+    nodes, weights = roots_legendre(15)
     assert np.max(np.abs(XK[G_IDX] - nodes)) <= 1e-14
     assert np.max(np.abs(WG - weights)) <= 1e-14
 
 
-@pytest.mark.parametrize("k", range(0, 23, 2))
+@pytest.mark.parametrize("k", range(0, 47, 2))
 def test_kronrod_polynomial_exactness(k):
     got = float(WK @ XK**k)
     assert got == pytest.approx(2.0 / (k + 1), rel=1e-13)
 
 
-@pytest.mark.parametrize("k", range(0, 14, 2))
+@pytest.mark.parametrize("k", range(0, 30, 2))
 def test_gauss_polynomial_exactness(k):
     got = float(WG @ XK[G_IDX] ** k)
     assert got == pytest.approx(2.0 / (k + 1), rel=1e-13)
@@ -105,8 +105,9 @@ def _counted(f):
 
 def test_cell_rule_defects_follow_their_axis():
     # one cell's Kronrod value and Gauss defects against the separable
-    # rules written out; a kernel that varies along u only has no v defect
-    F = np.exp(5.0 * XK[:, None]) * (1.0 + 0.0 * XK[None, :]) + 1j * XK[:, None] ** 2
+    # rules written out; a kernel that varies along u only has no v defect.
+    # The Lorentzian 1/(u^2 + 1/4) keeps a Gauss defect of about 4e-6
+    F = 1.0 / (XK[:, None] ** 2 + 0.25) * (1.0 + 0.0 * XK[None, :]) + 1j * XK[:, None] ** 2
     ik, (eu, ev) = _eval_cell(lambda u, v: F, [-1.0, 1.0, -1.0, 1.0])
     kron = WK @ F @ WK
     assert abs(ik - kron) <= 1e-14 * abs(kron)
@@ -126,7 +127,7 @@ def test_identical_components_are_bitwise_equal():
     f = _ridge(0.05)
     single = integrate_square(f, (0, 1, 0, 1), CFG)
     viewed = integrate_square(
-        lambda u, v: np.broadcast_to(f(u, v), (15, 15)), (0, 1, 0, 1), CFG
+        lambda u, v: np.broadcast_to(f(u, v), (len(XK), len(XK))), (0, 1, 0, 1), CFG
     )
     assert viewed == single
     assert integrate_square(f, (0, 1, 0, 1), CFG) == single
@@ -177,7 +178,7 @@ def test_stacked_budget_is_flagged_per_component():
 
 
 def test_budget_starved_run_counts_its_cells():
-    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=37)
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=9)
     square = integrate_square(_ridge(1e-3), (0, 1, 0, 1), cfg)
     line = adaptive_1d(lambda x: 1.0 / (x * x + 1e-6), -1.0, 1.0, cfg)
     for res in (square, line):
@@ -211,7 +212,7 @@ def test_kernel_constant_in_v_matches_adaptive_1d(max_subdivisions):
     # runs refine the same u segments, so the value, the cell count and the
     # budget flag agree
     cfg = replace(CFG, rel_tol=1e-12, max_subdivisions=max_subdivisions)
-    g = lambda x: np.exp(-x) * (2.0 + np.cos(7.0 * x)) + 0j
+    g = lambda x: np.exp(-x) * (2.0 + np.cos(20.0 * x)) + 0j
     line = adaptive_1d(g, 0.0, 10.0, cfg)
     square = integrate_square(lambda u, v: g(u) + 0.0 * v, (0.0, 10.0, 0.0, 1.0), cfg)
     assert abs(square.value - line.value) <= 1e-14 * abs(line.value)
