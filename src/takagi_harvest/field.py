@@ -28,7 +28,6 @@ __all__ = [
     "wightman_flat_sep",
     "wightman_flat_pv",
     "wightman_frw_sep",
-    "wightman_frw_at_clock",
     "mode_integrand_static",
 ]
 
@@ -71,22 +70,15 @@ def wightman_flat_pv(dt, sep):
 
 
 def wightman_frw_sep(t, t2, sep, m: ConformalTakagiMap, epsilon):
-    """Conformal-vacuum kernel for comoving points, conformal times t and t2."""
+    """Conformal-vacuum kernel W_flat(t - t2) / (C(t) C(t2)) for comoving points.
+
+    t and t2 are conformal times; n_spatial = 3.
+    """
     if m.n_spatial != 3:
         raise ValueError("conformal-vacuum kernel implemented for n_spatial = 3")
     t = np.asarray(t, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    return wightman_frw_at_clock(t, m.conformal_factor(t), t2, m.conformal_factor(t2), sep, epsilon)
-
-
-def wightman_frw_at_clock(t, C, t2, C2, sep, epsilon):
-    """Conformal-vacuum kernel W_flat(t - t2) / (C C2) from both legs' clock values.
-
-    t, t2 are conformal times (arrays) and C, C2 the conformal factor there;
-    n_spatial = 3.  Equals wightman_frw_sep value for value; kernels that
-    already hold the clock at their nodes call this one.
-    """
-    return wightman_flat_sep(t - t2, sep, epsilon) / (C * C2)
+    return wightman_flat_sep(t - t2, sep, epsilon) / (m.conformal_factor(t) * m.conformal_factor(t2))
 
 
 def mode_integrand_static(k, chi_a: SwitchingFunction, chi_b: SwitchingFunction,

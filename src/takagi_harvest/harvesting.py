@@ -30,32 +30,33 @@ coordinates u = t - t', w = t + t'.  An L whose detectors mirror each other
 either side of the duality, and is folded: taken as 2 Re of its u >= 0 half,
 on about half the cells.
 
-Two routes, and the quadrature config's epsilon_sequence alone picks one
-(_element).  The regulator sits on the conformal-time difference x =
-lambda(t) - lambda(t') of the two legs (x = u on the flat side), and the
-eps -> 0 limit of the kernel is a known distribution in x
-(Sokhotski-Plemelj; see field.wightman_flat_pv).  Without a sequence, or
-with more than one level, every element on either side takes that limit in
-closed form (_limit): the pole of the kernel is subtracted at the same node
-line, which leaves one bounded integrand per element (the regularised
-response of Louko and Satz, CQG 23, 6321, 2006, and QUADPACK's qawc
-subtraction, here in 2D), and the delta and delta' terms are line
-integrals, added to the same integrand.  An ordered element of two
-co-located detectors (N, and M) diverges like 1/eps; it reports its finite
-part and the coefficient of the pole separately.  A one-level sequence
-asks for that finite eps: every element integrates the regulated kernel
-there (_regulated).  On both routes the kernel is singular, or peaks, on
-the light cone of the two detectors.  In flat
-spacetime that is the straight line u = +-L, an axis of the rectangle, and
-the mesh refines across it in u alone.  On the cosmological side it is the curve
-lambda(t) - lambda(t') = +-L of the clock map, so the separated elements
-there (M and L_AB) are integrated in (s, w): u = phi_w(s) is piecewise
-linear in s, with knots that put the curve, taken in closed form from the
-clock map (_ridge), on fixed lines s = const.  Only the nodes move; the
-integrand at each node is still the cosmological formula at the dual times
-(tau, tau'), so the flat and cosmological values stay two independent
-routes to the same number, never a change of variables of one into the
-other.
+One routine evaluates every element (_integral), and the quadrature
+config's epsilon_sequence alone sets its regulator (_element).  The
+regulator sits on the conformal-time difference x = lambda(t) -
+lambda(t') of the two legs (x = u on the flat side), and the eps -> 0
+limit of the kernel is a known distribution in x (Sokhotski-Plemelj; see
+field.wightman_flat_pv).  Without a sequence, or with more than one level,
+every element on either side takes that limit in closed form: the pole of
+the kernel is subtracted at the same node line, which leaves one bounded
+integrand per element (the regularised response of Louko and Satz, CQG 23,
+6321, 2006, and QUADPACK's qawc subtraction, here in 2D), and the delta
+and delta' terms are line integrals, added to the same integrand.  An
+ordered element of two co-located detectors (N, and M) diverges like
+1/eps; it reports its finite part and the coefficient of the pole
+separately.  A one-level sequence asks for that finite eps: the same
+routine integrates the regulated kernel there, on the same domain, chart
+and breaks (QUADPACK's qagp breakpoints), without the pole and line
+terms.  Either way the kernel is singular, or peaks, on the light cone of
+the two detectors.  In flat spacetime that is the straight line u = +-L,
+an axis of the rectangle, and the mesh refines across it in u alone.  On
+the cosmological side it is the curve lambda(t) - lambda(t') = +-L of the
+clock map, so the separated elements there (M and L_AB) are integrated in
+(s, w): u = phi_w(s) is piecewise linear in s, with knots that put the
+curve, taken in closed form from the clock map (_ridge), on fixed lines
+s = const.  Only the nodes move; the integrand at each node is still the
+cosmological formula at the dual times (tau, tau'), so the flat and
+cosmological values stay two independent routes to the same number, never
+a change of variables of one into the other.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .field import WIGHTMAN_PREF, wightman_flat_pv, wightman_flat_sep, wightman_frw_at_clock
+from .field import WIGHTMAN_PREF, wightman_flat_pv, wightman_flat_sep
 from .gaussian import BogoliubovPair, transported_leg, vacuum_bogoliubov
 from .geometry import (
     ConformalTakagiMap,
@@ -427,51 +428,6 @@ def _on_u(scenario: HarvestScenario) -> bool:
     return scenario.frame == "minkowski" or scenario.map.degenerate
 
 
-def _kernel(scenario, det_a, det_b, ordered: bool, swapped: bool, eps: float, fold=False):
-    """The integrand of one element regulated at eps, in rotated coordinates.
-
-    This is the finite-eps route of _element (a one-level sequence); the
-    eps -> 0 limit is _limit.  A's leg sits at t = (w + u)/2 and B's at
-    t' = (w - u)/2, both rows from one evaluate call of _legs; the 1/2 is
-    the Jacobian of (t, t') -> (u, w).  The legs are joined by the Wightman
-    function on the scenario background, with the conformal-time regulator
-    on the dual side (the regulator under which the duality is an exact
-    per-epsilon identity).  Unordered (L): W runs from t' to t.
-    Ordered (M, N): W runs from t to t'.  W times the leg product
-    amp e^{i phase} is formed in real arithmetic, its real part
-    amp (Re W cos - Im W sin).  fold (a Hermitian
-    L, 2 Re of its u >= 0 half) returns that real part alone: the half's
-    imaginary part carries the coincidence pole, and would swamp the
-    relative stopping test of the quadrature.
-
-    Where the clock is the identity (on_u: the flat side and Omega == omega)
-    W depends on u = t - t' alone, and is taken on the (31, 1) u axis: the
-    time difference is then exact rather than rounded from t - t', and W
-    costs one division per u node, broadcast over w by the legs in the last
-    product.  Elsewhere W is taken at lambda(t) - lambda(t').
-    """
-    evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped)
-    on_u = _on_u(scenario)
-    sep = separation(det_a.trajectory, det_b.trajectory)
-
-    def kern(u, w):
-        (P,), (Q,), _ = evaluate([0.5 * (w + u)], [0.5 * (w - u)])
-        if on_u:
-            # C = 1 on the identity clock, so W / (C C') is W itself
-            wight = wightman_flat_sep(u if ordered else -u, sep, eps)
-        elif ordered:
-            wight = wightman_frw_at_clock(P[4], P[5], Q[4], Q[5], sep, eps)
-        else:
-            wight = wightman_frw_at_clock(Q[4], Q[5], P[4], P[5], sep, eps)
-        amp, phase = join(P, Q)
-        cos, sin = np.cos(phase), np.sin(phase)
-        re = amp * (wight.real * cos - wight.imag * sin)
-        # folded, the fold's 2 and the Jacobian's 1/2 cancel exactly
-        return re if fold else 0.5 * (re + 1j * amp * (wight.real * sin + wight.imag * cos))
-
-    return kern
-
-
 def _rect(sup_a, sup_b, ordered: bool):
     """Rotated rectangle (u0, u1, w0, w1), u = t - t', w = t + t', of two supports.
 
@@ -481,8 +437,8 @@ def _rect(sup_a, sup_b, ordered: bool):
     the (A <-> B) term keeps its domain when the windows sit asymmetrically
     in time.  For equal supports it is the u >= 0 half of the unordered
     rectangle, the domain of a folded L (see _element).  It is the domain of
-    the finite-eps route and of the limit route, except where _chart shears
-    equal supports onto their diamond.
+    every element at every eps, except where _chart shears equal supports
+    onto their diamond.
     """
     a0, a1 = sup_a
     b0, b1 = sup_b
@@ -567,23 +523,6 @@ def _straight(m: ConformalTakagiMap, sep: float, rect, ordered: bool):
     return ks, chart
 
 
-def _straighten(kern, m: ConformalTakagiMap, sep: float, rect, ordered: bool):
-    """kern in the (s, w) chart of _straight, times the slope of phi_w.
-
-    The rectangle and its edges are unchanged, and the mesh refines across
-    a ridge in s alone, as it does across the straight ridges of the flat
-    side.  This is the finite-eps route's chart; _limit reads the chart of
-    _straight itself, because its pole terms need the knots and the ridges.
-    """
-    chart = _straight(m, sep, rect, ordered)[1]
-
-    def kern_sw(s, w):
-        u, jac, _ = chart(s, w)
-        return kern(u, w) * jac
-
-    return kern_sw
-
-
 def _dlam(m: ConformalTakagiMap, u, w, coarse):
     """lambda(t) - lambda(t') at t, t' = (w +- u)/2, free of cancellation at small u.
 
@@ -602,8 +541,8 @@ def _dlam(m: ConformalTakagiMap, u, w, coarse):
     return (y + 2.0 * math.pi * turns) / om
 
 
-def _chart(sup_a, sup_b, half: bool, shear: bool = True):
-    """Domain of a limit-route element: ((u0, u1, v0, v1), chart, kinks).
+def _chart(sup_a, sup_b, half: bool, shear: bool):
+    """Domain of an element off the straightened chart: ((u0, u1, v0, v1), chart, kinks).
 
     chart(u, v) gives (w, Jacobian) at the nodes.  For equal supports
     [a0, a1] the leg product lives on the diamond |w - a0 - a1| <= U - |u|,
@@ -629,7 +568,7 @@ def _chart(sup_a, sup_b, half: bool, shear: bool = True):
 
 
 def _delta_prime(scenario, det_a, det_b, t, L):
-    """H1 of _limit for A and B co-located, at the line times t, from their leg row L.
+    """H1 of _integral for A and B co-located, at the line times t, from their leg row L.
 
     L is the row of t from evaluate of _legs with both legs on every row
     (swapped).  a'b - ab' takes the windows' derivatives alone: both legs
@@ -648,15 +587,17 @@ def _delta_prime(scenario, det_a, det_b, t, L):
     return 0.25 * (da * L[2] - L[0] * db + 1j * L[0] * L[2] * rate) * np.exp(1j * (L[1] - L[3]))
 
 
-def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> IntegralResult:
-    """The eps -> 0 limit of an element, as bounded integrands (before the prefactor).
+def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
+              eps: float | None) -> IntegralResult:
+    """One element as bounded integrands (before the prefactor): its eps -> 0 limit, or at eps.
 
     The regulator sits on the conformal-time difference x = lambda(t) -
     lambda(t'), which is u itself where the clock is the identity.  With
     G(u, w) half the leg product over C C' (see _legs), x' = dx/du =
     (1/C + 1/C')/2 and P = 1/(4 pi^2), the integrand is G times the flat
-    kernel in x, whose limit is the distribution of field.wightman_flat_pv
-    (in u: C = 1, x' = 1).  With a range [u0, u1] at each v of the chart:
+    kernel in x, whose limit (eps None) is the distribution of
+    field.wightman_flat_pv (in u: C = 1, x' = 1).  With a range [u0, u1]
+    at each v of the chart:
 
     * sep > 0: each pole x = q, q = +-sep (unordered; +sep when ordered or
       folded), lies on a line s = s_k: u = q itself on the identity clock,
@@ -669,7 +610,9 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
       s_k, so the principal value in s differs from it by the log of the
       ratio of phi_w's slopes on either side of s_k.  Where a ridge leaves
       the range there is no pole, and a = 0.  The range breaks at each pole,
-      so no node falls on one.
+      so no node falls on one; where a ridge is clamped onto an edge of the
+      range, the piece of phi_w it collapses (slope 0) takes the kernel at
+      x = 0, not at the pole.
     * sep = 0, folded L of mirrored detectors (L_AA, L_BB): with F0(w) =
       G(0, w) C(w/2) and X(w) the x at the end of the u range,
           L = -P { int int_{u>=0} 2 Re(G - F0 x')/x^2 + int dw F0 (pi nu - 2/X) },
@@ -689,25 +632,40 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
       the finite part; pole carries the coefficient of 1/eps, -i P int dw
       F0, from adaptive_1d.
 
+    At a finite eps the integrand is J G field.wightman_flat_sep(+-x, sep,
+    eps), x ordered (W from t to t') and -x unordered (from t' to t), on the
+    same domain, chart and breaks, and a folded L takes 2 Re of it: the
+    half's imaginary part carries the coincidence pole, and would swamp the
+    relative stopping test of the quadrature.  There are no pole rows, line
+    terms or pole integral, and nothing is unfolded: a co-located L that
+    does not mirror integrates its whole range, broken at the diamond's
+    kink u = 0.
+
     x is taken by _dlam, without cancellation at small u.  Each line term is
     spread evenly over the u range of its line, so it is one more term of
     the same bounded 2D integrand and every stopping test is relative to the
     element's value.  A kernel call stacks every time it reads (the t and t'
     grids, each pole's ridge row, the line u = 0, the diamond's w/2 grid and
     the ends of the range that give X) into one clock call and one window
-    call per distinct detector (evaluate of _legs), and a folded L takes its
-    grid's real part in real arithmetic.  Each piece of the u range is one
-    integrate_square call; cells adds up the cells of all pieces and the
-    segments of the pole's 1D integral.
+    call per distinct detector (evaluate of _legs), and a folded L in the
+    limit takes its grid's real part in real arithmetic.  Each piece of the
+    u range is one integrate_square call; cells adds up the cells of all
+    pieces and the segments of the pole's 1D integral.
     """
     m = scenario.map
     exact = _on_u(scenario)
     sep = separation(det_a.trajectory, det_b.trajectory)
-    unfold = sep == 0.0 and not (ordered or fold)
+    limit = eps is None
+    unfold = limit and sep == 0.0 and not (ordered or fold)
     evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped or unfold)
     sup_a, sup_b = det_a.switching.support, det_b.switching.support
     half = ordered or fold or unfold
     cfg = scenario.quadrature
+    # equal supports are sheared onto their diamond; the dual side keeps it
+    # at sep = 0 for cos^2 windows only: on a Gaussian one it costs cells
+    bases = [d.switching.param("base") if d.switching.kind == "transformed" else d.switching
+             for d in (det_a, det_b)]
+    shear = exact or any(b.kind == "cos_squared" for b in bases)
 
     def half_product(P, Q, real=False, line=False):
         """G at the rows P (A's leg) and Q (B's), or F0 = G C on the line u = 0 (real: Re G)."""
@@ -721,18 +679,21 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
         return 1.0 if exact else 0.5 * (1.0 / P[5] + 1.0 / Q[5])
 
     pole = None
-    if sep > 0.0:
+    if sep > 0.0 or not limit:
+        # pole rows, in the limit only, where a light cone crosses the range
         line = (-1j if ordered else 1j) * math.pi
-        qs = (sep,) if half else (-sep, sep)
-        if exact:
-            (u0, u1, v0, v1), chart, kinks = _chart(sup_a, sup_b, half)
+        qs = () if sep == 0.0 else (sep,) if half else (-sep, sep)
+        if exact or sep == 0.0:
+            (u0, u1, v0, v1), chart, kinks = _chart(sup_a, sup_b, half, shear)
             qs = [q for q in qs if u0 < q < u1]
-            spread = [(math.log((q - u0) / (u1 - q)) + line) / (u1 - u0) for q in qs]
             breaks = sorted(set(qs) | {k for k in kinks if u0 < k < u1})
+            # in the limit, each pole and its line term per unit u
+            spread = [(q, (math.log((q - u0) / (u1 - q)) + line) / (u1 - u0))
+                      for q in qs] if limit else []
 
             def place(s, v):
                 w, jac = chart(s, v)
-                return s, w, jac, [(q, q, q, *chart(q, v), c) for q, c in zip(qs, spread)]
+                return s, w, jac, [(q, q, q, *chart(q, v), c) for q, c in spread]
         else:
             u0, u1, v0, v1 = rect = _rect(sup_a, sup_b, half)
             ks, straight = _straight(m, sep, rect, half)
@@ -746,7 +707,7 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
             def place(s, w):
                 u, jac, ku = straight(s, w)
                 poles = []
-                for i, q in enumerate(qs, 1):
+                for i, q in enumerate(qs if limit else (), 1):
                     below, above = ku[i] - ku[i - 1], ku[i + 1] - ku[i]
                     inside = (below > 0.0) & (above > 0.0)
                     c = np.log(np.where(inside, below, 1.0) / np.where(inside, above, 1.0))
@@ -760,9 +721,11 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
             nodes = [(u, w)] + [(u_k, w_k) for _, _, u_k, w_k, _, _ in poles]
             (P, *Ps), (Q, *Qs), _ = evaluate([0.5 * (w_k + u_k) for u_k, w_k in nodes],
                                              [0.5 * (w_k - u_k) for u_k, w_k in nodes])
-            G = half_product(P, Q, fold)
-            x = u if exact else _dlam(m, u, w, P[4] - Q[4])
-            out = jac * G * wightman_flat_pv(x, sep)
+            x = u if exact else np.where(jac == 0.0, 0.0, _dlam(m, u, w, P[4] - Q[4]))
+            if limit:
+                out = jac * half_product(P, Q, fold) * wightman_flat_pv(x, sep)
+            else:
+                out = jac * half_product(P, Q) * wightman_flat_sep(x if ordered else -x, sep, eps)
             for (q, s_k, _, _, jac_k, spread_k), P_k, Q_k in zip(poles, Ps, Qs):
                 # complex even when folded: Re(a (c + i pi)) = Re(a) c - Im(a) pi
                 G_k = half_product(P_k, Q_k)
@@ -771,15 +734,11 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
                 if fold:
                     a, term = a.real, term.real
                 out = out - a / (s_k - s) + term
-            return 2.0 * out if fold else out
+            return 2.0 * out.real if fold else out
     else:
-        # on the line u = 0 both legs sit at t = w/2.  Equal supports are
-        # sheared onto their diamond; the dual side keeps it for cos^2
-        # windows only: on a Gaussian one it costs cells
-        bases = [d.switching.param("base") if d.switching.kind == "transformed" else d.switching
-                 for d in (det_a, det_b)]
-        sheared = sup_a == sup_b and (exact or any(b.kind == "cos_squared" for b in bases))
-        (u0, u1, v0, v1), chart, _ = _chart(sup_a, sup_b, half, sheared)
+        # the limit at sep = 0: on the line u = 0 both legs sit at t = w/2
+        sheared = sup_a == sup_b and shear
+        (u0, u1, v0, v1), chart, _ = _chart(sup_a, sup_b, half, shear)
         transported = scenario.initial_state == "takagi_squeezed"
 
         def kern(u, s):
@@ -823,7 +782,8 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
     return IntegralResult(
         complex(math.fsum(r.value.real for r in parts), math.fsum(r.value.imag for r in parts)),
         math.fsum(r.err_estimate for r in parts),
-        note="closed-form" if pole is None else "finite-part",
+        epsilon_used=eps,
+        note="finest-epsilon" if not limit else "closed-form" if pole is None else "finite-part",
         budget_exhausted=any(r.budget_exhausted for r in runs),
         cells=sum(r.cells for r in runs),
         pole=None if pole is None else pole.value,
@@ -833,41 +793,23 @@ def _limit(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool) -> 
 def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float) -> IntegralResult:
     """pref * c_a s_a * c_b s_b times one element's integral.
 
-    The quadrature config's epsilon_sequence picks the route, and nothing
-    else does: None or more than one level asks for the eps -> 0 limit in
-    closed form (_limit), one level for _kernel at that eps over _rect
-    (_regulated).  On the regulated route a cosmological element of two
-    separated detectors under a clock that is not the identity is
-    integrated in the straightened coordinates of _straighten, where its
-    light cone is a line of the mesh; every other element keeps the plain
-    (u, w) mesh.  An unordered element of two mirrored detectors is folded
-    on either route: 2 Re of its u >= 0 half, on the ordered rectangle,
-    straightened (if at all) on its one ridge u = +g(w).
+    The quadrature config's epsilon_sequence sets eps, and nothing else
+    does: None or more than one level asks for the eps -> 0 limit in closed
+    form, one level for that finite eps, both from _integral on one domain
+    and chart.  An unordered element of two mirrored detectors is folded:
+    2 Re of its u >= 0 half.
     """
     ca = _coupling_eff(scenario, det_a)
     cb = _coupling_eff(scenario, det_b)
     if ca == 0.0 or cb == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
     eps_seq = scenario.quadrature.epsilon_sequence
+    eps = eps_seq[0] if eps_seq is not None and len(eps_seq) == 1 else None
     fold = not ordered and _mirrors(det_a, det_b)
-    if eps_seq is None or len(eps_seq) > 1:
-        res = _limit(scenario, det_a, det_b, ordered, swapped, fold)
-    else:
-        res = _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps_seq[0])
+    res = _integral(scenario, det_a, det_b, ordered, swapped, fold, eps)
     pref = pref * ca * cb
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate,
                    pole=None if res.pole is None else pref * res.pole)
-
-
-def _regulated(scenario, det_a, det_b, ordered, swapped, fold, eps: float) -> IntegralResult:
-    """The finite-eps route of _element at its one eps, before the prefactor."""
-    kern = _kernel(scenario, det_a, det_b, ordered, swapped, eps, fold)
-    rect = _rect(det_a.switching.support, det_b.switching.support, ordered or fold)
-    sep = separation(det_a.trajectory, det_b.trajectory)
-    if scenario.frame == "frw" and sep > 0.0 and not scenario.map.degenerate:
-        kern = _straighten(kern, scenario.map, sep, rect, ordered or fold)
-    res = integrate_square(kern, rect, scenario.quadrature)
-    return replace(res, epsilon_used=eps, note="finest-epsilon")
 
 
 def compute_L(det_a: DetectorSpec, det_b: DetectorSpec,
@@ -875,8 +817,8 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec,
     """Response element L_ab over the full (t, t') square.
 
     Evaluated in rotated coordinates u = t - t', w = t + t', per the
-    configured route: "direct" quadrature (the eps -> 0 limit in closed form
-    or the regulated kernel, as epsilon_sequence asks; see _element), or the
+    configured method: "direct" quadrature (the eps -> 0 limit in closed
+    form or the regulated kernel, as epsilon_sequence asks; see _element), or the
     "fourier" mode sum (static flat ground-state scenarios only).  When B
     mirrors A (a is b included) L_ab is real, and the direct route
     integrates twice the real part of the integrand over the u >= 0 half
@@ -914,7 +856,9 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario) -> IntegralResult:
     the conformal-time difference, the regulator under which the duality
     holds epsilon by epsilon, so the flat and dual finite parts and poles
     are the same two numbers.  A one-level sequence gives the regulated N at
-    that epsilon, with the pole in the value (note "finest-epsilon").
+    that epsilon, with the pole in the value (note "finest-epsilon"), from
+    the same routine on the same domain; max_subdivisions bounds each piece
+    of the u range either way.
     """
     if det.model != "oscillator":
         raise ValueError("the second excited state exists only for oscillator detectors")
@@ -1100,13 +1044,15 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
     """Compute L_AA, L_BB, M independently in both pictures and compare.
 
     Both sides run under the flat scenario's quadrature config, which
-    dualize hands on, and so take one route (see _element): the eps -> 0
-    limit in closed form (see _limit), each with its own quadrature on its
-    own mesh, at its own times, or under a one-level sequence the regulated
-    elements at that eps (the conformal-time regulator is the one under
-    which the pictures agree epsilon by epsilon).  Residuals are relative, on
-    L_AA, L_BB, |M| and the negativity.  A pair whose B mirrors A with the
-    same prefactor (see _twins) reuses L_AA as L_BB on each side.
+    dualize hands on, and so at one regulator (see _element): the eps -> 0
+    limit in closed form, or under a one-level sequence that finite eps
+    (the conformal-time regulator is the one under which the pictures agree
+    epsilon by epsilon).  Each side evaluates its elements with the one
+    routine _integral, its own quadrature on its own mesh, at its own
+    times, each piece of a u range with its own budget.  Residuals are
+    relative, on L_AA, L_BB, |M| and the negativity.  A pair whose B
+    mirrors A with the same prefactor (see _twins) reuses L_AA as L_BB on
+    each side.
     """
     dual = dualize(scenario, Omega)
 

@@ -130,10 +130,9 @@ class QuadratureConfig:
     oracle where available.
 
     max_subdivisions bounds the splits of each adaptive run (one
-    integrate_square or adaptive_1d call): each piece of a closed-form
-    element's u range, the line integral of a pole, or a regulated
-    element at its one eps; a run evaluates at most 1 + 2 *
-    max_subdivisions cells.
+    integrate_square or adaptive_1d call): each piece of an element's u
+    range, in the limit or at a finite eps alike, or the line integral of
+    a pole; a run evaluates at most 1 + 2 * max_subdivisions cells.
     """
 
     rel_tol: float = 1e-6

@@ -276,6 +276,25 @@ def test_dualize_degenerate_row_exact(tmp_path):
     assert row["neg_flat"] == row["neg_frw"]
 
 
+def test_dualize_of_cos_squared_windows_one_window_apart(tmp_path):
+    # criterion 7's oscillators with cos^2 windows on (-1/2, 1/2) at L = 1:
+    # the light cone of the dual M meets a corner of its rectangle, where the
+    # straightened chart clamps the ridge onto an edge and a piece of the
+    # chart collapses; its nodes sat on the pole (exit 3, non-finite kernel)
+    cfg = (GAUSS_REF.replace("kind = gaussian\nsigma = 1.0", "kind = cos_squared\nt0 = -0.5\nt1 = 0.5")
+           .replace("position = 5, 0, 0", "position = 1, 0, 0")
+           + "\n[dualize]\nOmega_list = 0.5, 3.0\n")
+    out = tmp_path / "dual.csv"
+    assert main(["dualize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        row = dict(zip(_DUALIZE_COLUMNS, (float(tok) for tok in line.split(","))))
+        flat = complex(row["re_M_flat"], row["im_M_flat"])
+        frw = complex(row["re_M_frw"], row["im_M_frw"])
+        assert abs(frw - flat) <= 1e-5 * abs(flat), (row["Omega"], frw, flat)
+
+
 def test_dualize_requires_omega_list(tmp_path, capsys):
     rc = main(["dualize", "--config", _write(tmp_path, GAUSS_REF)])
     assert rc == EXIT_CONFIG
