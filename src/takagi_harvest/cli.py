@@ -393,7 +393,11 @@ def _sweep(row, scenario, points, columns, report, out) -> int:
 
 
 def _element_record(res, with_pole=False):
-    """One element's JSON record; an N record adds its 1/eps pole (null where not separated)."""
+    """One element's JSON record, with its 1/eps pole where it has one.
+
+    An N record always carries the pole fields, null where the pole is not
+    separated (at a finite eps); a co-located M carries them too.
+    """
     if res is None:
         return None
     rec = {
@@ -402,8 +406,8 @@ def _element_record(res, with_pole=False):
         "err": float(res.err_estimate),
         "note": res.note,
     }
-    if with_pole:
-        pole = res.pole
+    pole = res.pole
+    if with_pole or pole is not None:
         rec["pole_re"], rec["pole_im"] = (None, None) if pole is None else (pole.real, pole.imag)
     return rec
 

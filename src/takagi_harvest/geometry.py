@@ -112,15 +112,19 @@ class ConformalTakagiMap:
         The solution is spatially homogeneous, so C depends on t alone and the
         on-trajectory value C(lambda) is the same function.  It is also the
         clock rate dtau/dlambda, strictly positive on any branch.
+
+        With r = Omega/omega, C = 1 / (cos^2(omega t) + r^2 sin^2(omega t)),
+        evaluated divided through by cos^2 as (1 + T^2) / (1 + r^2 T^2),
+        T = tan(omega t): one tangent instead of a cosine and a sine.  It
+        stays finite because |tan| of a float never exceeds about 1.6e16,
+        where it gives 1/r^2 (1 + T^2 at Omega = 0).
         """
         t, scalar = _prepare(t)
         if self.degenerate:
             return _finish(np.ones_like(t), scalar)
-        # 1 / (cos^2(omega t) + (Omega/omega)^2 sin^2(omega t))
-        c = np.cos(self.omega * t)
-        s = np.sin(self.omega * t)
+        T2 = np.tan(self.omega * t) ** 2
         r = self.Omega / self.omega
-        return _finish(1.0 / (c * c + (r * r) * (s * s)), scalar)
+        return _finish((1.0 + T2) / (1.0 + (r * r) * T2), scalar)
 
     def scale_factor(self, T):
         """Scale factor a(T) of the dual cosmology in cosmological time T."""

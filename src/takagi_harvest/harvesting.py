@@ -437,8 +437,8 @@ def _rect(sup_a, sup_b, ordered: bool):
     the (A <-> B) term keeps its domain when the windows sit asymmetrically
     in time.  For equal supports it is the u >= 0 half of the unordered
     rectangle, the domain of a folded L (see _element).  It is the domain of
-    every element at every eps, except where _chart shears equal supports
-    onto their diamond.
+    every element at every eps on either side, except where _chart shears
+    the equal supports of cos^2 windows onto their diamond.
     """
     a0, a1 = sup_a
     b0, b1 = sup_b
@@ -551,9 +551,11 @@ def _chart(sup_a, sup_b, half: bool, shear: bool):
     edge underestimates its error 100 to 300 fold.  So the diamond is
     sheared onto the rectangle of (u, s), w = a0 + a1 + (U - |u|) s with s in
     [-1, 1] and Jacobian U - |u|, and its edges are mesh edges; the whole
-    diamond has a kink at u = 0, listed in kinks.  Unequal supports, and
-    equal ones without shear, keep the rectangle of _rect (v = w, Jacobian
-    1), where a Gaussian window's edge is a jump of e^-32.
+    diamond has a kink at u = 0, listed in kinks.  shear is set, on the flat
+    and the dual side alike, where a window is cos^2 or transported from
+    one.  Unequal supports, and equal ones without shear, keep the
+    rectangle of _rect (v = w, Jacobian 1): a Gaussian window's edge is a
+    jump of e^-32, and on its mostly empty square the diamond costs cells.
     """
     if sup_a != sup_b or not shear:
         return _rect(sup_a, sup_b, half), (lambda u, w: (w, 1.0)), ()
@@ -638,8 +640,8 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
     half's imaginary part carries the coincidence pole, and would swamp the
     relative stopping test of the quadrature.  There are no pole rows, line
     terms or pole integral, and nothing is unfolded: a co-located L that
-    does not mirror integrates its whole range, broken at the diamond's
-    kink u = 0.
+    does not mirror integrates its whole range, broken at the kink u = 0
+    where cos^2 windows shear it onto the diamond.
 
     x is taken by _dlam, without cancellation at small u.  Each line term is
     spread evenly over the u range of its line, so it is one more term of
@@ -661,11 +663,12 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
     sup_a, sup_b = det_a.switching.support, det_b.switching.support
     half = ordered or fold or unfold
     cfg = scenario.quadrature
-    # equal supports are sheared onto their diamond; the dual side keeps it
-    # at sep = 0 for cos^2 windows only: on a Gaussian one it costs cells
+    # equal supports are sheared onto their diamond on either side for cos^2
+    # windows (own or transported) only: a Gaussian's edge is a jump of
+    # e^-32, and the diamond costs it cells and the kernel its w/2 row
     bases = [d.switching.param("base") if d.switching.kind == "transformed" else d.switching
              for d in (det_a, det_b)]
-    shear = exact or any(b.kind == "cos_squared" for b in bases)
+    shear = any(b.kind == "cos_squared" for b in bases)
 
     def half_product(P, Q, real=False, line=False):
         """G at the rows P (A's leg) and Q (B's), or F0 = G C on the line u = 0 (real: Re G)."""

@@ -5,6 +5,7 @@ debuggers see straight through; file outputs go to tmp_path.
 """
 
 import json
+import math
 import re
 import threading
 from pathlib import Path
@@ -175,6 +176,20 @@ def test_harvest_N_records_carry_the_finite_part_and_the_pole(tmp_path):
         assert abs(rec["pole_im"] - 2.3358e-6) <= 1e-4 * 2.3358e-6
         assert abs(rec["pole_re"]) <= 1e-12 * rec["pole_im"]
     assert "pole_re" not in el["M"] and "pole_re" not in el["L_AA"]
+    # a co-located M diverges like N and carries its pole too: with gaps 1.0
+    # and 1.1 the Gaussian line integral gives sqrt(2) e^{-(2.1^2 - 2^2)/4}
+    # times N_A's pole
+    colo = GAUSS_REF.replace("frequency = 1.0\ncoupling = 0.01\nposition = 5, 0, 0",
+                             "frequency = 1.1\ncoupling = 0.01\nposition = 0, 0, 0")
+    assert main(["harvest", "--config", _write(tmp_path, colo), "--out", str(out)]) == EXIT_OK
+    el = json.loads(out.read_text())["elements"]
+    rec = el["M"]
+    pole = el["N_A"]["pole_im"] * math.sqrt(2.0) * math.exp(-(2.1**2 - 2.0**2) / 4.0)
+    assert rec["note"] == "finite-part"
+    assert abs(rec["re"] - -2.6489e-6) <= 1e-4 * 2.6489e-6
+    assert abs(rec["pole_im"] - pole) <= 1e-10 * pole
+    assert abs(rec["pole_re"]) <= 1e-12 * rec["pole_im"]
+    assert "pole_re" not in el["L_AA"] and "pole_re" not in el["L_AB"]
     # the finite-eps route (a one-level sequence) does not separate the pole
     cfg = GAUSS_REF + "\n[quadrature]\nepsilon_sequence = 0.0003125\n"
     assert main(["harvest", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK

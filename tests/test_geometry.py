@@ -104,6 +104,21 @@ def test_conformal_factor_value_and_alias():
     m = ConformalTakagiMap(1.0, 2.0)
     # 1/(cos^2 0.5 + 4 sin^2 0.5)
     assert m.conformal_factor(0.5) == pytest.approx(0.5918747874746664, rel=1e-15)
+    # the tangent form at and next to the poles of tan, omega t = pi/2 + k pi,
+    # and on a map with Omega = 0, where C = 1/cos^2 grows to about 1e32
+    poles = np.array([0.5 * math.pi + k * math.pi for k in (-7, -2, -1, 0, 1, 3, 12)])
+    x = np.concatenate([poles, np.nextafter(poles, -np.inf), np.nextafter(poles, np.inf),
+                        poles + 1e-9, poles - 1e-6, poles + 1e-3])
+    for omega, Omega in [(1.0, 2.0), (1.0, 0.5), (2.0, 3.0), (1.0, 1e-3), (1.3, 0.0)]:
+        m = ConformalTakagiMap(omega, Omega)
+        t = x / omega
+        r = Omega / omega
+        want = 1.0 / (np.cos(omega * t) ** 2 + r * r * np.sin(omega * t) ** 2)
+        got = m.conformal_factor(t)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+        if Omega > 0.0:
+            assert m.conformal_factor(0.5 * math.pi / omega) == pytest.approx(1.0 / r**2, rel=1e-14)
 
 
 def test_scale_factor_equals_conformal_factor_on_trajectory():

@@ -583,6 +583,30 @@ def test_closed_form_element_reports_all_its_cells(monkeypatch):
     assert len(calls) == 1 and N.cells > calls[0]
 
 
+@pytest.mark.parametrize("chi, sheared", [(GAUSS, False), (cos_squared_switching(-0.5, 0.5), True)])
+def test_chart_is_decided_by_the_windows_alone(monkeypatch, chi, sheared):
+    # equal supports are sheared onto their diamond, s in [-1, 1], for cos^2
+    # windows and windows transported from them, and keep _rect's w range
+    # for Gaussian ones, on the flat and the dual side alike
+    domains = []
+    integrate = harvesting.integrate_square
+
+    def spy(f, rect, cfg):
+        domains.append(rect[2:])
+        return integrate(f, rect, cfg)
+
+    monkeypatch.setattr(harvesting, "integrate_square", spy)
+    flat = _scenario(L=0.0, chi=chi)
+    for sc in (flat, dualize(flat, 1.3)):
+        da = sc.detectors[0]
+        sup = da.switching.support
+        want = (-1.0, 1.0) if sheared else harvesting._rect(sup, sup, True)[2:]
+        for run in (lambda: compute_L(da, da, sc), lambda: compute_N(da, sc), lambda: compute_M(sc)):
+            domains.clear()
+            run()
+            assert domains and all(d == want for d in domains), (sc.frame, domains)
+
+
 # --- each leg evaluated once -----------------------------------------------------
 
 # one regulator level and a handful of cells: enough to exercise every kernel
