@@ -93,13 +93,6 @@ def _choice(*options):
     return parse
 
 
-def _boolean(raw):
-    low = raw.strip().lower()
-    if low not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {raw!r}")
-    return low == "true"
-
-
 class _Key(NamedTuple):
     """How one config key is read: parser, whether required, default, and
     when it is allowed: always (None) or only while another key of its
@@ -121,15 +114,12 @@ _SCHEMA = {
         "frame": _Key(_choice("minkowski", "frw"), default="minkowski"),
         "omega": _Key(_real, required=True, when=("frame", "frw")),
         "Omega": _Key(_real, required=True, when=("frame", "frw")),
-        "n_spatial": _Key(_count, default=3, when=("frame", "frw")),
     }),
-    "field": (_SCENARIO, {"initial_state": _Key(_choice("ground"), default="ground")}),
     "quadrature": (_SCENARIO, {
         "rel_tol": _Key(_real, default=QuadratureConfig.rel_tol),
         "abs_tol": _Key(_real, default=QuadratureConfig.abs_tol),
         "max_subdivisions": _Key(_count, default=QuadratureConfig.max_subdivisions),
         "epsilon_sequence": _Key(_reals()),
-        "method": _Key(_choice("direct", "fourier"), default="direct"),
     }),
     "detectors.<label>": (_SCENARIO, {
         "model": _Key(_choice("oscillator", "qubit"), required=True),
@@ -151,7 +141,6 @@ _SCHEMA = {
         "omegas": _Key(_reals(positive=True), default=(0.5, 1.0, 2.0)),
         "Omegas": _Key(_reals(positive=True), default=(0.5, 1.0, 2.0)),
         "n_lambda": _Key(_count, default=50),
-        "corrupt_sign": _Key(_boolean, default=False),
     }),
     "tables": (("geometry-tables",), {
         "omega": _Key(_real, default=1.0),
@@ -277,7 +266,7 @@ def _construct(loc, section, make, *args, **kwargs):
 _SWITCHINGS = {"gaussian": gaussian_switching, "cos_squared": cos_squared_switching}
 
 
-def _build_detector(sections, label, frame, loc):
+def _build_detector(sections, label, loc):
     sec = f"detectors.{label}"
     sw_sec = f"{sec}.switching"
     if sw_sec not in sections:
@@ -285,7 +274,7 @@ def _build_detector(sections, label, frame, loc):
     params = dict(sections[sw_sec])
     make = _SWITCHINGS[params.pop("kind")]
     spec = dict(sections[sec])
-    trajectory = StaticTrajectory(spec.pop("position"), frame=frame)
+    trajectory = StaticTrajectory(spec.pop("position"))
     switching = _construct(loc, sw_sec, make, **params)
     return _construct(
         loc, sec, DetectorSpec, label=label, trajectory=trajectory, switching=switching, **spec
@@ -294,8 +283,8 @@ def _build_detector(sections, label, frame, loc):
 
 def _build_scenario(sections, loc):
     clock = dict(_section(sections, "spacetime", loc))
-    frame = clock.pop("frame")
-    takagi_map = _construct(loc, "spacetime", ConformalTakagiMap, **clock) if frame == "frw" else None
+    frw = clock.pop("frame") == "frw"
+    takagi_map = _construct(loc, "spacetime", ConformalTakagiMap, **clock) if frw else None
     labels = sorted(
         sec.split(".", 1)[1] for sec in sections if _group(sec) == "detectors.<label>"
     )
@@ -304,10 +293,8 @@ def _build_scenario(sections, loc):
             f"expected exactly two [detectors.<label>] sections, found {len(labels)}"
         )
     return HarvestScenario(
-        detectors=tuple(_build_detector(sections, lab, frame, loc) for lab in labels),
-        frame=frame,
+        detectors=tuple(_build_detector(sections, lab, loc) for lab in labels),
         map=takagi_map,
-        initial_state=_section(sections, "field", loc)["initial_state"],
         quadrature=_construct(
             loc, "quadrature", QuadratureConfig, **_section(sections, "quadrature", loc)
         ),
@@ -420,9 +407,8 @@ def cmd_check_takagi(sections, loc, config_sha, args) -> int:
     """run the symplectic clock-map identity suite"""
     check = _section(sections, "check", loc)
     omegas, Omegas, n_lambda = check["omegas"], check["Omegas"], check["n_lambda"]
-    corrupt = args.corrupt_sign or check["corrupt_sign"]
     residuals = run_identity_suite(
-        omegas=omegas, Omegas=Omegas, n_lambda=n_lambda, corrupt_sign=corrupt
+        omegas=omegas, Omegas=Omegas, n_lambda=n_lambda, corrupt_sign=args.corrupt_sign
     )
     all_pass = True
     lines = []
@@ -441,7 +427,7 @@ def cmd_check_takagi(sections, loc, config_sha, args) -> int:
             "omegas": list(omegas),
             "Omegas": list(Omegas),
             "n_lambda": n_lambda,
-            "corrupt_sign": corrupt,
+            "corrupt_sign": args.corrupt_sign,
         }
         report["identities"] = identities
         report["all_pass"] = all_pass

@@ -334,16 +334,14 @@ def transform_switching(m: ConformalTakagiMap, chi: SwitchingFunction) -> Switch
 class StaticTrajectory:
     """Detector at rest at fixed (comoving) spatial position.
 
-    frame is "minkowski" (proper time = coordinate time) or "frw" (proper time
-    = cosmological time T; the conformal-coordinate velocity is dt/dT = 1/a).
+    The frame is the scenario's (HarvestScenario.frame): proper time is
+    coordinate time on the flat side and cosmological time T on the dual
+    side, where the conformal-coordinate velocity is dt/dT = 1/a.
     """
 
     position: tuple[float, ...]
-    frame: str = "minkowski"
 
     def __post_init__(self):
-        if self.frame not in ("minkowski", "frw"):
-            raise ValueError(f"frame must be minkowski or frw, got {self.frame!r}")
         if len(self.position) == 0:
             raise ValueError("position must have at least one component")
         object.__setattr__(self, "position", tuple(float(p) for p in self.position))

@@ -69,7 +69,7 @@ from itertools import accumulate
 import numpy as np
 
 from .field import WIGHTMAN_PREF, wightman_flat_pv, wightman_flat_sep
-from .gaussian import BogoliubovPair, transported_leg, vacuum_bogoliubov
+from .gaussian import transported_leg
 from .geometry import (
     ConformalTakagiMap,
     StaticTrajectory,
@@ -77,13 +77,7 @@ from .geometry import (
     separation,
     transform_switching,
 )
-from .quadrature import (
-    IntegralResult,
-    QuadratureConfig,
-    adaptive_1d,
-    fourier_oracle_L,
-    integrate_square,
-)
+from .quadrature import IntegralResult, QuadratureConfig, adaptive_1d, integrate_square
 
 __all__ = [
     "DetectorSpec",
@@ -168,22 +162,27 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class HarvestScenario:
-    """Two detectors, a frame, and how the state and integrals are set up.
+    """Two detectors, the clock map of their background, their initial state
+    and the tolerances of the integrals.
 
-    frame "minkowski" carries no map; "frw" needs the ConformalTakagiMap whose
-    conformal factor defines the background.  initial_state "ground" is the
-    free ground state of each detector; "takagi_squeezed" is the image of the
-    flat ground state under the duality (dual side only) and is represented by
-    the transported mode function.  The field starts in the (conformal) vacuum,
-    so its one-point function vanishes.
+    map is None in flat spacetime; otherwise it is the ConformalTakagiMap
+    whose conformal factor defines the cosmological background, and frame
+    follows from it.  initial_state "ground" is the free ground state of
+    each detector; "takagi_squeezed" is the image of the flat ground state
+    under the duality (dual side only) and is represented by the transported
+    mode function.  The field starts in the (conformal) vacuum, so its
+    one-point function vanishes.
     """
 
     detectors: tuple[DetectorSpec, DetectorSpec]
-    frame: str = "minkowski"
     map: ConformalTakagiMap | None = None
     initial_state: str = "ground"
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-    bogoliubov: BogoliubovPair | None = None
+
+    @property
+    def frame(self) -> str:
+        """The background: "frw" where a map is set, else "minkowski"."""
+        return "frw" if self.map is not None else "minkowski"
 
     def __post_init__(self):
         if len(self.detectors) != 2:
@@ -194,25 +193,12 @@ class HarvestScenario:
             raise ValueError("detector labels must differ")
         if a.model != b.model:
             raise ValueError("mixed qubit/oscillator pairs are not supported")
-        if self.frame not in ("minkowski", "frw"):
-            raise ValueError(f"frame must be minkowski or frw, got {self.frame!r}")
-        if self.frame == "frw":
-            if self.map is None:
-                raise ValueError("frw scenario needs its ConformalTakagiMap")
-            if self.map.n_spatial != 3:
-                raise ValueError("harvesting kernels are implemented for n_spatial = 3")
-        elif self.map is not None:
-            raise ValueError("minkowski scenario takes no map")
-        for d in self.detectors:
-            if d.trajectory.frame != self.frame:
-                raise ValueError(
-                    f"detector {d.label} trajectory frame {d.trajectory.frame!r} "
-                    f"does not match scenario frame {self.frame!r}"
-                )
+        if self.map is not None and self.map.n_spatial != 3:
+            raise ValueError("harvesting kernels are implemented for n_spatial = 3")
         if self.initial_state not in ("ground", "takagi_squeezed"):
             raise ValueError(f"unknown initial_state {self.initial_state!r}")
         if self.initial_state == "takagi_squeezed":
-            if self.frame != "frw":
+            if self.map is None:
                 raise ValueError("takagi_squeezed initial state lives on the frw side")
             if a.model != "oscillator":
                 raise ValueError("takagi_squeezed initial state needs oscillator detectors")
@@ -283,7 +269,6 @@ class DualCheckReport:
     neg_frw: float
     residuals: dict
     resid_max: float
-    bogoliubov: BogoliubovPair | None
 
 
 def duality_backbone_residual(m: ConformalTakagiMap, chi: SwitchingFunction, lam) -> float:
@@ -425,7 +410,7 @@ def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
 
 def _on_u(scenario: HarvestScenario) -> bool:
     """True where the clock is the identity: the flat side and Omega == omega."""
-    return scenario.frame == "minkowski" or scenario.map.degenerate
+    return scenario.map is None or scenario.map.degenerate
 
 
 def _rect(sup_a, sup_b, ordered: bool):
@@ -819,20 +804,15 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec,
               scenario: HarvestScenario) -> IntegralResult:
     """Response element L_ab over the full (t, t') square.
 
-    Evaluated in rotated coordinates u = t - t', w = t + t', per the
-    configured method: "direct" quadrature (the eps -> 0 limit in closed
-    form or the regulated kernel, as epsilon_sequence asks; see _element), or the
-    "fourier" mode sum (static flat ground-state scenarios only).  When B
-    mirrors A (a is b included) L_ab is real, and the direct route
-    integrates twice the real part of the integrand over the u >= 0 half
-    only, with an imaginary part of exactly 0.
+    Evaluated by direct quadrature in rotated coordinates u = t - t',
+    w = t + t': the eps -> 0 limit in closed form or the regulated kernel,
+    as epsilon_sequence asks (see _element).  When B mirrors A (a is b
+    included) L_ab is real, and the integral takes twice the real part of
+    the integrand over the u >= 0 half only, with an imaginary part of
+    exactly 0.  The independent mode-sum route of a static flat pair is
+    quadrature.fourier_oracle_L.
     """
-    if scenario.quadrature.method != "fourier":
-        return _element(scenario, det_a, det_b, ordered=False, swapped=False, pref=1.0)
-    if scenario.frame != "minkowski" or scenario.initial_state != "ground":
-        raise ValueError("fourier route needs a static flat ground-state scenario")
-    sep = separation(det_a.trajectory, det_b.trajectory)
-    return fourier_oracle_L(det_a, det_b, sep, scenario.quadrature)
+    return _element(scenario, det_a, det_b, ordered=False, swapped=False, pref=1.0)
 
 
 def compute_M(scenario: HarvestScenario) -> IntegralResult:
@@ -1002,7 +982,7 @@ def dualize(scenario: HarvestScenario, Omega: float) -> HarvestScenario:
     the duality by a factor omega/Omega).  Omega = 0 additionally requires the
     switching supports to fit inside the principal window (-pi/2w, pi/2w).
     """
-    if scenario.frame != "minkowski":
+    if scenario.map is not None:
         raise ValueError("dualize starts from a flat scenario")
     if scenario.initial_state != "ground":
         raise ValueError("dualize starts from ground-state detectors")
@@ -1023,18 +1003,15 @@ def dualize(scenario: HarvestScenario, Omega: float) -> HarvestScenario:
             d,
             frequency=Omega,
             switching=transform_switching(m, d.switching),
-            trajectory=StaticTrajectory(d.trajectory.position, frame="frw"),
             interaction_scale=scale,
         )
         for d in scenario.detectors
     )
     return HarvestScenario(
         detectors=duals,
-        frame="frw",
         map=m,
         initial_state="takagi_squeezed",
         quadrature=scenario.quadrature,
-        bogoliubov=vacuum_bogoliubov(omega, Omega) if Omega > 0.0 else None,
     )
 
 
@@ -1089,5 +1066,4 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
         neg_frw=neg_frw,
         residuals=residuals,
         resid_max=max(residuals.values()),
-        bogoliubov=dual.bogoliubov,
     )

@@ -125,9 +125,9 @@ class QuadratureConfig:
     for that finite regulator, and None or more levels for the eps -> 0
     limit, which the elements take in closed form.  A sequence of more
     levels must halve at every step (eps0 / 2^k; see
-    validate_epsilon_sequence).  method picks the evaluation route for
-    response elements: "direct" double quadrature or the "fourier" mode-sum
-    oracle where available.
+    validate_epsilon_sequence).  Response elements are always evaluated
+    by direct double quadrature; the mode-sum oracle is fourier_oracle_L,
+    called on its own.
 
     max_subdivisions bounds the splits of each adaptive run (one
     integrate_square or adaptive_1d call): each piece of an element's u
@@ -139,15 +139,12 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     max_subdivisions: int = 40000
     epsilon_sequence: tuple | None = None
-    method: str = "direct"
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
             raise ValueError("need finite rel_tol > 0 and abs_tol >= 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.method not in ("direct", "fourier"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.epsilon_sequence is not None:
             object.__setattr__(self, "epsilon_sequence",
                                validate_epsilon_sequence(self.epsilon_sequence))
@@ -171,21 +168,20 @@ def validate_epsilon_sequence(sequence) -> tuple:
 class IntegralResult:
     """Value and accounting of one integral evaluation.
 
-    budget_exhausted is set when an adaptive quadrature stopped at
-    max_subdivisions with its error still above the tolerance; an
-    extrapolated result carries it when any of its regulator levels did.
-    cells counts the cells (rectangles, or segments on one axis) the
-    adaptive run evaluated, 1 + 2 * splits, and is 0 where none ran; an
-    extrapolated result carries the largest count of its levels.  pole is
-    the coefficient of 1/eps of an element that diverges as the regulator is
-    removed, whose value is then the finite part (note "finite-part"); it is
-    None for every other result.
+    note names the route that gave the value.  budget_exhausted is set when
+    an adaptive quadrature stopped at max_subdivisions with its error still
+    above the tolerance; an extrapolated result carries it when any of its
+    regulator levels did.  cells counts the cells (rectangles, or segments
+    on one axis) the adaptive run evaluated, 1 + 2 * splits, and is 0 where
+    none ran; an extrapolated result carries the largest count of its
+    levels.  pole is the coefficient of 1/eps of an element that diverges
+    as the regulator is removed, whose value is then the finite part (note
+    "finite-part"); it is None for every other result.
     """
 
     value: complex
     err_estimate: float
     epsilon_used: float | None = None
-    extrapolated: bool = False
     note: str = ""
     budget_exhausted: bool = False
     cells: int = 0
@@ -253,15 +249,18 @@ def _adapt(f, box, cfg: QuadratureConfig) -> IntegralResult:
     box is a nonempty (lo, hi) per axis, flattened; f is evaluated as in
     _eval_cell.  The cell with the largest error is bisected along the axis
     whose Gauss/Kronrod defect is larger, which keeps ridge refinement
-    one-dimensional; an axis narrower than 1e-13 of its range is not split,
-    and a cell with no axis left to split stays a leaf.  Refinement stops
+    one-dimensional; an axis narrower than 1e-13 of its range, or of the
+    magnitude of its ends where that is larger, is not split (a finer split
+    would round a node onto an end, the break a pole sits on), and a cell
+    with no axis left to split stays a leaf.  Refinement stops
     once the summed error meets max(abs_tol, rel_tol * |value|), or after
     max_subdivisions splits.  err_estimate is the summed cell defect; where
     the tolerance could not be met it stays above tolerance rather than
     being silently clipped, and budget_exhausted is set.
     """
     d = len(box) // 2
-    min_w = [1e-13 * (box[2 * j + 1] - box[2 * j]) for j in range(d)]
+    min_w = [1e-13 * max(box[2 * j + 1] - box[2 * j], abs(box[2 * j]), abs(box[2 * j + 1]))
+             for j in range(d)]
 
     cells = _Cells(d)
     heap = [(-cells.put(0, box, *_eval_cell(f, box)), 0)]
@@ -361,7 +360,7 @@ def extrapolate_epsilon(results) -> IntegralResult:
     finest = vals[-1]
     if all(m == 0.0 for m in mags):
         return IntegralResult(
-            finest, quad_err, eps[-1], True, note="converged-flat", budget_exhausted=exhausted,
+            finest, quad_err, eps[-1], note="converged-flat", budget_exhausted=exhausted,
             cells=cells,
         )
     floor = 4.0 * quad_err  # differences at the quadrature-noise level are uninformative
@@ -373,7 +372,6 @@ def extrapolate_epsilon(results) -> IntegralResult:
                 finest,
                 math.fsum(mags) + quad_err,
                 eps[-1],
-                True,
                 note="fallback-nonmonotone",
                 budget_exhausted=exhausted,
                 cells=cells,
@@ -384,7 +382,6 @@ def extrapolate_epsilon(results) -> IntegralResult:
                 finest,
                 mags[-1] + quad_err,
                 eps[-1],
-                True,
                 note="fallback-ratio",
                 budget_exhausted=exhausted,
                 cells=cells,
@@ -403,7 +400,7 @@ def extrapolate_epsilon(results) -> IntegralResult:
         table = [None] * m + new
     value = table[-1]
     err = last_change + _RICHARDSON_NOISE_AMP * quad_err
-    return IntegralResult(value, err, eps[-1], True, note="richardson", budget_exhausted=exhausted,
+    return IntegralResult(value, err, eps[-1], note="richardson", budget_exhausted=exhausted,
                           cells=cells)
 
 

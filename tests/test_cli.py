@@ -65,17 +65,27 @@ def _write(tmp_path, text, name="run.ini"):
 
 
 def test_unknown_key_reports_line(tmp_path, capsys):
-    bad = GAUSS_REF.replace("frame = minkowski", "frame = minkowski\nwarp = 9")
-    rc = main(["harvest", "--config", _write(tmp_path, bad)])
-    err = capsys.readouterr().err
-    assert rc == EXIT_CONFIG
-    assert "warp" in err and "line 3" in err
+    # a typo, and the keys that had one legal value or duplicated a flag
+    for command, key, line, text in [
+        ("harvest", "warp", 3, GAUSS_REF.replace("frame = minkowski", "frame = minkowski\nwarp = 9")),
+        ("harvest", "n_spatial", 5, GAUSS_REF.replace(
+            "frame = minkowski", "frame = frw\nomega = 1\nOmega = 2\nn_spatial = 3")),
+        ("harvest", "method", 25, GAUSS_REF + "\n[quadrature]\nmethod = fourier\n"),
+        ("check-takagi", "corrupt_sign", 2, "[check]\ncorrupt_sign = true\n"),
+    ]:
+        rc = main([command, "--config", _write(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG, key
+        assert f"key {key!r} (line {line})" in err and "unknown key" in err, err
 
 
 def test_unknown_section_rejected(tmp_path, capsys):
-    rc = main(["harvest", "--config", _write(tmp_path, GAUSS_REF + "\n[extras]\nx = 1\n")])
-    assert rc == EXIT_CONFIG
-    assert "extras" in capsys.readouterr().err
+    for section, line, extra in [("extras", 24, "x = 1"), ("field", 24, "initial_state = ground")]:
+        text = GAUSS_REF + f"\n[{section}]\n{extra}\n"
+        rc = main(["harvest", "--config", _write(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG, section
+        assert f"[{section}] (line {line})" in err and "section not used" in err, err
 
 
 def test_harvest_requires_config(capsys):
@@ -163,6 +173,25 @@ def test_harvest_single_json_frozen(tmp_path):
     assert rep["negativity"] >= 0.0
     assert rep["negativity_pt_exact"] >= 0.0
     assert len(rep["config_sha256"]) == 64
+
+
+def test_no_node_rounds_onto_a_light_cone_break(tmp_path):
+    # L = 0.999 leaves a piece [0.999, 1] of the u range 1e-3 wide; a split
+    # floor of 1e-13 of that width is below ulp(0.999), so refinement at
+    # abs_tol = 0 rounded a node onto the pole at u = L (exit 3)
+    pair = GAUSS_REF.replace("position = 5,", "position = 0.999,").replace(
+        "kind = gaussian\nsigma = 1.0", "kind = cos_squared\nt0 = -0.5\nt1 = 0.5")
+    runs = {}
+    for name, quad in (("pole", "abs_tol = 0\nmax_subdivisions = 100"), ("ref", "abs_tol = 1e-12")):
+        out = tmp_path / f"{name}.json"
+        text = pair + f"\n[quadrature]\nrel_tol = 1e-11\n{quad}\n"
+        assert main(["harvest", "--config", _write(tmp_path, text, f"{name}.ini"),
+                     "--out", str(out)]) == EXIT_OK, name
+        runs[name] = json.loads(out.read_text())["elements"]
+    for name, got in runs["pole"].items():
+        ref = runs["ref"][name]
+        gap = abs(complex(got["re"], got["im"]) - complex(ref["re"], ref["im"]))
+        assert gap <= got["err"] + ref["err"], (name, got, ref)
 
 
 def test_harvest_N_records_carry_the_finite_part_and_the_pole(tmp_path):

@@ -31,7 +31,6 @@ from takagi_harvest import (
     negativity_leading,
     negativity_pt_exact,
     run_dual_check,
-    vacuum_bogoliubov,
 )
 from takagi_harvest import harvesting, quadrature
 from takagi_harvest.field import wightman_flat_sep, wightman_frw_sep
@@ -105,9 +104,9 @@ def test_L_direct_matches_fourier_oracle():
     assert abs(direct.value - oracle) / oracle <= 1e-6
 
 
-def test_L_method_fourier_delegates():
-    sc = _scenario(quad=QuadratureConfig(method="fourier"))
-    res = compute_L(sc.detectors[0], sc.detectors[1], sc)
+def test_fourier_oracle_L_frozen_value():
+    da, db = _scenario().detectors
+    res = fourier_oracle_L(da, db, separation(da.trajectory, db.trajectory), QuadratureConfig())
     assert res.note == "fourier-oracle"
     assert res.value == pytest.approx(2.0579692753949913e-07, rel=1e-9)
 
@@ -396,11 +395,14 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         HarvestScenario(detectors=(da, replace(db, model="qubit")))  # mixed pair
     with pytest.raises(ValueError):
-        HarvestScenario(detectors=(da, db), frame="frw")  # needs a map
-    with pytest.raises(ValueError):
-        HarvestScenario(detectors=(da, db), map=ConformalTakagiMap(1.0, 2.0))
-    with pytest.raises(ValueError):
         HarvestScenario(detectors=(da, db), initial_state="takagi_squeezed")
+    with pytest.raises(ValueError, match="n_spatial = 3"):
+        HarvestScenario(detectors=(da, db), map=ConformalTakagiMap(1.0, 2.0, n_spatial=2))
+    # the frame follows the map and is not set on its own
+    assert HarvestScenario(detectors=(da, db)).frame == "minkowski"
+    assert HarvestScenario(detectors=(da, db), map=ConformalTakagiMap(1.0, 2.0)).frame == "frw"
+    with pytest.raises(TypeError):
+        HarvestScenario(detectors=(da, db), frame="frw")
 
 
 # --- duality --------------------------------------------------------------------
@@ -432,7 +434,6 @@ def test_dualize_power_law_support_check():
         dualize(_scenario(), 0.0)
     narrow = _scenario(chi=cos_squared_switching(-0.5, 0.5))
     dual = dualize(narrow, 0.0)
-    assert dual.bogoliubov is None
     assert dual.map.Omega == 0.0
 
 
@@ -441,11 +442,9 @@ def test_dualize_scenario_shape():
     assert dual.frame == "frw"
     assert dual.initial_state == "takagi_squeezed"
     assert dual.map.omega == 1.0 and dual.map.Omega == 2.0
-    assert dual.bogoliubov == vacuum_bogoliubov(1.0, 2.0)
     for d in dual.detectors:
         assert d.frequency == 2.0
         assert d.interaction_scale == math.sqrt(2.0)
-        assert d.trajectory.frame == "frw"
 
 
 def test_dual_check_degenerate_collapses():
@@ -457,7 +456,6 @@ def test_dual_check_nontrivial_pair():
     rep = run_dual_check(_scenario(quad=QuadratureConfig(epsilon_sequence=(0.01, 0.005))), 2.0)
     assert rep.resid_max <= 1e-3
     assert set(rep.residuals) == {"L_AA", "L_BB", "abs_M", "negativity"}
-    assert rep.bogoliubov == vacuum_bogoliubov(1.0, 2.0)
 
 
 # --- regulator sequence ---------------------------------------------------------
@@ -757,10 +755,9 @@ def _leg_pairs(side):
         sc = dualize(flat, 2.0)
     else:
         m = ConformalTakagiMap(1.0, 2.0)
-        da, db = (replace(d, frequency=2.0, switching=transform_switching(m, GAUSS),
-                          trajectory=StaticTrajectory(d.trajectory.position, frame="frw"))
+        da, db = (replace(d, frequency=2.0, switching=transform_switching(m, GAUSS))
                   for d in (da, db))
-        sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
+        sc = HarvestScenario(detectors=(da, db), map=m)
     da, db = sc.detectors
     # a dual ground state also takes a window of its own (not transported)
     wide = gaussian_switching(1.25)
@@ -1070,10 +1067,10 @@ def test_frw_ground_state_L_AB_straightened_matches_the_plain_mesh(monkeypatch):
     m = ConformalTakagiMap(1.0, 0.5)
     chi = gaussian_switching(0.5)
     da, db = (
-        DetectorSpec(label, "qubit", 1.0, 0.01, StaticTrajectory((x, 0.0, 0.0), frame="frw"), chi)
+        DetectorSpec(label, "qubit", 1.0, 0.01, StaticTrajectory((x, 0.0, 0.0)), chi)
         for label, x in (("A", 0.0), ("B", 1.0))
     )
-    sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
+    sc = HarvestScenario(detectors=(da, db), map=m)
     # the finite-eps route of the folded L_AB (B mirrors A)
     _assert_straightened_matches_the_plain_mesh(
         monkeypatch, sc, da, db, False, False, True, EPS6[:3], 1000)
@@ -1367,11 +1364,7 @@ def test_no_pipeline_call_integrates_more_than_one_regulator_level(monkeypatch):
     for quad in (QuadratureConfig(), QuadratureConfig(epsilon_sequence=(0.01, 0.005))):
         for name, (da, db) in pairs.items():
             flat = HarvestScenario(detectors=(da, db), quadrature=quad)
-            frw = HarvestScenario(
-                detectors=tuple(replace(d, trajectory=StaticTrajectory(d.trajectory.position,
-                                                                       frame="frw"))
-                                for d in (da, db)),
-                frame="frw", map=m, quadrature=quad)
+            frw = HarvestScenario(detectors=(da, db), map=m, quadrature=quad)
             for rep in (harvest(flat), harvest(frw)):
                 assert rep.elements.M.note in ("closed-form", "finite-part"), name
                 assert rep.elements.L_AB.note == "closed-form", name
@@ -1436,10 +1429,10 @@ def test_frw_ground_state_limit_agrees_with_the_regulated_sweep(chi):
     # delta' term turns with the phase rate Omega C per unit conformal time
     m = ConformalTakagiMap(1.0, 0.5)
     da, db = (
-        DetectorSpec(label, "oscillator", 1.3, 0.01, StaticTrajectory((x, 0.0, 0.0), frame="frw"), chi)
+        DetectorSpec(label, "oscillator", 1.3, 0.01, StaticTrajectory((x, 0.0, 0.0)), chi)
         for label, x in (("A", 0.0), ("B", 1.0))
     )
-    sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
+    sc = HarvestScenario(detectors=(da, db), map=m)
     cases = [
         (compute_L(da, da, sc), _swept(sc, da, da, False, False, 1.0)),
         (compute_M(sc), _swept(sc, da, db, True, True, -1.0)),
@@ -1462,12 +1455,12 @@ def test_frw_ground_state_co_located_pair_agrees_with_the_regulated_sweep():
 
     def det(label, freq, window):
         return DetectorSpec(label, "oscillator", freq, 0.01,
-                            StaticTrajectory((0.0, 0.0, 0.0), frame="frw"), window)
+                            StaticTrajectory((0.0, 0.0, 0.0)), window)
 
     da = det("A", 1.3, chi)
     for db in (det("B", 1.6, chi), det("B", 1.3, gaussian_switching(0.6)),
                det("B", 1.3, transform_switching(m, gaussian_switching(0.5)))):
-        sc = HarvestScenario(detectors=(da, db), frame="frw", map=m)
+        sc = HarvestScenario(detectors=(da, db), map=m)
         got, want = compute_L(da, db, sc), _swept(sc, da, db, False, False, 1.0)
         assert got.note == "closed-form"
         assert abs(got.value - want) <= 1e-6 * abs(want), (db.switching, got.value, want)

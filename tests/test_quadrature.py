@@ -282,8 +282,8 @@ def test_config_validation():
         QuadratureConfig(epsilon_sequence=(1e-3, 1e-2))
     with pytest.raises(TypeError):  # a one-level sequence asks for a finite eps
         QuadratureConfig(extrapolation="none")
-    with pytest.raises(ValueError):
-        QuadratureConfig(method="montecarlo")
+    with pytest.raises(TypeError):  # no route switch: elements take direct quadrature
+        QuadratureConfig(method="fourier")
 
 
 def test_richardson_config_needs_halving_sequence():
@@ -317,7 +317,6 @@ def test_extrapolate_richardson_removes_linear_term():
     eps = [1e-2 / 2**k for k in range(4)]
     out = extrapolate_epsilon([_res(v0 + a * e + b * e * e, e) for e in eps])
     assert out.note == "richardson"
-    assert out.extrapolated
     assert out.value == pytest.approx(v0, abs=1e-10)
     assert abs(out.value - v0) <= out.err_estimate + 1e-12
 
