@@ -60,6 +60,13 @@ def _real(raw):
     return value
 
 
+def _positive(raw):
+    value = _real(raw)
+    if value <= 0.0:
+        raise ValueError(f"expected a number > 0, got {raw!r}")
+    return value
+
+
 def _count(raw):
     try:
         value = int(raw)
@@ -123,10 +130,9 @@ _SCHEMA = {
     }),
     "detectors.<label>": (_SCENARIO, {
         "model": _Key(_choice("oscillator", "qubit"), required=True),
-        "frequency": _Key(_real, required=True),
+        "frequency": _Key(_positive, required=True),
         "coupling": _Key(_real, required=True),
         "position": _Key(_reals(size=3), required=True),
-        "interaction_scale": _Key(_real),
     }),
     "detectors.<label>.switching": (_SCENARIO, {
         "kind": _Key(_choice("gaussian", "cos_squared"), required=True),
@@ -135,7 +141,7 @@ _SCHEMA = {
         "t0": _Key(_real, required=True, when=("kind", "cos_squared")),
         "t1": _Key(_real, required=True, when=("kind", "cos_squared")),
     }),
-    "scan": (("harvest",), {"omega": _Key(_reals(), required=True)}),
+    "scan": (("harvest",), {"omega": _Key(_reals(positive=True), required=True)}),
     "dualize": (("dualize",), {"Omega_list": _Key(_reals(nonnegative=True), required=True)}),
     "check": (("check-takagi",), {
         "omegas": _Key(_reals(positive=True), default=(0.5, 1.0, 2.0)),
@@ -149,7 +155,6 @@ _SCHEMA = {
         "t_max": _Key(_real, default=5.0),
         "points": _Key(_count, default=501),
     }),
-    "output": (("check-takagi", "harvest", "dualize", "geometry-tables"), {"path": _Key(str)}),
 }
 
 
@@ -361,12 +366,6 @@ def _report_header(command: str, config_sha: str) -> dict:
     }
 
 
-def _out_path(args, sections, loc):
-    if args.out is not None:
-        return args.out
-    return _section(sections, "output", loc)["path"]
-
-
 def _sweep(row, scenario, points, columns, report, out) -> int:
     """row(scenario, p) for each point p, in input order, emitted as CSV, or
     as the rows of report if out ends in .json."""
@@ -420,8 +419,7 @@ def cmd_check_takagi(sections, loc, config_sha, args) -> int:
         lines.append(f"{name:16s} {resid:.3e}  (threshold {thr:.1e})  {'PASS' if ok else 'FAIL'}")
         identities[name] = {"residual": float(resid), "threshold": float(thr), "pass": ok}
     print("\n".join(lines))
-    out = _out_path(args, sections, loc)
-    if out is not None:
+    if args.out is not None:
         report = _report_header("check-takagi", config_sha)
         report["grid"] = {
             "omegas": list(omegas),
@@ -431,7 +429,7 @@ def cmd_check_takagi(sections, loc, config_sha, args) -> int:
         }
         report["identities"] = identities
         report["all_pass"] = all_pass
-        _emit(_json_dump(report) + "\n", out)
+        _emit(_json_dump(report) + "\n", args.out)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -461,10 +459,9 @@ def _scan_row(scenario, omega):
 def cmd_harvest(sections, loc, config_sha, args) -> int:
     """evaluate one harvesting scenario or a frequency scan"""
     scenario = _build_scenario(sections, loc)
-    out = _out_path(args, sections, loc)
     if "scan" in sections:
         report = {**_report_header("harvest", config_sha), "scan_parameter": "frequency"}
-        return _sweep(_scan_row, scenario, sections["scan"]["omega"], _SCAN_COLUMNS, report, out)
+        return _sweep(_scan_row, scenario, sections["scan"]["omega"], _SCAN_COLUMNS, report, args.out)
     rep = harvest(scenario)
     el = rep.elements
     report = _report_header("harvest", config_sha)
@@ -485,7 +482,7 @@ def cmd_harvest(sections, loc, config_sha, args) -> int:
     report["E1"] = float(rep.E1)
     report["negativity"] = float(rep.negativity)
     report["negativity_pt_exact"] = float(rep.negativity_pt)
-    _emit(_json_dump(report) + "\n", out)
+    _emit(_json_dump(report) + "\n", args.out)
     return EXIT_OK
 
 
@@ -545,7 +542,7 @@ def cmd_dualize(sections, loc, config_sha, args) -> int:
         except ValueError as exc:
             raise loc.error("dualize", "Omega_list", f"Omega = {Omega}: {exc}") from None
     return _sweep(_dualize_row, scenario, Omegas, _DUALIZE_COLUMNS,
-                  _report_header("dualize", config_sha), _out_path(args, sections, loc))
+                  _report_header("dualize", config_sha), args.out)
 
 
 def cmd_geometry_tables(sections, loc, config_sha, args) -> int:
@@ -563,7 +560,7 @@ def cmd_geometry_tables(sections, loc, config_sha, args) -> int:
             tau = m.tau_of_lambda(grid)
             for x, v in zip(grid, tau):
                 rows.append(("tau_of_lambda", omega, Om, float(x), float(v)))
-    _emit(_csv(("quantity", "omega", "Omega", "x", "value"), rows), _out_path(args, sections, loc))
+    _emit(_csv(("quantity", "omega", "Omega", "x", "value"), rows), args.out)
     return EXIT_OK
 
 

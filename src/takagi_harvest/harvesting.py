@@ -12,16 +12,18 @@ element is one second-order integrand, two detector legs (window times mode)
 joined by the Wightman function; the three differ only in which legs they
 join, whether the domain is time-ordered, and their prefactor:
 
-    L_ab = c_a c_b s_a s_b * I[ chi_a(l) m_a(l) chi_b(l') conj(m_b(l'))
-                                 W((l', x_b), (l, x_a)) ]  (full square, folded)
-    M    = -c_A c_B s_A s_B * I_ordered[ W((l,x_A),(l',x_B)) chi_A(l) m_A(l)
-                                 chi_B(l') m_B(l') + (A <-> B) ]    (l' < l)
-    N_d  = -sqrt(2) (c_d s_d)^2 * I_ordered[ chi_d(l) m_d(l) chi_d(l') m_d(l')
-                                 W((l,x_d),(l',x_d)) ]              (l' < l)
+    L_ab = g_a g_b * I[ chi_a(l) m_a(l) chi_b(l') conj(m_b(l'))
+                        W((l', x_b), (l, x_a)) ]      (full square, folded)
+    M    = -g_A g_B * I_ordered[ W((l,x_A),(l',x_B)) chi_A(l) m_A(l)
+                        chi_B(l') m_B(l') + (A <-> B) ]            (l' < l)
+    N_d  = -sqrt(2) g_d^2 * I_ordered[ chi_d(l) m_d(l) chi_d(l') m_d(l')
+                        W((l,x_d),(l',x_d)) ]                      (l' < l)
 
 with m the detector mode function (e^{i omega l} for ground states, the
-transported mode for the squeezed dual state) and s the interaction-scale
-normalization that makes oscillator elements coincide with qubit ones.
+transported mode for the squeezed dual state) and g each detector's
+coupling: its leg prefactor c_d s_d, the action coupling times the ladder
+normalization of the detector's monopole (see DetectorSpec), the same
+number on both sides.
 All integrals run over proper time of each detector.
 
 Quadrature coordinates.  Every element is integrated in the rotated
@@ -106,12 +108,17 @@ PERTURBATIVE_WARN_THRESHOLD = 0.1
 class DetectorSpec:
     """One detector: internal model, gap, coupling, worldline and window.
 
-    interaction_scale multiplies the coupling; None resolves to the model
-    default (1 for qubits, sqrt(2 * frequency) for oscillators, which cancels
-    the 1/sqrt(2 * frequency) of the position quadrature so that oscillator
-    and qubit elements coincide at leading order).  frequency = 0 is allowed
-    only for oscillators with an explicit interaction_scale (the free-particle
-    endpoint of the dual family).
+    coupling is the leg prefactor g_d = c_d s_d that multiplies each of the
+    detector's legs in an element (see the module docstring): the action
+    coupling c_d times the ladder normalization s_d of the monopole, 1 for a
+    qubit and 1/sqrt(2 omega) for an oscillator coupled through
+    q = (a + a^dagger)/sqrt(2 omega) (Brown, Martin-Martinez, Menicucci and
+    Mann, PRD 87, 084062, 2013).  So an oscillator with action coupling
+    lambda has coupling = lambda/sqrt(2 frequency), and its elements then
+    coincide with a qubit's at leading order.  The duality keeps the
+    action, so dualize keeps the coupling.  frequency = 0 is allowed only for oscillators: the
+    Omega = 0 dual (the free-particle endpoint of the dual family), which
+    has no ground state of its own.
     """
 
     label: str
@@ -120,7 +127,6 @@ class DetectorSpec:
     coupling: float
     trajectory: StaticTrajectory
     switching: SwitchingFunction
-    interaction_scale: float | None = None
 
     def __post_init__(self):
         if not self.label:
@@ -129,35 +135,14 @@ class DetectorSpec:
             raise ValueError(f"model must be qubit or oscillator, got {self.model!r}")
         if not (math.isfinite(self.frequency) and self.frequency >= 0.0):
             raise ValueError(f"frequency must be finite and >= 0, got {self.frequency}")
-        if self.frequency == 0.0 and (self.model == "qubit" or self.interaction_scale is None):
-            raise ValueError("frequency 0 needs an oscillator with explicit interaction_scale")
+        if self.frequency == 0.0 and self.model == "qubit":
+            raise ValueError("frequency 0 needs an oscillator")
         if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
             raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
-        if self.interaction_scale is not None:
-            if not (math.isfinite(self.interaction_scale) and self.interaction_scale > 0.0):
-                raise ValueError("interaction_scale must be positive")
-            if self.model == "qubit" and self.interaction_scale != 1.0:
-                raise ValueError("qubit interaction_scale is fixed to 1")
         if not isinstance(self.trajectory, StaticTrajectory):
             raise TypeError("trajectory must be a StaticTrajectory")
         if not isinstance(self.switching, SwitchingFunction):
             raise TypeError("switching must be a SwitchingFunction")
-
-    @property
-    def scale(self) -> float:
-        """Resolved interaction scale."""
-        if self.interaction_scale is not None:
-            return self.interaction_scale
-        return 1.0 if self.model == "qubit" else math.sqrt(2.0 * self.frequency)
-
-    @property
-    def coupling_effective(self) -> float:
-        """Coupling times the ground-state mode normalization, c_d * s_d."""
-        if self.model == "qubit":
-            return self.coupling * self.scale
-        if self.frequency == 0.0:
-            raise ValueError("ground-state normalization needs frequency > 0")
-        return self.coupling * (self.scale / math.sqrt(2.0 * self.frequency))
 
 
 @dataclass(frozen=True)
@@ -213,17 +198,16 @@ def _mirrors(det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
 
     Then the legs of an element that joins A and B are one detector's: one
     window serves both, an unordered L is Hermitian (it folds), and both
-    time orderings of the M integrand are one product.  Couplings and
-    interaction scales enter only the prefactor, so they do not count here.
+    time orderings of the M integrand are one product.  Couplings enter
+    only the prefactor, so they do not count here.
     """
     return det_a.frequency == det_b.frequency and det_a.switching == det_b.switching
 
 
-def _twins(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
-    """True when B mirrors A with the same prefactor, so that L_BB and N_B
+def _twins(det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
+    """True when B mirrors A with the same coupling, so that L_BB and N_B
     are A's elements bit for bit."""
-    same_prefactor = _coupling_eff(scenario, det_a) == _coupling_eff(scenario, det_b)
-    return _mirrors(det_a, det_b) and same_prefactor
+    return _mirrors(det_a, det_b) and det_a.coupling == det_b.coupling
 
 
 @dataclass(frozen=True)
@@ -394,18 +378,6 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
         return amp * np.exp(1j * phase) + P[2] * Q[0] * np.exp(1j * other), 0.0
 
     return evaluate, join
-
-
-def _coupling_eff(scenario: HarvestScenario, det: DetectorSpec) -> float:
-    """c_d s_d with the normalization matching the scenario's initial state.
-
-    The squeezed dual state is carried by the transported mode, whose ladder
-    normalization is 1/sqrt(2 omega_flat) with omega_flat = map.omega; the
-    ground state of an omega_d oscillator uses 1/sqrt(2 omega_d).
-    """
-    if scenario.initial_state == "ground" or det.model == "qubit":
-        return det.coupling_effective
-    return det.coupling * (det.scale / math.sqrt(2.0 * scenario.map.omega))
 
 
 def _on_u(scenario: HarvestScenario) -> bool:
@@ -779,7 +751,7 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
 
 
 def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float) -> IntegralResult:
-    """pref * c_a s_a * c_b s_b times one element's integral.
+    """pref * g_a * g_b, the two detectors' couplings, times one element's integral.
 
     The quadrature config's epsilon_sequence sets eps, and nothing else
     does: None or more than one level asks for the eps -> 0 limit in closed
@@ -787,8 +759,7 @@ def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float) 
     and chart.  An unordered element of two mirrored detectors is folded:
     2 Re of its u >= 0 half.
     """
-    ca = _coupling_eff(scenario, det_a)
-    cb = _coupling_eff(scenario, det_b)
+    ca, cb = det_a.coupling, det_b.coupling
     if ca == 0.0 or cb == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
     eps_seq = scenario.quadrature.epsilon_sequence
@@ -851,11 +822,11 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario) -> IntegralResult:
 def compute_elements(scenario: HarvestScenario) -> MatrixElements:
     """All elements needed for the scenario's density matrix.
 
-    When B mirrors A with the same prefactor (see _twins), L_BB and N_B are
+    When B mirrors A with the same coupling (see _twins), L_BB and N_B are
     A's results, which is bitwise what computing them again would give.
     """
     det_a, det_b = scenario.detectors
-    twins = _twins(scenario, det_a, det_b)
+    twins = _twins(det_a, det_b)
     L_AA = compute_L(det_a, det_a, scenario)
     L_BB = L_AA if twins else compute_L(det_b, det_b, scenario)
     M = compute_M(scenario)
@@ -976,11 +947,14 @@ def dualize(scenario: HarvestScenario, Omega: float) -> HarvestScenario:
     """Map a static flat oscillator scenario to its cosmological dual.
 
     The dual detectors sit at the same comoving positions with frequency
-    Omega, transported switchings, and the squeezed initial state; the
-    interaction scale is pinned to sqrt(2 omega_flat) because the dual action
-    keeps the flat-side normalization (using sqrt(2 Omega) instead would break
-    the duality by a factor omega/Omega).  Omega = 0 additionally requires the
-    switching supports to fit inside the principal window (-pi/2w, pi/2w).
+    Omega, transported switchings, and the squeezed initial state; only
+    frequency and switching change.  Each keeps its flat coupling: the dual
+    action is the flat one, and the transported mode carries the flat
+    ladder normalization 1/sqrt(2 omega), so the leg prefactor is the same
+    number on both sides (renormalizing by sqrt(2 Omega) instead would break
+    the duality by a factor omega/Omega).  Omega = 0 gives frequency-0
+    oscillators and additionally requires the switching supports to fit
+    inside the principal window (-pi/2w, pi/2w).
     """
     if scenario.map is not None:
         raise ValueError("dualize starts from a flat scenario")
@@ -994,19 +968,10 @@ def dualize(scenario: HarvestScenario, Omega: float) -> HarvestScenario:
             "dualize needs equal detector frequencies; a single conformal factor "
             "cannot serve two static detectors with different gaps"
         )
-    omega = det_a.frequency
     Omega = float(Omega)
-    m = ConformalTakagiMap(omega=omega, Omega=Omega)
-    scale = math.sqrt(2.0 * omega)
-    duals = tuple(
-        replace(
-            d,
-            frequency=Omega,
-            switching=transform_switching(m, d.switching),
-            interaction_scale=scale,
-        )
-        for d in scenario.detectors
-    )
+    m = ConformalTakagiMap(omega=det_a.frequency, Omega=Omega)
+    duals = tuple(replace(d, frequency=Omega, switching=transform_switching(m, d.switching))
+                  for d in scenario.detectors)
     return HarvestScenario(
         detectors=duals,
         map=m,
@@ -1030,9 +995,9 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
     epsilon by epsilon).  Each side evaluates its elements with the one
     routine _integral, its own quadrature on its own mesh, at its own
     times, each piece of a u range with its own budget.  Residuals are
-    relative, on L_AA, L_BB, |M| and the negativity.  A pair whose B
-    mirrors A with the same prefactor (see _twins) reuses L_AA as L_BB on
-    each side.
+    relative, on L_AA, L_BB, |M| and the negativity.  Both sides take
+    the same couplings, which dualize keeps.  A pair whose B mirrors A with
+    the same coupling (see _twins) reuses L_AA as L_BB on each side.
     """
     dual = dualize(scenario, Omega)
 
@@ -1041,7 +1006,7 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
         L_AA = compute_L(a, a, sc)
         return MatrixElements(
             L_AA=L_AA,
-            L_BB=L_AA if _twins(sc, a, b) else compute_L(b, b, sc),
+            L_BB=L_AA if _twins(a, b) else compute_L(b, b, sc),
             M=compute_M(sc),
         )
 

@@ -427,11 +427,13 @@ def fourier_oracle_L(det_a, det_b, L: float, cfg: QuadratureConfig) -> IntegralR
     mode_integrand_static, plus a rigorous bound on the truncated tail added
     to err_estimate (slowly decaying transforms, e.g. cos_squared, make the
     tail algebraic rather than negligible).  det_a / det_b need switching,
-    frequency and coupling_effective attributes; switchings must have
-    closed-form transforms.
+    frequency and coupling attributes, coupling being the leg prefactor
+    (harvesting.DetectorSpec); switchings must have closed-form transforms.
+    The detectors start in their ground states, so frequency 0 is refused.
     """
-    ca = det_a.coupling_effective
-    cb = det_b.coupling_effective
+    if min(det_a.frequency, det_b.frequency) <= 0.0:
+        raise ValueError("the mode-sum oracle needs ground-state detectors, frequency > 0")
+    ca, cb = det_a.coupling, det_b.coupling
     if ca == 0.0 or cb == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
     chi_a, chi_b = det_a.switching, det_b.switching

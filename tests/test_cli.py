@@ -72,6 +72,10 @@ def test_unknown_key_reports_line(tmp_path, capsys):
             "frame = minkowski", "frame = frw\nomega = 1\nOmega = 2\nn_spatial = 3")),
         ("harvest", "method", 25, GAUSS_REF + "\n[quadrature]\nmethod = fourier\n"),
         ("check-takagi", "corrupt_sign", 2, "[check]\ncorrupt_sign = true\n"),
+        # the coupling is the whole leg prefactor: no scale that dualize could overwrite
+        ("dualize", "interaction_scale", 9,
+         GAUSS_REF.replace("0, 0\n", "0, 0\ninteraction_scale = 2.8284271247461903\n")
+         + "\n[dualize]\nOmega_list = 1.3\n"),
     ]:
         rc = main([command, "--config", _write(tmp_path, text)])
         err = capsys.readouterr().err
@@ -80,7 +84,8 @@ def test_unknown_key_reports_line(tmp_path, capsys):
 
 
 def test_unknown_section_rejected(tmp_path, capsys):
-    for section, line, extra in [("extras", 24, "x = 1"), ("field", 24, "initial_state = ground")]:
+    for section, line, extra in [("extras", 24, "x = 1"), ("field", 24, "initial_state = ground"),
+                                 ("output", 24, "path = x")]:
         text = GAUSS_REF + f"\n[{section}]\n{extra}\n"
         rc = main(["harvest", "--config", _write(tmp_path, text)])
         err = capsys.readouterr().err
@@ -117,6 +122,28 @@ def test_non_halving_epsilon_sequence_rejected_at_config_time(tmp_path, capsys, 
     # the patched name is the one the pipeline calls: a valid config reaches it
     with pytest.raises(AssertionError, match="quadrature ran"):
         main(["harvest", "--config", _write(tmp_path, GAUSS_REF, "good.ini")])
+
+
+@pytest.mark.parametrize("text,where", [
+    (QUBIT_COS2 + "\n[scan]\nomega = 0.5, -1\n", "[scan] key 'omega' (line 27)"),
+    (QUBIT_COS2 + "\n[scan]\nomega = 0.5, 0\n", "[scan] key 'omega' (line 27)"),
+    (QUBIT_COS2 + "\n[scan]\nomega =\n", "[scan] key 'omega' (line 27)"),
+    (GAUSS_REF.replace("frequency = 1.0", "frequency = 0", 1), "[detectors.A] key 'frequency' (line 6)"),
+    (QUBIT_COS2.replace("frequency = 1.0", "frequency = -1", 1), "[detectors.A] key 'frequency' (line 6)"),
+], ids=["scan-negative", "scan-zero", "scan-empty", "oscillator-zero", "qubit-negative"])
+def test_every_frequency_checked_at_config_time(tmp_path, capsys, monkeypatch, text, where):
+    # a frequency <= 0 is refused at its line before any row runs
+    def no_row(*args):
+        raise AssertionError("a row ran on a rejected config")
+
+    monkeypatch.setattr(cli, "_scan_row", no_row)
+    rc = main(["harvest", "--config", _write(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert where in err and "> 0" in err, err
+    # the patched name is the one a scan calls: a valid scan reaches it
+    with pytest.raises(AssertionError, match="a row ran"):
+        main(["harvest", "--config", _write(tmp_path, QUBIT_COS2 + "\n[scan]\nomega = 0.5\n", "good.ini")])
 
 
 def test_threads_must_be_positive(capsys):

@@ -8,7 +8,7 @@ power-of-two couplings so exactness claims really are exact.
 
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -373,16 +373,22 @@ def test_detector_spec_validation():
     with pytest.raises(ValueError):
         DetectorSpec("A", "qubit", 1.0, -0.01, traj, GAUSS)
     with pytest.raises(ValueError):
-        DetectorSpec("A", "qubit", 1.0, 0.01, traj, GAUSS, interaction_scale=2.0)
-    with pytest.raises(ValueError):
-        DetectorSpec("A", "oscillator", 0.0, 0.01, traj, GAUSS)  # needs explicit scale
+        DetectorSpec("A", "qubit", 0.0, 0.01, traj, GAUSS)
+    # the coupling is the leg prefactor, and nothing else scales it
+    with pytest.raises(TypeError):
+        DetectorSpec("A", "oscillator", 1.0, 0.01, traj, GAUSS, interaction_scale=1.0)
+    assert len(fields(DetectorSpec)) == 6
 
 
 def test_oscillator_zero_frequency_with_scale():
+    # an oscillator at frequency 0 is the Omega = 0 dual: it has no ground
+    # state, so the mode-sum oracle and a ground-state scenario refuse it
     traj = StaticTrajectory((0.0, 0.0, 0.0))
-    d = DetectorSpec("A", "oscillator", 0.0, 0.01, traj, GAUSS, interaction_scale=1.0)
-    with pytest.raises(ValueError):
-        d.coupling_effective  # 1/sqrt(2 freq) undefined at freq 0
+    d = DetectorSpec("A", "oscillator", 0.0, 0.01, traj, GAUSS)
+    with pytest.raises(ValueError, match="frequency > 0"):
+        fourier_oracle_L(d, d, 0.0, QuadratureConfig())
+    with pytest.raises(ValueError, match="frequency > 0"):
+        HarvestScenario(detectors=(d, replace(d, label="B", trajectory=StaticTrajectory((5.0, 0.0, 0.0)))))
 
 
 def test_scenario_validation():
@@ -435,16 +441,29 @@ def test_dualize_power_law_support_check():
     narrow = _scenario(chi=cos_squared_switching(-0.5, 0.5))
     dual = dualize(narrow, 0.0)
     assert dual.map.Omega == 0.0
+    # the Omega = 0 duals are oscillators at frequency 0
+    assert all(d.model == "oscillator" and d.frequency == 0.0 for d in dual.detectors)
 
 
 def test_dualize_scenario_shape():
-    dual = dualize(_scenario(), 2.0)
+    flat = _scenario()
+    dual = dualize(flat, 2.0)
     assert dual.frame == "frw"
     assert dual.initial_state == "takagi_squeezed"
     assert dual.map.omega == 1.0 and dual.map.Omega == 2.0
-    for d in dual.detectors:
+    for f, d in zip(flat.detectors, dual.detectors):
         assert d.frequency == 2.0
-        assert d.interaction_scale == math.sqrt(2.0)
+        assert d.coupling == f.coupling  # the duality keeps the leg prefactor
+
+
+@pytest.mark.parametrize("Omega", [0.5, 2.0])
+def test_dual_check_keeps_each_coupling(Omega):
+    # B's coupling differs from A's, so L_BB is computed on each side, with
+    # the coupling dualize hands on
+    da, db = _scenario().detectors
+    rep = run_dual_check(HarvestScenario(detectors=(da, replace(db, coupling=0.02))), Omega)
+    assert rep.resid_max <= 1e-8, rep.residuals
+    assert rep.flat.L_BB.value.real == pytest.approx(4.0 * rep.flat.L_AA.value.real, rel=1e-12)
 
 
 def test_dual_check_degenerate_collapses():
@@ -914,12 +933,12 @@ def test_dual_check_reuses_L_AA_on_both_sides(monkeypatch):
     {"switching": gaussian_switching(1.25)},
     {"frequency": 1.5},
     {"coupling": 0.02},
-    {"interaction_scale": 2.0},
+    {"coupling": 0.01 * math.sqrt(2.0)},  # a prefactor that is not a power of two
     {"switching": cos_squared_switching(-4.0, 4.0)},
 ])
 def test_pair_that_does_not_mirror_takes_the_general_path(monkeypatch, change):
-    # a coupling or an interaction scale leaves B's leg A's (see _mirrors) but
-    # changes its prefactor, so L_BB and N_B are computed too
+    # a coupling leaves B's leg A's (see _mirrors) but changes its prefactor,
+    # so L_BB and N_B are computed too
     da, db = _scenario().detectors
     sc = HarvestScenario(detectors=(da, replace(db, **change)), quadrature=SMALL)
     calls = _count_compute_L(monkeypatch)
@@ -1085,7 +1104,7 @@ def _unfolded_L(sc, da, db, eps_seq):
     """
     tight = replace(sc, quadrature=replace(sc.quadrature, rel_tol=1e-8))
     res = extrapolate_epsilon([_public_element(tight, da, db, False, False, eps) for eps in eps_seq])
-    pref = harvesting._coupling_eff(sc, da) * harvesting._coupling_eff(sc, db)
+    pref = da.coupling * db.coupling
     return replace(res, value=pref * res.value)
 
 
@@ -1178,7 +1197,7 @@ def _swept(sc, da, db, ordered, swapped, pref, eps_seq=EPS6):
     res = extrapolate_epsilon([harvesting._integral(sc, da, db, ordered, swapped, fold, eps)
                                for eps in eps_seq])
     assert res.note == "richardson", res.note
-    return pref * harvesting._coupling_eff(sc, da) * harvesting._coupling_eff(sc, db) * res.value
+    return pref * da.coupling * db.coupling * res.value
 
 
 @pytest.mark.parametrize("L", [0.5, 1.0, 5.0])
@@ -1305,18 +1324,18 @@ def test_poles_are_the_gaussian_fourier_transforms_of_the_windows():
     coefficient is -i P int dw/2 F(w/2), with F the leg product on the line
     u = 0, where t = t' = w/2.  With windows chi(t) = e^{-t^2/2 sigma^2}:
 
-    * N = -sqrt(2) (c s)^2 I[chi(t) e^{i omega t} chi(t') e^{i omega t'} W].
+    * N = -sqrt(2) g^2 I[chi(t) e^{i omega t} chi(t') e^{i omega t'} W].
       On the line F = e^{-w^2/4 sigma^2} e^{i omega w}, and int dw/2 F =
       sigma sqrt(pi) e^{-(omega sigma)^2}, so
 
-          N.pole = i sqrt(2) (c s)^2 P sigma sqrt(pi) e^{-(omega sigma)^2}.
+          N.pole = i sqrt(2) g^2 P sigma sqrt(pi) e^{-(omega sigma)^2}.
 
-    * M = -(c s)_A (c s)_B I[(leg_A(t) leg_B(t') + leg_B(t) leg_A(t')) W].
+    * M = -g_A g_B I[(leg_A(t) leg_B(t') + leg_B(t) leg_A(t')) W].
       On the line both orderings give chi_A chi_B e^{i (omega_A + omega_B) t},
       so F = 2 e^{-a w^2} e^{i b w}, with a = 1/8 sigma_A^2 + 1/8 sigma_B^2
       and b = (omega_A + omega_B)/2, and
 
-          M.pole = i (c s)_A (c s)_B P sqrt(pi/a) e^{-b^2/4a}.
+          M.pole = i g_A g_B P sqrt(pi/a) e^{-b^2/4a}.
 
     Under the conformal-time regulator the dual N has the flat N's pole.
     The windows' truncation at 8 sigma moves either pole by e^-64 at most.
@@ -1325,7 +1344,7 @@ def test_poles_are_the_gaussian_fourier_transforms_of_the_windows():
     # omega sigma = 0.5, 1, 1.5 and 3
     for freq, sigma in ((0.5, 1.0), (1.0, 1.0), (2.0, 0.75), (1.5, 2.0)):
         flat = _scenario(freq=freq, chi=gaussian_switching(sigma))
-        cs = flat.detectors[0].coupling_effective
+        cs = flat.detectors[0].coupling
         want = (1j * math.sqrt(2.0) * cs * cs * P * sigma * math.sqrt(math.pi)
                 * math.exp(-(freq * sigma) ** 2))
         for sc in (flat, dualize(flat, 0.5), dualize(flat, 2.0)):
@@ -1340,7 +1359,7 @@ def test_poles_are_the_gaussian_fourier_transforms_of_the_windows():
             a = 1.0 / (8.0 * sa * sa) + 1.0 / (8.0 * sb * sb)
             b = 0.5 * (da.frequency + db.frequency)
             line = math.sqrt(math.pi / a) * math.exp(-b * b / (4.0 * a))
-            want = 1j * da.coupling_effective * db.coupling_effective * P * line
+            want = 1j * da.coupling * db.coupling * P * line
             M = compute_M(HarvestScenario(detectors=(da, db)))
             assert M.note == "finite-part"
             assert abs(M.pole - want) <= 1e-9 * abs(want), (da.frequency, db.frequency, sb, M.pole, want)
