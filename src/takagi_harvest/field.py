@@ -72,10 +72,8 @@ def wightman_flat_pv(dt, sep):
 def wightman_frw_sep(t, t2, sep, m: ConformalTakagiMap, epsilon):
     """Conformal-vacuum kernel W_flat(t - t2) / (C(t) C(t2)) for comoving points.
 
-    t and t2 are conformal times; n_spatial = 3.
+    t and t2 are conformal times.
     """
-    if m.n_spatial != 3:
-        raise ValueError("conformal-vacuum kernel implemented for n_spatial = 3")
     t = np.asarray(t, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     return wightman_flat_sep(t - t2, sep, epsilon) / (m.conformal_factor(t) * m.conformal_factor(t2))

@@ -211,13 +211,15 @@ SUITE_THRESHOLDS = {
     "mode_ode": 1e-5,
 }
 
+# the seed of the suite's random (omega, Omega) draws
+_SUITE_SEED = 20260816
+
 
 def run_identity_suite(
     omegas=(0.5, 1.0, 2.0),
     Omegas=(0.5, 1.0, 2.0),
     n_lambda: int = 50,
     corrupt_sign: bool = False,
-    rng_seed: int = 20260816,
 ) -> dict:
     """Max residual of every duality identity over a frequency/time grid.
 
@@ -253,7 +255,7 @@ def run_identity_suite(
                 res["heisenberg_q"] = max(
                     res["heisenberg_q"], heisenberg_q_relation_residual(omega, Omega, lam)
                 )
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_SUITE_SEED)
     for _ in range(20):
         w, W = np.exp(rng.uniform(math.log(0.2), math.log(5.0), size=2))
         res["bogoliubov_norm"] = max(

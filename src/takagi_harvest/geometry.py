@@ -48,22 +48,18 @@ class ConformalTakagiMap:
     """Clock map (omega, Omega) with its conformal factor and dual scale factor.
 
     omega is the flat-side detector frequency (> 0), Omega the dual-side one
-    (>= 0; Omega = 0 is the free-particle / power-law-inflation limit).
-    n_spatial is the number of spatial dimensions of the field theory; the
-    switching transport weight depends on it.
+    (>= 0; Omega = 0 is the free-particle / power-law-inflation limit).  The
+    field lives in 3 spatial dimensions.
     """
 
     omega: float
     Omega: float
-    n_spatial: int = 3
 
     def __post_init__(self):
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not (self.Omega >= 0.0 and math.isfinite(self.Omega)):
             raise ValueError(f"Omega must be >= 0 and finite, got {self.Omega}")
-        if int(self.n_spatial) != self.n_spatial or self.n_spatial < 1:
-            raise ValueError(f"n_spatial must be a positive integer, got {self.n_spatial}")
 
     # Omega == omega collapses every map below to an exact identity; the
     # short-circuits keep that exact in floating point (arctan(tan(x)) is not).
@@ -191,13 +187,13 @@ class SwitchingFunction:
             raise ValueError(f"at_clock needs a transported window, got kind {self.kind!r}")
         tau = np.asarray(tau, dtype=float)
         a, b = self.support
-        vals = self.param("base")(lam) * C ** (0.5 * (self.param("map").n_spatial - 4))
+        vals = self.param("base")(lam) * C ** -0.5
         return np.where((tau >= a) & (tau <= b), vals, 0.0)
 
     def derivative(self, t, lam=None, C=None):
         """d chi / dt in closed form, zero outside the support.
 
-        A transported window chi(lambda) C^e, e = (n_spatial - 4)/2, is
+        A transported window chi(lambda) C^{-1/2} is
         differentiated by the chain rule through the clock, dlambda/dtau =
         1/C and dC/dlambda = omega (1 - r^2) sin(2 omega lambda) C^2 with
         r = Omega/omega.  lam = lambda(t) and C = C(lam) may be passed as
@@ -211,10 +207,9 @@ class SwitchingFunction:
             if lam is None:
                 lam = m.lambda_of_tau(t)
                 C = m.conformal_factor(lam)
-            e = 0.5 * (m.n_spatial - 4)
             r = m.Omega / m.omega
             rate = m.omega * (1.0 - r * r) * np.sin(2.0 * m.omega * lam) * C
-            vals = C ** (e - 1.0) * (base.derivative(lam) + e * base(lam) * rate)
+            vals = C ** -1.5 * (base.derivative(lam) - 0.5 * base(lam) * rate)
         elif self.kind == "gaussian":
             x = (t - p["center"]) / p["sigma"]
             vals = -x / p["sigma"] * np.exp(-0.5 * x * x)
@@ -309,7 +304,7 @@ def cos_squared_switching(t0: float, t1: float) -> SwitchingFunction:
 def transform_switching(m: ConformalTakagiMap, chi: SwitchingFunction) -> SwitchingFunction:
     """Transport a flat-side window chi(lambda) to the dual clock.
 
-    Returns tau -> chi(lambda(tau)) * C(lambda(tau))^((n_spatial - 4)/2) with
+    Returns tau -> chi(lambda(tau)) * C(lambda(tau))^(-1/2) with
     support [tau(a), tau(b)].  For Omega = 0 the support of chi must sit inside
     the principal window (-pi/(2 omega), pi/(2 omega)).
     """

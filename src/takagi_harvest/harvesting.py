@@ -27,16 +27,16 @@ number on both sides.
 All integrals run over proper time of each detector.
 
 Quadrature coordinates.  Every element is integrated in the rotated
-coordinates u = t - t', w = t + t'.  An L whose detectors mirror each other
-(L_AA, L_BB, a mirrored L_AB) is Hermitian, K(-u, w) = conj(K(u, w)), on
-either side of the duality, and is folded: taken as 2 Re of its u >= 0 half,
-on about half the cells.
+coordinates u = t - t', w = t + t', or in the conformal-time difference x =
+lambda(t) - lambda(t') in place of u.  An L whose detectors mirror each
+other (L_AA, L_BB, a mirrored L_AB) is Hermitian, K(-u, w) = conj(K(u, w)),
+on either side of the duality, and is folded: taken as 2 Re of its u >= 0
+half, on about half the cells.
 
 One routine evaluates every element (_integral), and the quadrature
 config's epsilon_sequence alone sets its regulator (_element).  The
-regulator sits on the conformal-time difference x = lambda(t) -
-lambda(t') of the two legs (x = u on the flat side), and the eps -> 0
-limit of the kernel is a known distribution in x (Sokhotski-Plemelj; see
+regulator sits on x (x = u on the flat side), and the eps -> 0 limit of
+the kernel is a known distribution in x (Sokhotski-Plemelj; see
 field.wightman_flat_pv).  Without a sequence, or with more than one level,
 every element on either side takes that limit in closed form: the pole of
 the kernel is subtracted at the same node line, which leaves one bounded
@@ -49,16 +49,16 @@ separately.  A one-level sequence asks for that finite eps: the same
 routine integrates the regulated kernel there, on the same domain, chart
 and breaks (QUADPACK's qagp breakpoints), without the pole and line
 terms.  Either way the kernel is singular, or peaks, on the light cone of
-the two detectors.  In flat spacetime that is the straight line u = +-L,
-an axis of the rectangle, and the mesh refines across it in u alone.  On
-the cosmological side it is the curve lambda(t) - lambda(t') = +-L of the
-clock map, so the separated elements there (M and L_AB) are integrated in
-(s, w): u = phi_w(s) is piecewise linear in s, with knots that put the
-curve, taken in closed form from the clock map (_ridge), on fixed lines
-s = const.  Only the nodes move; the integrand at each node is still the
-cosmological formula at the dual times (tau, tau'), so the flat and
-cosmological values stay two independent routes to the same number, never
-a change of variables of one into the other.
+the two detectors, x = +-L.  So every separated element (M and L_AB) is
+integrated in (x, w), on either side, and each light cone is a line x =
+const of the mesh, which refines across it in x alone.  On the flat side
+x is u.  On the cosmological side the clock map bends u: the node at (x,
+w) is u = _ridge(x, w), in closed form from the clock map, and du/dx =
+1/x' comes from the conformal factors the legs already hold.  Only the
+nodes move; the integrand at each node is still the cosmological formula
+at the dual times (tau, tau'), so the flat and cosmological values stay
+two independent routes to the same number, never a change of variables of
+one into the other.
 """
 
 from __future__ import annotations
@@ -178,8 +178,6 @@ class HarvestScenario:
             raise ValueError("detector labels must differ")
         if a.model != b.model:
             raise ValueError("mixed qubit/oscillator pairs are not supported")
-        if self.map is not None and self.map.n_spatial != 3:
-            raise ValueError("harvesting kernels are implemented for n_spatial = 3")
         if self.initial_state not in ("ground", "takagi_squeezed"):
             raise ValueError(f"unknown initial_state {self.initial_state!r}")
         if self.initial_state == "takagi_squeezed":
@@ -247,8 +245,6 @@ class DualCheckReport:
     Omega: float
     flat: MatrixElements
     frw: MatrixElements
-    E1_flat: float
-    E1_frw: float
     neg_flat: float
     neg_frw: float
     residuals: dict
@@ -261,7 +257,7 @@ def duality_backbone_residual(m: ConformalTakagiMap, chi: SwitchingFunction, lam
     For the transported window chi_dual = transform_switching(m, chi) the
     combination
 
-        chi_dual(tau(l)) * (dtau/dl) * C(l)^{-(n-1)/2} * cos(Omega tau)/cos(omega l)
+        chi_dual(tau(l)) * (dtau/dl) * C(l)^{-1} * cos(Omega tau)/cos(omega l)
 
     must reproduce chi(l) identically; this is the per-leg statement that makes
     the flat and dual matrix elements equal before any integration.  Returns
@@ -275,8 +271,7 @@ def duality_backbone_residual(m: ConformalTakagiMap, chi: SwitchingFunction, lam
     chi_dual = transform_switching(m, chi)
     tau = m.tau_of_lambda(lam)
     C = m.conformal_factor(lam)
-    weight = C ** (-0.5 * (m.n_spatial - 1))
-    lhs = chi_dual(tau) * C * weight * (np.cos(m.Omega * tau) / cos_flat)
+    lhs = chi_dual(tau) * C * C ** -1.0 * (np.cos(m.Omega * tau) / cos_flat)
     return float(np.max(np.abs(lhs - chi(lam))))
 
 
@@ -393,9 +388,10 @@ def _rect(sup_a, sup_b, ordered: bool):
     in B's, or the reverse), so the time ordering t' < t is an exact edge and
     the (A <-> B) term keeps its domain when the windows sit asymmetrically
     in time.  For equal supports it is the u >= 0 half of the unordered
-    rectangle, the domain of a folded L (see _element).  It is the domain of
-    every element at every eps on either side, except where _chart shears
-    the equal supports of cos^2 windows onto their diamond.
+    rectangle, the domain of a folded L (see _element).  _chart takes every
+    element's w range from it, and its u or x range from it on the
+    windows' supports or their clock images, except where it shears the
+    equal supports of cos^2 windows onto their diamond.
     """
     a0, a1 = sup_a
     b0, b1 = sup_b
@@ -404,80 +400,43 @@ def _rect(sup_a, sup_b, ordered: bool):
     return (max(0.0, a0 - b1, b0 - a1), max(a1 - b0, b1 - a0), a0 + b0, a1 + b1)
 
 
-def _ridge(m: ConformalTakagiMap, sep: float, w):
-    """u >= 0 of the light-cone ridge lambda(t) - lambda(t') = sep at t + t' = w.
+def _ridge(m: ConformalTakagiMap, x, w):
+    """u at which lambda(t) - lambda(t') = x, for t + t' = w: the node of (x, w).
 
-    Closed form, no clock-map calls.  With x = Omega u, r = omega/Omega and
-    theta = omega sep mod 2 pi, the tangent-subtraction formula for
-    tan(omega (lambda(t) - lambda(t'))) turns the ridge condition into
+    Closed form, no clock-map calls, vectorised over x and w.  u is odd in
+    x (exchanging t and t' flips both), so it is solved at |x| and takes
+    the sign of x.  With y = Omega u, r = omega/Omega and theta = omega |x|
+    mod 2 pi, the tangent-subtraction formula for tan(omega (lambda(t) -
+    lambda(t'))) turns the condition into
 
-        r cos(theta) sin(x) - (1 + r^2)/2 sin(theta) cos(x)
+        r cos(theta) sin(y) - (1 + r^2)/2 sin(theta) cos(y)
             = (1 - r^2)/2 sin(theta) cos(Omega w),
 
-    one sinusoid R sin(x - phi) on the left.  lambda(t) - lambda(t') rises
-    monotonically from 0 in u and gains 2 pi/omega per 2 pi/Omega, so the
-    ridge is the root phi + arcsin(D/R) of the period that starts at
-    2 pi floor(omega sep / 2 pi).  At Omega = 0 the condition is the
-    quadratic omega u cos(omega sep) = sin(omega sep) (1 + omega^2 (w^2 - u^2)/4),
-    and there is no ridge (inf) once omega sep >= pi.
+    one sinusoid R sin(y - phi) on the left.  lambda(t) - lambda(t') rises
+    monotonically from 0 in u and gains 2 pi/omega per 2 pi/Omega, so u is
+    the root phi + arcsin(D/R) of the period that starts at 2 pi
+    floor(omega |x| / 2 pi).  At Omega = 0 the condition is the quadratic
+    omega u cos(omega x) = sin(omega x) (1 + omega^2 (w^2 - u^2)/4); the
+    clock lambda = arctan(omega tau)/omega is bounded there, so the clock
+    images of two windows, and every x of an element, stay below pi/omega.
     """
     om, Om = m.omega, m.Omega
-    w = np.asarray(w, dtype=float)
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
     if Om == 0.0:
-        x = om * sep
-        if x >= math.pi:
-            return np.full_like(w, math.inf)
-        s, c = math.sin(x), math.cos(x)
+        s, c = np.sin(om * x), np.cos(om * x)
         q = 0.5 * om * w
         root = np.sqrt(1.0 + (s * q) ** 2)
-        # the two forms of the positive root, each free of cancellation on its side
-        if c >= 0.0:
-            return 2.0 * s * (1.0 + q * q) / (om * (c + root))
-        return 2.0 * (root - c) / (om * s)
-    turns, theta = divmod(om * sep, 2.0 * math.pi)
+        # the two forms of the root, each free of cancellation on its side
+        near = c >= 0.0
+        return np.where(near, 2.0 * s * (1.0 + q * q) / (om * (c + root)),
+                        2.0 * (root - c) / (om * np.where(near, 1.0, s)))
+    turns, theta = np.divmod(om * np.abs(x), 2.0 * math.pi)
     r = om / Om
-    a = r * math.cos(theta)
-    b = 0.5 * (1.0 + r * r) * math.sin(theta)
-    d = 0.5 * (1.0 - r * r) * math.sin(theta) * np.cos(Om * w)
-    phi = math.atan2(b, a) % (2.0 * math.pi)
-    return (2.0 * math.pi * turns + phi + np.arcsin(d / math.hypot(a, b))) / Om
-
-
-def _straight(m: ConformalTakagiMap, sep: float, rect, ordered: bool):
-    """(ks, chart): the (s, w) chart in which each light-cone ridge is a line s = const.
-
-    u = phi_w(s) is piecewise linear in s on the unchanged range [u0, u1].
-    Its knots ks send fixed points s_k, multiples of 1/8 of the range, to
-    the ridges u = g(w) (and u = -g(w) when unordered, the lower first) at
-    the same w, clamped into the range where a ridge leaves it; each s_k is
-    the multiple nearest the ridge at the middle of the w range.
-    chart(s, w) gives u, the slope of phi_w and the knot images ku
-    (u0, the clamped ridges, u1).
-    """
-    u0, u1, w0, w1 = rect
-    signs = (1.0,) if ordered else (-1.0, 1.0)
-    grid = 8
-    step = (u1 - u0) / grid
-    g_mid = float(_ridge(m, sep, 0.5 * (w0 + w1)))
-    ks, j = [u0], 0
-    for i, sign in enumerate(signs):
-        near = round((min(max(sign * g_mid, u0), u1) - u0) / step)
-        j = min(max(near, j + 1), grid - len(signs) + i)  # distinct, interior
-        ks.append(u0 + j * step)
-    ks.append(u1)
-
-    def chart(s, w):
-        g = _ridge(m, sep, w)
-        ku = [u0] + [np.clip(sign * g, u0, u1) for sign in signs] + [u1]
-        u = jac = 0.0
-        for i in range(len(ks) - 1):
-            slope = (ku[i + 1] - ku[i]) / (ks[i + 1] - ks[i])
-            piece = s >= ks[i]
-            u = np.where(piece, ku[i] + (s - ks[i]) * slope, u)
-            jac = np.where(piece, slope, jac)
-        return u, jac, ku
-
-    return ks, chart
+    a = r * np.cos(theta)
+    b = 0.5 * (1.0 + r * r) * np.sin(theta)
+    d = 0.5 * (1.0 - r * r) * np.sin(theta) * np.cos(Om * w)
+    phi = np.arctan2(b, a) % (2.0 * math.pi)
+    return np.copysign((2.0 * math.pi * turns + phi + np.arcsin(d / np.hypot(a, b))) / Om, x)
 
 
 def _dlam(m: ConformalTakagiMap, u, w, coarse):
@@ -498,32 +457,59 @@ def _dlam(m: ConformalTakagiMap, u, w, coarse):
     return (y + 2.0 * math.pi * turns) / om
 
 
-def _chart(sup_a, sup_b, half: bool, shear: bool):
-    """Domain of an element off the straightened chart: ((u0, u1, v0, v1), chart, kinks).
+def _chart(clock: ConformalTakagiMap | None, chi_a: SwitchingFunction,
+           chi_b: SwitchingFunction, half: bool, shear: bool):
+    """Domain of an element and its chart: ((p0, p1, v0, v1), chart, kinks).
 
-    chart(u, v) gives (w, Jacobian) at the nodes.  For equal supports
-    [a0, a1] the leg product lives on the diamond |w - a0 - a1| <= U - |u|,
-    U = a1 - a0, whose edges are where a window switches on: a cos^2 window
-    is only C^1 there, and a Gauss-Kronrod rule on a cell that straddles the
-    edge underestimates its error 100 to 300 fold.  So the diamond is
-    sheared onto the rectangle of (u, s), w = a0 + a1 + (U - |u|) s with s in
-    [-1, 1] and Jacobian U - |u|, and its edges are mesh edges; the whole
-    diamond has a kink at u = 0, listed in kinks.  shear is set, on the flat
-    and the dual side alike, where a window is cos^2 or transported from
-    one.  Unequal supports, and equal ones without shear, keep the
-    rectangle of _rect (v = w, Jacobian 1): a Gaussian window's edge is a
-    jump of e^-32, and on its mostly empty square the diamond costs cells.
+    chart(p, v) gives the nodes (u, w) and the Jacobian dw/dv at fixed p.
+    Without a clock p is u.  With one (a separated element off the identity
+    clock) p is the conformal-time difference x, u = _ridge(clock, x, w),
+    and the p range is _rect of the windows' clock images: a transported
+    window's is its base window's support, any other the clock at its
+    support's ends.  Either way the w range is _rect's of the supports.
+    On the identity clock x is u, and both give the same domain.
+
+    For equal supports [a0, a1] the leg product lives where both t and t'
+    do, a diamond whose edges are where a window switches on: a cos^2
+    window is only C^1 there, and a Gauss-Kronrod rule on a cell that
+    straddles the edge underestimates its error 100 to 300 fold.  So the
+    diamond is sheared onto the rectangle of (p, s): w runs between its
+    edges t' = a0 and t = a1, w = a0 + tau(lambda(a0) + |x|) and w = a1 +
+    tau(lambda(a1) - |x|), as s runs over [-1, 1].  On the identity clock
+    that is w = a0 + a1 + (U - |u|) s, U = a1 - a0, with Jacobian U - |u|.
+    The edges are mesh edges, and the whole diamond has a kink at p = 0,
+    listed in kinks.  shear is set, on the flat and the dual side alike,
+    where a window is cos^2 or transported from one.  Unequal supports,
+    and equal ones without shear, keep the rectangle (v = w, Jacobian 1):
+    a Gaussian window's edge is a jump of e^-32, and on its mostly empty
+    square the diamond costs cells.  On the rectangle of a clock, unequal
+    cos^2 supports still cross cells.
     """
+    sup_a, sup_b = chi_a.support, chi_b.support
+    images = [chi.support if clock is None
+              else chi.param("base").support if _own_clock(clock, chi)
+              else tuple(clock.lambda_of_tau(t) for t in chi.support) for chi in (chi_a, chi_b)]
+
+    def node(p, w):
+        return p if clock is None else _ridge(clock, p, w)
+
+    p0, p1 = _rect(*images, half)[:2]
     if sup_a != sup_b or not shear:
-        return _rect(sup_a, sup_b, half), (lambda u, w: (w, 1.0)), ()
-    a0, a1 = sup_a
+        return (p0, p1, *_rect(sup_a, sup_b, half)[2:]), (lambda p, w: (node(p, w), w, 1.0)), ()
+    (a0, a1), (l0, l1) = sup_a, images[0]
     U, mid = a1 - a0, a0 + a1
 
-    def shear(u, s):
-        h = U - np.abs(u)
-        return mid + h * s, h
+    def sheared(p, s):
+        if clock is None:
+            h = U - np.abs(p)
+            w = mid + h * s
+        else:
+            lo = a0 + clock.tau_of_lambda(l0 + np.abs(p))
+            h = 0.5 * (a1 + clock.tau_of_lambda(l1 - np.abs(p)) - lo)
+            w = lo + h * (1.0 + s)
+        return node(p, w), w, h
 
-    return (0.0 if half else -U, U, -1.0, 1.0), shear, (() if half else (0.0,))
+    return (p0, p1, -1.0, 1.0), sheared, (() if half else (0.0,))
 
 
 def _delta_prime(scenario, det_a, det_b, t, L):
@@ -555,23 +541,17 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
     G(u, w) half the leg product over C C' (see _legs), x' = dx/du =
     (1/C + 1/C')/2 and P = 1/(4 pi^2), the integrand is G times the flat
     kernel in x, whose limit (eps None) is the distribution of
-    field.wightman_flat_pv (in u: C = 1, x' = 1).  With a range [u0, u1]
-    at each v of the chart:
+    field.wightman_flat_pv (in u: C = 1, x' = 1).  On the domain and chart
+    of _chart, with J the Jacobian of v:
 
-    * sep > 0: each pole x = q, q = +-sep (unordered; +sep when ordered or
-      folded), lies on a line s = s_k: u = q itself on the identity clock,
-      the ridge u = g(w) of the straightened chart of _straight elsewhere.
-      Near it the integrand is a / (s_k - s), a = J G P/(2 q x') at the
-      ridge and J the Jacobian of v; that is subtracted at the same v, and
-      the limit adds a (c +- i pi), + unordered and - ordered.  c is the
-      principal value of int ds/(s_k - s) taken in u, where the limit is
-      symmetric: log((g - u0)/(u1 - g)) for one ridge.  phi_w has a kink at
-      s_k, so the principal value in s differs from it by the log of the
-      ratio of phi_w's slopes on either side of s_k.  Where a ridge leaves
-      the range there is no pole, and a = 0.  The range breaks at each pole,
-      so no node falls on one; where a ridge is clamped onto an edge of the
-      range, the piece of phi_w it collapses (slope 0) takes the kernel at
-      x = 0, not at the pole.
+    * sep > 0: the element is integrated in (x, v), and its integrand is J
+      G/x' times the kernel at x.  Each pole x = q, q = +-sep (unordered;
+      +sep when ordered or folded), is a fixed line of the mesh, on either
+      side.  Near it the integrand is a / (q - x), a = J G P/(2 q x') on
+      the line; that is subtracted at the same v, and the limit adds a (c
+      +- i pi), + unordered and - ordered, with c = log((q - x0)/(x1 - q))
+      the principal value of int dx/(q - x) over the range [x0, x1].  The
+      range breaks at each pole inside it, so no node falls on one.
     * sep = 0, folded L of mirrored detectors (L_AA, L_BB): with F0(w) =
       G(0, w) C(w/2) and X(w) the x at the end of the u range,
           L = -P { int int_{u>=0} 2 Re(G - F0 x')/x^2 + int dw F0 (pi nu - 2/X) },
@@ -592,24 +572,26 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
       F0, from adaptive_1d.
 
     At a finite eps the integrand is J G field.wightman_flat_sep(+-x, sep,
-    eps), x ordered (W from t to t') and -x unordered (from t' to t), on the
-    same domain, chart and breaks, and a folded L takes 2 Re of it: the
-    half's imaginary part carries the coincidence pole, and would swamp the
-    relative stopping test of the quadrature.  There are no pole rows, line
-    terms or pole integral, and nothing is unfolded: a co-located L that
-    does not mirror integrates its whole range, broken at the kink u = 0
-    where cos^2 windows shear it onto the diamond.
+    eps), over x' where it is integrated in x, with +x ordered (W from t to
+    t') and -x unordered (from t' to t), on the same domain, chart and
+    breaks, and a folded L takes 2 Re of it: the half's imaginary part
+    carries the coincidence pole, and would swamp the relative stopping
+    test of the quadrature.  There are no pole rows, line terms or pole
+    integral, and nothing is unfolded: a co-located L that does not mirror
+    integrates its whole range, broken at the kink u = 0 where cos^2
+    windows shear it onto the diamond.
 
-    x is taken by _dlam, without cancellation at small u.  Each line term is
-    spread evenly over the u range of its line, so it is one more term of
-    the same bounded 2D integrand and every stopping test is relative to the
-    element's value.  A kernel call stacks every time it reads (the t and t'
-    grids, each pole's ridge row, the line u = 0, the diamond's w/2 grid and
-    the ends of the range that give X) into one clock call and one window
-    call per distinct detector (evaluate of _legs), and a folded L in the
-    limit takes its grid's real part in real arithmetic.  Each piece of the
-    u range is one integrate_square call; cells adds up the cells of all
-    pieces and the segments of the pole's 1D integral.
+    At sep = 0 the dual side integrates in u, and x is taken by _dlam,
+    without cancellation at small u.  Each line term is spread evenly over
+    the range of its line, so it is one more term of the same bounded 2D
+    integrand and every stopping test is relative to the element's value.
+    A kernel call stacks every time it reads (the t and t' grids, each
+    pole's row, the line u = 0, the diamond's w/2 grid and the ends of the
+    range that give X) into one clock call and one window call per
+    distinct detector (evaluate of _legs), and a folded L in the limit
+    takes its grid's real part in real arithmetic.  Each piece of the range
+    is one integrate_square call; cells adds up the cells of all pieces and
+    the segments of the pole's 1D integral.
     """
     m = scenario.map
     exact = _on_u(scenario)
@@ -617,7 +599,6 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
     limit = eps is None
     unfold = limit and sep == 0.0 and not (ordered or fold)
     evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped or unfold)
-    sup_a, sup_b = det_a.switching.support, det_b.switching.support
     half = ordered or fold or unfold
     cfg = scenario.quadrature
     # equal supports are sheared onto their diamond on either side for cos^2
@@ -643,70 +624,52 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
         # pole rows, in the limit only, where a light cone crosses the range
         line = (-1j if ordered else 1j) * math.pi
         qs = () if sep == 0.0 else (sep,) if half else (-sep, sep)
-        if exact or sep == 0.0:
-            (u0, u1, v0, v1), chart, kinks = _chart(sup_a, sup_b, half, shear)
-            qs = [q for q in qs if u0 < q < u1]
-            breaks = sorted(set(qs) | {k for k in kinks if u0 < k < u1})
-            # in the limit, each pole and its line term per unit u
-            spread = [(q, (math.log((q - u0) / (u1 - q)) + line) / (u1 - u0))
-                      for q in qs] if limit else []
+        # a separated element off the identity clock integrates in x
+        clock = None if exact or sep == 0.0 else m
+        (p0, p1, v0, v1), chart, kinks = _chart(clock, det_a.switching, det_b.switching, half, shear)
+        qs = [q for q in qs if p0 < q < p1]
+        breaks = sorted(set(qs) | {k for k in kinks if p0 < k < p1})
+        # in the limit, each pole and its line term per unit x
+        spread = [(q, (math.log((q - p0) / (p1 - q)) + line) / (p1 - p0))
+                  for q in qs] if limit else []
 
-            def place(s, v):
-                w, jac = chart(s, v)
-                return s, w, jac, [(q, q, q, *chart(q, v), c) for q, c in spread]
-        else:
-            u0, u1, v0, v1 = rect = _rect(sup_a, sup_b, half)
-            ks, straight = _straight(m, sep, rect, half)
-            breaks = ks[1:-1]
-            # c = log((s_k - u0)/(u1 - s_k)) plus the log of the ratio of
-            # phi_w's slopes either side of s_k; bias is the part that does
-            # not move with w (0 for one ridge)
-            bias = [math.log((k - u0) * (hi - k) / ((u1 - k) * (k - lo)))
-                    for lo, k, hi in zip(ks, ks[1:], ks[2:])]
-
-            def place(s, w):
-                u, jac, ku = straight(s, w)
-                poles = []
-                for i, q in enumerate(qs if limit else (), 1):
-                    below, above = ku[i] - ku[i - 1], ku[i + 1] - ku[i]
-                    inside = (below > 0.0) & (above > 0.0)
-                    c = np.log(np.where(inside, below, 1.0) / np.where(inside, above, 1.0))
-                    poles.append((q, ks[i], ku[i], w, inside, (c + bias[i - 1] + line) / (u1 - u0)))
-                return u, w, jac, poles
-
-        def kern(s, v):
-            # place gives the nodes and, per pole, (q, its line s_k, u, w and
-            # Jacobian of v on it, its line term per unit u)
-            u, w, jac, poles = place(s, v)
-            nodes = [(u, w)] + [(u_k, w_k) for _, _, u_k, w_k, _, _ in poles]
+        def kern(p, v):
+            # the nodes, and per pole q its nodes at x = q, the Jacobian of
+            # v there and its line term per unit x
+            u, w, jac = chart(p, v)
+            poles = [(q, *chart(q, v), c) for q, c in spread]
+            nodes = [(u, w)] + [(u_k, w_k) for _, u_k, w_k, _, _ in poles]
             (P, *Ps), (Q, *Qs), _ = evaluate([0.5 * (w_k + u_k) for u_k, w_k in nodes],
                                              [0.5 * (w_k - u_k) for u_k, w_k in nodes])
-            x = u if exact else np.where(jac == 0.0, 0.0, _dlam(m, u, w, P[4] - Q[4]))
+            if clock is None:
+                x = u if exact else _dlam(m, u, w, P[4] - Q[4])
+            else:
+                x, jac = p, jac / rate(P, Q)
             if limit:
                 out = jac * half_product(P, Q, fold) * wightman_flat_pv(x, sep)
             else:
                 out = jac * half_product(P, Q) * wightman_flat_sep(x if ordered else -x, sep, eps)
-            for (q, s_k, _, _, jac_k, spread_k), P_k, Q_k in zip(poles, Ps, Qs):
+            for (q, _, _, jac_k, spread_k), P_k, Q_k in zip(poles, Ps, Qs):
                 # complex even when folded: Re(a (c + i pi)) = Re(a) c - Im(a) pi
                 G_k = half_product(P_k, Q_k)
                 a = jac_k * G_k * (WIGHTMAN_PREF / (2.0 * q * rate(P_k, Q_k)))
                 term = a * spread_k
                 if fold:
                     a, term = a.real, term.real
-                out = out - a / (s_k - s) + term
+                out = out - a / (q - p) + term
             return 2.0 * out.real if fold else out
     else:
         # the limit at sep = 0: on the line u = 0 both legs sit at t = w/2
-        sheared = sup_a == sup_b and shear
-        (u0, u1, v0, v1), chart, _ = _chart(sup_a, sup_b, half, shear)
+        sheared = det_a.switching.support == det_b.switching.support and shear
+        (p0, p1, v0, v1), chart, _ = _chart(None, det_a.switching, det_b.switching, half, shear)
         transported = scenario.initial_state == "takagi_squeezed"
 
         def kern(u, s):
-            w, jac = chart(u, s)
-            w_line = chart(0.0, s)[0]
+            _, w, jac = chart(u, s)
+            w_line = chart(0.0, s)[1]
             # a line term spread over the u range at v: on the diamond the
             # shear's Jacobian cancels the range's width, on the rectangle not
-            X = u1 * (1.0 - np.abs(s)) if sheared else u1
+            X = p1 * (1.0 - np.abs(s)) if sheared else p1
             # F0 on the line, and at the grid's own w; X from the ends of the range
             rows = [0.5 * (w + u), 0.5 * w_line] + ([] if w is w_line else [0.5 * w])
             ends = [] if exact else [0.5 * (w_line + X), 0.5 * (w_line - X)]
@@ -715,7 +678,7 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
             F_w = half_product(W[0], W[0], fold, line=True) if W else F_line
             rest = half_product(P, Q, fold) - F_w * rate(P, Q)
             if not sheared:
-                F_line = F_line / u1
+                F_line = F_line / p1
             x = u if exact else _dlam(m, u, w, P[4] - Q[4])
             X = X if exact else ends[0][4] - ends[1][4]
             if fold:
@@ -725,7 +688,7 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
             out = jac * rest * wightman_flat_pv(x, 0.0) + WIGHTMAN_PREF * F_line / X
             if unfold:
                 H1 = _delta_prime(scenario, det_a, det_b, 0.5 * w_line, L)
-                out = out + (1j * math.pi * WIGHTMAN_PREF) * (H1 if sheared else H1 / u1)
+                out = out + (1j * math.pi * WIGHTMAN_PREF) * (H1 if sheared else H1 / p1)
             return out
 
         breaks = []
@@ -734,9 +697,9 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
                 (L,), _, _ = evaluate([0.5 * w])
                 return -1j * WIGHTMAN_PREF * half_product(L, L, line=True)
 
-            pole = adaptive_1d(on_line, chart(0.0, v0)[0], chart(0.0, v1)[0], cfg)
+            pole = adaptive_1d(on_line, chart(0.0, v0)[1], chart(0.0, v1)[1], cfg)
 
-    edges = [u0, *breaks, u1]
+    edges = [p0, *breaks, p1]
     parts = [integrate_square(kern, (a, b, v0, v1), cfg) for a, b in zip(edges, edges[1:])]
     runs = parts if pole is None else parts + [pole]
     return IntegralResult(
@@ -1012,8 +975,8 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
 
     flat = elements_for(scenario)
     frw = elements_for(dual)
-    e1_flat, neg_flat = negativity_leading(flat)
-    e1_frw, neg_frw = negativity_leading(frw)
+    _, neg_flat = negativity_leading(flat)
+    _, neg_frw = negativity_leading(frw)
     residuals = {
         "L_AA": _rel_diff(complex(flat.L_AA.value).real, complex(frw.L_AA.value).real),
         "L_BB": _rel_diff(complex(flat.L_BB.value).real, complex(frw.L_BB.value).real),
@@ -1025,8 +988,6 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
         Omega=Omega,
         flat=flat,
         frw=frw,
-        E1_flat=e1_flat,
-        E1_frw=e1_frw,
         neg_flat=neg_flat,
         neg_frw=neg_frw,
         residuals=residuals,

@@ -347,14 +347,14 @@ def test_dualize_degenerate_row_exact(tmp_path):
     assert row["neg_flat"] == row["neg_frw"]
 
 
+COS2_PAIR = GAUSS_REF.replace("kind = gaussian\nsigma = 1.0", "kind = cos_squared\nt0 = -0.5\nt1 = 0.5")
+
+
 def test_dualize_of_cos_squared_windows_one_window_apart(tmp_path):
     # criterion 7's oscillators with cos^2 windows on (-1/2, 1/2) at L = 1:
-    # the light cone of the dual M meets a corner of its rectangle, where the
-    # straightened chart clamps the ridge onto an edge and a piece of the
-    # chart collapses; its nodes sat on the pole (exit 3, non-finite kernel)
-    cfg = (GAUSS_REF.replace("kind = gaussian\nsigma = 1.0", "kind = cos_squared\nt0 = -0.5\nt1 = 0.5")
-           .replace("position = 5, 0, 0", "position = 1, 0, 0")
-           + "\n[dualize]\nOmega_list = 0.5, 3.0\n")
+    # the light cone x = L of the dual M meets a corner of its (x, s)
+    # rectangle, and the dual M is the flat one to rounding
+    cfg = COS2_PAIR.replace("position = 5, 0, 0", "position = 1, 0, 0") + "\n[dualize]\nOmega_list = 0.5, 3.0\n"
     out = tmp_path / "dual.csv"
     assert main(["dualize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
     lines = out.read_text().splitlines()
@@ -363,7 +363,22 @@ def test_dualize_of_cos_squared_windows_one_window_apart(tmp_path):
         row = dict(zip(_DUALIZE_COLUMNS, (float(tok) for tok in line.split(","))))
         flat = complex(row["re_M_flat"], row["im_M_flat"])
         frw = complex(row["re_M_frw"], row["im_M_frw"])
-        assert abs(frw - flat) <= 1e-5 * abs(flat), (row["Omega"], frw, flat)
+        assert abs(frw - flat) <= 1e-12 * abs(flat), (row["Omega"], frw, flat)
+
+
+def test_dualize_of_cos_squared_windows_at_a_tight_tolerance(tmp_path):
+    # the same pair at L = 0.6, where the light cone crosses the diamond, at
+    # rel_tol = 1e-11 with no absolute floor: every kernel stays finite (a
+    # non-finite value exits 3), and the dual elements are the flat ones
+    cfg = (COS2_PAIR.replace("position = 5, 0, 0", "position = 0.6, 0, 0")
+           + "\n[quadrature]\nrel_tol = 1e-11\nabs_tol = 0\nmax_subdivisions = 2000\n"
+           + "\n[dualize]\nOmega_list = 0.5, 3\n")
+    out = tmp_path / "dual.csv"
+    assert main(["dualize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    rows = [dict(zip(_DUALIZE_COLUMNS, map(float, line.split(","))))
+            for line in out.read_text().splitlines()[1:]]
+    assert [row["Omega"] for row in rows] == [0.5, 3.0]
+    assert all(row["resid_max"] <= 1e-12 for row in rows), rows
 
 
 def test_dualize_requires_omega_list(tmp_path, capsys):

@@ -53,9 +53,9 @@ def test_frw_conformal_weight(omega, Omega):
 
 
 def test_frw_requires_three_spatial_dimensions():
-    m = ConformalTakagiMap(1.0, 2.0, n_spatial=2)
-    with pytest.raises(ValueError):
-        wightman_frw_sep(0.1, 0.0, 1.0, m, 1e-3)
+    # the field lives in 3 spatial dimensions: a map takes no other number
+    with pytest.raises(TypeError):
+        ConformalTakagiMap(1.0, 2.0, n_spatial=2)
 
 
 def test_mode_integrand_static_value():

@@ -154,8 +154,8 @@ def test_map_validation():
         ConformalTakagiMap(0.0, 1.0)
     with pytest.raises(ValueError):
         ConformalTakagiMap(1.0, -2.0)
-    with pytest.raises(ValueError):
-        ConformalTakagiMap(1.0, 1.0, n_spatial=0)
+    with pytest.raises(TypeError):
+        ConformalTakagiMap(1.0, 1.0, n_spatial=3)
 
 
 def test_swapped_map_inverts_clock():

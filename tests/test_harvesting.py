@@ -402,7 +402,7 @@ def test_scenario_validation():
         HarvestScenario(detectors=(da, replace(db, model="qubit")))  # mixed pair
     with pytest.raises(ValueError):
         HarvestScenario(detectors=(da, db), initial_state="takagi_squeezed")
-    with pytest.raises(ValueError, match="n_spatial = 3"):
+    with pytest.raises(TypeError):
         HarvestScenario(detectors=(da, db), map=ConformalTakagiMap(1.0, 2.0, n_spatial=2))
     # the frame follows the map and is not set on its own
     assert HarvestScenario(detectors=(da, db)).frame == "minkowski"
@@ -967,11 +967,11 @@ def test_scenarios_pickle_by_value():
     )
 
 
-# --- the straightened light cone on the dual side --------------------------------
+# --- the light cone on a mesh line on the dual side --------------------------------
 
 # (Omega, flat window, separations): omega L below pi/2, between pi/2 and pi,
 # and above pi (L = 5).  At Omega = 0 the clock lambda(tau) = arctan(tau) is
-# bounded by pi/2, so no ridge exists once L >= pi.
+# bounded by pi/2, so an element's x stays below pi.
 RIDGE_CASES = [
     (0.0, gaussian_switching(0.15), (0.5, 2.0)),
     (0.5, GAUSS, (0.5, 2.0, 5.0)),
@@ -980,54 +980,62 @@ RIDGE_CASES = [
 ]
 
 
+def _gap(m, u, w):
+    """lambda(t) - lambda(t') at t, t' = (w +- u)/2, from the public clock."""
+    return m.lambda_of_tau(0.5 * (w + u)) - m.lambda_of_tau(0.5 * (w - u))
+
+
 @pytest.mark.parametrize("Omega,chi,seps", RIDGE_CASES)
 def test_ridge_closed_form_solves_the_clock_map(Omega, chi, seps):
+    # the node u of (x, w) has lambda(t) - lambda(t') = x, for x of either
+    # sign, one at a time or on a grid of x against w as a kernel call passes it
     m = ConformalTakagiMap(1.0, Omega)
     dual = transform_switching(m, chi)
     for ordered in (True, False):
         _, _, w0, w1 = harvesting._rect(dual.support, dual.support, ordered)
         w = np.linspace(w0, w1, 201)
         for sep in seps:
-            g = harvesting._ridge(m, sep, w)
-            assert np.all(g > 0.0)
-            gap = m.lambda_of_tau(0.5 * (w + g)) - m.lambda_of_tau(0.5 * (w - g))
-            assert np.max(np.abs(gap - sep)) <= 1e-12 * sep, (sep, ordered)
+            for x in (sep, -sep):
+                g = harvesting._ridge(m, x, w)
+                assert np.all(np.sign(g) == np.sign(x))
+                assert np.max(np.abs(_gap(m, g, w) - x)) <= 1e-12 * sep, (x, ordered)
+        x = np.linspace(-max(seps), max(seps), 41)[:, None]
+        g = harvesting._ridge(m, x, w[None, :])
+        assert g.shape == (41, 201) and np.all(np.diff(g, axis=0) > 0.0)
+        assert np.max(np.abs(_gap(m, g, w[None, :]) - x)) <= 1e-12 * max(seps)
+    # the diamond of equal cos^2 supports [a0, a1]: its edge s = -1 is where
+    # the earlier time is a0, its edge s = 1 where the later one is a1, on
+    # the clock's (x, s) chart and on the identity's (u, s) chart alike
+    cos2 = cos_squared_switching(-0.5, 0.5)
+    for clock, window in ((m, transform_switching(m, cos2)), (None, cos2)):
+        a0, a1 = window.support
+        for half in (True, False):
+            (p0, p1, v0, v1), chart, kinks = harvesting._chart(clock, window, window, half, True)
+            assert (v0, v1) == (-1.0, 1.0) and kinks == (() if half else (0.0,))
+            p = np.linspace(p0, p1, 41)[1:-1, None]
+            u, w, jac = chart(p, np.array([[-1.0, 1.0]]))
+            t, tp = 0.5 * (w + u), 0.5 * (w - u)
+            assert np.all(jac > 0.0) and np.all(np.sign(u) == np.sign(p))
+            assert np.max(np.abs(np.minimum(t, tp)[:, 0] - a0)) <= 1e-14
+            assert np.max(np.abs(np.maximum(t, tp)[:, 1] - a1)) <= 1e-14
 
 
-def test_power_law_dual_has_no_ridge_beyond_pi():
+def test_power_law_dual_x_range_stays_below_pi():
+    # Omega = 0: lambda(tau) = arctan(tau) is bounded by pi/2, and a window
+    # fits inside (-pi/2, pi/2), so the x range of an element stays below
+    # pi/omega, where every node of the chart is finite and solves the clock
     m = ConformalTakagiMap(1.0, 0.0)
-    w = np.linspace(-5.0, 5.0, 101)
-    assert np.all(harvesting._ridge(m, 5.0, w) == math.inf)
+    for chi in (gaussian_switching(0.15), cos_squared_switching(-1.5, 1.5)):
+        dual = transform_switching(m, chi)
+        for half in (True, False):
+            (x0, x1, v0, v1), chart, _ = harvesting._chart(m, dual, dual, half, chi.kind == "cos_squared")
+            assert -math.pi < x0 < x1 < math.pi
+            x = np.linspace(x0, x1, 101)[:, None]
+            u, w, jac = chart(x, np.linspace(v0, v1, 101)[None, :])
+            assert np.all(np.isfinite(u)) and np.all(np.isfinite(jac))
+            assert np.max(np.abs(_gap(m, u, w) - x)) <= 1e-12
     # lambda(t) - lambda(t') < pi for every pair of dual times
     assert m.lambda_of_tau(1e12) - m.lambda_of_tau(-1e12) < math.pi
-
-
-@pytest.mark.parametrize("ordered", [True, False])
-def test_straightened_nodes_stay_in_the_rectangle(ordered):
-    # sigma = 0.35 at Omega = 2: the ridge of L = 5 leaves the u range for
-    # about half of the w range, so the clamp is exercised
-    m = ConformalTakagiMap(1.0, 2.0)
-    chi = transform_switching(m, gaussian_switching(0.35))
-    rect = harvesting._rect(chi.support, chi.support, ordered)
-    u0, u1, w0, w1 = rect
-    s = np.linspace(u0, u1, 4097)[:, None]
-    w = np.linspace(w0, w1, 101)[None, :]
-    _, chart = harvesting._straight(m, 5.0, rect, ordered)
-    u, jac, _ = chart(s, w)
-    g = harvesting._ridge(m, 5.0, w[0])
-    assert np.any(g > u1) and np.any(g < u1)
-    assert np.all((u >= u0) & (u <= u1))
-    assert np.all(np.diff(u, axis=0) >= 0.0) and np.all(jac >= 0.0)
-    assert np.array_equal(u[0], np.full(len(w[0]), u0)) and np.allclose(u[-1], u1, rtol=1e-15)
-    # u is the integral of the slope: the trapezoid rule is exact on each linear piece
-    ds = s[1, 0] - s[0, 0]
-    assert np.allclose(u0 + np.sum(0.5 * (jac[1:] + jac[:-1]), axis=0) * ds, u[-1], rtol=1e-3)
-    # each ridge inside the range sits on one row of s, the same for every w
-    for sign in (1.0,) if ordered else (-1.0, 1.0):
-        ridge = np.clip(sign * g, u0, u1)
-        rows = np.argmin(np.abs(u - ridge), axis=0)
-        inside = (sign * g > u0) & (sign * g < u1)
-        assert len(set(rows[inside])) == 1
 
 
 def _mesh_of(monkeypatch, run):
@@ -1066,13 +1074,13 @@ def _assert_straightened_matches_the_plain_mesh(monkeypatch, sc, da, db, ordered
 @pytest.mark.parametrize("Omega", [0.5, 1.3, 2.0, 3.0])
 def test_dual_M_of_cos_squared_windows_matches_the_flat_one(Omega):
     # criterion 7's oscillators with cos^2 windows on (-1/2, 1/2) at L = 3,
-    # where every pair of events is spacelike; the windows' C^1 edges cross
-    # the dual side's straightened cells diagonally, and the dual M must
-    # still land within 2e-6 of the flat one
+    # where every pair of events is spacelike; the windows' C^1 edges are
+    # mesh edges of the sheared diamond on both sides, so the two M agree
+    # within the errors the two sides report
     flat = _scenario(L=3.0, chi=cos_squared_switching(-0.5, 0.5))
-    M_flat = compute_M(flat).value
-    M_dual = compute_M(dualize(flat, Omega)).value
-    assert abs(M_dual - M_flat) <= 2e-6 * abs(M_flat)
+    M_flat = compute_M(flat)
+    M_dual = compute_M(dualize(flat, Omega))
+    assert abs(M_dual.value - M_flat.value) <= M_dual.err_estimate + M_flat.err_estimate
 
 
 def test_dual_M_straightened_matches_the_plain_mesh(monkeypatch):
@@ -1395,7 +1403,7 @@ def test_no_pipeline_call_integrates_more_than_one_regulator_level(monkeypatch):
 # --- the eps -> 0 limit on the curved dual side ------------------------------------
 
 # (flat scenario, Omega): criterion 7's pair across Omega, a narrow window whose
-# ridge of L = 5 leaves the u range for part of the w range, and the power law
+# pole x = 5 lies near the end of its x range (5.6), and the power law
 DUAL_LIMIT_CASES = [
     *((_scenario(), Omega) for Omega in (0.5, 1.3, 2.0, 3.0)),
     (_scenario(chi=gaussian_switching(0.35)), 2.0),
@@ -1428,9 +1436,9 @@ def test_dual_N_finite_part_and_pole_match_the_flat_N(Omega):
 
 @pytest.mark.parametrize("L", [0.5, 5.0, 0.0])
 def test_dual_L_AB_of_a_pair_that_does_not_mirror_matches_the_flat_side(L):
-    # unfolded, its straightened chart has two ridges u = -g and u = +g; the
-    # principal value in u then also needs the slopes of phi_w at each knot.
-    # At L = 0 the delta' term takes the transported windows' derivatives
+    # unfolded, it has two poles x = -L and x = +L, each on a mesh line of
+    # its (x, w) rectangle.  At L = 0 the delta' term takes the transported
+    # windows' derivatives
     da, db = _scenario(L=L).detectors
     for chi_b in (gaussian_switching(1.25), gaussian_switching(1.0, center=0.5)):
         flat = HarvestScenario(detectors=(da, replace(db, switching=chi_b)))
@@ -1483,3 +1491,69 @@ def test_frw_ground_state_co_located_pair_agrees_with_the_regulated_sweep():
         got, want = compute_L(da, db, sc), _swept(sc, da, db, False, False, 1.0)
         assert got.note == "closed-form"
         assert abs(got.value - want) <= 1e-6 * abs(want), (db.switching, got.value, want)
+
+
+# --- every separated element converges as rel_tol tightens --------------------------
+
+COS2 = cos_squared_switching(-0.5, 0.5)
+CONVERGENCE_WINDOWS = {
+    "gauss": (GAUSS, GAUSS),
+    "cos2": (COS2, COS2),
+    "cos2-unequal": (COS2, cos_squared_switching(0.0, 1.0)),
+}
+SIDES = (None, 0.5, 1.3, 2.0, 3.0)  # flat, and dual at each Omega
+
+# (windows, L, sides): the light cone crosses the cos^2 supports below L = 1
+# and meets the corner of their diamond near L = 1
+CONVERGENCE_ROWS = [
+    *(("gauss", L, SIDES) for L in (0.5, 2.0)),
+    *(("cos2", L, SIDES) for L in (0.6, 0.999, 1.001, 1.2, 2.0)),
+    ("cos2-unequal", 0.6, (None, 0.5)),
+    ("cos2-unequal", 2.0, (3.0,)),
+]
+
+# rel_tol = 1e-11 with no absolute floor; (windows, L, sides, elements)
+TIGHT = QuadratureConfig(rel_tol=1e-11, abs_tol=0.0, max_subdivisions=2000)
+TIGHT_ROWS = [
+    ("gauss", 2.0, SIDES, ("M", "L_AB")),
+    ("cos2", 0.6, SIDES, ("M", "L_AB")),
+    ("cos2", 1.2, SIDES, ("M", "L_AB")),
+    ("cos2-unequal", 0.6, (0.5,), ("M",)),
+]
+
+
+def _pair(windows, L, Omega, quad):
+    """Criterion 7's oscillators on the windows at L, flat (Omega None) or dualized."""
+    chi_a, chi_b = CONVERGENCE_WINDOWS[windows]
+    flat = HarvestScenario(detectors=(_detector("A", (0.0, 0.0, 0.0), chi=chi_a),
+                                      _detector("B", (L, 0.0, 0.0), chi=chi_b)), quadrature=quad)
+    return flat if Omega is None else dualize(flat, Omega)
+
+
+def _separated(sc):
+    return {"M": lambda: compute_M(sc), "L_AB": lambda: compute_L(*sc.detectors, sc)}
+
+
+@pytest.mark.parametrize("windows,L,sides", CONVERGENCE_ROWS,
+                         ids=[f"{w}-L{L}" for w, L, _ in CONVERGENCE_ROWS])
+def test_every_separated_element_converges_as_rel_tol_tightens(windows, L, sides):
+    # no oracle: the values at rel_tol 1e-6 and 1e-9 lie within the sum of
+    # the errors they report, on either side, for every window and chart
+    for Omega in sides:
+        loose, tight = (_separated(_pair(windows, L, Omega, QuadratureConfig(rel_tol=tol)))
+                        for tol in (1e-6, 1e-9))
+        for name in loose:
+            v6, v9 = loose[name](), tight[name]()
+            assert abs(v6.value - v9.value) <= v6.err_estimate + v9.err_estimate, (Omega, name, v6, v9)
+
+
+@pytest.mark.parametrize("windows,L,sides,elements", TIGHT_ROWS,
+                         ids=[f"{w}-L{L}" for w, L, _, _ in TIGHT_ROWS])
+def test_a_tight_tolerance_keeps_every_kernel_finite(windows, L, sides, elements):
+    # at L = 0.6 the light cone crosses the windows' diamond; a kernel that
+    # met a non-finite value would raise NumericalHardError
+    for Omega in sides:
+        runs = _separated(_pair(windows, L, Omega, TIGHT))
+        for name in elements:
+            res = runs[name]()
+            assert math.isfinite(abs(res.value)) and math.isfinite(res.err_estimate), (Omega, name)
