@@ -49,16 +49,16 @@ separately.  A one-level sequence asks for that finite eps: the same
 routine integrates the regulated kernel there, on the same domain, chart
 and breaks (QUADPACK's qagp breakpoints), without the pole and line
 terms.  Either way the kernel is singular, or peaks, on the light cone of
-the two detectors, x = +-L.  So every separated element (M and L_AB) is
-integrated in (x, w), on either side, and each light cone is a line x =
-const of the mesh, which refines across it in x alone.  On the flat side
-x is u.  On the cosmological side the clock map bends u: the node at (x,
-w) is u = _ridge(x, w), in closed form from the clock map, and du/dx =
-1/x' comes from the conformal factors the legs already hold.  Only the
-nodes move; the integrand at each node is still the cosmological formula
-at the dual times (tau, tau'), so the flat and cosmological values stay
-two independent routes to the same number, never a change of variables of
-one into the other.
+the two detectors, x = +-L (the coincidence x = 0 of co-located ones).
+So every element is integrated in (x, w), on either side, and each light
+cone is a line x = const of the mesh, which refines across it in x alone.
+On the flat side x is u.  On the cosmological side the clock map bends u:
+the node at (x, w) is u = _ridge(x, w), in closed form from the clock map,
+and du/dx = 1/x' comes from the conformal factors the legs already hold.
+Only the nodes move; the integrand at each node is still the cosmological
+formula at the dual times (tau, tau'), so the flat and cosmological values
+stay two independent routes to the same number, never a change of
+variables of one into the other.
 """
 
 from __future__ import annotations
@@ -310,7 +310,8 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
 
     evaluate(a_rows, b_rows=(), bare=()) gives, for each row of times, the
     tuple (amp_a, phase_a, amp_b, phase_b, lambda, C), in three lists: A's
-    leg reads a_rows, B's b_rows, and bare rows take no window.  All rows go
+    leg reads a_rows, B's b_rows, and bare rows take no window (they serve
+    only the clock at the far corner of a dual diamond).  All rows go
     through one _clock call, and each distinct detector's window is called
     once, on the rows its legs read (every windowed row when swapped;
     otherwise amp_a and amp_b are one array).  The amplitude is the window,
@@ -439,51 +440,33 @@ def _ridge(m: ConformalTakagiMap, x, w):
     return np.copysign((2.0 * math.pi * turns + phi + np.arcsin(d / np.hypot(a, b))) / Om, x)
 
 
-def _dlam(m: ConformalTakagiMap, u, w, coarse):
-    """lambda(t) - lambda(t') at t, t' = (w +- u)/2, free of cancellation at small u.
-
-    The tangent-subtraction formula gives omega times the difference modulo
-    2 pi as one atan2, accurate to rounding relative to u itself; coarse,
-    the difference of the clock's own lambda values, picks its turn.  At
-    Omega = 0 the difference stays below pi/omega and needs no turn.
-    """
-    om, Om = m.omega, m.Omega
-    if Om == 0.0:
-        return np.arctan2(om * u, 1.0 + 0.25 * om * om * (w * w - u * u)) / om
-    r = om / Om
-    x = Om * u
-    y = np.arctan2(r * np.sin(x), 0.5 * ((1.0 + r * r) * np.cos(x) + (1.0 - r * r) * np.cos(Om * w)))
-    turns = np.round((om * coarse - y) / (2.0 * math.pi))
-    return (y + 2.0 * math.pi * turns) / om
-
-
 def _chart(clock: ConformalTakagiMap | None, chi_a: SwitchingFunction,
-           chi_b: SwitchingFunction, half: bool, shear: bool):
-    """Domain of an element and its chart: ((p0, p1, v0, v1), chart, kinks).
+           chi_b: SwitchingFunction, half: bool):
+    """Domain of an element and its chart: ((p0, p1, v0, v1), chart, diamond).
 
     chart(p, v) gives the nodes (u, w) and the Jacobian dw/dv at fixed p.
-    Without a clock p is u.  With one (a separated element off the identity
-    clock) p is the conformal-time difference x, u = _ridge(clock, x, w),
-    and the p range is _rect of the windows' clock images: a transported
-    window's is its base window's support, any other the clock at its
-    support's ends.  Either way the w range is _rect's of the supports.
-    On the identity clock x is u, and both give the same domain.
+    Without a clock (the flat side, and Omega == omega) p is u.  With one p
+    is the conformal-time difference x, u = _ridge(clock, x, w), and the p
+    range is _rect of the windows' clock images: a transported window's is
+    its base window's support, any other the clock at its support's ends.
+    Either way the w range is _rect's of the supports.  On the identity
+    clock x is u, and both give the same domain.
 
     For equal supports [a0, a1] the leg product lives where both t and t'
     do, a diamond whose edges are where a window switches on: a cos^2
     window is only C^1 there, and a Gauss-Kronrod rule on a cell that
-    straddles the edge underestimates its error 100 to 300 fold.  So the
-    diamond is sheared onto the rectangle of (p, s): w runs between its
-    edges t' = a0 and t = a1, w = a0 + tau(lambda(a0) + |x|) and w = a1 +
-    tau(lambda(a1) - |x|), as s runs over [-1, 1].  On the identity clock
-    that is w = a0 + a1 + (U - |u|) s, U = a1 - a0, with Jacobian U - |u|.
-    The edges are mesh edges, and the whole diamond has a kink at p = 0,
-    listed in kinks.  shear is set, on the flat and the dual side alike,
-    where a window is cos^2 or transported from one.  Unequal supports,
-    and equal ones without shear, keep the rectangle (v = w, Jacobian 1):
-    a Gaussian window's edge is a jump of e^-32, and on its mostly empty
-    square the diamond costs cells.  On the rectangle of a clock, unequal
-    cos^2 supports still cross cells.
+    straddles the edge underestimates its error 100 to 300 fold.  So where
+    a window is cos^2 or transported from one, on the flat and the dual
+    side alike, the diamond is sheared onto the rectangle of (p, s): w runs
+    between its edges t' = a0 and t = a1, w = a0 + tau(lambda(a0) + |x|) and
+    w = a1 + tau(lambda(a1) - |x|), as s runs over [-1, 1].  On the identity
+    clock that is w = a0 + a1 + (U - |u|) s, U = a1 - a0, with Jacobian U -
+    |u|.  The edges are mesh edges, and the whole diamond has a kink at p =
+    0.  diamond is then (a0, a1, l0, l1), the supports and their clock
+    images, and None on the rectangle (v = w, Jacobian 1), which unequal
+    supports and Gaussian windows keep: a Gaussian window's edge is a jump
+    of e^-32, and on its mostly empty square the diamond costs cells.  On
+    the rectangle of a clock, unequal cos^2 supports still cross cells.
     """
     sup_a, sup_b = chi_a.support, chi_b.support
     images = [chi.support if clock is None
@@ -494,8 +477,9 @@ def _chart(clock: ConformalTakagiMap | None, chi_a: SwitchingFunction,
         return p if clock is None else _ridge(clock, p, w)
 
     p0, p1 = _rect(*images, half)[:2]
-    if sup_a != sup_b or not shear:
-        return (p0, p1, *_rect(sup_a, sup_b, half)[2:]), (lambda p, w: (node(p, w), w, 1.0)), ()
+    bases = [chi.param("base") if chi.kind == "transformed" else chi for chi in (chi_a, chi_b)]
+    if sup_a != sup_b or all(b.kind != "cos_squared" for b in bases):
+        return (p0, p1, *_rect(sup_a, sup_b, half)[2:]), (lambda p, w: (node(p, w), w, 1.0)), None
     (a0, a1), (l0, l1) = sup_a, images[0]
     U, mid = a1 - a0, a0 + a1
 
@@ -509,7 +493,7 @@ def _chart(clock: ConformalTakagiMap | None, chi_a: SwitchingFunction,
             w = lo + h * (1.0 + s)
         return node(p, w), w, h
 
-    return (p0, p1, -1.0, 1.0), sheared, (() if half else (0.0,))
+    return (p0, p1, -1.0, 1.0), sheared, (a0, a1, l0, l1)
 
 
 def _delta_prime(scenario, det_a, det_b, t, L):
@@ -541,57 +525,62 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
     G(u, w) half the leg product over C C' (see _legs), x' = dx/du =
     (1/C + 1/C')/2 and P = 1/(4 pi^2), the integrand is G times the flat
     kernel in x, whose limit (eps None) is the distribution of
-    field.wightman_flat_pv (in u: C = 1, x' = 1).  On the domain and chart
-    of _chart, with J the Jacobian of v:
+    field.wightman_flat_pv (in u: C = 1, x' = 1).  Every element is
+    integrated in (x, v) on the domain and chart of _chart, with J the
+    Jacobian of v, and its integrand is J G/x' times the kernel at x.
 
-    * sep > 0: the element is integrated in (x, v), and its integrand is J
-      G/x' times the kernel at x.  Each pole x = q, q = +-sep (unordered;
-      +sep when ordered or folded), is a fixed line of the mesh, on either
-      side.  Near it the integrand is a / (q - x), a = J G P/(2 q x') on
-      the line; that is subtracted at the same v, and the limit adds a (c
-      +- i pi), + unordered and - ordered, with c = log((q - x0)/(x1 - q))
-      the principal value of int dx/(q - x) over the range [x0, x1].  The
-      range breaks at each pole inside it, so no node falls on one.
-    * sep = 0, folded L of mirrored detectors (L_AA, L_BB): with F0(w) =
-      G(0, w) C(w/2) and X(w) the x at the end of the u range,
-          L = -P { int int_{u>=0} 2 Re(G - F0 x')/x^2 + int dw F0 (pi nu - 2/X) },
+    * sep > 0: each pole x = q, q = +-sep (unordered; +sep when ordered or
+      folded), is a fixed line of the mesh, on either side.  Near it the
+      integrand is a / (q - x), a = J G P/(2 q x') on the line; that is
+      subtracted at the same v, and the limit adds a (c +- i pi), +
+      unordered and - ordered, with c = log((q - x0)/(x1 - q)) the
+      principal value of int dx/(q - x) over the range [x0, x1].  The range
+      breaks at each pole inside it, so no node falls on one.
+    * sep = 0: the pole is the line x = 0, the end of the range [0, x1].
+      F0(w) = G(0, w) C(w/2) is G/x' on it, and J F0 at the node's own w is
+      subtracted.  What it takes away, int J F0 K dx dv over the domain, is
+      int dw F0 int_0^X K dx, with X(w) the x extent of the domain at w:
+      x1 on the rectangle; on the diamond the x of its far corner, x1 (1 -
+      |s|) on the identity clock and lambda(a1 + U s) - lambda(a0) (s < 0)
+      or lambda(a1) - lambda(a0 + U s) (s > 0) on a dual one.  So, with w
+      and v on the line x = 0:
+    * sep = 0, folded L of mirrored detectors (L_AA, L_BB):
+          L = -P { int int_{x>=0} 2 Re J (G/x' - F0)/x^2 + int dw F0 (pi nu - 2/X) },
       where pi nu F0 is the i pi delta' term and nu the leg's phase rate per
       unit conformal time at w/2: omega on the flat side and for the
       transported mode, Omega C for a dual ground state.
     * sep = 0, unordered and not mirrored (L_AB of a co-located pair):
-      unfolded onto u >= 0, with S(u, w) = G(u, w) + G(-u, w) (_legs,
-      swapped) and H1(w) the derivative of G/x' in x at u = 0 (x' and C C'
+      unfolded onto x >= 0, with S(u, w) = G(u, w) + G(-u, w) (_legs,
+      swapped) and H1(w) the derivative of G/x' in x at x = 0 (x' and C C'
       are even in u, so only the leg product's u-derivative enters),
-          L = -P { int int_{u>=0} (S - 2 F0 x')/x^2 - int dw (2 F0/X + i pi H1) },
+          L = -P { int int_{x>=0} J (S/x' - 2 F0)/x^2 - int dw (2 F0/X + i pi H1) },
       H1 = (a'b - ab' + i a b (phi_A' + phi_B')) e^{i (phi_A - phi_B)} / 4
       at t = w/2 from the leg amplitudes a, b and phases phi (_delta_prime).
     * sep = 0, ordered (N, and M of co-located detectors): G/x' is even in x
-      (M's leg product is symmetrized in t and t'), and int_0^U G/(x - i
-      eps)^2 du = F0 (i/eps - 1/X) + int (G - F0 x')/x^2 du.  The value is
+      (M's leg product is symmetrized in t and t'), and int_0^X G/x'/(x - i
+      eps)^2 dx = F0 (i/eps - 1/X) + int (G/x' - F0)/x^2 dx.  The value is
       the finite part; pole carries the coefficient of 1/eps, -i P int dw
       F0, from adaptive_1d.
 
-    At a finite eps the integrand is J G field.wightman_flat_sep(+-x, sep,
-    eps), over x' where it is integrated in x, with +x ordered (W from t to
-    t') and -x unordered (from t' to t), on the same domain, chart and
-    breaks, and a folded L takes 2 Re of it: the half's imaginary part
-    carries the coincidence pole, and would swamp the relative stopping
-    test of the quadrature.  There are no pole rows, line terms or pole
-    integral, and nothing is unfolded: a co-located L that does not mirror
-    integrates its whole range, broken at the kink u = 0 where cos^2
-    windows shear it onto the diamond.
+    At a finite eps the integrand is J G/x' field.wightman_flat_sep(+-x,
+    sep, eps), with +x ordered (W from t to t') and -x unordered (from t'
+    to t), on the same domain, chart and breaks, and a folded L takes 2 Re
+    of it: the half's imaginary part carries the coincidence pole, and
+    would swamp the relative stopping test of the quadrature.  There are no
+    pole rows, line terms or pole integral, and nothing is unfolded: a
+    co-located L that does not mirror integrates its whole range, broken
+    at the kink x = 0 where cos^2 windows shear it onto the diamond.
 
-    At sep = 0 the dual side integrates in u, and x is taken by _dlam,
-    without cancellation at small u.  Each line term is spread evenly over
-    the range of its line, so it is one more term of the same bounded 2D
-    integrand and every stopping test is relative to the element's value.
-    A kernel call stacks every time it reads (the t and t' grids, each
-    pole's row, the line u = 0, the diamond's w/2 grid and the ends of the
-    range that give X) into one clock call and one window call per
-    distinct detector (evaluate of _legs), and a folded L in the limit
-    takes its grid's real part in real arithmetic.  Each piece of the range
-    is one integrate_square call; cells adds up the cells of all pieces and
-    the segments of the pole's 1D integral.
+    Each line term is spread evenly over the x range at its line's v, with
+    the line's dw/dv (U on the diamond, 1 on the rectangle), so it is one
+    more term of the same bounded 2D integrand and every stopping test is
+    relative to the element's value.  A kernel call stacks every time it
+    reads (the t and t' grids, each pole's row, the line x = 0, the
+    diamond's w/2 grid and the dual diamond's far corner) into one clock
+    call and one window call per distinct detector (evaluate of _legs), and
+    a folded L in the limit takes its grid's real part in real arithmetic.
+    Each piece of the range is one integrate_square call; cells adds up the
+    cells of all pieces and the segments of the pole's 1D integral.
     """
     m = scenario.map
     exact = _on_u(scenario)
@@ -601,15 +590,12 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
     evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped or unfold)
     half = ordered or fold or unfold
     cfg = scenario.quadrature
-    # equal supports are sheared onto their diamond on either side for cos^2
-    # windows (own or transported) only: a Gaussian's edge is a jump of
-    # e^-32, and the diamond costs it cells and the kernel its w/2 row
-    bases = [d.switching.param("base") if d.switching.kind == "transformed" else d.switching
-             for d in (det_a, det_b)]
-    shear = any(b.kind == "cos_squared" for b in bases)
+    # off the identity clock every element integrates in x
+    (p0, p1, v0, v1), chart, diamond = _chart(None if exact else m, det_a.switching,
+                                              det_b.switching, half)
 
     def half_product(P, Q, real=False, line=False):
-        """G at the rows P (A's leg) and Q (B's), or F0 = G C on the line u = 0 (real: Re G)."""
+        """G at the rows P (A's leg) and Q (B's), or F0 = G C on the line x = 0 (real: Re G)."""
         amp, phase = join(P, Q)
         if not exact:
             amp = amp / (P[5] if line else P[5] * Q[5])
@@ -624,11 +610,9 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
         # pole rows, in the limit only, where a light cone crosses the range
         line = (-1j if ordered else 1j) * math.pi
         qs = () if sep == 0.0 else (sep,) if half else (-sep, sep)
-        # a separated element off the identity clock integrates in x
-        clock = None if exact or sep == 0.0 else m
-        (p0, p1, v0, v1), chart, kinks = _chart(clock, det_a.switching, det_b.switching, half, shear)
         qs = [q for q in qs if p0 < q < p1]
-        breaks = sorted(set(qs) | {k for k in kinks if p0 < k < p1})
+        # the whole diamond has a kink at x = 0
+        breaks = sorted(set(qs) | ({0.0} if diamond and not half else set()))
         # in the limit, each pole and its line term per unit x
         spread = [(q, (math.log((q - p0) / (p1 - q)) + line) / (p1 - p0))
                   for q in qs] if limit else []
@@ -641,10 +625,7 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
             nodes = [(u, w)] + [(u_k, w_k) for _, u_k, w_k, _, _ in poles]
             (P, *Ps), (Q, *Qs), _ = evaluate([0.5 * (w_k + u_k) for u_k, w_k in nodes],
                                              [0.5 * (w_k - u_k) for u_k, w_k in nodes])
-            if clock is None:
-                x = u if exact else _dlam(m, u, w, P[4] - Q[4])
-            else:
-                x, jac = p, jac / rate(P, Q)
+            x, jac = p, jac / rate(P, Q)
             if limit:
                 out = jac * half_product(P, Q, fold) * wightman_flat_pv(x, sep)
             else:
@@ -659,28 +640,34 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
                 out = out - a / (q - p) + term
             return 2.0 * out.real if fold else out
     else:
-        # the limit at sep = 0: on the line u = 0 both legs sit at t = w/2
-        sheared = det_a.switching.support == det_b.switching.support and shear
-        (p0, p1, v0, v1), chart, _ = _chart(None, det_a.switching, det_b.switching, half, shear)
+        # the limit at sep = 0: on the line x = 0 both legs sit at t = w/2
         transported = scenario.initial_state == "takagi_squeezed"
+        if diamond is not None:
+            a0, a1, l0, l1 = diamond
+            U = a1 - a0
 
-        def kern(u, s):
-            _, w, jac = chart(u, s)
-            w_line = chart(0.0, s)[1]
-            # a line term spread over the u range at v: on the diamond the
-            # shear's Jacobian cancels the range's width, on the rectangle not
-            X = p1 * (1.0 - np.abs(s)) if sheared else p1
-            # F0 on the line, and at the grid's own w; X from the ends of the range
+        def per_x(F, dw):
+            """A line term per unit x at s: it carries the line's dw/ds."""
+            return F / p1 if diamond is None else F * (dw / p1)
+
+        def kern(p, s):
+            u, w, jac = chart(p, s)
+            _, w_line, dw = chart(0.0, s)
+            # the dual diamond's far corner at the line's w, where x is X
+            far = [] if exact or diamond is None else [np.where(s < 0.0, a1, a0) + U * s]
+            # F0 on the line, and at the grid's own w
             rows = [0.5 * (w + u), 0.5 * w_line] + ([] if w is w_line else [0.5 * w])
-            ends = [] if exact else [0.5 * (w_line + X), 0.5 * (w_line - X)]
-            (P, L, *W), (Q,), ends = evaluate(rows, [0.5 * (w - u)], ends)
+            (P, L, *W), (Q,), far = evaluate(rows, [0.5 * (w - u)], far)
+            x, jac = p, jac / rate(P, Q)
             F_line = half_product(L, L, fold, line=True)
             F_w = half_product(W[0], W[0], fold, line=True) if W else F_line
             rest = half_product(P, Q, fold) - F_w * rate(P, Q)
-            if not sheared:
-                F_line = F_line / p1
-            x = u if exact else _dlam(m, u, w, P[4] - Q[4])
-            X = X if exact else ends[0][4] - ends[1][4]
+            if diamond is None:
+                X = p1
+            else:
+                X = (p1 * (1.0 - np.abs(s)) if exact
+                     else np.where(s < 0.0, far[0][4] - l0, l1 - far[0][4]))
+            F_line = per_x(F_line, dw)
             if fold:
                 nu = det_a.frequency if exact else (m.omega if transported else det_a.frequency * L[5])
                 return (jac * (2.0 * rest) * wightman_flat_pv(x, 0.0)
@@ -688,7 +675,7 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
             out = jac * rest * wightman_flat_pv(x, 0.0) + WIGHTMAN_PREF * F_line / X
             if unfold:
                 H1 = _delta_prime(scenario, det_a, det_b, 0.5 * w_line, L)
-                out = out + (1j * math.pi * WIGHTMAN_PREF) * (H1 if sheared else H1 / p1)
+                out = out + (1j * math.pi * WIGHTMAN_PREF) * per_x(H1, dw)
             return out
 
         breaks = []
@@ -775,7 +762,7 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario) -> IntegralResult:
     are the same two numbers.  A one-level sequence gives the regulated N at
     that epsilon, with the pole in the value (note "finest-epsilon"), from
     the same routine on the same domain; max_subdivisions bounds each piece
-    of the u range either way.
+    of the x range either way.
     """
     if det.model != "oscillator":
         raise ValueError("the second excited state exists only for oscillator detectors")
@@ -957,7 +944,7 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
     (the conformal-time regulator is the one under which the pictures agree
     epsilon by epsilon).  Each side evaluates its elements with the one
     routine _integral, its own quadrature on its own mesh, at its own
-    times, each piece of a u range with its own budget.  Residuals are
+    times, each piece of an x range with its own budget.  Residuals are
     relative, on L_AA, L_BB, |M| and the negativity.  Both sides take
     the same couplings, which dualize keeps.  A pair whose B mirrors A with
     the same coupling (see _twins) reuses L_AA as L_BB on each side.

@@ -367,18 +367,20 @@ def test_dualize_of_cos_squared_windows_one_window_apart(tmp_path):
 
 
 def test_dualize_of_cos_squared_windows_at_a_tight_tolerance(tmp_path):
-    # the same pair at L = 0.6, where the light cone crosses the diamond, at
+    # the same pair at L = 0.6, where the light cone crosses the diamond, and
+    # co-located, where the pole is the line x = 0 of every element, at
     # rel_tol = 1e-11 with no absolute floor: every kernel stays finite (a
     # non-finite value exits 3), and the dual elements are the flat ones
-    cfg = (COS2_PAIR.replace("position = 5, 0, 0", "position = 0.6, 0, 0")
-           + "\n[quadrature]\nrel_tol = 1e-11\nabs_tol = 0\nmax_subdivisions = 2000\n"
-           + "\n[dualize]\nOmega_list = 0.5, 3\n")
-    out = tmp_path / "dual.csv"
-    assert main(["dualize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
-    rows = [dict(zip(_DUALIZE_COLUMNS, map(float, line.split(","))))
-            for line in out.read_text().splitlines()[1:]]
-    assert [row["Omega"] for row in rows] == [0.5, 3.0]
-    assert all(row["resid_max"] <= 1e-12 for row in rows), rows
+    for position in ("0.6, 0, 0", "0, 0, 0"):
+        cfg = (COS2_PAIR.replace("position = 5, 0, 0", f"position = {position}")
+               + "\n[quadrature]\nrel_tol = 1e-11\nabs_tol = 0\nmax_subdivisions = 2000\n"
+               + "\n[dualize]\nOmega_list = 0.5, 3\n")
+        out = tmp_path / "dual.csv"
+        assert main(["dualize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        rows = [dict(zip(_DUALIZE_COLUMNS, map(float, line.split(","))))
+                for line in out.read_text().splitlines()[1:]]
+        assert [row["Omega"] for row in rows] == [0.5, 3.0]
+        assert all(row["resid_max"] <= 1e-12 for row in rows), (position, rows)
 
 
 def test_dualize_requires_omega_list(tmp_path, capsys):
