@@ -579,8 +579,8 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
     diamond's w/2 grid and the dual diamond's far corner) into one clock
     call and one window call per distinct detector (evaluate of _legs), and
     a folded L in the limit takes its grid's real part in real arithmetic.
-    Each piece of the range is one integrate_square call; cells adds up the
-    cells of all pieces and the segments of the pole's 1D integral.
+    The pieces between the breaks start one integrate_square run, with one
+    tolerance and one budget; cells adds the segments of the pole's 1D run.
     """
     m = scenario.map
     exact = _on_u(scenario)
@@ -686,18 +686,12 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
 
             pole = adaptive_1d(on_line, chart(0.0, v0)[1], chart(0.0, v1)[1], cfg)
 
-    edges = [p0, *breaks, p1]
-    parts = [integrate_square(kern, (a, b, v0, v1), cfg) for a, b in zip(edges, edges[1:])]
-    runs = parts if pole is None else parts + [pole]
-    return IntegralResult(
-        complex(math.fsum(r.value.real for r in parts), math.fsum(r.value.imag for r in parts)),
-        math.fsum(r.err_estimate for r in parts),
-        epsilon_used=eps,
-        note="finest-epsilon" if not limit else "closed-form" if pole is None else "finite-part",
-        budget_exhausted=any(r.budget_exhausted for r in runs),
-        cells=sum(r.cells for r in runs),
-        pole=None if pole is None else pole.value,
-    )
+    res = integrate_square(kern, (p0, *breaks, p1, v0, v1), cfg)
+    runs = [res] if pole is None else [res, pole]
+    note = "finest-epsilon" if not limit else "closed-form" if pole is None else "finite-part"
+    return replace(res, epsilon_used=eps, note=note, pole=None if pole is None else pole.value,
+                   budget_exhausted=any(r.budget_exhausted for r in runs),
+                   cells=sum(r.cells for r in runs))
 
 
 def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float) -> IntegralResult:
@@ -761,8 +755,8 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario) -> IntegralResult:
     holds epsilon by epsilon, so the flat and dual finite parts and poles
     are the same two numbers.  A one-level sequence gives the regulated N at
     that epsilon, with the pole in the value (note "finest-epsilon"), from
-    the same routine on the same domain; max_subdivisions bounds each piece
-    of the x range either way.
+    the same routine on the same domain; max_subdivisions bounds the 2D run
+    of the whole x range either way.
     """
     if det.model != "oscillator":
         raise ValueError("the second excited state exists only for oscillator detectors")
@@ -944,10 +938,10 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
     (the conformal-time regulator is the one under which the pictures agree
     epsilon by epsilon).  Each side evaluates its elements with the one
     routine _integral, its own quadrature on its own mesh, at its own
-    times, each piece of an x range with its own budget.  Residuals are
-    relative, on L_AA, L_BB, |M| and the negativity.  Both sides take
-    the same couplings, which dualize keeps.  A pair whose B mirrors A with
-    the same coupling (see _twins) reuses L_AA as L_BB on each side.
+    times, one adaptive run per element.  Residuals are relative, on L_AA,
+    L_BB, |M| and the negativity.  Both sides take the same couplings,
+    which dualize keeps.  A pair whose B mirrors A with the same coupling
+    (see _twins) reuses L_AA as L_BB on each side.
     """
     dual = dualize(scenario, Omega)
 

@@ -6,8 +6,8 @@ Two parts:
   over boxes of one or two axes, with per-axis error indicators and
   anisotropic bisection, so near-singular ridges that are axis-aligned (the
   regulated Wightman kernel in difference coordinates) are resolved in
-  O(log 1/eps) refinement levels.  integrate_square (rectangles) and
-  adaptive_1d (segments) are its two entries.
+  O(log 1/eps) refinement levels.  integrate_square (rectangles, whose u
+  axis may carry breaks) and adaptive_1d (segments) are its two entries.
 * Regulator handling: validation of a halving epsilon sequence, Richardson
   extrapolation to eps -> 0 with an empirical validation of the
   linear-error model (a reference for evaluations at several regulators; the
@@ -130,9 +130,9 @@ class QuadratureConfig:
     called on its own.
 
     max_subdivisions bounds the splits of each adaptive run (one
-    integrate_square or adaptive_1d call): each piece of an element's u
-    range, in the limit or at a finite eps alike, or the line integral of
-    a pole; a run evaluates at most 1 + 2 * max_subdivisions cells.
+    integrate_square or adaptive_1d call): an element's 2D integral, all
+    pieces of its x range in one, at any regulator, or a pole's line
+    integral; a run of p pieces evaluates at most p + 2 * max_subdivisions cells.
     """
 
     rel_tol: float = 1e-6
@@ -172,8 +172,8 @@ class IntegralResult:
     an adaptive quadrature stopped at max_subdivisions with its error still
     above the tolerance; an extrapolated result carries it when any of its
     regulator levels did.  cells counts the cells (rectangles, or segments
-    on one axis) the adaptive run evaluated, 1 + 2 * splits, and is 0 where
-    none ran; an extrapolated result carries the largest count of its
+    on one axis) the adaptive run evaluated, pieces + 2 * splits, and is 0
+    where none ran; an extrapolated result carries the largest count of its
     levels.  pole is the coefficient of 1/eps of an element that diverges
     as the regulator is removed, whose value is then the finite part (note
     "finite-part"); it is None for every other result.
@@ -243,29 +243,31 @@ class _Cells:
         return float(self.err[i])
 
 
-def _adapt(f, box, cfg: QuadratureConfig) -> IntegralResult:
-    """Globally adaptive Gauss-Kronrod 15/31 over a box of d = 1 or 2 axes.
+def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
+    """Globally adaptive Gauss-Kronrod 15/31 over boxes of d = 1 or 2 axes.
 
-    box is a nonempty (lo, hi) per axis, flattened; f is evaluated as in
-    _eval_cell.  The cell with the largest error is bisected along the axis
-    whose Gauss/Kronrod defect is larger, which keeps ridge refinement
-    one-dimensional; an axis narrower than 1e-13 of its range, or of the
-    magnitude of its ends where that is larger, is not split (a finer split
-    would round a node onto an end, the break a pole sits on), and a cell
-    with no axis left to split stays a leaf.  Refinement stops
+    boxes are the nonempty initial cells that tile the domain, each a (lo,
+    hi) per axis, flattened: the pieces between breaks, as QUADPACK's qagp
+    takes its breakpoints.  f is evaluated as in _eval_cell.  In one heap,
+    the cell with the largest error is bisected along the axis whose
+    Gauss/Kronrod defect is larger, which keeps ridge refinement
+    one-dimensional; an axis narrower than 1e-13 of the domain's range, or
+    of the magnitude of its ends where that is larger, is not split (a
+    finer split would round a node onto an end, the break a pole sits on),
+    and a cell with no axis left to split stays a leaf.  Refinement stops
     once the summed error meets max(abs_tol, rel_tol * |value|), or after
     max_subdivisions splits.  err_estimate is the summed cell defect; where
     the tolerance could not be met it stays above tolerance rather than
     being silently clipped, and budget_exhausted is set.
     """
-    d = len(box) // 2
-    min_w = [1e-13 * max(box[2 * j + 1] - box[2 * j], abs(box[2 * j]), abs(box[2 * j + 1]))
-             for j in range(d)]
+    lo, hi = boxes[0][::2], boxes[-1][1::2]  # the domain's ends on each axis
+    min_w = [1e-13 * max(b - a, abs(a), abs(b)) for a, b in zip(lo, hi)]
+    d = len(lo)
 
     cells = _Cells(d)
-    heap = [(-cells.put(0, box, *_eval_cell(f, box)), 0)]
-    total = cells.val[0]
-    err_total = cells.err[0]
+    heap = [(-cells.put(i, box, *_eval_cell(f, box)), i) for i, box in enumerate(boxes)]
+    heapq.heapify(heap)
+    total, err_total = cells.val[: cells.n].sum(), cells.err[: cells.n].sum()
     splits = 0
     while heap and splits < cfg.max_subdivisions:
         if err_total <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
@@ -299,22 +301,24 @@ def _adapt(f, box, cfg: QuadratureConfig) -> IntegralResult:
     err = math.fsum(cells.err[: cells.n].tolist())
     exhausted = splits >= cfg.max_subdivisions and err > max(cfg.abs_tol, cfg.rel_tol * abs(val))
     return IntegralResult(value=val, err_estimate=err, budget_exhausted=exhausted,
-                          cells=1 + 2 * splits)
+                          cells=len(boxes) + 2 * splits)
 
 
 def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
     """Adaptive cubature of a complex kernel f(u, v) over rect = (u0, u1, v0, v1).
 
-    f must accept numpy arrays that broadcast to a common shape and return
-    values of that shape.  The refinement and its accounting are those of
-    _adapt.
+    Breaks on u, rect = (u0, b1, ..., u1, v0, v1) with u0 < b1 < ... < u1,
+    cut it into pieces that start one adaptive run (_adapt).  f must take
+    numpy arrays that broadcast to a common shape and return that shape.
     """
-    u0, u1, v0, v1 = (float(x) for x in rect)
-    if not (u1 >= u0 and v1 >= v0):
+    *us, v0, v1 = (float(x) for x in rect)
+    if len(us) < 2 or not (us[-1] >= us[0] and v1 >= v0):
         raise ValueError(f"degenerate rectangle {rect}")
-    if u1 == u0 or v1 == v0:
+    if len(us) > 2 and not all(a < b for a, b in zip(us, us[1:])):
+        raise ValueError(f"the breaks of {rect} must ascend strictly inside (u0, u1)")
+    if us[-1] == us[0] or v1 == v0:
         return IntegralResult(value=0.0 + 0.0j, err_estimate=0.0, note="empty-domain")
-    return _adapt(f, [u0, u1, v0, v1], cfg)
+    return _adapt(f, [[a, b, v0, v1] for a, b in zip(us, us[1:])], cfg)
 
 
 def adaptive_1d(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
@@ -326,7 +330,7 @@ def adaptive_1d(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
     b = float(b)
     if b <= a:
         return IntegralResult(value=0.0 + 0.0j, err_estimate=0.0, note="empty-domain")
-    return _adapt(f, [a, b], cfg)
+    return _adapt(f, [[a, b]], cfg)
 
 
 # Richardson table coefficients amplify the per-level quadrature noise by at

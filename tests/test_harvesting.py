@@ -589,15 +589,22 @@ def _calls_of(monkeypatch, run):
 
 
 def test_closed_form_element_reports_all_its_cells(monkeypatch):
-    # a closed-form element counts the cells of each piece of its u range
-    # (M breaks at its pole u = L) and N the segments of its pole's line integral
+    # a closed-form element is one adaptive run over all pieces of its x
+    # range (M breaks at its pole x = L), and N adds the segments of its
+    # pole's line integral
     sc = _scenario()
     calls, M = _calls_of(monkeypatch, lambda: compute_M(sc))
     assert M.note == "closed-form" and M.pole is None
-    assert len(calls) == 2 and M.cells == sum(calls)
+    assert len(calls) == 1 and M.cells == calls[0]
+    assert M.cells % 2 == 0  # two pieces + 2 * splits
+    lines = []
+    line_integral = harvesting.adaptive_1d
+    monkeypatch.setattr(harvesting, "adaptive_1d",
+                        lambda *args: lines.append(line_integral(*args)) or lines[-1])
     calls, N = _calls_of(monkeypatch, lambda: compute_N(sc.detectors[0], sc))
     assert N.note == "finite-part" and N.pole is not None
-    assert len(calls) == 1 and N.cells > calls[0]
+    (line,) = lines
+    assert len(calls) == 1 and N.cells == calls[0] + line.cells > calls[0]
 
 
 @pytest.mark.parametrize("chi, sheared", [(GAUSS, False), (cos_squared_switching(-0.5, 0.5), True)])
@@ -609,7 +616,7 @@ def test_chart_is_decided_by_the_windows_alone(monkeypatch, chi, sheared):
     integrate = harvesting.integrate_square
 
     def spy(f, rect, cfg):
-        domains.append(rect[2:])
+        domains.append(rect[-2:])
         return integrate(f, rect, cfg)
 
     monkeypatch.setattr(harvesting, "integrate_square", spy)
@@ -632,7 +639,7 @@ SMALL = QuadratureConfig(max_subdivisions=6, epsilon_sequence=EPS1)
 
 
 def _gk_grid(rect):
-    u0, u1, w0, w1 = rect
+    u0, *_, u1, w0, w1 = rect
     u = u0 + 0.5 * (u1 - u0) * (XK[:, None] + 1.0)
     w = w0 + 0.5 * (w1 - w0) * (XK[None, :] + 1.0)
     return u, w
@@ -1156,7 +1163,7 @@ def test_hermitian_L_is_folded_onto_u_nonnegative(monkeypatch):
         # transported windows, and its w range over their own supports
         whole = harvesting._rect(*(d.switching.param("base").support for d in (da, other)), False)
         supports = harvesting._rect(da.switching.support, other.switching.support, False)
-        assert rect[:2] == (0.0, max(-whole[0], whole[1])) and rect[2:] == supports[2:]
+        assert rect[:-2] == (0.0, max(-whole[0], whole[1])) and rect[-2:] == supports[2:]
         assert abs(res.value - _unfolded_L(sc, da, other, EPS6).value) <= 1e-6 * abs(res.value)
 
 
@@ -1589,8 +1596,7 @@ CONVERGENCE_ROWS = [
 TIGHT = QuadratureConfig(rel_tol=1e-11, abs_tol=0.0, max_subdivisions=2000)
 TIGHT_ROWS = [
     ("gauss", 2.0, SIDES, ("M", "L_AB")),
-    ("cos2", 0.6, SIDES, ("M", "L_AB")),
-    ("cos2", 1.2, SIDES, ("M", "L_AB")),
+    *(("cos2", L, SIDES, ("M", "L_AB")) for L in (0.6, 0.999, 1.001, 1.2)),
     ("cos2-unequal", 0.6, (0.5,), ("M",)),
     ("gauss", 0.0, SIDES, ("L_AA", "N")),
     ("cos2", 0.0, SIDES, ("L_AA", "N")),
@@ -1635,11 +1641,43 @@ def test_every_separated_element_converges_as_rel_tol_tightens(windows, L, sides
 @pytest.mark.parametrize("windows,L,sides,elements", TIGHT_ROWS,
                          ids=[f"{w}-L{L}" for w, L, _, _ in TIGHT_ROWS])
 def test_a_tight_tolerance_keeps_every_kernel_finite(windows, L, sides, elements):
-    # at L = 0.6 the light cone crosses the windows' diamond, at L = 0 the
-    # pole is the line x = 0; a kernel that met a non-finite value would
-    # raise NumericalHardError
+    # at L = 0.6 the light cone crosses the windows' diamond, near L = 1 it
+    # cuts a sliver off it, at L = 0 the pole is the line x = 0; a kernel
+    # that met a non-finite value would raise NumericalHardError.  Each
+    # element is one adaptive run over the pieces of its x range, so it
+    # meets the tolerance within its budget
     for Omega in sides:
         runs = _elements_of(_pair(windows, L, Omega, TIGHT))
         for name in elements:
             res = runs[name]()
             assert math.isfinite(abs(res.value)) and math.isfinite(res.err_estimate), (Omega, name)
+            assert not res.budget_exhausted, (Omega, name, res)
+            assert res.err_estimate <= TIGHT.rel_tol * abs(res.value), (Omega, name, res)
+
+
+@pytest.mark.parametrize("L", [3.796, 4.744])
+def test_cancelling_pieces_meet_the_default_tolerance(L):
+    # the benchmark's corner pair: L_AB's two pieces, split at its light
+    # cone, are hundreds of times the element and cancel; one run over
+    # both stops at rel_tol of their sum, so every element meets it
+    flat = HarvestScenario(
+        detectors=(_detector("A", (0.0, 0.0, 0.0), freq=2.0),
+                   _detector("B", (L, 0.0, 0.0), freq=2.0, chi=gaussian_switching(1.6))),
+        quadrature=QuadratureConfig(max_subdivisions=2000))
+    elements = compute_elements(flat)
+    for name in ("L_AA", "L_BB", "M", "L_AB", "N_A", "N_B"):
+        res = getattr(elements, name)
+        assert not res.budget_exhausted, (name, res)
+        assert res.err_estimate <= flat.quadrature.rel_tol * abs(res.value), (name, res)
+
+
+def test_a_sliver_piece_does_not_spend_the_budget():
+    # at L = 0.999 the light cone cuts a sliver off the cos^2 diamond, a
+    # piece whose own value is far below the element's; the element meets
+    # its tolerance in a few cells, under the default budget of 40,000 splits
+    sc = _pair("cos2", 0.999, None, QuadratureConfig(rel_tol=1e-11, abs_tol=0.0))
+    runs = _elements_of(sc)
+    for name in ("M", "L_AB"):
+        res = runs[name]()
+        assert not res.budget_exhausted and res.cells <= 50, (name, res)
+        assert res.err_estimate <= sc.quadrature.rel_tol * abs(res.value), (name, res)

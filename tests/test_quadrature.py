@@ -5,6 +5,7 @@ against the polynomial exactness degrees the pair must satisfy (29 for the
 embedded 15-point Gauss rule, 46 for the 31-point Kronrod extension).
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -149,16 +150,36 @@ def test_real_grid_matches_its_complex_cast():
 
 def test_ridge_sweep_on_one_mesh():
     # a halving regulator sweep of the ridge 1/((u-v)^2 + a^2): each width
-    # runs on one mesh of its own, calling its kernel once per cell, and
-    # meets the tolerance and the closed form
-    for a in [0.05 / 2**k for k in range(6)]:
+    # runs on one mesh of its own, whole or started from pieces of u,
+    # calling its kernel once per cell, and meets the tolerance and the
+    # closed form
+    for a, us in itertools.product([0.05 / 2**k for k in range(6)], [(0, 1), (0, 0.25, 0.5, 1)]):
         kern, calls = _counted(_ridge(a))
-        res = integrate_square(kern, (0, 1, 0, 1), CFG)
+        res = integrate_square(kern, (*us, 0, 1), CFG)
         assert calls[0] == res.cells
+        assert (res.cells - (len(us) - 1)) % 2 == 0  # pieces + 2 * splits
         assert not res.budget_exhausted
         assert res.err_estimate <= max(CFG.abs_tol, CFG.rel_tol * abs(res.value))
         expected = (2 / a) * math.atan(1 / a) - math.log((1 + a * a) / (a * a))
         assert res.value.real == pytest.approx(expected, rel=10 * CFG.rel_tol)
+
+
+def test_cancelling_pieces_stop_at_rel_tol_of_their_sum():
+    # two pieces of opposite sign, each about 1000 times their sum: one run
+    # stops at rel_tol of the sum, where runs of their own, each to rel_tol
+    # of its piece, leave the sum's error some hundred times above it
+    a, d = 1e-3, 1e-3
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=0.0)
+    f = lambda u, v: np.where(u < 0.0, 1.0, -(1.0 + d)) / (u * u + a * a) * np.exp(v)
+    expected = -d * math.atan(1 / a) / a * (math.e - 1)
+    kern, calls = _counted(f)
+    res = integrate_square(kern, (-1, 0, 1, 0, 1), cfg)
+    assert not res.budget_exhausted and res.cells == calls[0]
+    assert res.err_estimate <= cfg.rel_tol * abs(res.value)
+    assert abs(res.value - expected) <= res.err_estimate
+    apart = [integrate_square(f, (u0, u1, 0, 1), cfg) for u0, u1 in ((-1, 0), (0, 1))]
+    total = sum(r.value for r in apart)
+    assert sum(r.err_estimate for r in apart) > 100 * cfg.rel_tol * abs(total)
 
 
 def test_stacked_budget_is_flagged_per_component():
@@ -178,12 +199,17 @@ def test_stacked_budget_is_flagged_per_component():
 
 
 def test_budget_starved_run_counts_its_cells():
+    # a run of p pieces evaluates p + 2 * splits cells, one budget for all
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=9)
     square = integrate_square(_ridge(1e-3), (0, 1, 0, 1), cfg)
     line = adaptive_1d(lambda x: 1.0 / (x * x + 1e-6), -1.0, 1.0, cfg)
     for res in (square, line):
         assert res.budget_exhausted
         assert res.cells == 1 + 2 * cfg.max_subdivisions
+    kern, calls = _counted(_ridge(1e-3))
+    pieces = integrate_square(kern, (0, 0.3, 0.6, 1, 0, 1), cfg)
+    assert pieces.budget_exhausted
+    assert pieces.cells == calls[0] == 3 + 2 * cfg.max_subdivisions
     eps = [1e-2 / 2**k for k in range(3)]
     levels = [replace(_res(0.7 + 0.3 * e, e), cells=c) for e, c in zip(eps, (9, 75, 9))]
     assert extrapolate_epsilon(levels).cells == 75
@@ -238,8 +264,9 @@ def test_subdivision_budget_reports_honest_error():
 
 def test_subdivision_budget_exhaustion_is_flagged():
     starved = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=4)
-    res = integrate_square(lambda u, v: 1.0 / ((u - v) ** 2 + 1e-4), (0, 1, 0, 1), starved)
-    assert res.budget_exhausted
+    for rect in ((0, 1, 0, 1), (0, 0.5, 1, 0, 1)):
+        res = integrate_square(lambda u, v: 1.0 / ((u - v) ** 2 + 1e-4), rect, starved)
+        assert res.budget_exhausted
     smooth = integrate_square(lambda u, v: np.exp(u + v) + 0j, (0, 1, 0, 1), CFG)
     assert smooth.err_estimate <= CFG.rel_tol * abs(smooth.value)
     assert not smooth.budget_exhausted
@@ -270,6 +297,18 @@ def test_nonfinite_integrand_raises():
 def test_degenerate_rect_rejected():
     with pytest.raises(ValueError):
         integrate_square(lambda u, v: u, (1, 0, 0, 1), CFG)
+    with pytest.raises(ValueError):
+        integrate_square(lambda u, v: u, (0, 1), CFG)
+
+
+@pytest.mark.parametrize("us", [(0, 0.5, 0.5, 1), (0, 0.7, 0.3, 1), (0, 0, 1), (0, 1, 1),
+                                (0, 1.5, 1), (0, -0.5, 1), (0, math.nan, 1)])
+def test_breaks_must_ascend_strictly_inside_the_range(us):
+    def kern(u, v):
+        raise AssertionError("a rectangle with bad breaks reached its kernel")
+
+    with pytest.raises(ValueError, match="ascend"):
+        integrate_square(kern, (*us, 0, 1), CFG)
 
 
 # --- config and epsilon handling ----------------------------------------------
