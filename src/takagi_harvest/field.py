@@ -24,9 +24,7 @@ import numpy as np
 from .geometry import ConformalTakagiMap, SwitchingFunction
 
 __all__ = [
-    "WIGHTMAN_PREF",
     "wightman_flat_sep",
-    "wightman_flat_pv",
     "wightman_frw_sep",
     "mode_integrand_static",
 ]
@@ -34,19 +32,13 @@ __all__ = [
 WIGHTMAN_PREF = 1.0 / (4.0 * math.pi**2)
 
 
-def _check_epsilon(epsilon):
-    eps = np.asarray(epsilon, dtype=float)
-    if not ((eps > 0.0) & np.isfinite(eps)).all():
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-
-
 def wightman_flat_sep(dt, sep, epsilon):
     """Flat kernel as a function of time difference dt = t - t2 and spatial separation.
 
-    Vectorized over dt; sep is a scalar >= 0 and epsilon a scalar > 0 (or an
-    array that broadcasts against dt).
+    Vectorized over dt; sep is a scalar >= 0 and epsilon one finite float > 0.
     """
-    _check_epsilon(epsilon)
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     dt = np.asarray(dt, dtype=float)
     z = dt - 1j * epsilon
     return WIGHTMAN_PREF / (sep * sep - z * z)

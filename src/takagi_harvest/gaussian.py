@@ -23,7 +23,6 @@ import numpy as np
 from .geometry import ConformalTakagiMap
 
 __all__ = [
-    "SymplecticMap",
     "sym_rotation",
     "sym_shear_scale",
     "free_particle_matrix",
@@ -33,38 +32,13 @@ __all__ = [
     "BogoliubovPair",
     "vacuum_bogoliubov",
     "transported_mode",
-    "transported_leg",
     "mode_ode_residual",
     "run_identity_suite",
     "SUITE_THRESHOLDS",
 ]
 
 
-@dataclass(frozen=True)
-class SymplecticMap:
-    """2x2 real linear map on (q, p) with unit determinant."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"matrix must be 2x2, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def det(self) -> float:
-        m = self.matrix
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-    def __matmul__(self, other: "SymplecticMap") -> "SymplecticMap":
-        return SymplecticMap(self.matrix @ other.matrix)
-
-    def det_residual(self) -> float:
-        return abs(self.det - 1.0)
-
-
-def sym_rotation(omega: float, lam: float) -> SymplecticMap:
+def sym_rotation(omega: float, lam: float) -> np.ndarray:
     """Heisenberg evolution of the omega oscillator for time lambda.
 
     q -> cos(omega lam) q + sin(omega lam)/omega p,
@@ -74,10 +48,10 @@ def sym_rotation(omega: float, lam: float) -> SymplecticMap:
         raise ValueError("omega must be positive")
     c = math.cos(omega * lam)
     s = math.sin(omega * lam)
-    return SymplecticMap(np.array([[c, s / omega], [-omega * s, c]]))
+    return np.array([[c, s / omega], [-omega * s, c]])
 
 
-def sym_shear_scale(f: float, g: float) -> SymplecticMap:
+def sym_shear_scale(f: float, g: float) -> np.ndarray:
     """Scale-shear pair: q -> e^{-f} q and p -> e^{f} (p + g q).
 
     The sign convention is fixed so that
@@ -85,12 +59,12 @@ def sym_shear_scale(f: float, g: float) -> SymplecticMap:
     gives free-particle evolution exactly; (f, g) = (ln 2, 0) is diag(1/2, 2).
     """
     ef = math.exp(f)
-    return SymplecticMap(np.array([[1.0 / ef, 0.0], [g * ef, ef]]))
+    return np.array([[1.0 / ef, 0.0], [g * ef, ef]])
 
 
-def free_particle_matrix(T: float) -> SymplecticMap:
+def free_particle_matrix(T: float) -> np.ndarray:
     """Free evolution q -> q + T p, p -> p."""
-    return SymplecticMap(np.array([[1.0, T], [0.0, 1.0]]))
+    return np.array([[1.0, T], [0.0, 1.0]])
 
 
 def _require_principal(omega: float, lam: float):
@@ -98,18 +72,28 @@ def _require_principal(omega: float, lam: float):
         raise ValueError("identity holds on the principal branch |omega*lambda| < pi/2")
 
 
-def _sv_su(omega: float, lam: float) -> np.ndarray:
-    c = math.cos(omega * lam)
-    sv = sym_shear_scale(math.log(c), omega * math.tan(omega * lam))
+def _det_residual(m: np.ndarray) -> float:
+    """|det m - 1| of a 2x2 matrix, from its entries."""
+    return abs(float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) - 1.0)
+
+
+def _free_particle(omega: float, lam: float, g_sign: float = 1.0):
+    """(S_V, S_U, residual): the factors of the free-particle identity and the
+    max-entry residual of S_V S_U = [[1, tan(omega lam)/omega], [0, 1]].
+
+    g_sign = -1 flips the sign of the shear, which breaks the identity: the
+    negative control of run_identity_suite.
+    """
+    t = math.tan(omega * lam)
+    sv = sym_shear_scale(math.log(math.cos(omega * lam)), g_sign * omega * t)
     su = sym_rotation(omega, lam)
-    return sv.matrix @ su.matrix
+    return sv, su, float(np.max(np.abs(sv @ su - free_particle_matrix(t / omega))))
 
 
 def takagi_free_particle_residual(omega: float, lam: float) -> float:
     """Max-entry residual of S_V S_U = [[1, tan(omega lam)/omega], [0, 1]]."""
     _require_principal(omega, lam)
-    T = math.tan(omega * lam) / omega
-    return float(np.max(np.abs(_sv_su(omega, lam) - free_particle_matrix(T).matrix)))
+    return _free_particle(omega, lam)[2]
 
 
 def takagi_cross_identity_residual(omega: float, Omega: float, lam: float) -> float:
@@ -118,7 +102,8 @@ def takagi_cross_identity_residual(omega: float, Omega: float, lam: float) -> fl
     if not Omega > 0.0:
         raise ValueError("cross identity needs Omega > 0")
     tau = ConformalTakagiMap(omega, Omega).tau_of_lambda(lam)
-    return float(np.max(np.abs(_sv_su(omega, lam) - _sv_su(Omega, tau))))
+    (sv, su, _), (sV, sU, _) = _free_particle(omega, lam), _free_particle(Omega, tau)
+    return float(np.max(np.abs(sv @ su - sV @ sU)))
 
 
 def heisenberg_q_relation_residual(omega: float, Omega: float, lam: float) -> float:
@@ -133,8 +118,8 @@ def heisenberg_q_relation_residual(omega: float, Omega: float, lam: float) -> fl
     if abs(cl) < 1e-12:
         raise ValueError("relation is singular where cos(omega*lambda) = 0")
     tau = ConformalTakagiMap(omega, Omega).tau_of_lambda(lam)
-    row_w = sym_rotation(omega, lam).matrix[0]
-    row_W = sym_rotation(Omega, tau).matrix[0]
+    row_w = sym_rotation(omega, lam)[0]
+    row_W = sym_rotation(Omega, tau)[0]
     ratio = math.cos(Omega * tau) / cl
     return float(np.max(np.abs(row_W - ratio * row_w)))
 
@@ -233,21 +218,10 @@ def run_identity_suite(
         # keep a margin from the branch edge so tan stays well conditioned
         lams = np.linspace(-0.45 * math.pi / omega, 0.45 * math.pi / omega, n_lambda)
         for lam in lams:
-            c = math.cos(omega * lam)
-            sv = sym_shear_scale(math.log(c), g_sign * omega * math.tan(omega * lam))
-            su = sym_rotation(omega, lam)
-            prod = sv @ su
-            T = math.tan(omega * lam) / omega
-            res["free_particle"] = max(
-                res["free_particle"],
-                float(np.max(np.abs(prod.matrix - free_particle_matrix(T).matrix))),
-            )
-            res["symplectic_det"] = max(
-                res["symplectic_det"],
-                sv.det_residual(),
-                su.det_residual(),
-                prod.det_residual(),
-            )
+            sv, su, resid = _free_particle(omega, lam, g_sign)
+            res["free_particle"] = max(res["free_particle"], resid)
+            res["symplectic_det"] = max(res["symplectic_det"],
+                                        *(_det_residual(m) for m in (sv, su, sv @ su)))
             for Omega in Omegas:
                 res["cross_identity"] = max(
                     res["cross_identity"], takagi_cross_identity_residual(omega, Omega, lam)

@@ -29,6 +29,7 @@ __all__ = [
     "cos_squared_switching",
     "transform_switching",
     "StaticTrajectory",
+    "separation",
 ]
 
 GAUSSIAN_SUPPORT_SIGMAS = 8.0

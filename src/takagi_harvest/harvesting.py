@@ -87,7 +87,6 @@ __all__ = [
     "MatrixElements",
     "HarvestReport",
     "DualCheckReport",
-    "PERTURBATIVE_WARN_THRESHOLD",
     "duality_backbone_residual",
     "compute_L",
     "compute_M",
@@ -257,7 +256,7 @@ def duality_backbone_residual(m: ConformalTakagiMap, chi: SwitchingFunction, lam
     For the transported window chi_dual = transform_switching(m, chi) the
     combination
 
-        chi_dual(tau(l)) * (dtau/dl) * C(l)^{-1} * cos(Omega tau)/cos(omega l)
+        chi_dual(tau(l)) * cos(Omega tau)/cos(omega l)
 
     must reproduce chi(l) identically; this is the per-leg statement that makes
     the flat and dual matrix elements equal before any integration.  Returns
@@ -270,8 +269,7 @@ def duality_backbone_residual(m: ConformalTakagiMap, chi: SwitchingFunction, lam
         raise ValueError("samples too close to cos(omega*lambda) = 0; shift the grid")
     chi_dual = transform_switching(m, chi)
     tau = m.tau_of_lambda(lam)
-    C = m.conformal_factor(lam)
-    lhs = chi_dual(tau) * C * C ** -1.0 * (np.cos(m.Omega * tau) / cos_flat)
+    lhs = chi_dual(tau) * (np.cos(m.Omega * tau) / cos_flat)
     return float(np.max(np.abs(lhs - chi(lam))))
 
 
@@ -323,10 +321,12 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
     amp e^{i phase}.  Unordered (L): B's leg enters conjugated, so the
     phases subtract.  Ordered (M, N): they add.  swapped adds the same
     product with the two times exchanged, A's leg at Q and B's at P: the
-    (A <-> B) ordering of M, and the u < 0 half of an L unfolded onto
-    u >= 0.  Where an ordered product's legs share one phase function (the
-    transported mode, or equal frequencies) the amplitudes add; otherwise
-    amp is the complex sum of both products and the phase 0.
+    (A <-> B) ordering of every ordered element (for N, whose legs are one
+    detector's, it doubles the product exactly), and the u < 0 half of an
+    L unfolded onto u >= 0.  Where an ordered product's legs share one
+    phase function (the transported mode, or equal frequencies) the
+    amplitudes add; otherwise amp is the complex sum of both products and
+    the phase 0.
     """
     m = scenario.map
     clock = _clock(scenario)
@@ -516,7 +516,7 @@ def _delta_prime(scenario, det_a, det_b, t, L):
     return 0.25 * (da * L[2] - L[0] * db + 1j * L[0] * L[2] * rate) * np.exp(1j * (L[1] - L[3]))
 
 
-def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
+def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
               eps: float | None) -> IntegralResult:
     """One element as bounded integrands (before the prefactor): its eps -> 0 limit, or at eps.
 
@@ -587,7 +587,7 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
     sep = separation(det_a.trajectory, det_b.trajectory)
     limit = eps is None
     unfold = limit and sep == 0.0 and not (ordered or fold)
-    evaluate, join = _legs(scenario, det_a, det_b, ordered, swapped or unfold)
+    evaluate, join = _legs(scenario, det_a, det_b, ordered, ordered or unfold)
     half = ordered or fold or unfold
     cfg = scenario.quadrature
     # off the identity clock every element integrates in x
@@ -694,7 +694,7 @@ def _integral(scenario, det_a, det_b, ordered: bool, swapped: bool, fold: bool,
                    cells=sum(r.cells for r in runs))
 
 
-def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float) -> IntegralResult:
+def _element(scenario, det_a, det_b, ordered: bool, pref: float) -> IntegralResult:
     """pref * g_a * g_b, the two detectors' couplings, times one element's integral.
 
     The quadrature config's epsilon_sequence sets eps, and nothing else
@@ -709,7 +709,7 @@ def _element(scenario, det_a, det_b, ordered: bool, swapped: bool, pref: float) 
     eps_seq = scenario.quadrature.epsilon_sequence
     eps = eps_seq[0] if eps_seq is not None and len(eps_seq) == 1 else None
     fold = not ordered and _mirrors(det_a, det_b)
-    res = _integral(scenario, det_a, det_b, ordered, swapped, fold, eps)
+    res = _integral(scenario, det_a, det_b, ordered, fold, eps)
     pref = pref * ca * cb
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate,
                    pole=None if res.pole is None else pref * res.pole)
@@ -727,7 +727,7 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec,
     exactly 0.  The independent mode-sum route of a static flat pair is
     quadrature.fourier_oracle_L.
     """
-    return _element(scenario, det_a, det_b, ordered=False, swapped=False, pref=1.0)
+    return _element(scenario, det_a, det_b, ordered=False, pref=1.0)
 
 
 def compute_M(scenario: HarvestScenario) -> IntegralResult:
@@ -739,17 +739,20 @@ def compute_M(scenario: HarvestScenario) -> IntegralResult:
     way: the finite part, which enters rho, and the pole.
     """
     det_a, det_b = scenario.detectors
-    return _element(scenario, det_a, det_b, ordered=True, swapped=True, pref=-1.0)
+    return _element(scenario, det_a, det_b, ordered=True, pref=-1.0)
 
 
 def compute_N(det: DetectorSpec, scenario: HarvestScenario) -> IntegralResult:
     """Same-detector double-excitation element N_d (oscillator models only).
 
-    The coincidence-limit kernel makes the ordered integral diverge like
-    1/epsilon.  Where the limit is taken in closed form (no sequence, or
-    more than one level; see _element) the result is split: its value is
-    the finite part (note "finite-part"), which is what enters rho, and pole
-    is the coefficient of 1/epsilon, so that the regulated N at epsilon is
+    N_d is M's integral of the detector paired with itself, times
+    -sqrt(2)/2: M's ordered integrand symmetrized in the two detectors is
+    then twice N's product, exactly.  The coincidence-limit kernel makes
+    the ordered integral diverge like 1/epsilon.  Where the limit is taken
+    in closed form (no sequence, or more than one level; see _element) the
+    result is split: its value is the finite part (note "finite-part"),
+    which is what enters rho, and pole is the coefficient of 1/epsilon, so
+    that the regulated N at epsilon is
     value + pole/epsilon + O(epsilon).  On the dual side epsilon regulates
     the conformal-time difference, the regulator under which the duality
     holds epsilon by epsilon, so the flat and dual finite parts and poles
@@ -760,7 +763,7 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario) -> IntegralResult:
     """
     if det.model != "oscillator":
         raise ValueError("the second excited state exists only for oscillator detectors")
-    return _element(scenario, det, det, ordered=True, swapped=False, pref=-math.sqrt(2.0))
+    return _element(scenario, det, det, ordered=True, pref=-0.5 * math.sqrt(2.0))
 
 
 def compute_elements(scenario: HarvestScenario) -> MatrixElements:

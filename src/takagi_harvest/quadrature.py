@@ -35,7 +35,6 @@ __all__ = [
     "integrate_square",
     "adaptive_1d",
     "extrapolate_epsilon",
-    "validate_epsilon_sequence",
     "fourier_oracle_L",
 ]
 
@@ -214,35 +213,6 @@ def _eval_cell(f, box):
     return complex(ik), np.abs(ik - rules[1:])
 
 
-class _Cells:
-    """The leaf cells of one adaptive run, one row each, in growing arrays.
-
-    Row i holds cell i's box, its Kronrod value, its error (the sum of its
-    axis defects) and its axis defects, which pick the split axis.  A split
-    cell's row goes to its first child, so the rows are always the leaves.
-    """
-
-    def __init__(self, d: int):
-        self.n = 0
-        self.box = np.empty((64, 2 * d))
-        self.val = np.empty(64, dtype=complex)
-        self.err = np.empty(64)
-        self.defects = np.empty((64, d))
-
-    def put(self, i, box, ik, defects):
-        """Store a cell in row i (i == n appends); returns its error, the heap priority."""
-        if i == len(self.box):
-            for name in ("box", "val", "err", "defects"):
-                a = getattr(self, name)
-                setattr(self, name, np.concatenate([a, np.empty_like(a)]))
-        self.box[i] = box
-        self.val[i] = ik
-        self.err[i] = np.add.reduce(defects)
-        self.defects[i] = defects
-        self.n = max(self.n, i + 1)
-        return float(self.err[i])
-
-
 def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
     """Globally adaptive Gauss-Kronrod 15/31 over boxes of d = 1 or 2 axes.
 
@@ -264,10 +234,17 @@ def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
     min_w = [1e-13 * max(b - a, abs(a), abs(b)) for a, b in zip(lo, hi)]
     d = len(lo)
 
-    cells = _Cells(d)
-    heap = [(-cells.put(i, box, *_eval_cell(f, box)), i) for i, box in enumerate(boxes)]
+    def leaf(cell):
+        """(box, Kronrod value, error, axis defects): the error is the sum of
+        the defects, and the larger defect picks the split axis."""
+        ik, w = _eval_cell(f, cell)
+        return cell, ik, float(np.add.reduce(w)), w.tolist()
+
+    # one row per leaf; a split cell's row goes to its first child
+    leaves = [leaf(cell) for cell in boxes]
+    heap = [(-c[2], i) for i, c in enumerate(leaves)]
     heapq.heapify(heap)
-    total, err_total = cells.val[: cells.n].sum(), cells.err[: cells.n].sum()
+    total, err_total = sum(c[1] for c in leaves), sum(c[2] for c in leaves)
     splits = 0
     while heap and splits < cfg.max_subdivisions:
         if err_total <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
@@ -275,8 +252,7 @@ def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
         neg_err, i = heapq.heappop(heap)
         if -neg_err == 0.0:  # frozen: stays a leaf, never split again
             continue
-        cell = cells.box[i].tolist()
-        w = cells.defects[i].tolist()
+        cell, ik, e, w = leaves[i]
         j = int(w[-1] > w[0])  # the axis of the larger defect, ties to the first
         if cell[2 * j + 1] - cell[2 * j] < min_w[j]:
             j = d - 1 - j  # the other axis; the first is split only where it has a defect
@@ -285,20 +261,20 @@ def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
         mid = 0.5 * (cell[2 * j] + cell[2 * j + 1])
         lo, hi = cell[:], cell[:]
         lo[2 * j + 1] = hi[2 * j] = mid
-        total -= cells.val[i]
-        err_total -= cells.err[i]
-        for row, kid in zip((i, cells.n), (lo, hi)):
-            prio = cells.put(row, kid, *_eval_cell(f, kid))
-            heapq.heappush(heap, (-prio, row))
-            total += cells.val[row]
-            err_total += cells.err[row]
+        total -= ik
+        err_total -= e
+        leaves[i] = leaf(lo)
+        leaves.append(leaf(hi))
+        for row in (i, len(leaves) - 1):
+            heapq.heappush(heap, (-leaves[row][2], row))
+            total += leaves[row][1]
+            err_total += leaves[row][2]
         splits += 1
 
     # final reduction over the leaves with exactly-rounded sums, so the
     # result does not depend on the order of the rows
-    v = cells.val[: cells.n]
-    val = complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist()))
-    err = math.fsum(cells.err[: cells.n].tolist())
+    val = complex(math.fsum(c[1].real for c in leaves), math.fsum(c[1].imag for c in leaves))
+    err = math.fsum(c[2] for c in leaves)
     exhausted = splits >= cfg.max_subdivisions and err > max(cfg.abs_tol, cfg.rel_tol * abs(val))
     return IntegralResult(value=val, err_estimate=err, budget_exhausted=exhausted,
                           cells=len(boxes) + 2 * splits)

@@ -35,10 +35,9 @@ def test_flat_coincident_separation():
 
 
 def test_flat_epsilon_validation():
-    with pytest.raises(ValueError):
-        wightman_flat_sep(0.1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        wightman_flat_sep(0.1, 1.0, -1e-3)
+    for eps in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            wightman_flat_sep(0.1, 1.0, eps)
 
 
 @pytest.mark.parametrize("omega,Omega", [(1.0, 2.0), (1.0, 0.5), (2.0, 3.0)])

@@ -703,7 +703,7 @@ def _assert_legs_close(got, want, scale=None, rel=1e-14):
     assert np.all(err <= rel * scale), float(np.max(err / np.maximum(scale, 1e-300)))
 
 
-def _public_element(sc, da, db, ordered, swapped, eps):
+def _public_element(sc, da, db, ordered, eps):
     """One element at eps, before its prefactor, from the public legs on the plain (u, w) mesh.
 
     A's leg, window times mode (e^{i freq t}, or transported_mode for the
@@ -712,7 +712,8 @@ def _public_element(sc, da, db, ordered, swapped, eps):
     conformal times of both legs, and 1/2 is the Jacobian of (t, t') ->
     (u, w).  Unordered (L), over the whole rectangle of the two supports,
     B's leg is conjugated and W runs from t' to t.  Ordered (M, N), over
-    u >= 0, W runs from t to t', and swapped adds the (A <-> B) ordering.
+    u >= 0, W runs from t to t', and the (A <-> B) ordering is added (for
+    N, B is A and that doubles the product).
     Shares nothing with the harvesting routine but integrate_square, and no
     chart, break or fold: one rectangle, as the quadrature refines it.
     """
@@ -734,11 +735,9 @@ def _public_element(sc, da, db, ordered, swapped, eps):
         a, b_p = leg(da, t), leg(db, tp)
         if not ordered:
             return 0.5 * a * np.conj(b_p) * wight(tp, t)
-        pair = a * b_p
-        if swapped:
-            # B's leg is A's when both have one window and one frequency
-            twin = (da.switching, da.frequency) == (db.switching, db.frequency)
-            pair = pair + (a * b_p if twin else leg(db, t) * leg(da, tp))
+        # B's leg is A's when both have one window and one frequency
+        twin = (da.switching, da.frequency) == (db.switching, db.frequency)
+        pair = a * b_p + (a * b_p if twin else leg(db, t) * leg(da, tp))
         return 0.5 * pair * wight(t, tp)
 
     (a0, a1), (b0, b1) = da.switching.support, db.switching.support
@@ -759,13 +758,12 @@ def test_dual_kernels_equal_the_formulas_of_the_public_legs():
     for sc in (flat, dual):
         da, db = sc.detectors
         # L_AA (folded), L_AB (folded, two ridges), M and N
-        cases = [(da, da, False, False), (da, db, False, False),
-                 (da, db, True, True), (da, da, True, False)]
+        cases = [(da, da, False), (da, db, False), (da, db, True), (da, da, True)]
         for eps in (0.02, 0.01, 0.005):
-            for a, b, ordered, swapped in cases:
+            for a, b, ordered in cases:
                 fold = not ordered and harvesting._mirrors(a, b)
-                got = harvesting._integral(sc, a, b, ordered, swapped, fold, eps)
-                want = _public_element(sc, a, b, ordered, swapped, eps)
+                got = harvesting._integral(sc, a, b, ordered, fold, eps)
+                want = _public_element(sc, a, b, ordered, eps)
                 assert got.note == "finest-epsilon" and got.epsilon_used == eps
                 assert abs(got.value - want.value) <= 10.0 * sc.quadrature.rel_tol * abs(want.value), (
                     sc.frame, a.label, b.label, ordered, eps)
@@ -1068,12 +1066,12 @@ def _mesh_of(monkeypatch, run):
     return res, calls
 
 
-def _assert_straightened_matches_the_plain_mesh(monkeypatch, sc, da, db, ordered, swapped,
-                                               fold, eps_seq, max_calls):
+def _assert_straightened_matches_the_plain_mesh(monkeypatch, sc, da, db, ordered, fold,
+                                               eps_seq, max_calls):
     for eps in eps_seq:
         calls, res = _calls_of(
-            monkeypatch, lambda: harvesting._integral(sc, da, db, ordered, swapped, fold, eps))
-        want = _public_element(sc, da, db, ordered, swapped, eps)
+            monkeypatch, lambda: harvesting._integral(sc, da, db, ordered, fold, eps))
+        want = _public_element(sc, da, db, ordered, eps)
         assert abs(res.value - want.value) <= 10.0 * sc.quadrature.rel_tol * abs(want.value)
         assert sum(calls) < max_calls, (eps, calls)
 
@@ -1094,7 +1092,7 @@ def test_dual_M_straightened_matches_the_plain_mesh(monkeypatch):
     # criterion 7's pair at Omega = 2, at four regulators, each on its own mesh
     dual = dualize(_scenario(), 2.0)
     _assert_straightened_matches_the_plain_mesh(
-        monkeypatch, dual, *dual.detectors, True, True, False, EPS6[:4], 2000)
+        monkeypatch, dual, *dual.detectors, True, False, EPS6[:4], 2000)
 
 
 def test_frw_ground_state_L_AB_straightened_matches_the_plain_mesh(monkeypatch):
@@ -1107,7 +1105,7 @@ def test_frw_ground_state_L_AB_straightened_matches_the_plain_mesh(monkeypatch):
     sc = HarvestScenario(detectors=(da, db), map=m)
     # the finite-eps route of the folded L_AB (B mirrors A)
     _assert_straightened_matches_the_plain_mesh(
-        monkeypatch, sc, da, db, False, False, True, EPS6[:3], 1000)
+        monkeypatch, sc, da, db, False, True, EPS6[:3], 1000)
 
 
 def _unfolded_L(sc, da, db, eps_seq):
@@ -1118,7 +1116,7 @@ def _unfolded_L(sc, da, db, eps_seq):
     the cells, and the extrapolation amplifies each level's error.
     """
     tight = replace(sc, quadrature=replace(sc.quadrature, rel_tol=1e-8))
-    res = extrapolate_epsilon([_public_element(tight, da, db, False, False, eps) for eps in eps_seq])
+    res = extrapolate_epsilon([_public_element(tight, da, db, False, eps) for eps in eps_seq])
     pref = da.coupling * db.coupling
     return replace(res, value=pref * res.value)
 
@@ -1209,10 +1207,10 @@ def test_criterion_10_M_limit_matches_the_product_integral():
         assert abs(got - oracle) <= 1e-9 * abs(oracle), (freq, got, oracle)
 
 
-def _swept(sc, da, db, ordered, swapped, pref, eps_seq=EPS6):
+def _swept(sc, da, db, ordered, pref, eps_seq=EPS6):
     """An element by the one routine at each finite eps, extrapolated."""
     fold = not ordered and harvesting._mirrors(da, db)
-    res = extrapolate_epsilon([harvesting._integral(sc, da, db, ordered, swapped, fold, eps)
+    res = extrapolate_epsilon([harvesting._integral(sc, da, db, ordered, fold, eps)
                                for eps in eps_seq])
     assert res.note == "richardson", res.note
     return pref * da.coupling * db.coupling * res.value
@@ -1231,11 +1229,11 @@ def test_limit_agrees_with_the_regulated_sweep(L):
     apart = HarvestScenario(detectors=(da, other))
     detuned = HarvestScenario(detectors=(da, gap))
     cases = [
-        (compute_M(same), _swept(same, da, mirror, True, True, -1.0)),
-        (compute_M(apart), _swept(apart, da, other, True, True, -1.0)),
-        (compute_L(da, mirror, same), _swept(same, da, mirror, False, False, 1.0)),
-        (compute_L(da, other, apart), _swept(apart, da, other, False, False, 1.0)),
-        (compute_L(da, gap, detuned), _swept(detuned, da, gap, False, False, 1.0)),
+        (compute_M(same), _swept(same, da, mirror, True, -1.0)),
+        (compute_M(apart), _swept(apart, da, other, True, -1.0)),
+        (compute_L(da, mirror, same), _swept(same, da, mirror, False, 1.0)),
+        (compute_L(da, other, apart), _swept(apart, da, other, False, 1.0)),
+        (compute_L(da, gap, detuned), _swept(detuned, da, gap, False, 1.0)),
     ]
     for got, want in cases:
         assert got.note == "closed-form"
@@ -1294,7 +1292,7 @@ def test_co_located_pair_that_does_not_mirror_takes_the_limit(da, db):
     oracle = fourier_oracle_L(da, db, 0.0, QuadratureConfig(rel_tol=1e-10))
     tol = max(1e-6 * abs(oracle.value), oracle.err_estimate)
     assert abs(res.value - oracle.value) <= tol, (res.value, oracle.value)
-    want = _swept(sc, da, db, False, False, 1.0)
+    want = _swept(sc, da, db, False, 1.0)
     assert abs(res.value - want) <= 1e-6 * abs(want), (res.value, want)
     # M takes the finite part and reports its pole apart, as N does
     M = compute_M(sc)
@@ -1536,9 +1534,9 @@ def test_frw_ground_state_limit_agrees_with_the_regulated_sweep(chi):
     )
     sc = HarvestScenario(detectors=(da, db), map=m)
     cases = [
-        (compute_L(da, da, sc), _swept(sc, da, da, False, False, 1.0)),
-        (compute_M(sc), _swept(sc, da, db, True, True, -1.0)),
-        (compute_L(da, db, sc), _swept(sc, da, db, False, False, 1.0)),
+        (compute_L(da, da, sc), _swept(sc, da, da, False, 1.0)),
+        (compute_M(sc), _swept(sc, da, db, True, -1.0)),
+        (compute_L(da, db, sc), _swept(sc, da, db, False, 1.0)),
     ]
     for got, want in cases:
         assert got.note == "closed-form"
@@ -1563,7 +1561,7 @@ def test_frw_ground_state_co_located_pair_agrees_with_the_regulated_sweep():
     for db in (det("B", 1.6, chi), det("B", 1.3, gaussian_switching(0.6)),
                det("B", 1.3, transform_switching(m, gaussian_switching(0.5)))):
         sc = HarvestScenario(detectors=(da, db), map=m)
-        got, want = compute_L(da, db, sc), _swept(sc, da, db, False, False, 1.0)
+        got, want = compute_L(da, db, sc), _swept(sc, da, db, False, 1.0)
         assert got.note == "closed-form"
         assert abs(got.value - want) <= 1e-6 * abs(want), (db.switching, got.value, want)
 

@@ -57,6 +57,14 @@ def test_package_all_resolves():
     assert [n for n in exported if not hasattr(takagi_harvest, n)] == []
 
 
+def test_package_all_is_the_modules_all():
+    # each public name is declared once, in its module's __all__
+    modules = [importlib.import_module(f"takagi_harvest.{name}") for name in MODULES]
+    expected = [n for mod in modules for n in mod.__all__] + ["__version__"]
+    assert takagi_harvest.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
 @pytest.mark.parametrize("home,attr,also", TRACED)
 def test_traced_function_exists_where_it_is_read(home, attr, also):
     fn = getattr(importlib.import_module(f"takagi_harvest.{home}"), attr)
