@@ -310,12 +310,13 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
     tuple (amp_a, phase_a, amp_b, phase_b, lambda, C), in three lists: A's
     leg reads a_rows, B's b_rows, and bare rows take no window (they serve
     only the clock at the far corner of a dual diamond).  All rows go
-    through one _clock call, and each distinct detector's window is called
-    once, on the rows its legs read (every windowed row when swapped;
-    otherwise amp_a and amp_b are one array).  The amplitude is the window,
-    times sqrt(C) for the transported mode; the phase is omega t on the flat
-    side, Omega tau for a dual ground state and omega_flat lambda for the
-    transported mode (gaussian.transported_leg).
+    through one _clock call, stacked when there are more than one, and
+    each distinct detector's window is called once, on the rows its legs
+    read (every windowed row when swapped; otherwise amp_a and amp_b are
+    one array).  The amplitude is the window, times sqrt(C) for the
+    transported mode; the phase is omega t on the flat side, Omega tau for
+    a dual ground state and omega_flat lambda for the transported mode
+    (gaussian.transported_leg).
 
     join(P, Q) gives (amp, phase) of A's leg at P times B's at Q, the product
     amp e^{i phase}.  Unordered (L): B's leg enters conjugated, so the
@@ -344,11 +345,12 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
 
     def evaluate(a_rows, b_rows=(), bare=()):
         rows = [*a_rows, *b_rows, *bare]
+        stacked = len(rows) > 1  # a single row is neither stacked nor cut
         ends = list(accumulate(len(row) for row in rows))
         i, j = len(a_rows), len(a_rows) + len(b_rows)
-        p = clock(np.concatenate(rows))
+        p = clock(np.concatenate(rows) if stacked else rows[0])
         k, n = ends[i - 1], ends[j - 1]  # A's rows end at k, the windowed rows at n
-        q = _cut(p, 0, n)
+        q = _cut(p, 0, n) if bare else p
         if mirrored or swapped:
             amps = [chi(q) for chi in windows]
         else:
@@ -360,7 +362,7 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
         else:
             phases = [w * q[0] for w in freqs]
         cols = (amps[0], phases[0], amps[-1], phases[-1], *p[1:])
-        legs = [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)]
+        legs = [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)] if stacked else [cols]
         return legs[:i], legs[i:j], legs[j:]
 
     def join(P, Q):
@@ -542,8 +544,9 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
       int dw F0 int_0^X K dx, with X(w) the x extent of the domain at w:
       x1 on the rectangle; on the diamond the x of its far corner, x1 (1 -
       |s|) on the identity clock and lambda(a1 + U s) - lambda(a0) (s < 0)
-      or lambda(a1) - lambda(a0 + U s) (s > 0) on a dual one.  So, with w
-      and v on the line x = 0:
+      or lambda(a1) - lambda(a0 + U s) (s > 0) on a dual one.  Either way X
+      has a kink at s = 0, so the s range breaks there.  So, with w and v
+      on the line x = 0:
     * sep = 0, folded L of mirrored detectors (L_AA, L_BB):
           L = -P { int int_{x>=0} 2 Re J (G/x' - F0)/x^2 + int dw F0 (pi nu - 2/X) },
       where pi nu F0 is the i pi delta' term and nu the leg's phase rate per
@@ -579,8 +582,9 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
     diamond's w/2 grid and the dual diamond's far corner) into one clock
     call and one window call per distinct detector (evaluate of _legs), and
     a folded L in the limit takes its grid's real part in real arithmetic.
-    The pieces between the breaks start one integrate_square run, with one
-    tolerance and one budget; cells adds the segments of the pole's 1D run.
+    The pieces between the breaks, the x range's times the s range's,
+    start one integrate_square run, with one tolerance and one budget;
+    cells adds the segments of the pole's 1D run.
     """
     m = scenario.map
     exact = _on_u(scenario)
@@ -686,7 +690,9 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
 
             pole = adaptive_1d(on_line, chart(0.0, v0)[1], chart(0.0, v1)[1], cfg)
 
-    res = integrate_square(kern, (p0, *breaks, p1, v0, v1), cfg)
+    # the line terms' X has a kink at s = 0 on the diamond: a mesh line too
+    vs = (v0, 0.0, v1) if diamond and limit and sep == 0.0 else (v0, v1)
+    res = integrate_square(kern, ((p0, *breaks, p1), vs), cfg)
     runs = [res] if pole is None else [res, pole]
     note = "finest-epsilon" if not limit else "closed-form" if pole is None else "finite-part"
     return replace(res, epsilon_used=eps, note=note, pole=None if pole is None else pole.value,

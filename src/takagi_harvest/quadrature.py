@@ -6,8 +6,8 @@ Two parts:
   over boxes of one or two axes, with per-axis error indicators and
   anisotropic bisection, so near-singular ridges that are axis-aligned (the
   regulated Wightman kernel in difference coordinates) are resolved in
-  O(log 1/eps) refinement levels.  integrate_square (rectangles, whose u
-  axis may carry breaks) and adaptive_1d (segments) are its two entries.
+  O(log 1/eps) refinement levels.  integrate_square (rectangles, whose
+  axes may carry breaks) and adaptive_1d (segments) are its two entries.
 * Regulator handling: validation of a halving epsilon sequence, Richardson
   extrapolation to eps -> 0 with an empirical validation of the
   linear-error model (a reference for evaluations at several regulators; the
@@ -130,8 +130,10 @@ class QuadratureConfig:
 
     max_subdivisions bounds the splits of each adaptive run (one
     integrate_square or adaptive_1d call): an element's 2D integral, all
-    pieces of its x range in one, at any regulator, or a pole's line
-    integral; a run of p pieces evaluates at most p + 2 * max_subdivisions cells.
+    its pieces in one, at any regulator, or a pole's line integral.  A
+    rectangle's pieces are the product of both axes' pieces between their
+    breaks, and a run of p pieces evaluates at most p + 2 * max_subdivisions
+    cells.
     """
 
     rel_tol: float = 1e-6
@@ -194,31 +196,34 @@ def _eval_cell(f, box):
     one node array per axis, broadcast against each other (shapes (31,), or
     (31, 1) and (1, 31)), and returns their grid.  Returns the Kronrod
     value, complex whether the grid is real or complex, and its defects as
-    a length-d array, one per axis.
+    a list of d floats, one per axis.
     """
     d = len(box) // 2
     h = [0.5 * (box[2 * j + 1] - box[2 * j]) for j in range(d)]
     x = [box[2 * j] + h[j] * _XK1 for j in range(d)]
-    F = np.asarray(f(*x) if d == 1 else f(x[0][:, None], x[1][None, :]))
+    F = f(*x) if d == 1 else f(x[0][:, None], x[1][None, :])
+    if type(F) is not np.ndarray:
+        F = np.asarray(F)
     grid = (len(XK),) * d
     if F.shape != grid:
         raise ValueError(f"kernel must broadcast over its node arrays to shape {grid}")
     # a real grid stays real: a real check and product, a third of the complex cost
-    real = not np.iscomplexobj(F)
+    real = F.dtype.kind != "c"
     F = np.ascontiguousarray(F, dtype=float if real else complex).reshape(-1)
     if not np.isfinite(F if real else F.view(float)).all():  # real view: both parts
         raise NumericalHardError("kernel returned non-finite values")
     rules = (F @ _CELL_RULES[d][0 if real else 1]) * math.prod(h)
     ik = rules[0]
-    return complex(ik), np.abs(ik - rules[1:])
+    return complex(ik), np.abs(ik - rules[1:]).tolist()
 
 
 def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
     """Globally adaptive Gauss-Kronrod 15/31 over boxes of d = 1 or 2 axes.
 
     boxes are the nonempty initial cells that tile the domain, each a (lo,
-    hi) per axis, flattened: the pieces between breaks, as QUADPACK's qagp
-    takes its breakpoints.  f is evaluated as in _eval_cell.  In one heap,
+    hi) per axis, flattened, in row-major order of the axes: the product of
+    each axis' pieces between its breaks, as QUADPACK's qagp takes its
+    breakpoints on one axis.  f is evaluated as in _eval_cell.  In one heap,
     the cell with the largest error is bisected along the axis whose
     Gauss/Kronrod defect is larger, which keeps ridge refinement
     one-dimensional; an axis narrower than 1e-13 of the domain's range, or
@@ -238,7 +243,7 @@ def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
         """(box, Kronrod value, error, axis defects): the error is the sum of
         the defects, and the larger defect picks the split axis."""
         ik, w = _eval_cell(f, cell)
-        return cell, ik, float(np.add.reduce(w)), w.tolist()
+        return cell, ik, sum(w), w
 
     # one row per leaf; a split cell's row goes to its first child
     leaves = [leaf(cell) for cell in boxes]
@@ -281,20 +286,26 @@ def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
 
 
 def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
-    """Adaptive cubature of a complex kernel f(u, v) over rect = (u0, u1, v0, v1).
+    """Adaptive cubature of a complex kernel f(u, v) over rect = ((u0, ..., u1), (v0, ..., v1)).
 
-    Breaks on u, rect = (u0, b1, ..., u1, v0, v1) with u0 < b1 < ... < u1,
-    cut it into pieces that start one adaptive run (_adapt).  f must take
-    numpy arrays that broadcast to a common shape and return that shape.
+    Each axis lists its edges: its ends, and any breaks between them, which
+    ascend strictly inside the axis.  The pieces of u times the pieces of v
+    start one adaptive run (_adapt), so a known kink or pole on either axis
+    is a mesh line from the first cell on.  f must take numpy arrays that
+    broadcast to a common shape and return that shape.
     """
-    *us, v0, v1 = (float(x) for x in rect)
-    if len(us) < 2 or not (us[-1] >= us[0] and v1 >= v0):
-        raise ValueError(f"degenerate rectangle {rect}")
-    if len(us) > 2 and not all(a < b for a, b in zip(us, us[1:])):
-        raise ValueError(f"the breaks of {rect} must ascend strictly inside (u0, u1)")
-    if us[-1] == us[0] or v1 == v0:
+    try:
+        us, vs = ([float(x) for x in axis] for axis in rect)
+    except (TypeError, ValueError):  # not two axes of numbers, as the flat (u0, u1, v0, v1)
+        raise ValueError(f"rect must be ((u0, ..., u1), (v0, ..., v1)), got {rect}") from None
+    for edges in (us, vs):
+        if len(edges) < 2 or not edges[-1] >= edges[0]:
+            raise ValueError(f"degenerate rectangle {rect}")
+        if len(edges) > 2 and not all(a < b for a, b in zip(edges, edges[1:])):
+            raise ValueError(f"the breaks of {rect} must ascend strictly inside their axis")
+    if us[-1] == us[0] or vs[-1] == vs[0]:
         return IntegralResult(value=0.0 + 0.0j, err_estimate=0.0, note="empty-domain")
-    return _adapt(f, [[a, b, v0, v1] for a, b in zip(us, us[1:])], cfg)
+    return _adapt(f, [[a, b, c, e] for a, b in zip(us, us[1:]) for c, e in zip(vs, vs[1:])], cfg)
 
 
 def adaptive_1d(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:

@@ -609,14 +609,15 @@ def test_closed_form_element_reports_all_its_cells(monkeypatch):
 
 @pytest.mark.parametrize("chi, sheared", [(GAUSS, False), (cos_squared_switching(-0.5, 0.5), True)])
 def test_chart_is_decided_by_the_windows_alone(monkeypatch, chi, sheared):
-    # equal supports are sheared onto their diamond, s in [-1, 1], for cos^2
-    # windows and windows transported from them, and keep _rect's w range
-    # for Gaussian ones, on the flat and the dual side alike
+    # equal supports are sheared onto their diamond, s in [-1, 1] with its
+    # kink s = 0 an edge, for cos^2 windows and windows transported from
+    # them, and keep _rect's w range for Gaussian ones, on the flat and the
+    # dual side alike
     domains = []
     integrate = harvesting.integrate_square
 
     def spy(f, rect, cfg):
-        domains.append(rect[-2:])
+        domains.append(rect[1])
         return integrate(f, rect, cfg)
 
     monkeypatch.setattr(harvesting, "integrate_square", spy)
@@ -624,11 +625,56 @@ def test_chart_is_decided_by_the_windows_alone(monkeypatch, chi, sheared):
     for sc in (flat, dualize(flat, 1.3)):
         da = sc.detectors[0]
         sup = da.switching.support
-        want = (-1.0, 1.0) if sheared else harvesting._rect(sup, sup, True)[2:]
+        want = (-1.0, 0.0, 1.0) if sheared else harvesting._rect(sup, sup, True)[2:]
         for run in (lambda: compute_L(da, da, sc), lambda: compute_N(da, sc), lambda: compute_M(sc)):
             domains.clear()
             run()
             assert domains and all(d == want for d in domains), (sc.frame, domains)
+
+
+def _without_the_kink_edge(monkeypatch, run):
+    """run's result with the edge s = 0 dropped from its one integrate_square call."""
+    integrate = harvesting.integrate_square
+    s_edges = []
+
+    def spy(f, rect, cfg):
+        us, vs = rect
+        s_edges.append(vs)
+        return integrate(f, (us, (vs[0], vs[-1])), cfg)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harvesting, "integrate_square", spy)
+        res = run()
+    assert s_edges == [(-1.0, 0.0, 1.0)]
+    return res
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-11])
+def test_the_kink_of_the_diamond_is_an_edge(monkeypatch, rel_tol):
+    # the line terms of a co-located element in the limit carry X(s), which
+    # has a kink at s = 0 on the diamond of cos^2 windows; with s = 0 an
+    # edge the run starts from the two halves that its first split made
+    # without it: the same value and err bit for bit, and one cell fewer
+    q = QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
+    chi = cos_squared_switching(-0.5, 0.5)
+    flat = _scenario(L=0.0, chi=chi, quad=q)
+    runs = []
+    for sc in (flat, dualize(flat, 0.5), dualize(flat, 2.0)):
+        da = sc.detectors[0]
+        runs += [lambda sc=sc, da=da: compute_L(da, da, sc), lambda sc=sc: compute_M(sc),
+                 lambda sc=sc, da=da: compute_N(da, sc)]
+    gaps = HarvestScenario(detectors=(_detector("A", (0.0, 0.0, 0.0), chi=chi),
+                                      _detector("B", (0.0, 0.0, 0.0), freq=1.3, chi=chi)),
+                           quadrature=q)
+    runs.append(lambda: compute_L(*gaps.detectors, gaps))
+    for freq in (0.5, 3.0, 8.0):  # criterion 10's qubits
+        qubits = _scenario(model="qubit", L=2.0, freq=freq, chi=chi, quad=q)
+        runs.append(lambda sc=qubits: compute_L(sc.detectors[0], sc.detectors[0], sc))
+    for run in runs:
+        res, kinked = run(), _without_the_kink_edge(monkeypatch, run)
+        assert not res.budget_exhausted
+        assert replace(res, cells=0) == replace(kinked, cells=0)
+        assert res.cells == kinked.cells - 1
 
 
 # --- each leg evaluated once -----------------------------------------------------
@@ -742,9 +788,9 @@ def _public_element(sc, da, db, ordered, eps):
 
     (a0, a1), (b0, b1) = da.switching.support, db.switching.support
     if ordered:
-        rect = (0.0, max(a1 - b0, b1 - a0), a0 + b0, a1 + b1)
+        rect = ((0.0, max(a1 - b0, b1 - a0)), (a0 + b0, a1 + b1))
     else:
-        rect = (a0 - b1, a1 - b0, a0 + b0, a1 + b1)
+        rect = ((a0 - b1, a1 - b0), (a0 + b0, a1 + b1))
     return replace(integrate_square(kern, rect, sc.quadrature), epsilon_used=eps)
 
 
@@ -1161,7 +1207,7 @@ def test_hermitian_L_is_folded_onto_u_nonnegative(monkeypatch):
         # transported windows, and its w range over their own supports
         whole = harvesting._rect(*(d.switching.param("base").support for d in (da, other)), False)
         supports = harvesting._rect(da.switching.support, other.switching.support, False)
-        assert rect[:-2] == (0.0, max(-whole[0], whole[1])) and rect[-2:] == supports[2:]
+        assert rect == ((0.0, max(-whole[0], whole[1])), supports[2:])
         assert abs(res.value - _unfolded_L(sc, da, other, EPS6).value) <= 1e-6 * abs(res.value)
 
 

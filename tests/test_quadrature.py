@@ -67,13 +67,13 @@ def test_gauss_polynomial_exactness(k):
 
 
 def test_square_separable_exponential():
-    res = integrate_square(lambda u, v: np.exp(u + v), (0, 1, 0, 1), CFG)
+    res = integrate_square(lambda u, v: np.exp(u + v), ((0, 1), (0, 1)), CFG)
     assert res.value == pytest.approx((math.e - 1) ** 2, rel=1e-12)
     assert res.err_estimate <= 1e-8
 
 
 def test_square_complex_phase():
-    res = integrate_square(lambda u, v: np.exp(1j * (u + v)), (0, 1, 0, 1), CFG)
+    res = integrate_square(lambda u, v: np.exp(1j * (u + v)), ((0, 1), (0, 1)), CFG)
     expected = ((np.exp(1j) - 1) / 1j) ** 2
     assert res.value == pytest.approx(expected, rel=1e-12)
 
@@ -86,7 +86,7 @@ def test_square_diagonal_ridge_closed_form():
     # int int du dv / ((u-v)^2 + a^2) = (2/a) arctan(1/a) - ln((1+a^2)/a^2)
     a = 0.05
     expected = (2 / a) * math.atan(1 / a) - math.log((1 + a * a) / (a * a))
-    res = integrate_square(_ridge(a), (0, 1, 0, 1), CFG)
+    res = integrate_square(_ridge(a), ((0, 1), (0, 1)), CFG)
     assert res.value.real == pytest.approx(expected, rel=1e-10)
     assert abs(res.value.imag) <= 1e-12
 
@@ -126,26 +126,26 @@ def test_identical_components_are_bitwise_equal():
     # the same kernel, called directly or through a read-only view of its
     # grid, gives the same result bit for bit on every run
     f = _ridge(0.05)
-    single = integrate_square(f, (0, 1, 0, 1), CFG)
+    single = integrate_square(f, ((0, 1), (0, 1)), CFG)
     viewed = integrate_square(
-        lambda u, v: np.broadcast_to(f(u, v), (len(XK), len(XK))), (0, 1, 0, 1), CFG
+        lambda u, v: np.broadcast_to(f(u, v), (len(XK), len(XK))), ((0, 1), (0, 1)), CFG
     )
     assert viewed == single
-    assert integrate_square(f, (0, 1, 0, 1), CFG) == single
+    assert integrate_square(f, ((0, 1), (0, 1)), CFG) == single
 
 
 def test_real_grid_matches_its_complex_cast():
     # a real kernel keeps a real rule matrix; only the last bits may move
     for a in (0.05, 0.025):
-        real = integrate_square(_ridge(a), (0, 1, 0, 1), CFG)
-        cast = integrate_square(lambda u, v: _ridge(a)(u, v) + 0j, (0, 1, 0, 1), CFG)
+        real = integrate_square(_ridge(a), ((0, 1), (0, 1)), CFG)
+        cast = integrate_square(lambda u, v: _ridge(a)(u, v) + 0j, ((0, 1), (0, 1)), CFG)
         assert real.cells == cast.cells
         assert isinstance(real.value, complex) and real.value.imag == 0.0
         assert abs(real.value - cast.value) <= 1e-14 * abs(cast.value)
         # an error is a difference of two rules, so it keeps the values' absolute bits
         assert abs(real.err_estimate - cast.err_estimate) <= 1e-14 * abs(cast.value)
     with pytest.raises(NumericalHardError):
-        integrate_square(lambda u, v: np.where(u > 0.5, np.nan, 1.0 + 0 * v), (0, 1, 0, 1), CFG)
+        integrate_square(lambda u, v: np.where(u > 0.5, np.nan, 1.0 + 0 * v), ((0, 1), (0, 1)), CFG)
 
 
 def test_ridge_sweep_on_one_mesh():
@@ -155,7 +155,7 @@ def test_ridge_sweep_on_one_mesh():
     # closed form
     for a, us in itertools.product([0.05 / 2**k for k in range(6)], [(0, 1), (0, 0.25, 0.5, 1)]):
         kern, calls = _counted(_ridge(a))
-        res = integrate_square(kern, (*us, 0, 1), CFG)
+        res = integrate_square(kern, (us, (0, 1)), CFG)
         assert calls[0] == res.cells
         assert (res.cells - (len(us) - 1)) % 2 == 0  # pieces + 2 * splits
         assert not res.budget_exhausted
@@ -173,11 +173,11 @@ def test_cancelling_pieces_stop_at_rel_tol_of_their_sum():
     f = lambda u, v: np.where(u < 0.0, 1.0, -(1.0 + d)) / (u * u + a * a) * np.exp(v)
     expected = -d * math.atan(1 / a) / a * (math.e - 1)
     kern, calls = _counted(f)
-    res = integrate_square(kern, (-1, 0, 1, 0, 1), cfg)
+    res = integrate_square(kern, ((-1, 0, 1), (0, 1)), cfg)
     assert not res.budget_exhausted and res.cells == calls[0]
     assert res.err_estimate <= cfg.rel_tol * abs(res.value)
     assert abs(res.value - expected) <= res.err_estimate
-    apart = [integrate_square(f, (u0, u1, 0, 1), cfg) for u0, u1 in ((-1, 0), (0, 1))]
+    apart = [integrate_square(f, (us, (0, 1)), cfg) for us in ((-1, 0), (0, 1))]
     total = sum(r.value for r in apart)
     assert sum(r.err_estimate for r in apart) > 100 * cfg.rel_tol * abs(total)
 
@@ -189,7 +189,7 @@ def test_stacked_budget_is_flagged_per_component():
     runs = []
     for f in (lambda u, v: np.exp(u + v) + 0j, lambda u, v: _ridge(1e-2)(u, v) + 0j):
         kern, calls = _counted(f)
-        res = integrate_square(kern, (0, 1, 0, 1), cfg)
+        res = integrate_square(kern, ((0, 1), (0, 1)), cfg)
         assert calls[0] == res.cells
         runs.append(res)
     above = [res.err_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(res.value)) for res in runs]
@@ -201,13 +201,13 @@ def test_stacked_budget_is_flagged_per_component():
 def test_budget_starved_run_counts_its_cells():
     # a run of p pieces evaluates p + 2 * splits cells, one budget for all
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=9)
-    square = integrate_square(_ridge(1e-3), (0, 1, 0, 1), cfg)
+    square = integrate_square(_ridge(1e-3), ((0, 1), (0, 1)), cfg)
     line = adaptive_1d(lambda x: 1.0 / (x * x + 1e-6), -1.0, 1.0, cfg)
     for res in (square, line):
         assert res.budget_exhausted
         assert res.cells == 1 + 2 * cfg.max_subdivisions
     kern, calls = _counted(_ridge(1e-3))
-    pieces = integrate_square(kern, (0, 0.3, 0.6, 1, 0, 1), cfg)
+    pieces = integrate_square(kern, ((0, 0.3, 0.6, 1), (0, 1)), cfg)
     assert pieces.budget_exhausted
     assert pieces.cells == calls[0] == 3 + 2 * cfg.max_subdivisions
     eps = [1e-2 / 2**k for k in range(3)]
@@ -223,13 +223,13 @@ def test_nonfinite_component_raises(bad):
         return np.where(u > 0.5, bad, ones)
 
     with pytest.raises(NumericalHardError):
-        integrate_square(kern, (0, 1, 0, 1), CFG)
+        integrate_square(kern, ((0, 1), (0, 1)), CFG)
 
 
 @pytest.mark.parametrize("shape", [(15,), (2, 15, 14), (15, 15, 2), (2, 2, 15, 15), (2, 15, 15)])
 def test_kernel_of_wrong_shape_rejected(shape):
     with pytest.raises(ValueError, match="kernel must broadcast"):
-        integrate_square(lambda u, v: np.ones(shape), (0, 1, 0, 1), CFG)
+        integrate_square(lambda u, v: np.ones(shape), ((0, 1), (0, 1)), CFG)
 
 
 @pytest.mark.parametrize("max_subdivisions", [CFG.max_subdivisions, 5])
@@ -240,7 +240,7 @@ def test_kernel_constant_in_v_matches_adaptive_1d(max_subdivisions):
     cfg = replace(CFG, rel_tol=1e-12, max_subdivisions=max_subdivisions)
     g = lambda x: np.exp(-x) * (2.0 + np.cos(20.0 * x)) + 0j
     line = adaptive_1d(g, 0.0, 10.0, cfg)
-    square = integrate_square(lambda u, v: g(u) + 0.0 * v, (0.0, 10.0, 0.0, 1.0), cfg)
+    square = integrate_square(lambda u, v: g(u) + 0.0 * v, ((0.0, 10.0), (0.0, 1.0)), cfg)
     assert abs(square.value - line.value) <= 1e-14 * abs(line.value)
     assert square.cells == line.cells > 1
     assert square.budget_exhausted == line.budget_exhausted == (max_subdivisions == 5)
@@ -256,7 +256,7 @@ def test_adaptive_1d_oscillatory():
 def test_subdivision_budget_reports_honest_error():
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=4)
     res = integrate_square(
-        lambda u, v: 1.0 / ((u - v) ** 2 + 1e-4), (0, 1, 0, 1), cfg
+        lambda u, v: 1.0 / ((u - v) ** 2 + 1e-4), ((0, 1), (0, 1)), cfg
     )
     # budget is far too small: the defect must stay above the request
     assert res.err_estimate > cfg.rel_tol * abs(res.value)
@@ -264,10 +264,10 @@ def test_subdivision_budget_reports_honest_error():
 
 def test_subdivision_budget_exhaustion_is_flagged():
     starved = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=4)
-    for rect in ((0, 1, 0, 1), (0, 0.5, 1, 0, 1)):
+    for rect in (((0, 1), (0, 1)), ((0, 0.5, 1), (0, 1))):
         res = integrate_square(lambda u, v: 1.0 / ((u - v) ** 2 + 1e-4), rect, starved)
         assert res.budget_exhausted
-    smooth = integrate_square(lambda u, v: np.exp(u + v) + 0j, (0, 1, 0, 1), CFG)
+    smooth = integrate_square(lambda u, v: np.exp(u + v) + 0j, ((0, 1), (0, 1)), CFG)
     assert smooth.err_estimate <= CFG.rel_tol * abs(smooth.value)
     assert not smooth.budget_exhausted
     assert adaptive_1d(lambda x: 1.0 / (x * x + 1e-6), -1.0, 1.0, starved).budget_exhausted
@@ -289,26 +289,66 @@ def test_nonfinite_integrand_raises():
         return np.where(u > 0.5, np.nan, 1.0) + 0.0 * v
 
     with pytest.raises(NumericalHardError):
-        integrate_square(bad, (0, 1, 0, 1), CFG)
+        integrate_square(bad, ((0, 1), (0, 1)), CFG)
     with pytest.raises(NumericalHardError):
         adaptive_1d(lambda x: bad(x, 0.0), 0.0, 1.0, CFG)
 
 
 def test_degenerate_rect_rejected():
-    with pytest.raises(ValueError):
-        integrate_square(lambda u, v: u, (1, 0, 0, 1), CFG)
-    with pytest.raises(ValueError):
-        integrate_square(lambda u, v: u, (0, 1), CFG)
+    # a reversed axis, an axis with fewer than two edges, other than two
+    # axes, and the former flat (u0, ..., u1, v0, v1), before any kernel call
+    def kern(u, v):
+        raise AssertionError("a malformed rectangle reached its kernel")
+
+    for rect in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1),), ((0, 1), (0,)), ((), (0, 1)),
+                 ((0, 1), (0, 1), (0, 1)), (0, 1), (0, 1, 0, 1), (0, 0.5, 1, 0, 1)):
+        with pytest.raises(ValueError):
+            integrate_square(kern, rect, CFG)
+
+
+def test_break_on_v_behaves_like_a_break_on_u():
+    # the same kernel with its axes exchanged, and its break with them,
+    # refines the same pieces along the other axis
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
+    g = lambda a, b: np.abs(b - 0.3) ** 1.5 * np.exp(a) * np.cos(3.0 * a * b)
+    on_v = integrate_square(lambda u, v: g(u, v), ((0, 1), (0, 0.3, 1)), cfg)
+    on_u = integrate_square(lambda u, v: g(v, u), ((0, 0.3, 1), (0, 1)), cfg)
+    assert on_v.cells == on_u.cells > 2
+    assert abs(on_v.value - on_u.value) <= on_v.err_estimate + on_u.err_estimate
+    for res in (on_v, on_u):
+        assert not res.budget_exhausted
+        assert res.err_estimate <= cfg.rel_tol * abs(res.value)
+
+
+def test_kink_on_a_v_edge_needs_no_split():
+    # |v - c| (1 + u) is a polynomial on each side of v = c: with c an edge
+    # every piece is exact on its first cell, and without it the kink is
+    # refined by splits.  The integral is (c^2 + (1 - c)^2) / 2 * 3/2
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
+    c = 0.3
+    expected = 0.75 * (c * c + (1.0 - c) ** 2)
+    for vs, pieces in (((0, c, 1), 2), ((0, 0.2, c, 1), 3)):
+        kern, calls = _counted(lambda u, v: np.abs(v - c) * (1.0 + u))
+        res = integrate_square(kern, ((0, 1), vs), cfg)
+        assert res.cells == calls[0] == pieces
+        assert abs(res.value - expected) <= 1e-14
+    kern, calls = _counted(lambda u, v: np.abs(v - c) * (1.0 + u))
+    res = integrate_square(kern, ((0, 1), (0, 1)), cfg)
+    assert res.cells == calls[0] > 1 and (res.cells - 1) % 2 == 0
+    assert not res.budget_exhausted
+    assert abs(res.value - expected) <= res.err_estimate + 1e-14
 
 
 @pytest.mark.parametrize("us", [(0, 0.5, 0.5, 1), (0, 0.7, 0.3, 1), (0, 0, 1), (0, 1, 1),
                                 (0, 1.5, 1), (0, -0.5, 1), (0, math.nan, 1)])
 def test_breaks_must_ascend_strictly_inside_the_range(us):
+    # on either axis
     def kern(u, v):
         raise AssertionError("a rectangle with bad breaks reached its kernel")
 
-    with pytest.raises(ValueError, match="ascend"):
-        integrate_square(kern, (*us, 0, 1), CFG)
+    for rect in ((us, (0, 1)), ((0, 1), us)):
+        with pytest.raises(ValueError, match="ascend"):
+            integrate_square(kern, rect, CFG)
 
 
 # --- config and epsilon handling ----------------------------------------------
