@@ -157,17 +157,14 @@ class SwitchingFunction:
         a, b = self.support
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise ValueError(f"support must be a finite interval, got {self.support}")
-        # params looked up by name, built once: not a field, so it takes no
-        # part in equality or hashing
-        object.__setattr__(self, "_by_name", dict(self.params))
 
     def param(self, name: str):
         """The parameter called name (see the class docstring)."""
-        return self._by_name[name]
+        return dict(self.params)[name]
 
     def __call__(self, t):
         t, scalar = _prepare(t)
-        p = self._by_name
+        p = dict(self.params)
         if self.kind == "transformed":
             lam = p["map"].lambda_of_tau(t)
             return _finish(self.at_clock(t, lam, p["map"].conformal_factor(lam)), scalar)
@@ -205,7 +202,7 @@ class SwitchingFunction:
         evaluated here.
         """
         t, scalar = _prepare(t)
-        p = self._by_name
+        p = dict(self.params)
         if self.kind == "transformed":
             m, base = p["map"], p["base"]
             if lam is None:

@@ -310,13 +310,12 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
     tuple (amp_a, phase_a, amp_b, phase_b, lambda, C), in three lists: A's
     leg reads a_rows, B's b_rows, and bare rows take no window (they serve
     only the clock at the far corner of a dual diamond).  All rows go
-    through one _clock call, stacked when there are more than one, and
-    each distinct detector's window is called once, on the rows its legs
-    read (every windowed row when swapped; otherwise amp_a and amp_b are
-    one array).  The amplitude is the window, times sqrt(C) for the
-    transported mode; the phase is omega t on the flat side, Omega tau for
-    a dual ground state and omega_flat lambda for the transported mode
-    (gaussian.transported_leg).
+    through one _clock call, and each distinct detector's window is called
+    once, on the rows its legs read (every windowed row when swapped;
+    otherwise amp_a and amp_b are one array).  The amplitude is the window,
+    times sqrt(C) for the transported mode; the phase is omega t on the flat
+    side, Omega tau for a dual ground state and omega_flat lambda for the
+    transported mode (gaussian.transported_leg).
 
     join(P, Q) gives (amp, phase) of A's leg at P times B's at Q, the product
     amp e^{i phase}.  Unordered (L): B's leg enters conjugated, so the
@@ -345,12 +344,11 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
 
     def evaluate(a_rows, b_rows=(), bare=()):
         rows = [*a_rows, *b_rows, *bare]
-        stacked = len(rows) > 1  # a single row is neither stacked nor cut
         ends = list(accumulate(len(row) for row in rows))
         i, j = len(a_rows), len(a_rows) + len(b_rows)
-        p = clock(np.concatenate(rows) if stacked else rows[0])
+        p = clock(np.concatenate(rows))
         k, n = ends[i - 1], ends[j - 1]  # A's rows end at k, the windowed rows at n
-        q = _cut(p, 0, n) if bare else p
+        q = _cut(p, 0, n)
         if mirrored or swapped:
             amps = [chi(q) for chi in windows]
         else:
@@ -362,7 +360,7 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
         else:
             phases = [w * q[0] for w in freqs]
         cols = (amps[0], phases[0], amps[-1], phases[-1], *p[1:])
-        legs = [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)] if stacked else [cols]
+        legs = [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)]
         return legs[:i], legs[i:j], legs[j:]
 
     def join(P, Q):

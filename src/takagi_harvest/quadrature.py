@@ -196,25 +196,23 @@ def _eval_cell(f, box):
     one node array per axis, broadcast against each other (shapes (31,), or
     (31, 1) and (1, 31)), and returns their grid.  Returns the Kronrod
     value, complex whether the grid is real or complex, and its defects as
-    a list of d floats, one per axis.
+    a length-d array, one per axis.
     """
     d = len(box) // 2
     h = [0.5 * (box[2 * j + 1] - box[2 * j]) for j in range(d)]
     x = [box[2 * j] + h[j] * _XK1 for j in range(d)]
-    F = f(*x) if d == 1 else f(x[0][:, None], x[1][None, :])
-    if type(F) is not np.ndarray:
-        F = np.asarray(F)
+    F = np.asarray(f(*x) if d == 1 else f(x[0][:, None], x[1][None, :]))
     grid = (len(XK),) * d
     if F.shape != grid:
         raise ValueError(f"kernel must broadcast over its node arrays to shape {grid}")
     # a real grid stays real: a real check and product, a third of the complex cost
-    real = F.dtype.kind != "c"
+    real = not np.iscomplexobj(F)
     F = np.ascontiguousarray(F, dtype=float if real else complex).reshape(-1)
     if not np.isfinite(F if real else F.view(float)).all():  # real view: both parts
         raise NumericalHardError("kernel returned non-finite values")
     rules = (F @ _CELL_RULES[d][0 if real else 1]) * math.prod(h)
     ik = rules[0]
-    return complex(ik), np.abs(ik - rules[1:]).tolist()
+    return complex(ik), np.abs(ik - rules[1:])
 
 
 def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
@@ -243,7 +241,7 @@ def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
         """(box, Kronrod value, error, axis defects): the error is the sum of
         the defects, and the larger defect picks the split axis."""
         ik, w = _eval_cell(f, cell)
-        return cell, ik, sum(w), w
+        return cell, ik, float(np.add.reduce(w)), w.tolist()
 
     # one row per leaf; a split cell's row goes to its first child
     leaves = [leaf(cell) for cell in boxes]
