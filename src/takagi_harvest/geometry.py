@@ -44,6 +44,18 @@ def _finish(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _tangent_map(t, a, b):
+    """arctan((b/a) tan(a t)) / b, continued smoothly across the tangent's branches.
+
+    Branch n holds a t in [-pi/2 + pi n, pi/2 + pi n) and adds pi n to the
+    arctangent.  tau(lambda) is this map with (a, b) = (omega, Omega), and
+    lambda(tau) the same map with the two exchanged.
+    """
+    x = a * t
+    n = np.floor(x / math.pi + 0.5)
+    return (np.arctan((b / a) * np.tan(x - math.pi * n)) + math.pi * n) / b
+
+
 @dataclass(frozen=True)
 class ConformalTakagiMap:
     """Clock map (omega, Omega) with its conformal factor and dual scale factor.
@@ -68,27 +80,20 @@ class ConformalTakagiMap:
     def degenerate(self) -> bool:
         return self.Omega == self.omega
 
-    def _branch(self, x):
-        # branch n of the tangent: x in [-pi/2 + pi n, pi/2 + pi n)
-        return np.floor(x / math.pi + 0.5)
-
     def tau_of_lambda(self, lam):
         """Dual proper time tau at flat proper time lambda, smooth across branches."""
         lam, scalar = _prepare(lam)
         if self.degenerate:
             return _finish(lam + 0.0, scalar)
-        x = self.omega * lam
         if self.Omega == 0.0:
+            x = self.omega * lam
             # free-particle dual exists only inside the principal window
             if np.any(np.abs(x) >= 0.5 * math.pi):
                 raise ValueError(
                     "tau_of_lambda with Omega=0 requires |omega*lambda| < pi/2"
                 )
             return _finish(np.tan(x) / self.omega, scalar)
-        n = self._branch(x)
-        y = x - math.pi * n
-        tau = (np.arctan((self.Omega / self.omega) * np.tan(y)) + math.pi * n) / self.Omega
-        return _finish(tau, scalar)
+        return _finish(_tangent_map(lam, self.omega, self.Omega), scalar)
 
     def lambda_of_tau(self, tau):
         """Inverse clock map; branch structure mirrors tau_of_lambda."""
@@ -97,11 +102,7 @@ class ConformalTakagiMap:
             return _finish(tau + 0.0, scalar)
         if self.Omega == 0.0:
             return _finish(np.arctan(self.omega * tau) / self.omega, scalar)
-        x = self.Omega * tau
-        m = self._branch(x)
-        y = x - math.pi * m
-        lam = (np.arctan((self.omega / self.Omega) * np.tan(y)) + math.pi * m) / self.omega
-        return _finish(lam, scalar)
+        return _finish(_tangent_map(tau, self.Omega, self.omega), scalar)
 
     def conformal_factor(self, t):
         """Conformal factor C(t) of the dual metric in conformal time t.
@@ -145,6 +146,12 @@ class SwitchingFunction:
     t0 and t1; the base window and the map it is transported by).  Windows
     are equal, hash and pickle by value.  Evaluation outside the support,
     of the window and of its derivative, returns exactly zero.
+
+    The window and its derivative take the clock values at their times t as
+    optional arguments, lam = lambda(t) and C = C(lam).  A transported
+    window reads them, and they must come from its own map; without them it
+    evaluates that map itself.  Any other window ignores them, so a kernel
+    hands every window the same clock row.
     """
 
     kind: str
@@ -162,13 +169,16 @@ class SwitchingFunction:
         """The parameter called name (see the class docstring)."""
         return dict(self.params)[name]
 
-    def __call__(self, t):
+    def __call__(self, t, lam=None, C=None):
+        """chi(t); a transported window is chi_base(lambda) C^{-1/2} at lam = lambda(t)."""
         t, scalar = _prepare(t)
         p = dict(self.params)
         if self.kind == "transformed":
-            lam = p["map"].lambda_of_tau(t)
-            return _finish(self.at_clock(t, lam, p["map"].conformal_factor(lam)), scalar)
-        if self.kind == "gaussian":
+            if lam is None:
+                lam = p["map"].lambda_of_tau(t)
+                C = p["map"].conformal_factor(lam)
+            vals = p["base"](lam) * C ** -0.5
+        elif self.kind == "gaussian":
             vals = np.exp(-0.5 * ((t - p["center"]) / p["sigma"]) ** 2)
         else:
             t0, t1 = p["t0"], p["t1"]
@@ -176,30 +186,13 @@ class SwitchingFunction:
         a, b = self.support
         return _finish(np.where((t >= a) & (t <= b), vals, 0.0), scalar)
 
-    def at_clock(self, tau, lam, C):
-        """Transported window at dual times tau from the clock values there.
-
-        lam = lambda(tau) and C = C(lam) must come from this window's own map;
-        the result equals self(tau) value for value.  Kernels that already
-        hold the clock at their nodes call this instead of self(tau), so the
-        clock map is not evaluated a second time.
-        """
-        if self.kind != "transformed":
-            raise ValueError(f"at_clock needs a transported window, got kind {self.kind!r}")
-        tau = np.asarray(tau, dtype=float)
-        a, b = self.support
-        vals = self.param("base")(lam) * C ** -0.5
-        return np.where((tau >= a) & (tau <= b), vals, 0.0)
-
     def derivative(self, t, lam=None, C=None):
         """d chi / dt in closed form, zero outside the support.
 
-        A transported window chi(lambda) C^{-1/2} is
-        differentiated by the chain rule through the clock, dlambda/dtau =
-        1/C and dC/dlambda = omega (1 - r^2) sin(2 omega lambda) C^2 with
-        r = Omega/omega.  lam = lambda(t) and C = C(lam) may be passed as
-        for at_clock, from this window's own map; otherwise the clock is
-        evaluated here.
+        A transported window chi(lambda) C^{-1/2} is differentiated by the
+        chain rule through the clock, dlambda/dtau = 1/C and dC/dlambda =
+        omega (1 - r^2) sin(2 omega lambda) C^2 with r = Omega/omega, at the
+        clock values lam and C as the window itself reads them.
         """
         t, scalar = _prepare(t)
         p = dict(self.params)

@@ -155,7 +155,10 @@ class HarvestScenario:
     each detector; "takagi_squeezed" is the image of the flat ground state
     under the duality (dual side only) and is represented by the transported
     mode function.  The field starts in the (conformal) vacuum, so its
-    one-point function vanishes.
+    one-point function vanishes.  A transported window lives on its own
+    map's background: a detector whose window is transported by another map
+    than the scenario's, or sits in a flat scenario, is refused, so every
+    window reads the clock of the kernel it enters.
     """
 
     detectors: tuple[DetectorSpec, DetectorSpec]
@@ -184,10 +187,13 @@ class HarvestScenario:
                 raise ValueError("takagi_squeezed initial state lives on the frw side")
             if a.model != "oscillator":
                 raise ValueError("takagi_squeezed initial state needs oscillator detectors")
-        if self.initial_state == "ground":
-            for d in self.detectors:
-                if d.frequency == 0.0:
-                    raise ValueError("ground-state detectors need frequency > 0")
+        for d in self.detectors:
+            if self.initial_state == "ground" and d.frequency == 0.0:
+                raise ValueError("ground-state detectors need frequency > 0")
+            if d.switching.kind == "transformed" and d.switching.param("map") != self.map:
+                raise ValueError(f"detector {d.label}: a window transported by "
+                                 f"{d.switching.param('map')} needs that map as the "
+                                 f"scenario's, got {self.map}")
 
 
 def _mirrors(det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
@@ -296,26 +302,18 @@ def _cut(p, lo, hi):
     return tuple(c if c is None else c[lo:hi] for c in p)
 
 
-def _own_clock(m: ConformalTakagiMap | None, chi: SwitchingFunction) -> bool:
-    """True when chi is transported by the scenario's map m, so that it reads
-    the clock values a kernel already holds (SwitchingFunction.at_clock)."""
-    return m is not None and chi.kind == "transformed" and chi.param("map") == m
-
-
 def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
           ordered: bool, swapped: bool):
     """(evaluate, join): each detector's leg, window times mode, as amplitude times e^{i phase}.
 
-    evaluate(a_rows, b_rows=(), bare=()) gives, for each row of times, the
-    tuple (amp_a, phase_a, amp_b, phase_b, lambda, C), in three lists: A's
-    leg reads a_rows, B's b_rows, and bare rows take no window (they serve
-    only the clock at the far corner of a dual diamond).  All rows go
-    through one _clock call, and each distinct detector's window is called
-    once, on the rows its legs read (every windowed row when swapped;
-    otherwise amp_a and amp_b are one array).  The amplitude is the window,
-    times sqrt(C) for the transported mode; the phase is omega t on the flat
-    side, Omega tau for a dual ground state and omega_flat lambda for the
-    transported mode (gaussian.transported_leg).
+    evaluate(*rows) gives, for each row of times, the tuple (amp_a, phase_a,
+    amp_b, phase_b, lambda, C): both detectors' legs at every row.  All rows
+    go through one _clock call, and each distinct window (equal windows
+    count once, by value) is called once, on every row, with the clock
+    values there.  The amplitude is the window, times sqrt(C) for the
+    transported mode; the phase is omega t on the flat side, Omega tau for
+    a dual ground state and omega_flat lambda for the transported mode
+    (gaussian.transported_leg).
 
     join(P, Q) gives (amp, phase) of A's leg at P times B's at Q, the product
     amp e^{i phase}.  Unordered (L): B's leg enters conjugated, so the
@@ -331,37 +329,21 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
     m = scenario.map
     clock = _clock(scenario)
     transported = scenario.initial_state == "takagi_squeezed"
-    mirrored = _mirrors(det_a, det_b)
     shared = transported or det_a.frequency == det_b.frequency
-
-    def window(chi):
-        if _own_clock(m, chi):
-            return lambda p: chi.at_clock(*p)
-        return lambda p: chi(p[0])
-
-    windows = [window(d.switching) for d in ((det_a,) if mirrored else (det_a, det_b))]
+    windows = list(dict.fromkeys((det_a.switching, det_b.switching)))
     freqs = [d.frequency for d in ((det_a,) if shared else (det_a, det_b))]
 
-    def evaluate(a_rows, b_rows=(), bare=()):
-        rows = [*a_rows, *b_rows, *bare]
+    def evaluate(*rows):
         ends = list(accumulate(len(row) for row in rows))
-        i, j = len(a_rows), len(a_rows) + len(b_rows)
         p = clock(np.concatenate(rows))
-        k, n = ends[i - 1], ends[j - 1]  # A's rows end at k, the windowed rows at n
-        q = _cut(p, 0, n)
-        if mirrored or swapped:
-            amps = [chi(q) for chi in windows]
-        else:
-            amps = [chi(_cut(q, lo, hi)) for chi, lo, hi in zip(windows, (0, k), (k, n)) if lo < hi]
-            amps = amps if len(amps) == 1 else [np.concatenate(amps)]
+        amps = [chi(*p) for chi in windows]
         if transported:
-            root, phase = transported_leg(m, q[1], q[2])
+            root, phase = transported_leg(m, p[1], p[2])
             amps, phases = [amp * root for amp in amps], [phase]
         else:
-            phases = [w * q[0] for w in freqs]
+            phases = [w * p[0] for w in freqs]
         cols = (amps[0], phases[0], amps[-1], phases[-1], *p[1:])
-        legs = [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)]
-        return legs[:i], legs[i:j], legs[j:]
+        return [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)]
 
     def join(P, Q):
         amp = P[0] * Q[2]
@@ -448,7 +430,8 @@ def _chart(clock: ConformalTakagiMap | None, chi_a: SwitchingFunction,
     Without a clock (the flat side, and Omega == omega) p is u.  With one p
     is the conformal-time difference x, u = _ridge(clock, x, w), and the p
     range is _rect of the windows' clock images: a transported window's is
-    its base window's support, any other the clock at its support's ends.
+    its base window's support (its map is the clock, see HarvestScenario),
+    any other the clock at its support's ends.
     Either way the w range is _rect's of the supports.  On the identity
     clock x is u, and both give the same domain.
 
@@ -470,7 +453,7 @@ def _chart(clock: ConformalTakagiMap | None, chi_a: SwitchingFunction,
     """
     sup_a, sup_b = chi_a.support, chi_b.support
     images = [chi.support if clock is None
-              else chi.param("base").support if _own_clock(clock, chi)
+              else chi.param("base").support if chi.kind == "transformed"
               else tuple(clock.lambda_of_tau(t) for t in chi.support) for chi in (chi_a, chi_b)]
 
     def node(p, w):
@@ -505,12 +488,10 @@ def _delta_prime(scenario, det_a, det_b, t, L):
     whose own derivative cancels.  The phase rates are the frequencies, or
     omega/C per unit dual time for the transported mode.
     """
-    m = scenario.map
-    da, db = (d.switching.derivative(t, L[4], L[5]) if _own_clock(m, d.switching)
-              else d.switching.derivative(t) for d in (det_a, det_b))
+    da, db = (d.switching.derivative(t, L[4], L[5]) for d in (det_a, det_b))
     if scenario.initial_state == "takagi_squeezed":
         root = np.sqrt(L[5])
-        da, db, rate = da * root, db * root, 2.0 * m.omega / L[5]
+        da, db, rate = da * root, db * root, 2.0 * scenario.map.omega / L[5]
     else:
         rate = det_a.frequency + det_b.frequency
     return 0.25 * (da * L[2] - L[0] * db + 1j * L[0] * L[2] * rate) * np.exp(1j * (L[1] - L[3]))
@@ -575,11 +556,12 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
     Each line term is spread evenly over the x range at its line's v, with
     the line's dw/dv (U on the diamond, 1 on the rectangle), so it is one
     more term of the same bounded 2D integrand and every stopping test is
-    relative to the element's value.  A kernel call stacks every time it
+    relative to the element's value.  A kernel call passes every time it
     reads (the t and t' grids, each pole's row, the line x = 0, the
-    diamond's w/2 grid and the dual diamond's far corner) into one clock
-    call and one window call per distinct detector (evaluate of _legs), and
-    a folded L in the limit takes its grid's real part in real arithmetic.
+    diamond's w/2 grid and the dual diamond's far corner) as one list of
+    rows to evaluate of _legs: one clock call, and each distinct window
+    called once on every row with the clock values there.  A folded L in
+    the limit takes its grid's real part in real arithmetic.
     The pieces between the breaks, the x range's times the s range's,
     start one integrate_square run, with one tolerance and one budget;
     cells adds the segments of the pole's 1D run.
@@ -625,8 +607,9 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
             u, w, jac = chart(p, v)
             poles = [(q, *chart(q, v), c) for q, c in spread]
             nodes = [(u, w)] + [(u_k, w_k) for _, u_k, w_k, _, _ in poles]
-            (P, *Ps), (Q, *Qs), _ = evaluate([0.5 * (w_k + u_k) for u_k, w_k in nodes],
-                                             [0.5 * (w_k - u_k) for u_k, w_k in nodes])
+            legs = evaluate(*[0.5 * (w_k + u_k) for u_k, w_k in nodes],
+                            *[0.5 * (w_k - u_k) for u_k, w_k in nodes])
+            (P, *Ps), (Q, *Qs) = legs[:len(nodes)], legs[len(nodes):]
             x, jac = p, jac / rate(P, Q)
             if limit:
                 out = jac * half_product(P, Q, fold) * wightman_flat_pv(x, sep)
@@ -655,11 +638,12 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
         def kern(p, s):
             u, w, jac = chart(p, s)
             _, w_line, dw = chart(0.0, s)
+            # F0 on the line; on the diamond also at the grid's own w, and
             # the dual diamond's far corner at the line's w, where x is X
-            far = [] if exact or diamond is None else [np.where(s < 0.0, a1, a0) + U * s]
-            # F0 on the line, and at the grid's own w
-            rows = [0.5 * (w + u), 0.5 * w_line] + ([] if w is w_line else [0.5 * w])
-            (P, L, *W), (Q,), far = evaluate(rows, [0.5 * (w - u)], far)
+            rows = [0.5 * (w + u), 0.5 * (w - u), 0.5 * w_line]
+            if diamond is not None:
+                rows += [0.5 * w] if exact else [0.5 * w, np.where(s < 0.0, a1, a0) + U * s]
+            P, Q, L, *W = evaluate(*rows)
             x, jac = p, jac / rate(P, Q)
             F_line = half_product(L, L, fold, line=True)
             F_w = half_product(W[0], W[0], fold, line=True) if W else F_line
@@ -667,8 +651,9 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
             if diamond is None:
                 X = p1
             else:
+                # lambda at the dual diamond's far corner, its last row
                 X = (p1 * (1.0 - np.abs(s)) if exact
-                     else np.where(s < 0.0, far[0][4] - l0, l1 - far[0][4]))
+                     else np.where(s < 0.0, W[1][4] - l0, l1 - W[1][4]))
             F_line = per_x(F_line, dw)
             if fold:
                 nu = det_a.frequency if exact else (m.omega if transported else det_a.frequency * L[5])
@@ -683,7 +668,7 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
         breaks = []
         if ordered:
             def on_line(w):
-                (L,), _, _ = evaluate([0.5 * w])
+                (L,) = evaluate(0.5 * w)
                 return -1j * WIGHTMAN_PREF * half_product(L, L, line=True)
 
             pole = adaptive_1d(on_line, chart(0.0, v0)[1], chart(0.0, v1)[1], cfg)

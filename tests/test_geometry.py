@@ -62,6 +62,19 @@ def test_roundtrip_across_branches(omega, Omega):
     assert np.max(np.abs(back - lam)) <= 1e-12
 
 
+@pytest.mark.parametrize("omega,Omega", [(1.0, 2.0), (1.0, 0.5), (2.0, 3.0), (1.3, 0.2)])
+def test_inverse_clock_is_the_clock_with_the_frequencies_exchanged(omega, Omega):
+    # lambda(tau) of (omega, Omega) is tau(lambda) of (Omega, omega), bit
+    # for bit, on several branches of the tangent either way
+    t = np.linspace(-4.0, 4.0, 401) * math.pi / min(omega, Omega)
+    for x in (t, 0.0, 1.7, -2.9):
+        got = ConformalTakagiMap(omega, Omega).lambda_of_tau(x)
+        want = ConformalTakagiMap(Omega, omega).tau_of_lambda(x)
+        assert np.array_equal(got, want) and type(got) is type(want)
+    branches = np.floor(Omega * t / math.pi + 0.5)
+    assert np.ptp(branches) >= 8
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     omega=st.floats(0.3, 3.0),
@@ -240,9 +253,14 @@ def test_window_kind_is_checked():
         SwitchingFunction("tabulated", (0.0, 1.0), ())
 
 
-def test_at_clock_needs_a_transported_window():
-    with pytest.raises(ValueError, match="transported"):
-        gaussian_switching(1.0).at_clock(0.0, 0.0, 1.0)
+def test_plain_window_ignores_the_clock_values():
+    # a kernel hands every window its clock row; only a transported one reads it
+    t = np.linspace(-9.0, 9.0, 73)
+    lam, C = np.full_like(t, np.nan), np.full_like(t, -1.0)
+    for chi in (gaussian_switching(1.3, center=0.4), cos_squared_switching(-0.5, 1.0)):
+        assert np.array_equal(chi(t, lam, C), chi(t))
+        assert np.array_equal(chi.derivative(t, lam, C), chi.derivative(t))
+        assert chi(0.3, 0.7, 2.0) == chi(0.3)
 
 
 def test_cos_squared_support_and_zero_outside():

@@ -411,6 +411,24 @@ def test_scenario_validation():
         HarvestScenario(detectors=(da, db), frame="frw")
 
 
+def test_transported_window_lives_on_its_own_maps_background():
+    # every window of a kernel reads the kernel's clock, so a window
+    # transported by another map, or sitting in a flat scenario, is refused
+    dual = dualize(_scenario(), 2.0)
+    da, db = dual.detectors
+    other = ConformalTakagiMap(1.0, 3.0)
+    foreign = replace(db, switching=transform_switching(other, GAUSS))
+    for label, dets, m in (("B", (_detector("A", (0.0, 0.0, 0.0)), db), None),
+                           ("A", (da, db), other),
+                           ("B", (da, foreign), dual.map)):
+        with pytest.raises(ValueError, match=f"detector {label}: a window transported"):
+            HarvestScenario(detectors=dets, map=m)
+    # dualize's output constructs, and a dual ground state may take its windows
+    assert HarvestScenario(detectors=(da, db), map=dual.map, initial_state="takagi_squeezed",
+                           quadrature=dual.quadrature) == dual
+    assert HarvestScenario(detectors=(da, db), map=dual.map).frame == "frw"
+
+
 # --- duality --------------------------------------------------------------------
 
 
@@ -734,8 +752,8 @@ def test_shared_clock_legs_equal_the_public_wrappers():
     assert np.any(outside) and not np.all(outside)
     lam = m.lambda_of_tau(t)
     C = m.conformal_factor(lam)
-    assert np.array_equal(chi.at_clock(t, lam, C), chi(t))
-    assert np.all(chi.at_clock(t, lam, C)[outside] == 0.0)
+    assert np.array_equal(chi(t, lam, C), chi(t))
+    assert np.all(chi(t, lam, C)[outside] == 0.0)
     amp, phase = transported_leg(m, lam, C)
     assert np.array_equal(amp * np.exp(1j * phase), transported_mode(m, t))
 
@@ -860,7 +878,7 @@ def test_leg_product_equals_the_explicit_legs(side):
         ]
         for ordered, swapped, want, scale in cases:
             evaluate, join = harvesting._legs(sc, da, db, ordered, swapped)
-            (P,), (Q,), _ = evaluate([t], [tp])
+            P, Q = evaluate(t, tp)
             amp, phase = join(P, Q)
             assert np.any(want != 0.0) and np.any(want == 0.0)
             _assert_legs_close(amp * np.exp(1j * phase), want, scale)
@@ -870,7 +888,7 @@ def _clock_and_window_calls(monkeypatch, run):
     """(clock-map calls, window calls, window points) in each kernel call that run integrates.
 
     Windows count at the outermost call: a transported window evaluates its
-    base window inside at_clock.
+    base window inside its own call.
     """
     counts = {"clock": 0, "window": 0, "points": 0}
     depth = [0]
@@ -907,8 +925,7 @@ def _clock_and_window_calls(monkeypatch, run):
 
     with monkeypatch.context() as mp:
         mp.setattr(ConformalTakagiMap, "lambda_of_tau", clock)
-        for name in ("__call__", "at_clock"):
-            mp.setattr(SwitchingFunction, name, counted(getattr(SwitchingFunction, name)))
+        mp.setattr(SwitchingFunction, "__call__", counted(SwitchingFunction.__call__))
         mp.setattr(harvesting, "integrate_square", spy)
         run()
     return per_call
@@ -919,20 +936,28 @@ def test_one_clock_call_and_one_window_call_per_detector_per_cell(monkeypatch):
     da = flat.detectors[0]
     other = HarvestScenario(detectors=(da, replace(flat.detectors[1],
                                                    switching=gaussian_switching(1.25))))
+    gaps = HarvestScenario(detectors=(da, replace(flat.detectors[1], frequency=1.5)))
     dual = dualize(flat, 2.0)
+    # co-located cos^2 oscillators: the dual diamond's far corner is one more row
+    colo = dualize(_scenario(L=0.0, chi=COS2), 0.5)
     n = len(XK)
     cases = [
-        # (run, clock calls, distinct detectors, window points or None): a
-        # window reads the (n, n) grid and one (1, n) row per pole only
-        # where its detector's legs do, n = len(XK)
+        # (run, clock calls, distinct windows, window points or None): each
+        # distinct window reads every row of a call, the (n, n) grids of t
+        # and t' and one (1, n) row per pole at each, n = len(XK)
         (lambda: compute_L(da, da, flat), 0, 1, None),
         (lambda: compute_N(da, flat), 0, 1, None),
-        # a swapped M (one pole) reads both legs at t and at t'
+        # a swapped M (one pole)
         (lambda: compute_M(other), 0, 2, 2 * 2 * (n * n + n)),
-        # L_AB, two poles (u = -L and u = L): A's window at t, B's at t'
-        (lambda: compute_L(*other.detectors, other), 0, 2, 2 * (n * n + 2 * n)),
+        # equal windows count once, whatever the gaps
+        (lambda: compute_M(gaps), 0, 1, 2 * (n * n + n)),
+        # L_AB, two poles (u = -L and u = L)
+        (lambda: compute_L(*other.detectors, other), 0, 2, 2 * 2 * (n * n + 2 * n)),
         (lambda: compute_L(dual.detectors[0], dual.detectors[0], dual), 1, 1, None),
         (lambda: compute_M(dual), 1, 1, None),
+        (lambda: compute_L(colo.detectors[0], colo.detectors[0], colo), 1, 1, None),
+        (lambda: compute_N(colo.detectors[0], colo), 1, 1, None),
+        (lambda: compute_M(colo), 1, 1, None),
     ]
     for run, clocks, windows, points in cases:
         per_call = _clock_and_window_calls(monkeypatch, run)
