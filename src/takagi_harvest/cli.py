@@ -5,10 +5,12 @@ symplectic identity suite, ``harvest`` evaluates one scenario (or a frequency
 scan), ``dualize`` pairs a flat scenario with its cosmological dual per
 requested Omega, and ``geometry-tables`` dumps dense clock-map and scale
 factor grids.  A sweep (a frequency scan or a dualize Omega list) runs its
-rows in input order on the calling thread.  All floats are printed with 17
-significant digits and every reduction order is fixed, so identical configs
-produce byte-identical output.  --threads is accepted for compatibility and
-has no effect.
+rows in input order on the calling thread.  JSON reports are written by
+json.dumps and CSV floats by repr, so every float is the shortest text that
+reads back to the same double, and a nan or inf anywhere is a numerical hard
+error (exit 3) before any file is written.  Every reduction order is fixed,
+so identical configs produce byte-identical output.  --threads is accepted
+for compatibility and has no effect.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical hard
 error.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import json
 import math
 import re
 import sys
@@ -307,39 +310,20 @@ def _build_scenario(sections, loc):
 
 
 def _fmt(x) -> str:
-    """Fixed 17-significant-digit float rendering used in every output file."""
+    """A CSV cell's float: repr, the shortest text that reads back to the
+    same double, which is also how json writes a float."""
     v = float(x)
     if not math.isfinite(v):
         raise NumericalHardError(f"non-finite value in output: {v!r}")
-    return format(v, ".17g")
+    return repr(v)
 
 
-def _json_dump(obj, indent=0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {_json_dump(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_json_dump(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _json(report) -> str:
+    """report as indented JSON; a nan or inf in it is a numerical hard error."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalHardError(f"non-finite value in output: {exc}") from None
 
 
 def _emit(text: str, out_path: str | None):
@@ -372,7 +356,7 @@ def _sweep(row, scenario, points, columns, report, out) -> int:
     rows = [row(scenario, p) for p in points]
     if out is not None and out.endswith(".json"):
         report["rows"] = [dict(zip(columns, r)) for r in rows]
-        _emit(_json_dump(report) + "\n", out)
+        _emit(_json(report), out)
     else:
         _emit(_csv(columns, rows), out)
     return EXIT_OK
@@ -429,7 +413,7 @@ def cmd_check_takagi(sections, loc, config_sha, args) -> int:
         }
         report["identities"] = identities
         report["all_pass"] = all_pass
-        _emit(_json_dump(report) + "\n", args.out)
+        _emit(_json(report), args.out)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -482,7 +466,7 @@ def cmd_harvest(sections, loc, config_sha, args) -> int:
     report["E1"] = float(rep.E1)
     report["negativity"] = float(rep.negativity)
     report["negativity_pt_exact"] = float(rep.negativity_pt)
-    _emit(_json_dump(report) + "\n", args.out)
+    _emit(_json(report), args.out)
     return EXIT_OK
 
 

@@ -331,9 +331,12 @@ class StaticTrajectory:
     position: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.position) == 0:
-            raise ValueError("position must have at least one component")
-        object.__setattr__(self, "position", tuple(float(p) for p in self.position))
+        position = tuple(float(p) for p in self.position)
+        if not position or not all(math.isfinite(p) for p in position):
+            raise ValueError(
+                f"position must have one or more finite components, got {self.position!r}"
+            )
+        object.__setattr__(self, "position", position)
 
 
 def separation(traj_a: StaticTrajectory, traj_b: StaticTrajectory) -> float:

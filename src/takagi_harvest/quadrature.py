@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +145,15 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 <= self.abs_tol < math.inf):
             raise ValueError("need finite rel_tol > 0 and abs_tol >= 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        try:  # an integer type, not a float that happens to be whole
+            subdivisions = operator.index(self.max_subdivisions)
+        except TypeError:
+            subdivisions = 0
+        if subdivisions < 1:
+            raise ValueError(
+                f"max_subdivisions must be an integer >= 1, got {self.max_subdivisions!r}"
+            )
+        object.__setattr__(self, "max_subdivisions", subdivisions)
         if self.epsilon_sequence is not None:
             object.__setattr__(self, "epsilon_sequence",
                                validate_epsilon_sequence(self.epsilon_sequence))

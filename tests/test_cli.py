@@ -8,6 +8,7 @@ import json
 import math
 import re
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from takagi_harvest import cli
 from takagi_harvest.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     SPEC_VERSION,
     _DUALIZE_COLUMNS,
@@ -322,6 +324,59 @@ def test_sweep_rows_run_on_the_calling_thread_in_input_order(tmp_path, monkeypat
         out = str(tmp_path / f"{command}.csv")
         assert main([command, "--config", path, "--out", out, "--threads", threads]) == EXIT_OK
         assert calls == [(threading.get_ident(), p) for p in points]
+
+
+# --- output text -------------------------------------------------------------------
+
+
+def _float_tokens(text):
+    """Every float of a JSON text, as its text was written."""
+    tokens = []
+    json.loads(text, parse_float=lambda tok: tokens.append(tok) or float(tok))
+    return tokens
+
+
+def test_every_json_float_is_written_as_its_repr(tmp_path):
+    # repr is the shortest text that reads back to the same double, and a
+    # whole value is written 0.0, so it reads back as a float
+    rep, check = tmp_path / "rep.json", tmp_path / "check.json"
+    assert main(["harvest", "--config", _write(tmp_path, GAUSS_REF), "--out", str(rep)]) == EXIT_OK
+    assert main(["check-takagi", "--out", str(check)]) == EXIT_OK
+    for out in (rep, check):
+        tokens = _float_tokens(out.read_text())
+        assert tokens and all(tok == repr(float(tok)) for tok in tokens), out.name
+    for rec in json.loads(rep.read_text())["elements"].values():
+        assert all(type(rec[k]) is float for k in ("re", "im", "err")), rec
+
+
+def test_scan_csv_and_json_rows_agree_float_for_float(tmp_path):
+    path = _write(tmp_path, QUBIT_COS2 + "\n[scan]\nomega = 0.5, 1.3, 2\n")
+    csv_out, json_out = tmp_path / "scan.csv", tmp_path / "scan.json"
+    for out in (csv_out, json_out):
+        assert main(["harvest", "--config", path, "--out", str(out)]) == EXIT_OK
+    header, *lines = csv_out.read_text().splitlines()
+    cells = [line.split(",") for line in lines]
+    assert len(cells) == 3 and all(c == repr(float(c)) for row in cells for c in row)
+    rows = json.loads(json_out.read_text())["rows"]
+    assert [list(row) for row in rows] == [header.split(",")] * 3
+    assert [[repr(v) for v in row.values()] for row in rows] == cells
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_output_exits_numerical_and_writes_no_file(tmp_path, capsys, monkeypatch, bad):
+    # json.dumps refuses a nan or inf with a ValueError, which main would
+    # report as a config error (exit 2) if it were not turned into exit 3
+    real = cli.harvest
+    monkeypatch.setattr(cli, "harvest", lambda scenario: replace(real(scenario), E1=bad))
+    monkeypatch.setattr(cli, "_scan_row",
+                        lambda scenario, omega: (omega, bad) + (0.0,) * (len(_SCAN_COLUMNS) - 2))
+    single = _write(tmp_path, GAUSS_REF, "single.ini")
+    scan = _write(tmp_path, QUBIT_COS2 + "\n[scan]\nomega = 1.0, 2.0\n", "scan.ini")
+    for path, name in ((single, "rep.json"), (scan, "scan.csv"), (scan, "scan.json")):
+        out = tmp_path / name
+        assert main(["harvest", "--config", path, "--out", str(out)]) == EXIT_NUMERICAL, name
+        assert "numerical hard error" in capsys.readouterr().err, name
+        assert not out.exists(), name
 
 
 # --- dualize ----------------------------------------------------------------------

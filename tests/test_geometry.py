@@ -333,3 +333,14 @@ def test_separation_euclidean():
     a = StaticTrajectory((0.0, 0.0, 0.0))
     b = StaticTrajectory((3.0, 4.0, 0.0))
     assert separation(a, b) == 5.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trajectory_refuses_non_finite_components(bad):
+    # a nan position made separation nan, and the pair was then integrated
+    # as co-located, with a 1/eps pole in M
+    for position in ((bad, 0.0, 0.0), (0.0, 0.0, bad)):
+        with pytest.raises(ValueError, match="^position"):
+            StaticTrajectory(position)
+    with pytest.raises(ValueError, match="^position"):
+        StaticTrajectory(())

@@ -387,6 +387,17 @@ def test_config_rejects_non_finite_values(bad):
         QuadratureConfig(epsilon_sequence=(bad,))
 
 
+def test_config_max_subdivisions_is_an_integer_of_at_least_one():
+    # a nan budget compared False with every split count and switched
+    # refinement off; 2.5 is not a count of splits
+    for bad in (math.nan, 2.5, 0):
+        with pytest.raises(ValueError, match="^max_subdivisions"):
+            QuadratureConfig(max_subdivisions=bad)
+    for good in (3, np.int64(3)):
+        cfg = QuadratureConfig(max_subdivisions=good)
+        assert cfg.max_subdivisions == 3 and type(cfg.max_subdivisions) is int
+
+
 def _res(value, eps):
     return IntegralResult(value=value, err_estimate=1e-16, epsilon_used=eps)
 
