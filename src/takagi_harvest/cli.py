@@ -350,10 +350,11 @@ def _report_header(command: str, config_sha: str) -> dict:
     }
 
 
-def _sweep(row, scenario, points, columns, report, out) -> int:
-    """row(scenario, p) for each point p, in input order, emitted as CSV, or
-    as the rows of report if out ends in .json."""
-    rows = [row(scenario, p) for p in points]
+def _sweep(row, subject, points, columns, report, out) -> int:
+    """row(subject, p) for each point p, in input order, emitted as CSV, or
+    as the rows of report if out ends in .json.  subject is the scenario of
+    a scan, and the dual check of a dualize sweep."""
+    rows = [row(subject, p) for p in points]
     if out is not None and out.endswith(".json"):
         report["rows"] = [dict(zip(columns, r)) for r in rows]
         _emit(_json(report), out)
@@ -487,8 +488,9 @@ _DUALIZE_COLUMNS = (
 )
 
 
-def _dualize_row(scenario, Omega):
-    rep = run_dual_check(scenario, Omega)
+def _dualize_row(check, Omega):
+    """The CSV row of check(Omega), the dual check at Omega."""
+    rep = check(Omega)
     return (
         rep.omega,
         rep.Omega,
@@ -525,7 +527,16 @@ def cmd_dualize(sections, loc, config_sha, args) -> int:
             dualize(scenario, Omega)
         except ValueError as exc:
             raise loc.error("dualize", "Omega_list", f"Omega = {Omega}: {exc}") from None
-    return _sweep(_dualize_row, scenario, Omegas, _DUALIZE_COLUMNS,
+    flat = None
+
+    def check(Omega):
+        # the flat side does not depend on Omega: the first row computes it
+        nonlocal flat
+        rep = run_dual_check(scenario, Omega, flat)
+        flat = rep.flat
+        return rep
+
+    return _sweep(_dualize_row, check, Omegas, _DUALIZE_COLUMNS,
                   _report_header("dualize", config_sha), args.out)
 
 

@@ -31,7 +31,10 @@ coordinates u = t - t', w = t + t', or in the conformal-time difference x =
 lambda(t) - lambda(t') in place of u.  An L whose detectors mirror each
 other (L_AA, L_BB, a mirrored L_AB) is Hermitian, K(-u, w) = conj(K(u, w)),
 on either side of the duality, and is folded: taken as 2 Re of its u >= 0
-half, on about half the cells.
+half, on about half the cells.  Where both windows are even about t = 0,
+time reversal is a symmetry too (the clock map is odd in time and C even):
+an ordered element and a mirrored L integrate their w >= 0 half alone, and
+a separated L_AB that does not mirror folds onto u >= 0 (see _integral).
 
 One routine evaluates every element (_integral), and the quadrature
 config's epsilon_sequence alone sets its regulator (_element).  The
@@ -205,6 +208,15 @@ def _mirrors(det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
     only the prefactor, so they do not count here.
     """
     return det_a.frequency == det_b.frequency and det_a.switching == det_b.switching
+
+
+def _even(*windows: SwitchingFunction) -> bool:
+    """True when every window is even about t = 0: a Gaussian centred there,
+    a cos^2 with t0 = -t1, or a window transported from one (the clock map
+    is odd in time and C even, so the transported window is even too)."""
+    return all(_even(chi.param("base")) if chi.kind == "transformed"
+               else chi.param("center") == 0.0 if chi.kind == "gaussian"
+               else chi.param("t0") == -chi.param("t1") for chi in windows)
 
 
 def _twins(det_a: DetectorSpec, det_b: DetectorSpec) -> bool:
@@ -450,6 +462,10 @@ def _chart(clock: ConformalTakagiMap | None, chi_a: SwitchingFunction,
     supports and Gaussian windows keep: a Gaussian window's edge is a jump
     of e^-32, and on its mostly empty square the diamond costs cells.  On
     the rectangle of a clock, unequal cos^2 supports still cross cells.
+
+    Where both windows are even about t = 0, time reversal maps w to -w on
+    the rectangle and s to -s on the diamond, at fixed p; _integral then
+    keeps the v >= 0 half of the range returned here.
     """
     sup_a, sup_b = chi_a.support, chi_b.support
     images = [chi.support if clock is None
@@ -553,6 +569,26 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
     co-located L that does not mirror integrates its whole range, broken
     at the kink x = 0 where cos^2 windows shear it onto the diamond.
 
+    Time reversal.  Where both windows are even about t = 0 (_even), the
+    map (t, t') -> (-t', -t) keeps the time ordering, u and x (the clock
+    map is odd in time), and flips v: w -> -w on the rectangle, s -> -s on
+    the diamond.  The Jacobians, x' and the kernel, a function of x alone
+    at any eps, are even under it, so only the leg product moves.
+    * Ordered: it conjugates the symmetrized leg product, so the element
+      is the integral over v >= 0 with 2 Re G in place of G, in every
+      term: the pole rows, the line terms, and the pole's line integral
+      with 2 Re F0.  N's pole is then exactly imaginary and its finite
+      part exactly real.
+    * A folded L of mirrored detectors: it keeps the leg product, so the
+      u >= 0 half is even in v and is twice its v >= 0 quarter.
+    * An L_AB of a separated pair that does not mirror: (t, t') -> (-t,
+      -t') conjugates it (W(-x) = conj W(x)), and _element folds it as a
+      mirrored L, 2 Re of its u >= 0 half.  A co-located one is not
+      folded: its line terms at x = 0 carry the unfolded form above.
+    The other half is never evaluated, so a folded run spends its cells
+    and its budget on half the domain.  Windows that are not even take
+    none of this, and their elements are computed as without it.
+
     Each line term is spread evenly over the x range at its line's v, with
     the line's dw/dv (U on the diamond, 1 on the rectangle), so it is one
     more term of the same bounded 2D integrand and every stopping test is
@@ -577,13 +613,22 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
     # off the identity clock every element integrates in x
     (p0, p1, v0, v1), chart, diamond = _chart(None if exact else m, det_a.switching,
                                               det_b.switching, half)
+    # time reversal (t, t') -> (-t', -t) keeps x and flips v: it conjugates
+    # an ordered G and keeps a folded L of mirrored detectors
+    flip = (_even(det_a.switching, det_b.switching)
+            and (ordered or fold and _mirrors(det_a, det_b)))
+    conj, twice = flip and ordered, 2.0 if flip else 1.0
+    real = fold or conj  # the limit kernels read Re G alone
+    if flip:
+        v0 = 0.0
 
     def half_product(P, Q, real=False, line=False):
         """G at the rows P (A's leg) and Q (B's), or F0 = G C on the line x = 0 (real: Re G)."""
         amp, phase = join(P, Q)
         if not exact:
             amp = amp / (P[5] if line else P[5] * Q[5])
-        return 0.5 * amp * (np.cos(phase) if real else np.exp(1j * phase))
+        # a complex amp comes with phase 0 (see _legs)
+        return 0.5 * (amp.real * np.cos(phase) if real else amp * np.exp(1j * phase))
 
     def rate(P, Q):
         """x' = dx/du at the rows P and Q."""
@@ -612,18 +657,19 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
             (P, *Ps), (Q, *Qs) = legs[:len(nodes)], legs[len(nodes):]
             x, jac = p, jac / rate(P, Q)
             if limit:
-                out = jac * half_product(P, Q, fold) * wightman_flat_pv(x, sep)
+                out = jac * half_product(P, Q, real) * wightman_flat_pv(x, sep)
             else:
-                out = jac * half_product(P, Q) * wightman_flat_sep(x if ordered else -x, sep, eps)
+                out = jac * half_product(P, Q, conj) * wightman_flat_sep(x if ordered else -x,
+                                                                        sep, eps)
             for (q, _, _, jac_k, spread_k), P_k, Q_k in zip(poles, Ps, Qs):
                 # complex even when folded: Re(a (c + i pi)) = Re(a) c - Im(a) pi
-                G_k = half_product(P_k, Q_k)
+                G_k = half_product(P_k, Q_k, conj)
                 a = jac_k * G_k * (WIGHTMAN_PREF / (2.0 * q * rate(P_k, Q_k)))
                 term = a * spread_k
                 if fold:
                     a, term = a.real, term.real
                 out = out - a / (q - p) + term
-            return 2.0 * out.real if fold else out
+            return 2.0 * twice * out.real if fold else twice * out
     else:
         # the limit at sep = 0: on the line x = 0 both legs sit at t = w/2
         transported = scenario.initial_state == "takagi_squeezed"
@@ -645,9 +691,9 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
                 rows += [0.5 * w] if exact else [0.5 * w, np.where(s < 0.0, a1, a0) + U * s]
             P, Q, L, *W = evaluate(*rows)
             x, jac = p, jac / rate(P, Q)
-            F_line = half_product(L, L, fold, line=True)
-            F_w = half_product(W[0], W[0], fold, line=True) if W else F_line
-            rest = half_product(P, Q, fold) - F_w * rate(P, Q)
+            F_line = half_product(L, L, real, line=True)
+            F_w = half_product(W[0], W[0], real, line=True) if W else F_line
+            rest = half_product(P, Q, real) - F_w * rate(P, Q)
             if diamond is None:
                 X = p1
             else:
@@ -657,24 +703,24 @@ def _integral(scenario, det_a, det_b, ordered: bool, fold: bool,
             F_line = per_x(F_line, dw)
             if fold:
                 nu = det_a.frequency if exact else (m.omega if transported else det_a.frequency * L[5])
-                return (jac * (2.0 * rest) * wightman_flat_pv(x, 0.0)
-                        - WIGHTMAN_PREF * F_line * (math.pi * nu - 2.0 / X))
+                return twice * (jac * (2.0 * rest) * wightman_flat_pv(x, 0.0)
+                                - WIGHTMAN_PREF * F_line * (math.pi * nu - 2.0 / X))
             out = jac * rest * wightman_flat_pv(x, 0.0) + WIGHTMAN_PREF * F_line / X
             if unfold:
                 H1 = _delta_prime(scenario, det_a, det_b, 0.5 * w_line, L)
                 out = out + (1j * math.pi * WIGHTMAN_PREF) * per_x(H1, dw)
-            return out
+            return twice * out
 
         breaks = []
         if ordered:
             def on_line(w):
                 (L,) = evaluate(0.5 * w)
-                return -1j * WIGHTMAN_PREF * half_product(L, L, line=True)
+                return (-1j * twice * WIGHTMAN_PREF) * half_product(L, L, conj, line=True)
 
             pole = adaptive_1d(on_line, chart(0.0, v0)[1], chart(0.0, v1)[1], cfg)
 
     # the line terms' X has a kink at s = 0 on the diamond: a mesh line too
-    vs = (v0, 0.0, v1) if diamond and limit and sep == 0.0 else (v0, v1)
+    vs = (v0, 0.0, v1) if diamond and limit and sep == 0.0 and not flip else (v0, v1)
     res = integrate_square(kern, ((p0, *breaks, p1), vs), cfg)
     runs = [res] if pole is None else [res, pole]
     note = "finest-epsilon" if not limit else "closed-form" if pole is None else "finite-part"
@@ -689,15 +735,19 @@ def _element(scenario, det_a, det_b, ordered: bool, pref: float) -> IntegralResu
     The quadrature config's epsilon_sequence sets eps, and nothing else
     does: None or more than one level asks for the eps -> 0 limit in closed
     form, one level for that finite eps, both from _integral on one domain
-    and chart.  An unordered element of two mirrored detectors is folded:
-    2 Re of its u >= 0 half.
+    and chart.  An unordered element is folded, 2 Re of its u >= 0 half,
+    where its integrand at -u is the conjugate of its own: of two mirrored
+    detectors, and of a separated pair whose windows are both even about t
+    = 0 (time reversal; _integral also halves the w range of elements with
+    such windows).
     """
     ca, cb = det_a.coupling, det_b.coupling
     if ca == 0.0 or cb == 0.0:
         return IntegralResult(0.0 + 0.0j, 0.0, note="zero-coupling")
     eps_seq = scenario.quadrature.epsilon_sequence
     eps = eps_seq[0] if eps_seq is not None and len(eps_seq) == 1 else None
-    fold = not ordered and _mirrors(det_a, det_b)
+    fold = not ordered and (_mirrors(det_a, det_b) or _even(det_a.switching, det_b.switching)
+                            and separation(det_a.trajectory, det_b.trajectory) > 0.0)
     res = _integral(scenario, det_a, det_b, ordered, fold, eps)
     pref = pref * ca * cb
     return replace(res, value=pref * res.value, err_estimate=abs(pref) * res.err_estimate,
@@ -713,7 +763,11 @@ def compute_L(det_a: DetectorSpec, det_b: DetectorSpec,
     as epsilon_sequence asks (see _element).  When B mirrors A (a is b
     included) L_ab is real, and the integral takes twice the real part of
     the integrand over the u >= 0 half only, with an imaginary part of
-    exactly 0.  The independent mode-sum route of a static flat pair is
+    exactly 0.  So does a separated pair whose windows are both even about
+    t = 0 (a Gaussian centred there, a cos^2 with t0 = -t1, or a window
+    transported from one), by time reversal; a mirrored pair with such
+    windows integrates only the w >= 0 half of its u >= 0 half, and doubles
+    it.  The independent mode-sum route of a static flat pair is
     quadrature.fourier_oracle_L.
     """
     return _element(scenario, det_a, det_b, ordered=False, pref=1.0)
@@ -725,7 +779,10 @@ def compute_M(scenario: HarvestScenario) -> IntegralResult:
     The time ordering t' < t is the exact edge u > 0 of the rotated rectangle,
     so no indicator function enters the integrand.  Of two co-located
     detectors M diverges like 1/epsilon, as N does, and is split the same
-    way: the finite part, which enters rho, and the pole.
+    way: the finite part, which enters rho, and the pole.  Where both
+    windows are even about t = 0, time reversal (t, t') -> (-t', -t) keeps
+    the ordering and conjugates the integrand, so M integrates the w >= 0
+    half alone, with twice the real part of the leg product.
     """
     det_a, det_b = scenario.detectors
     return _element(scenario, det_a, det_b, ordered=True, pref=-1.0)
@@ -748,7 +805,9 @@ def compute_N(det: DetectorSpec, scenario: HarvestScenario) -> IntegralResult:
     are the same two numbers.  A one-level sequence gives the regulated N at
     that epsilon, with the pole in the value (note "finest-epsilon"), from
     the same routine on the same domain; max_subdivisions bounds the 2D run
-    of the whole x range either way.
+    of the whole x range either way.  A window even about t = 0 folds N onto
+    its w >= 0 half, as it does M, and then the pole is exactly imaginary
+    and the finite part exactly real.
     """
     if det.model != "oscillator":
         raise ValueError("the second excited state exists only for oscillator detectors")
@@ -921,7 +980,8 @@ def _rel_diff(x: float, y: float) -> float:
     return abs(x - y) / denom if denom > 0.0 else 0.0
 
 
-def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
+def run_dual_check(scenario: HarvestScenario, Omega: float,
+                   flat: MatrixElements | None = None) -> DualCheckReport:
     """Compute L_AA, L_BB, M independently in both pictures and compare.
 
     Both sides run under the flat scenario's quadrature config, which
@@ -933,7 +993,10 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
     times, one adaptive run per element.  Residuals are relative, on L_AA,
     L_BB, |M| and the negativity.  Both sides take the same couplings,
     which dualize keeps.  A pair whose B mirrors A with the same coupling
-    (see _twins) reuses L_AA as L_BB on each side.
+    (see _twins) reuses L_AA as L_BB on each side.  The flat side does not
+    depend on Omega: flat, when given, is the flat report of an earlier
+    check of the same scenario (a sweep over Omega computes it once), and
+    is computed here when None.
     """
     dual = dualize(scenario, Omega)
 
@@ -946,7 +1009,7 @@ def run_dual_check(scenario: HarvestScenario, Omega: float) -> DualCheckReport:
             M=compute_M(sc),
         )
 
-    flat = elements_for(scenario)
+    flat = elements_for(scenario) if flat is None else flat
     frw = elements_for(dual)
     _, neg_flat = negativity_leading(flat)
     _, neg_frw = negativity_leading(frw)

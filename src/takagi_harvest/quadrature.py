@@ -134,7 +134,9 @@ class QuadratureConfig:
     its pieces in one, at any regulator, or a pole's line integral.  A
     rectangle's pieces are the product of both axes' pieces between their
     breaks, and a run of p pieces evaluates at most p + 2 * max_subdivisions
-    cells.
+    cells.  An element whose windows are even about t = 0 folds onto half
+    its domain by time reversal (harvesting._integral), and spends its
+    budget there.
     """
 
     rel_tol: float = 1e-6

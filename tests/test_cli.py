@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from takagi_harvest import cli
+from takagi_harvest import cli, harvesting
 from takagi_harvest.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -400,6 +400,29 @@ def test_dualize_degenerate_row_exact(tmp_path):
     assert row["resid_max"] <= 1e-12
     assert row["L_AA_flat"] == row["L_AA_frw"]
     assert row["neg_flat"] == row["neg_frw"]
+
+
+def test_dualize_computes_the_flat_side_once(tmp_path, monkeypatch):
+    # the flat elements do not depend on Omega: a four-row sweep computes
+    # them in its first row and hands them to the other three, and its CSV
+    # is byte-identical to a sweep that recomputes them on every row
+    cfg = _write(tmp_path, GAUSS_REF + "\n[dualize]\nOmega_list = 0.5, 1.3, 2.0, 3.0\n")
+    compute_M, flat_sides = harvesting.compute_M, []
+
+    def spy(scenario):
+        flat_sides.append(scenario.map is None)
+        return compute_M(scenario)
+
+    monkeypatch.setattr(harvesting, "compute_M", spy)
+    once, every_row = tmp_path / "once.csv", tmp_path / "every_row.csv"
+    assert main(["dualize", "--config", cfg, "--out", str(once)]) == EXIT_OK
+    assert flat_sides == [True] + [False] * 4
+    flat_sides.clear()
+    check = cli.run_dual_check
+    monkeypatch.setattr(cli, "run_dual_check", lambda sc, Omega, flat: check(sc, Omega))
+    assert main(["dualize", "--config", cfg, "--out", str(every_row)]) == EXIT_OK
+    assert flat_sides == [True, False] * 4
+    assert once.read_bytes() == every_row.read_bytes()
 
 
 COS2_PAIR = GAUSS_REF.replace("kind = gaussian\nsigma = 1.0", "kind = cos_squared\nt0 = -0.5\nt1 = 0.5")

@@ -627,10 +627,12 @@ def test_closed_form_element_reports_all_its_cells(monkeypatch):
 
 @pytest.mark.parametrize("chi, sheared", [(GAUSS, False), (cos_squared_switching(-0.5, 0.5), True)])
 def test_chart_is_decided_by_the_windows_alone(monkeypatch, chi, sheared):
-    # equal supports are sheared onto their diamond, s in [-1, 1] with its
-    # kink s = 0 an edge, for cos^2 windows and windows transported from
-    # them, and keep _rect's w range for Gaussian ones, on the flat and the
-    # dual side alike
+    # equal supports are sheared onto their diamond, s in [-1, 1], for cos^2
+    # windows and windows transported from them, and keep _rect's w range
+    # for Gaussian ones, on the flat and the dual side alike; these windows
+    # are even about t = 0, so each element integrates the v >= 0 half of
+    # its range, in the limit and at a finite eps: s in [0, 1] (its edge
+    # s = 0 is the diamond's kink), or w in [0, w1]
     domains = []
     integrate = harvesting.integrate_square
 
@@ -640,10 +642,10 @@ def test_chart_is_decided_by_the_windows_alone(monkeypatch, chi, sheared):
 
     monkeypatch.setattr(harvesting, "integrate_square", spy)
     flat = _scenario(L=0.0, chi=chi)
-    for sc in (flat, dualize(flat, 1.3)):
+    for sc in (flat, _sequence(flat, (0.01,)), dualize(flat, 1.3)):
         da = sc.detectors[0]
         sup = da.switching.support
-        want = (-1.0, 0.0, 1.0) if sheared else harvesting._rect(sup, sup, True)[2:]
+        want = (0.0, 1.0) if sheared else (0.0, harvesting._rect(sup, sup, True)[3])
         for run in (lambda: compute_L(da, da, sc), lambda: compute_N(da, sc), lambda: compute_M(sc)):
             domains.clear()
             run()
@@ -672,9 +674,11 @@ def test_the_kink_of_the_diamond_is_an_edge(monkeypatch, rel_tol):
     # the line terms of a co-located element in the limit carry X(s), which
     # has a kink at s = 0 on the diamond of cos^2 windows; with s = 0 an
     # edge the run starts from the two halves that its first split made
-    # without it: the same value and err bit for bit, and one cell fewer
+    # without it: the same value and err bit for bit, and one cell fewer.
+    # The windows sit on (0, 1), not even about t = 0, so no element folds
+    # its s range onto s >= 0
     q = QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
-    chi = cos_squared_switching(-0.5, 0.5)
+    chi = cos_squared_switching(0.0, 1.0)
     flat = _scenario(L=0.0, chi=chi, quad=q)
     runs = []
     for sc in (flat, dualize(flat, 0.5), dualize(flat, 2.0)):
@@ -937,9 +941,14 @@ def test_one_clock_call_and_one_window_call_per_detector_per_cell(monkeypatch):
     other = HarvestScenario(detectors=(da, replace(flat.detectors[1],
                                                    switching=gaussian_switching(1.25))))
     gaps = HarvestScenario(detectors=(da, replace(flat.detectors[1], frequency=1.5)))
+    # the same pair translated in time: its windows are not even about t = 0
+    shifted = HarvestScenario(detectors=tuple(
+        replace(d, switching=gaussian_switching(d.switching.param("sigma"), center=0.37))
+        for d in other.detectors))
     dual = dualize(flat, 2.0)
-    # co-located cos^2 oscillators: the dual diamond's far corner is one more row
-    colo = dualize(_scenario(L=0.0, chi=COS2), 0.5)
+    # co-located cos^2 oscillators: the dual diamond's far corner is one more
+    # row; at omega = 3, where each run on the s >= 0 half takes several cells
+    colo = dualize(_scenario(L=0.0, freq=3.0, chi=COS2), 0.5)
     n = len(XK)
     cases = [
         # (run, clock calls, distinct windows, window points or None): each
@@ -951,8 +960,10 @@ def test_one_clock_call_and_one_window_call_per_detector_per_cell(monkeypatch):
         (lambda: compute_M(other), 0, 2, 2 * 2 * (n * n + n)),
         # equal windows count once, whatever the gaps
         (lambda: compute_M(gaps), 0, 1, 2 * (n * n + n)),
-        # L_AB, two poles (u = -L and u = L)
-        (lambda: compute_L(*other.detectors, other), 0, 2, 2 * 2 * (n * n + 2 * n)),
+        # L_AB of even windows, folded onto u >= 0: one pole (u = L)
+        (lambda: compute_L(*other.detectors, other), 0, 2, 2 * 2 * (n * n + n)),
+        # L_AB of windows that are not even, two poles (u = -L and u = L)
+        (lambda: compute_L(*shifted.detectors, shifted), 0, 2, 2 * 2 * (n * n + 2 * n)),
         (lambda: compute_L(dual.detectors[0], dual.detectors[0], dual), 1, 1, None),
         (lambda: compute_M(dual), 1, 1, None),
         (lambda: compute_L(colo.detectors[0], colo.detectors[0], colo), 1, 1, None),
@@ -1750,3 +1761,67 @@ def test_a_sliver_piece_does_not_spend_the_budget():
         res = runs[name]()
         assert not res.budget_exhausted and res.cells <= 50, (name, res)
         assert res.err_estimate <= sc.quadrature.rel_tol * abs(res.value), (name, res)
+
+
+# --- time reversal: windows even about t = 0 fold onto half their domain ----------
+
+SHIFT = 0.37  # a time translation that leaves no window even about t = 0
+
+# (windows, frequencies of A and B): two pairs that mirror, and one whose
+# windows and gaps both differ
+FOLD_PAIRS = {
+    "gauss": ((GAUSS, GAUSS), (1.0, 1.0)),
+    "cos2": ((COS2, COS2), (1.0, 1.0)),
+    "sigma": ((GAUSS, gaussian_switching(1.3)), (1.0, 1.4)),
+}
+
+
+def _shifted(chi, T):
+    """chi translated by T in time: chi(t - T)."""
+    if chi.kind == "gaussian":
+        return gaussian_switching(chi.param("sigma"), center=chi.param("center") + T)
+    return cos_squared_switching(chi.param("t0") + T, chi.param("t1") + T)
+
+
+def _fold_pair(name, L, T=0.0, eps=None):
+    (chi_a, chi_b), (fa, fb) = FOLD_PAIRS[name]
+    return HarvestScenario(detectors=(
+        _detector("A", (0.0, 0.0, 0.0), freq=fa, chi=_shifted(chi_a, T)),
+        _detector("B", (L, 0.0, 0.0), freq=fb, chi=_shifted(chi_b, T))),
+        quadrature=QuadratureConfig(epsilon_sequence=eps))
+
+
+@pytest.mark.parametrize("eps", [None, (0.05,)], ids=["limit", "eps"])
+@pytest.mark.parametrize("L", [0.0, 0.6, 2.0, 5.0])
+@pytest.mark.parametrize("name", list(FOLD_PAIRS))
+def test_a_time_translated_pair_agrees_with_the_folded_one(name, L, eps):
+    # the folded elements come from half their domain and the symmetry; the
+    # translated pair's windows are not even, so it integrates the whole
+    # domain.  A translation by T multiplies each element by the phase its
+    # two modes gain: e^{i (fA - fB) T} for L_AB, e^{i (fA + fB) T} for M
+    # and e^{2 i f T} for N, and leaves L_AA and L_BB as they are; in the
+    # limit and at a finite eps alike
+    folded = compute_elements(_fold_pair(name, L, eps=eps))
+    shifted = compute_elements(_fold_pair(name, L, SHIFT, eps))
+    fa, fb = FOLD_PAIRS[name][1]
+    phases = {"L_AA": 0.0, "L_BB": 0.0, "L_AB": fa - fb, "M": fa + fb,
+              "N_A": 2.0 * fa, "N_B": 2.0 * fb}
+    for element, rate in phases.items():
+        a, b = getattr(folded, element), getattr(shifted, element)
+        want = a.value * complex(math.cos(rate * SHIFT), math.sin(rate * SHIFT))
+        assert abs(b.value - want) <= a.err_estimate + b.err_estimate, (element, a, b)
+        assert not (a.budget_exhausted or b.budget_exhausted), element
+
+
+@pytest.mark.parametrize("windows", ["gauss", "cos2", "sigma"])
+def test_even_windows_give_exact_zeros(windows):
+    # by time reversal N's pole is imaginary and its finite part real, and
+    # a separated L_AB is real, whether the detectors mirror or not: each
+    # folded integrand is real, so the values are exactly 0.0, not rounding
+    # noise, flat and dual alike
+    for Omega in (None, 0.5, 2.0):
+        sc = _pair(windows, 2.0, Omega, QuadratureConfig())
+        da, db = sc.detectors
+        N, L_AB = compute_N(da, sc), compute_L(da, db, sc)
+        assert N.pole.real == 0.0 and N.value.imag == 0.0 and L_AB.value.imag == 0.0, sc.frame
+        assert N.pole.imag != 0.0 and N.value.real != 0.0 and L_AB.value.real != 0.0
