@@ -1,25 +1,31 @@
 """Command-line front end: INI-driven runs emitting plot-ready CSV/JSON.
 
-Four subcommands cover the library surface: ``check-takagi`` runs the
+    takagi-harvest COMMAND [--config F] [--out F] [--threads N] [--corrupt-sign] [-h|--help]
+
+Four commands cover the library surface: ``check-takagi`` runs the
 symplectic identity suite, ``harvest`` evaluates one scenario (or a frequency
 scan), ``dualize`` pairs a flat scenario with its cosmological dual per
 requested Omega, and ``geometry-tables`` dumps dense clock-map and scale
-factor grids.  A sweep (a frequency scan or a dualize Omega list) runs its
-rows in input order on the calling thread.  JSON reports are written by
-json.dumps and CSV floats by repr, so every float is the shortest text that
-reads back to the same double, and a nan or inf anywhere is a numerical hard
-error (exit 3) before any file is written.  Every reduction order is fixed,
-so identical configs produce byte-identical output.  --threads is accepted
-for compatibility and has no effect.
+factor grids.  --config names the INI file (required by harvest and
+dualize), --out the output file (default stdout), and --corrupt-sign, for
+check-takagi only, flips a shear sign so the suite must fail.  Options may
+come before or after the command; --help prints this text.  A sweep (a
+frequency scan or a dualize Omega list) runs its rows in input order on the
+calling thread.  JSON reports are written by json.dumps and CSV floats by
+repr, so every float is the shortest text that reads back to the same
+double, and a nan or inf anywhere is a numerical hard error (exit 3) before
+any file is written.  Every reduction order is fixed, so identical configs
+produce byte-identical output.  --threads is accepted for compatibility and
+has no effect.
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical hard
-error.
+Exit codes: 0 success, 1 check failure, 2 config or usage error (or an
+output file that cannot be written), 3 numerical hard error.
 """
 
 from __future__ import annotations
 
-import argparse
 import configparser
+import getopt
 import hashlib
 import json
 import math
@@ -81,11 +87,16 @@ def _count(raw):
 
 
 def _reals(size=None, positive=False, nonnegative=False):
+    bound = " > 0" if positive else " >= 0" if nonnegative else ""
+
     def parse(raw):
-        values = tuple(_real(s) for s in (part.strip() for part in raw.split(",")) if s)
+        parts = [part.strip() for part in raw.split(",")]
+        if "" in parts:  # no value at all, or an empty item between commas
+            raise ValueError(f"expected one or more comma-separated numbers{bound}, got {raw!r}")
+        values = tuple(_real(s) for s in parts)
         if size is not None and len(values) != size:
             raise ValueError(f"expected {size} comma-separated numbers, got {raw!r}")
-        if positive and not (values and min(values) > 0.0):
+        if positive and min(values) <= 0.0:
             raise ValueError(f"expected one or more numbers > 0, got {raw!r}")
         if nonnegative and any(v < 0.0 for v in values):
             raise ValueError(f"expected numbers >= 0, got {raw!r}")
@@ -329,9 +340,12 @@ def _json(report) -> str:
 def _emit(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
 
 
 def _csv(header, rows) -> str:
@@ -569,38 +583,58 @@ _COMMANDS = {
     "geometry-tables": cmd_geometry_tables,
 }
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="takagi-harvest",
-        description="Detector-pair entanglement harvesting via the conformal clock map.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        sp = sub.add_parser(name, help=command.__doc__)
-        sp.add_argument("--config", default=None, help="INI scenario configuration")
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for compatibility; no effect (sweep rows run in input order)",
-        )
-        if name == "check-takagi":
-            sp.add_argument(
-                "--corrupt-sign",
-                action="store_true",
-                help="negative control: flip a shear sign so the suite must fail",
-            )
-    return p
+
+class Args(NamedTuple):
+    """A parsed command line: the command and its options."""
+
+    command: str | None
+    config: str | None = None
+    out: str | None = None
+    threads: int = 1
+    corrupt_sign: bool = False
+    help: bool = False
+
+
+def parse_args(argv) -> Args:
+    """argv (without the program name) as Args; a usage error is a ConfigError.
+
+    Options may come before or after the command, as --opt VALUE or
+    --opt=VALUE, and a repeated option keeps its last value.  With -h or
+    --help the rest is not checked.
+    """
+    try:
+        opts, rest = getopt.gnu_getopt(
+            argv, "h", ["config=", "out=", "threads=", "corrupt-sign", "help"])
+    except getopt.GetoptError as exc:
+        raise ConfigError(f"{exc} (see --help)") from None
+    values = {name.lstrip("-"): value for name, value in opts}
+    if "h" in values or "help" in values:
+        return Args(command=None, help=True)
+    expected = ", ".join(_COMMANDS)
+    if len(rest) != 1 or rest[0] not in _COMMANDS:
+        got = "no command" if not rest else f"{' '.join(rest)!r}"
+        raise ConfigError(f"expected one command, {expected}; got {got} (see --help)")
+    command = rest[0]
+    if "corrupt-sign" in values and command != "check-takagi":
+        raise ConfigError(f"--corrupt-sign is an option of check-takagi, not {command}")
+    try:
+        threads = int(values.get("threads", "1"))
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"--threads must be an integer >= 1, got {values['threads']!r}")
+    return Args(command, values.get("config"), values.get("out"), threads,
+                "corrupt-sign" in values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.config is None and args.command in _SCENARIO:
-        print(f"config error: {args.command} requires --config", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.help:
+            sys.stdout.write(__doc__)
+            return EXIT_OK
+        if args.config is None and args.command in _SCENARIO:
+            raise ConfigError(f"{args.command} requires --config")
         sections, loc, sha = _load_config(args.config, args.command)
         return _COMMANDS[args.command](sections, loc, sha, args)
     except ValueError as exc:  # ConfigError, or a constructor rejecting a value

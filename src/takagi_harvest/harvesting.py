@@ -310,8 +310,8 @@ def _clock(scenario: HarvestScenario):
 
 
 def _cut(p, lo, hi):
-    """Rows lo:hi (on the first axis) of what _clock gives; None stays None."""
-    return tuple(c if c is None else c[lo:hi] for c in p)
+    """Rows lo:hi (on the second axis) of what _clock gives; None stays None."""
+    return tuple(c if c is None else c[:, lo:hi] for c in p)
 
 
 def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
@@ -319,12 +319,14 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
     """(evaluate, join): each detector's leg, window times mode, as amplitude times e^{i phase}.
 
     evaluate(*rows) gives, for each row of times, the tuple (amp_a, phase_a,
-    amp_b, phase_b, lambda, C): both detectors' legs at every row.  All rows
-    go through one _clock call, and each distinct window (equal windows
-    count once, by value) is called once, on every row, with the clock
-    values there.  The amplitude is the window, times sqrt(C) for the
-    transported mode; the phase is omega t on the flat side, Omega tau for
-    a dual ground state and omega_flat lambda for the transported mode
+    amp_b, phase_b, lambda, C): both detectors' legs at every row.  The rows
+    of a kernel call agree on every axis but the second, as the (k, 31, 31)
+    grids and (k, 1, 31) lines of a stack of k cells do.  All rows go
+    through one _clock call, joined on that axis, and each distinct window
+    (equal windows count once, by value) is called once, on every row, with
+    the clock values there.  The amplitude is the window, times sqrt(C) for
+    the transported mode; the phase is omega t on the flat side, Omega tau
+    for a dual ground state and omega_flat lambda for the transported mode
     (gaussian.transported_leg).
 
     join(P, Q) gives (amp, phase) of A's leg at P times B's at Q, the product
@@ -346,8 +348,8 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
     freqs = [d.frequency for d in ((det_a,) if shared else (det_a, det_b))]
 
     def evaluate(*rows):
-        ends = list(accumulate(len(row) for row in rows))
-        p = clock(np.concatenate(rows))
+        ends = list(accumulate(row.shape[1] for row in rows))
+        p = clock(np.concatenate(rows, axis=1))
         amps = [chi(*p) for chi in windows]
         if transported:
             root, phase = transported_leg(m, p[1], p[2])
@@ -355,7 +357,7 @@ def _legs(scenario: HarvestScenario, det_a: DetectorSpec, det_b: DetectorSpec,
         else:
             phases = [w * p[0] for w in freqs]
         cols = (amps[0], phases[0], amps[-1], phases[-1], *p[1:])
-        return [_cut(cols, hi - len(row), hi) for row, hi in zip(rows, ends)]
+        return [_cut(cols, hi - row.shape[1], hi) for row, hi in zip(rows, ends)]
 
     def join(P, Q):
         amp = P[0] * Q[2]

@@ -6,8 +6,10 @@ Two parts:
   over boxes of one or two axes, with per-axis error indicators and
   anisotropic bisection, so near-singular ridges that are axis-aligned (the
   regulated Wightman kernel in difference coordinates) are resolved in
-  O(log 1/eps) refinement levels.  integrate_square (rectangles, whose
-  axes may carry breaks) and adaptive_1d (segments) are its two entries.
+  O(log 1/eps) refinement levels; each round of refinement evaluates all
+  the cells it makes in one kernel call.  integrate_square (rectangles,
+  whose axes may carry breaks) and adaptive_1d (segments) are its two
+  entries.
 * Regulator handling: validation of a halving epsilon sequence, Richardson
   extrapolation to eps -> 0 with an empirical validation of the
   linear-error model (a reference for evaluations at several regulators; the
@@ -199,30 +201,45 @@ class IntegralResult:
     pole: complex | None = None
 
 
-def _eval_cell(f, box):
-    """Kronrod value and per-axis Gauss defects of f on one cell.
+def _eval_cells(f, boxes):
+    """Kronrod values and per-axis Gauss defects of f on a stack of k cells.
 
-    box is (lo, hi) per axis, flattened: (a, b) or (u0, u1, v0, v1).  f takes
-    one node array per axis, broadcast against each other (shapes (31,), or
-    (31, 1) and (1, 31)), and returns their grid.  Returns the Kronrod
-    value, complex whether the grid is real or complex, and its defects as
-    a length-d array, one per axis.
+    boxes are k cells, each (lo, hi) per axis, flattened: [a, b] or [u0,
+    u1, v0, v1].  f takes one node array per axis with the cells on a
+    leading stack axis, broadcast against each other: (k, 31) on one axis,
+    (k, 31, 1) and (k, 1, 31) on two.  It returns their grid, (k, 31) or
+    (k, 31, 31), real or complex.  Returns the Kronrod values, a list of k
+    numbers, and their defects, a list of k rows of d, one per axis.  Each
+    cell takes its own (31^d,) @ (31^d, d + 1) rule product (matmul loops
+    over the stack), so its value does not depend on the other cells of
+    its stack.
     """
-    d = len(box) // 2
-    h = [0.5 * (box[2 * j + 1] - box[2 * j]) for j in range(d)]
-    x = [box[2 * j] + h[j] * _XK1 for j in range(d)]
-    F = np.asarray(f(*x) if d == 1 else f(x[0][:, None], x[1][None, :]))
-    grid = (len(XK),) * d
+    k, d = len(boxes), len(boxes[0]) // 2
+    # per cell: the lower end and half width of each axis, and the area,
+    # the half widths multiplied
+    geometry = []
+    for box in boxes:
+        h = [0.5 * (b - a) for a, b in zip(box[::2], box[1::2])]
+        geometry.append(box[::2] + h + [math.prod(h)])
+    geometry = np.array(geometry)
+    x = geometry[:, :d, None] + geometry[:, d:2 * d, None] * _XK1  # (k, d, 31)
+    F = np.asarray(f(x[:, 0]) if d == 1 else f(x[:, 0, :, None], x[:, 1, None, :]))
+    grid = (k,) + (len(XK),) * d
     if F.shape != grid:
         raise ValueError(f"kernel must broadcast over its node arrays to shape {grid}")
     # a real grid stays real: a real check and product, a third of the complex cost
     real = not np.iscomplexobj(F)
-    F = np.ascontiguousarray(F, dtype=float if real else complex).reshape(-1)
+    F = np.ascontiguousarray(F, dtype=float if real else complex).reshape(k, 1, -1)
     if not np.isfinite(F if real else F.view(float)).all():  # real view: both parts
         raise NumericalHardError("kernel returned non-finite values")
-    rules = (F @ _CELL_RULES[d][0 if real else 1]) * math.prod(h)
-    ik = rules[0]
-    return complex(ik), np.abs(ik - rules[1:])
+    rules = (F @ _CELL_RULES[d][0 if real else 1])[:, 0] * geometry[:, -1:]
+    ik = rules[:, 0]
+    return ik.tolist(), np.abs(ik[:, None] - rules[:, 1:]).tolist()
+
+
+# the most cells one refinement round splits, their children evaluated in
+# one kernel call; scipy's quad_vec takes up to 128 intervals a round
+_ROUND = 16
 
 
 def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
@@ -231,58 +248,80 @@ def _adapt(f, boxes, cfg: QuadratureConfig) -> IntegralResult:
     boxes are the nonempty initial cells that tile the domain, each a (lo,
     hi) per axis, flattened, in row-major order of the axes: the product of
     each axis' pieces between its breaks, as QUADPACK's qagp takes its
-    breakpoints on one axis.  f is evaluated as in _eval_cell.  In one heap,
-    the cell with the largest error is bisected along the axis whose
-    Gauss/Kronrod defect is larger, which keeps ridge refinement
-    one-dimensional; an axis narrower than 1e-13 of the domain's range, or
-    of the magnitude of its ends where that is larger, is not split (a
-    finer split would round a node onto an end, the break a pole sits on),
-    and a cell with no axis left to split stays a leaf.  Refinement stops
-    once the summed error meets max(abs_tol, rel_tol * |value|), or after
-    max_subdivisions splits.  err_estimate is the summed cell defect; where
-    the tolerance could not be met it stays above tolerance rather than
-    being silently clipped, and budget_exhausted is set.
+    breakpoints on one axis.  f is evaluated as in _eval_cells, on all
+    initial cells in one call, and then once per round on the children of
+    the cells the round splits.  In one heap, ties going to the earlier
+    row, a round pops the cells with the largest errors, as scipy's
+    quad_vec does: at least one, then more while the error of the cells not
+    popped stays above the tolerance, at most _ROUND of them and no more
+    than the splits the budget has left.  (quad_vec pops until that error
+    is below its own target, tol/8.)  Each cell popped is then one that
+    splitting one cell per step would also split before it could meet the
+    tolerance, so, short of the budget and of rounding in the running sums,
+    the mesh is the same as with one split per step, in fewer calls.
+
+    Each cell is bisected along the axis whose Gauss/Kronrod defect is
+    larger, which keeps ridge refinement one-dimensional; an axis narrower
+    than 1e-13 of the domain's range, or of the magnitude of its ends where
+    that is larger, is not split (a finer split would round a node onto an
+    end, the break a pole sits on), and a cell with no axis left to split,
+    or with no error, stays a leaf.  Refinement stops once the summed error
+    meets max(abs_tol, rel_tol * |value|), or after max_subdivisions
+    splits.  err_estimate is the summed cell defect; where the tolerance
+    could not be met it stays above tolerance rather than being silently
+    clipped, and budget_exhausted is set.
     """
     lo, hi = boxes[0][::2], boxes[-1][1::2]  # the domain's ends on each axis
     min_w = [1e-13 * max(b - a, abs(a), abs(b)) for a, b in zip(lo, hi)]
     d = len(lo)
 
-    def leaf(cell):
-        """(box, Kronrod value, error, axis defects): the error is the sum of
-        the defects, and the larger defect picks the split axis."""
-        ik, w = _eval_cell(f, cell)
-        return cell, ik, float(np.add.reduce(w)), w.tolist()
+    def leaves_of(cells):
+        """(box, Kronrod value, error, axis defects) per cell: the error is the
+        sum of the defects, and the larger defect picks the split axis."""
+        ik, w = _eval_cells(f, cells)
+        return list(zip(cells, ik, map(sum, w), w))
 
     # one row per leaf; a split cell's row goes to its first child
-    leaves = [leaf(cell) for cell in boxes]
+    leaves = leaves_of(boxes)
     heap = [(-c[2], i) for i, c in enumerate(leaves)]
     heapq.heapify(heap)
     total, err_total = sum(c[1] for c in leaves), sum(c[2] for c in leaves)
     splits = 0
     while heap and splits < cfg.max_subdivisions:
-        if err_total <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if err_total <= tol:
             break
-        neg_err, i = heapq.heappop(heap)
-        if -neg_err == 0.0:  # frozen: stays a leaf, never split again
-            continue
-        cell, ik, e, w = leaves[i]
-        j = int(w[-1] > w[0])  # the axis of the larger defect, ties to the first
-        if cell[2 * j + 1] - cell[2 * j] < min_w[j]:
-            j = d - 1 - j  # the other axis; the first is split only where it has a defect
-            if cell[2 * j + 1] - cell[2 * j] < min_w[j] or (j == 0 and w[0] == 0.0):
+        rows, halves, popped = [], [], 0.0
+        room = min(_ROUND, cfg.max_subdivisions - splits)
+        while heap and len(rows) < room and (not rows or popped < err_total - tol):
+            neg_err, i = heapq.heappop(heap)
+            if neg_err == 0.0:  # frozen: stays a leaf, never split again
                 continue
-        mid = 0.5 * (cell[2 * j] + cell[2 * j + 1])
-        lo, hi = cell[:], cell[:]
-        lo[2 * j + 1] = hi[2 * j] = mid
-        total -= ik
-        err_total -= e
-        leaves[i] = leaf(lo)
-        leaves.append(leaf(hi))
-        for row in (i, len(leaves) - 1):
-            heapq.heappush(heap, (-leaves[row][2], row))
-            total += leaves[row][1]
-            err_total += leaves[row][2]
-        splits += 1
+            cell, _, _, w = leaves[i]
+            j = int(w[-1] > w[0])  # the axis of the larger defect, ties to the first
+            if cell[2 * j + 1] - cell[2 * j] < min_w[j]:
+                j = d - 1 - j  # the other axis; the first is split only where it has a defect
+                if cell[2 * j + 1] - cell[2 * j] < min_w[j] or (j == 0 and w[0] == 0.0):
+                    continue
+            mid = 0.5 * (cell[2 * j] + cell[2 * j + 1])
+            first, second = cell[:], cell[:]
+            first[2 * j + 1] = second[2 * j] = mid
+            rows.append(i)
+            halves += [first, second]
+            popped -= neg_err
+        if not rows:  # every cell left in the heap was frozen or too narrow
+            break
+        children = leaves_of(halves)
+        for n, i in enumerate(rows):
+            total -= leaves[i][1]
+            err_total -= leaves[i][2]
+            leaves[i] = children[2 * n]
+            leaves.append(children[2 * n + 1])
+            for row in (i, len(leaves) - 1):
+                heapq.heappush(heap, (-leaves[row][2], row))
+                total += leaves[row][1]
+                err_total += leaves[row][2]
+        splits += len(rows)
 
     # final reduction over the leaves with exactly-rounded sums, so the
     # result does not depend on the order of the rows
@@ -299,8 +338,10 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
     Each axis lists its edges: its ends, and any breaks between them, which
     ascend strictly inside the axis.  The pieces of u times the pieces of v
     start one adaptive run (_adapt), so a known kink or pole on either axis
-    is a mesh line from the first cell on.  f must take numpy arrays that
-    broadcast to a common shape and return that shape.
+    is a mesh line from the first cell on.  f is called on a stack of k
+    cells at once: u of shape (k, 31, 1) and v of shape (k, 1, 31), and it
+    returns their grid, (k, 31, 31), real or complex.  A function that
+    broadcasts elementwise meets this.
     """
     try:
         us, vs = ([float(x) for x in axis] for axis in rect)
@@ -319,7 +360,9 @@ def integrate_square(f, rect, cfg: QuadratureConfig) -> IntegralResult:
 def adaptive_1d(f, a: float, b: float, cfg: QuadratureConfig) -> IntegralResult:
     """Adaptive Gauss-Kronrod 15/31 on [a, b] for a vectorized complex f.
 
-    The one-axis case of integrate_square's refinement (_adapt).
+    The one-axis case of integrate_square's refinement (_adapt).  f is
+    called on a stack of k segments at once: it takes nodes of shape (k,
+    31) and returns values of that shape.
     """
     a = float(a)
     b = float(b)

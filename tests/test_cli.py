@@ -153,6 +153,53 @@ def test_threads_must_be_positive(capsys):
     capsys.readouterr()
 
 
+def test_help_prints_the_grammar_and_every_command(capsys):
+    for argv in (["--help"], ["-h"], ["harvest", "--help"]):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == cli.__doc__ and "takagi-harvest COMMAND [--config F]" in out
+        assert all(f"``{command}``" in out for command in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv,why", [
+    (["harvest", "--corrupt-sign"], "--corrupt-sign is an option of check-takagi"),
+    (["check-takagi", "--bogus"], "option --bogus not recognized"),
+    (["check-takagi", "--out"], "option --out requires argument"),
+    ([], "expected one command"),
+    (["bogus"], "got 'bogus'"),
+    (["harvest", "dualize"], "got 'harvest dualize'"),
+    (["check-takagi", "--threads", "x"], "--threads must be an integer >= 1, got 'x'"),
+    (["check-takagi", "--threads", "1.5"], "--threads must be an integer >= 1"),
+], ids=["corrupt-sign-on-harvest", "unknown-option", "missing-value", "no-command",
+        "unknown-command", "two-commands", "threads-not-a-number", "threads-not-an-integer"])
+def test_usage_errors_exit_config(capsys, argv, why):
+    # a usage error is reported as a config error with exit 2, as argparse
+    # used that code, and nothing runs
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert why in captured.err, captured.err
+
+
+def test_options_parse_before_or_after_the_command():
+    # getopt's GNU mode permutes the command line; --opt=VALUE also parses
+    want = cli.Args("check-takagi", "C", "O", 3, True)
+    for argv in (["check-takagi", "--config", "C", "--out=O", "--threads", "3", "--corrupt-sign"],
+                 ["--corrupt-sign", "--threads=3", "--out", "O", "check-takagi", "--config=C"]):
+        assert cli.parse_args(argv) == want
+    assert cli.parse_args(["harvest", "--threads", "2", "--threads", "1"]).threads == 1
+
+
+def test_unwritable_out_path_exits_config(tmp_path, capsys):
+    # reported like an unreadable --config: one line on stderr, exit 2
+    out = tmp_path / "missing" / "rep.json"
+    rc = main(["harvest", "--config", _write(tmp_path, GAUSS_REF), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and not out.exists()
+    assert err.startswith(f"config error: cannot write output {str(out)!r}: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_gaussian_switching_rejects_window_keys(tmp_path, capsys):
     bad = GAUSS_REF.replace("sigma = 1.0", "sigma = 1.0\nt1 = 2.0", 1)
     rc = main(["harvest", "--config", _write(tmp_path, bad)])
@@ -382,13 +429,6 @@ def test_non_finite_output_exits_numerical_and_writes_no_file(tmp_path, capsys, 
 # --- dualize ----------------------------------------------------------------------
 
 
-def test_dualize_empty_list_header_only(tmp_path):
-    cfg = GAUSS_REF + "\n[dualize]\nOmega_list =\n"
-    out = tmp_path / "dual.csv"
-    assert main(["dualize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
-    assert out.read_text() == ",".join(_DUALIZE_COLUMNS) + "\n"
-
-
 def test_dualize_degenerate_row_exact(tmp_path):
     cfg = GAUSS_REF + "\n[dualize]\nOmega_list = 1.0\n"
     out = tmp_path / "dual.csv"
@@ -585,6 +625,25 @@ def test_constructor_error_reports_section_and_line(tmp_path, capsys):
 def test_dualize_refuses_at_the_key_at_fault(tmp_path, capsys, text, where, why):
     err = _config_error(tmp_path, capsys, "dualize", text)
     assert where in err and why in err
+
+
+@pytest.mark.parametrize("command,text,where", [
+    ("dualize", GAUSS_REF + "\n[dualize]\nOmega_list =\n", "[dualize] key 'Omega_list' (line 25)"),
+    ("dualize", GAUSS_REF + "\n[dualize]\nOmega_list = 0.5,,2\n",
+     "[dualize] key 'Omega_list' (line 25)"),
+    ("geometry-tables", "[tables]\nOmega_list =\n", "[tables] key 'Omega_list' (line 2)"),
+    ("geometry-tables", "[tables]\nOmega_list = 0.5,,2\n", "[tables] key 'Omega_list' (line 2)"),
+    ("harvest", QUBIT_COS2 + "\n[scan]\nomega = 0.5, 1,\n", "[scan] key 'omega' (line 27)"),
+], ids=["dualize-empty", "dualize-empty-item", "tables-empty", "tables-empty-item",
+        "scan-trailing-comma"])
+def test_empty_list_or_item_refused_at_its_key(tmp_path, capsys, command, text, where):
+    # an empty value list wrote a header-only CSV with exit 0, and an empty
+    # item between commas was dropped; now neither writes a file
+    out = tmp_path / "out.csv"
+    rc = main([command, "--config", _write(tmp_path, text), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG and not out.exists()
+    assert where in err and "comma-separated numbers" in err, err
 
 
 def test_tables_negative_Omega_refused_at_its_key(tmp_path, capsys):

@@ -529,7 +529,7 @@ def test_regulator_sequence_policy(monkeypatch):
 
 def test_one_level_sequence_integrates_only_that_level(monkeypatch):
     # a one-level sequence asks for that finite regulator: one grid per
-    # kernel call, the regulated value at that eps
+    # cell of each kernel call's stack, the regulated value at that eps
     sc = _scenario(quad=QuadratureConfig(max_subdivisions=6, epsilon_sequence=EPS6[-1:]))
     da = sc.detectors[0]
     runs = {
@@ -553,7 +553,8 @@ def test_one_level_sequence_integrates_only_that_level(monkeypatch):
     for name, run in runs.items():
         shapes.clear()
         res = run()
-        assert shapes and set(shapes) == {(len(XK), len(XK))}
+        assert shapes and {shape[1:] for shape in shapes} == {(len(XK), len(XK))}
+        assert sum(shape[0] for shape in shapes) == res.cells
         assert res.note == "finest-epsilon"
         assert res.epsilon_used == EPS6[-1]
         assert res == finest[name]
@@ -580,22 +581,24 @@ def test_element_reports_the_cells_of_its_mesh(monkeypatch):
     da, db = _scenario(L=0.0).detectors
     dual = dualize(HarvestScenario(detectors=(da, replace(db, switching=gaussian_switching(1.25))),
                                    quadrature=QuadratureConfig(epsilon_sequence=(0.01,))), 2.0)
-    mesh, calls = _mesh_of(monkeypatch, lambda: seen.append(compute_L(*dual.detectors, dual)))
+    mesh, (calls, cells) = _mesh_of(monkeypatch,
+                                    lambda: seen.append(compute_L(*dual.detectors, dual)))
     (res,) = seen
     assert res.note == "finest-epsilon"
-    assert res.cells == mesh.cells == calls > 1
+    assert res.cells == mesh.cells == cells > 1 and 1 <= calls <= cells
 
 
 def _calls_of(monkeypatch, run):
-    """Kernel calls of each integrate_square call of run, and run's result."""
+    """[kernel calls, cells of their stacks] of each integrate_square call of run, and run's result."""
     calls = []
     integrate = harvesting.integrate_square
 
     def spy(f, rect, cfg):
-        calls.append(0)
+        calls.append([0, 0])
 
         def kern(u, w):
-            calls[-1] += 1
+            calls[-1][0] += 1
+            calls[-1][1] += len(u)
             return f(u, w)
 
         return integrate(kern, rect, cfg)
@@ -611,18 +614,18 @@ def test_closed_form_element_reports_all_its_cells(monkeypatch):
     # range (M breaks at its pole x = L), and N adds the segments of its
     # pole's line integral
     sc = _scenario()
-    calls, M = _calls_of(monkeypatch, lambda: compute_M(sc))
+    ((calls, cells),), M = _calls_of(monkeypatch, lambda: compute_M(sc))
     assert M.note == "closed-form" and M.pole is None
-    assert len(calls) == 1 and M.cells == calls[0]
+    assert M.cells == cells and 1 <= calls <= cells
     assert M.cells % 2 == 0  # two pieces + 2 * splits
     lines = []
     line_integral = harvesting.adaptive_1d
     monkeypatch.setattr(harvesting, "adaptive_1d",
                         lambda *args: lines.append(line_integral(*args)) or lines[-1])
-    calls, N = _calls_of(monkeypatch, lambda: compute_N(sc.detectors[0], sc))
+    ((calls, cells),), N = _calls_of(monkeypatch, lambda: compute_N(sc.detectors[0], sc))
     assert N.note == "finite-part" and N.pole is not None
     (line,) = lines
-    assert len(calls) == 1 and N.cells == calls[0] + line.cells > calls[0]
+    assert N.cells == cells + line.cells > cells and 1 <= calls <= cells
 
 
 @pytest.mark.parametrize("chi, sheared", [(GAUSS, False), (cos_squared_switching(-0.5, 0.5), True)])
@@ -889,7 +892,7 @@ def test_leg_product_equals_the_explicit_legs(side):
 
 
 def _clock_and_window_calls(monkeypatch, run):
-    """(clock-map calls, window calls, window points) in each kernel call that run integrates.
+    """(clock-map calls, window calls, window points, cells) in each kernel call that run integrates.
 
     Windows count at the outermost call: a transported window evaluates its
     base window inside its own call.
@@ -922,7 +925,8 @@ def _clock_and_window_calls(monkeypatch, run):
         def kern(u, v):
             before = dict(counts)
             out = f(u, v)
-            per_call.append(tuple(counts[k] - before[k] for k in ("clock", "window", "points")))
+            per_call.append(tuple(counts[k] - before[k] for k in ("clock", "window", "points"))
+                            + (len(u),))
             return out
 
         return integrate(kern, rect, cfg)
@@ -951,8 +955,9 @@ def test_one_clock_call_and_one_window_call_per_detector_per_cell(monkeypatch):
     colo = dualize(_scenario(L=0.0, freq=3.0, chi=COS2), 0.5)
     n = len(XK)
     cases = [
-        # (run, clock calls, distinct windows, window points or None): each
-        # distinct window reads every row of a call, the (n, n) grids of t
+        # (run, clock calls, distinct windows, window points per cell or
+        # None), per kernel call, whatever its stack of cells: each distinct
+        # window reads every row of a call, per cell the (n, n) grids of t
         # and t' and one (1, n) row per pole at each, n = len(XK)
         (lambda: compute_L(da, da, flat), 0, 1, None),
         (lambda: compute_N(da, flat), 0, 1, None),
@@ -970,11 +975,14 @@ def test_one_clock_call_and_one_window_call_per_detector_per_cell(monkeypatch):
         (lambda: compute_N(colo.detectors[0], colo), 1, 1, None),
         (lambda: compute_M(colo), 1, 1, None),
     ]
+    stacks = set()
     for run, clocks, windows, points in cases:
         per_call = _clock_and_window_calls(monkeypatch, run)
         assert len(per_call) > 1
         assert {calls[:2] for calls in per_call} == {(clocks, windows)}
-        assert points is None or {calls[2] for calls in per_call} == {points}
+        assert points is None or all(calls[2] == points * calls[3] for calls in per_call)
+        stacks.update(calls[3] for calls in per_call)
+    assert max(stacks) > 1  # the counts hold on stacks of several cells too
     res = compute_L(*other.detectors, other)
     assert res.note == "closed-form" and res.cells > 0
 
@@ -1126,19 +1134,20 @@ def test_power_law_dual_x_range_stays_below_pi():
 
 
 def _mesh_of(monkeypatch, run):
-    """The result and kernel calls of the one integrate_square call of run."""
+    """The result, and [kernel calls, cells of their stacks], of the one integrate_square call of run."""
     seen = []
     integrate = harvesting.integrate_square
 
     def spy(f, rect, cfg):
-        calls = [0]
+        calls = [0, 0]
 
         def kern(u, w):
             calls[0] += 1
+            calls[1] += len(u)
             return f(u, w)
 
         res = integrate(kern, rect, cfg)
-        seen.append((res, calls[0]))
+        seen.append((res, calls))
         return res
 
     with monkeypatch.context() as mp:
@@ -1149,13 +1158,13 @@ def _mesh_of(monkeypatch, run):
 
 
 def _assert_straightened_matches_the_plain_mesh(monkeypatch, sc, da, db, ordered, fold,
-                                               eps_seq, max_calls):
+                                               eps_seq, max_cells):
     for eps in eps_seq:
         calls, res = _calls_of(
             monkeypatch, lambda: harvesting._integral(sc, da, db, ordered, fold, eps))
         want = _public_element(sc, da, db, ordered, eps)
         assert abs(res.value - want.value) <= 10.0 * sc.quadrature.rel_tol * abs(want.value)
-        assert sum(calls) < max_calls, (eps, calls)
+        assert sum(cells for _, cells in calls) < max_cells, (eps, calls)
 
 
 @pytest.mark.parametrize("Omega", [0.5, 1.3, 2.0, 3.0])

@@ -12,7 +12,7 @@ import importlib
 import pytest
 
 import takagi_harvest
-from takagi_harvest.cli import build_parser
+from takagi_harvest.cli import parse_args
 
 MODULES = ("geometry", "gaussian", "field", "quadrature", "harvesting")
 
@@ -85,7 +85,6 @@ def test_cli_parses_the_benchmark_argv():
     # perfbench/workloads.py passes --threads 2 on every window_scan run; the
     # flag has no effect but must parse until the benchmark stops passing it
     for command in ("harvest", "dualize"):
-        args = build_parser().parse_args(
-            [command, "--config", "C", "--out", "O", "--threads", "2"]
-        )
+        args = parse_args([command, "--config", "C", "--out", "O", "--threads", "2"])
         assert (args.command, args.config, args.out, args.threads) == (command, "C", "O", 2)
+        assert not (args.corrupt_sign or args.help)

@@ -17,6 +17,7 @@ from takagi_harvest import (
     DetectorSpec,
     StaticTrajectory,
     gaussian_switching,
+    quadrature,
 )
 from takagi_harvest.quadrature import (
     G_IDX,
@@ -26,7 +27,7 @@ from takagi_harvest.quadrature import (
     WG,
     WK,
     XK,
-    _eval_cell,
+    _eval_cells,
     adaptive_1d,
     extrapolate_epsilon,
     fourier_oracle_L,
@@ -94,14 +95,20 @@ def test_square_diagonal_ridge_closed_form():
 # --- one cell and one run ---------------------------------------------------------
 
 
-def _counted(f):
-    calls = [0]
+def _stacks(f):
+    """f with a spy, and the stack sizes k of its calls, in order."""
+    sizes = []
 
-    def kern(u, v):
-        calls[0] += 1
-        return f(u, v)
+    def kern(*x):
+        sizes.append(len(x[0]))
+        return f(*x)
 
-    return kern, calls
+    return kern, sizes
+
+
+def _cells_seen(sizes, res):
+    """The cells the kernel saw are res.cells, in no more calls than that."""
+    return sum(sizes) == res.cells and 1 <= len(sizes) <= res.cells
 
 
 def test_cell_rule_defects_follow_their_axis():
@@ -109,13 +116,13 @@ def test_cell_rule_defects_follow_their_axis():
     # rules written out; a kernel that varies along u only has no v defect.
     # The Lorentzian 1/(u^2 + 1/4) keeps a Gauss defect of about 4e-6
     F = 1.0 / (XK[:, None] ** 2 + 0.25) * (1.0 + 0.0 * XK[None, :]) + 1j * XK[:, None] ** 2
-    ik, (eu, ev) = _eval_cell(lambda u, v: F, [-1.0, 1.0, -1.0, 1.0])
+    (ik,), ((eu, ev),) = _eval_cells(lambda u, v: F[None], [[-1.0, 1.0, -1.0, 1.0]])
     kron = WK @ F @ WK
     assert abs(ik - kron) <= 1e-14 * abs(kron)
     assert abs(eu - abs(kron - WG @ F[G_IDX] @ WK)) <= 1e-14 * abs(kron)
     assert eu > 1e-8 and ev <= 1e-14 * abs(kron)
     # a one-axis cell: the Kronrod value and its one Gauss defect
-    ik, (e,) = _eval_cell(lambda x: F[:, 0], [-1.0, 1.0])
+    (ik,), ((e,),) = _eval_cells(lambda x: F[None, :, 0], [[-1.0, 1.0]])
     kron = WK @ F[:, 0]
     assert abs(ik - kron) <= 1e-14 * abs(kron)
     assert abs(e - abs(kron - WG @ F[G_IDX, 0])) <= 1e-14 * abs(kron)
@@ -128,7 +135,8 @@ def test_identical_components_are_bitwise_equal():
     f = _ridge(0.05)
     single = integrate_square(f, ((0, 1), (0, 1)), CFG)
     viewed = integrate_square(
-        lambda u, v: np.broadcast_to(f(u, v), (len(XK), len(XK))), ((0, 1), (0, 1)), CFG
+        lambda u, v: np.broadcast_to(f(u, v), np.broadcast_shapes(u.shape, v.shape)),
+        ((0, 1), (0, 1)), CFG
     )
     assert viewed == single
     assert integrate_square(f, ((0, 1), (0, 1)), CFG) == single
@@ -151,12 +159,12 @@ def test_real_grid_matches_its_complex_cast():
 def test_ridge_sweep_on_one_mesh():
     # a halving regulator sweep of the ridge 1/((u-v)^2 + a^2): each width
     # runs on one mesh of its own, whole or started from pieces of u,
-    # calling its kernel once per cell, and meets the tolerance and the
-    # closed form
+    # passing its kernel every cell it counts, and meets the tolerance and
+    # the closed form
     for a, us in itertools.product([0.05 / 2**k for k in range(6)], [(0, 1), (0, 0.25, 0.5, 1)]):
-        kern, calls = _counted(_ridge(a))
+        kern, sizes = _stacks(_ridge(a))
         res = integrate_square(kern, (us, (0, 1)), CFG)
-        assert calls[0] == res.cells
+        assert _cells_seen(sizes, res)
         assert (res.cells - (len(us) - 1)) % 2 == 0  # pieces + 2 * splits
         assert not res.budget_exhausted
         assert res.err_estimate <= max(CFG.abs_tol, CFG.rel_tol * abs(res.value))
@@ -172,9 +180,9 @@ def test_cancelling_pieces_stop_at_rel_tol_of_their_sum():
     cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=0.0)
     f = lambda u, v: np.where(u < 0.0, 1.0, -(1.0 + d)) / (u * u + a * a) * np.exp(v)
     expected = -d * math.atan(1 / a) / a * (math.e - 1)
-    kern, calls = _counted(f)
+    kern, sizes = _stacks(f)
     res = integrate_square(kern, ((-1, 0, 1), (0, 1)), cfg)
-    assert not res.budget_exhausted and res.cells == calls[0]
+    assert not res.budget_exhausted and _cells_seen(sizes, res)
     assert res.err_estimate <= cfg.rel_tol * abs(res.value)
     assert abs(res.value - expected) <= res.err_estimate
     apart = [integrate_square(f, (us, (0, 1)), cfg) for us in ((-1, 0), (0, 1))]
@@ -188,9 +196,9 @@ def test_stacked_budget_is_flagged_per_component():
     cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=1e-300, max_subdivisions=3)
     runs = []
     for f in (lambda u, v: np.exp(u + v) + 0j, lambda u, v: _ridge(1e-2)(u, v) + 0j):
-        kern, calls = _counted(f)
+        kern, sizes = _stacks(f)
         res = integrate_square(kern, ((0, 1), (0, 1)), cfg)
-        assert calls[0] == res.cells
+        assert _cells_seen(sizes, res)
         runs.append(res)
     above = [res.err_estimate > max(cfg.abs_tol, cfg.rel_tol * abs(res.value)) for res in runs]
     assert above == [False, True]
@@ -206,13 +214,81 @@ def test_budget_starved_run_counts_its_cells():
     for res in (square, line):
         assert res.budget_exhausted
         assert res.cells == 1 + 2 * cfg.max_subdivisions
-    kern, calls = _counted(_ridge(1e-3))
+    kern, sizes = _stacks(_ridge(1e-3))
     pieces = integrate_square(kern, ((0, 0.3, 0.6, 1), (0, 1)), cfg)
-    assert pieces.budget_exhausted
-    assert pieces.cells == calls[0] == 3 + 2 * cfg.max_subdivisions
+    assert pieces.budget_exhausted and _cells_seen(sizes, pieces)
+    assert pieces.cells == 3 + 2 * cfg.max_subdivisions
     eps = [1e-2 / 2**k for k in range(3)]
     levels = [replace(_res(0.7 + 0.3 * e, e), cells=c) for e, c in zip(eps, (9, 75, 9))]
     assert extrapolate_epsilon(levels).cells == 75
+
+
+def test_a_round_passes_its_cells_in_one_call():
+    # the initial pieces go to the kernel in one stack, and each round's
+    # children in one more: a multi-cell run makes fewer calls than it has
+    # cells, on stacks of more than one cell, on two axes and on one
+    kern, sizes = _stacks(_ridge(1e-2))
+    square = integrate_square(kern, ((0, 0.5, 1), (0, 1)), CFG)
+    line_kern, line_sizes = _stacks(lambda x: 1.0 / (x * x + 1e-4))
+    line = adaptive_1d(line_kern, -1.0, 1.0, CFG)
+    for res, k in ((square, sizes), (line, line_sizes)):
+        assert not res.budget_exhausted and sum(k) == res.cells
+        assert len(k) < res.cells and max(k[1:]) > 2
+        assert all(n % 2 == 0 for n in k[1:])  # two children per split
+    assert sizes[0] == 2 and line_sizes[0] == 1
+    # a run that converges on its one cell makes one call, of one cell
+    kern, sizes = _stacks(lambda u, v: np.exp(u + v))
+    assert integrate_square(kern, ((0, 1), (0, 1)), CFG).cells == 1 and sizes == [1]
+    kern, sizes = _stacks(np.exp)
+    assert adaptive_1d(kern, 0.0, 1.0, CFG).cells == 1 and sizes == [1]
+
+
+def test_a_round_never_outruns_the_budget():
+    # a starved run of three pieces splits at most what the budget has
+    # left in each round, so it still ends at pieces + 2 * max_subdivisions
+    # cells, and is flagged
+    for budget in (1, 9, 17, 40):
+        cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=0.0, max_subdivisions=budget)
+        kern, sizes = _stacks(_ridge(1e-3))
+        res = integrate_square(kern, ((0, 0.3, 0.6, 1), (0, 1)), cfg)
+        assert res.budget_exhausted and res.cells == sum(sizes) == 3 + 2 * budget
+        assert len(sizes) < res.cells
+
+
+def test_rounds_keep_the_mesh_of_one_split_per_step(monkeypatch):
+    # a round pops only cells that one split per step would also split
+    # before meeting the tolerance: the same cells, value and error bit for
+    # bit as rounds of one cell, in fewer kernel calls
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_tol=0.0)
+    runs = [
+        lambda kern: integrate_square(kern, ((0, 0.5, 1), (0, 1)), cfg),
+        lambda kern: integrate_square(kern, ((-1, 0, 1), (0, 0.3, 1)), cfg),
+        lambda kern: adaptive_1d(lambda x: kern(x, 0.3 * x), -1.0, 1.0, cfg),
+    ]
+    for run in runs:
+        kern, batched = _stacks(_ridge(1e-3))
+        res = run(kern)
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "_ROUND", 1)
+            kern, serial = _stacks(_ridge(1e-3))
+            one = run(kern)
+        assert res == one and not res.budget_exhausted
+        assert len(batched) < len(serial) and sum(batched) == sum(serial) == res.cells
+
+
+def test_a_cell_does_not_depend_on_its_stack():
+    # each cell takes its own rule product: alone or among others, its
+    # value and defects are the same bits, and so are two identical runs
+    f = lambda u, v: np.exp(np.sin(3 * u) * np.cos(5 * v)) / ((u - v) ** 2 + 1e-3) + 1j * u * v
+    boxes = [[0.0, 0.3, 0.0, 0.7], [0.3, 0.5, 0.1, 0.2], [-1.0, 0.1, 0.3, 0.4]]
+    ik, w = _eval_cells(f, boxes)
+    for i, box in enumerate(boxes):
+        (alone,), w_alone = _eval_cells(f, [box])
+        assert alone == ik[i] and np.array_equal(w_alone[0], w[i])
+    for run in (lambda: integrate_square(f, ((0, 0.5, 1), (0, 1)), CFG),
+                lambda: adaptive_1d(lambda x: f(x, 0.5 * x), -1.0, 1.0, CFG)):
+        first = run()
+        assert first.cells > 1 and run() == first
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
@@ -328,13 +404,13 @@ def test_kink_on_a_v_edge_needs_no_split():
     c = 0.3
     expected = 0.75 * (c * c + (1.0 - c) ** 2)
     for vs, pieces in (((0, c, 1), 2), ((0, 0.2, c, 1), 3)):
-        kern, calls = _counted(lambda u, v: np.abs(v - c) * (1.0 + u))
+        kern, sizes = _stacks(lambda u, v: np.abs(v - c) * (1.0 + u))
         res = integrate_square(kern, ((0, 1), vs), cfg)
-        assert res.cells == calls[0] == pieces
+        assert res.cells == pieces and sizes == [pieces]  # all pieces in one call
         assert abs(res.value - expected) <= 1e-14
-    kern, calls = _counted(lambda u, v: np.abs(v - c) * (1.0 + u))
+    kern, sizes = _stacks(lambda u, v: np.abs(v - c) * (1.0 + u))
     res = integrate_square(kern, ((0, 1), (0, 1)), cfg)
-    assert res.cells == calls[0] > 1 and (res.cells - 1) % 2 == 0
+    assert _cells_seen(sizes, res) and res.cells > 1 and (res.cells - 1) % 2 == 0
     assert not res.budget_exhausted
     assert abs(res.value - expected) <= res.err_estimate + 1e-14
 
